@@ -8,7 +8,11 @@
 //! * **interpreted** — `commit_interpreted()`, the merged-block engine
 //!   without a compiled plan (this workspace's pre-plan behavior);
 //! * **compiled** — `commit()`, the pack-plan compiler with strided ops
-//!   and fixed-block copy kernels (see `mpicd_datatype::plan`).
+//!   and its static per-op copy kernels (see `mpicd_datatype::plan`).
+//!
+//! Patterns are the DDTBench set plus `REGISTER`, an array-of-struct
+//! record (3×i32 + f64 with trailing padding) whose alternating runs
+//! exercise the two-block `Pair` fusion.
 //!
 //! The table reports pack throughput per engine plus the compiled/
 //! interpreted and compiled/convertor speedups, and a second table shows
@@ -18,7 +22,7 @@
 
 use mpicd_bench::harness::Sample;
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
-use mpicd_datatype::Committed;
+use mpicd_datatype::{Committed, Datatype};
 use std::time::Instant;
 
 /// Fragment size of the timed pack loop — the fabric's generic-payload
@@ -55,6 +59,27 @@ fn throughput(c: &Committed, base: &[u8], reps: usize, runs: usize) -> Sample {
     Sample::from_values(&vals)
 }
 
+/// One benchmarked pattern: name, datatype, and a backing buffer.
+fn patterns(target: usize) -> Vec<(String, Datatype, Vec<u8>)> {
+    let mut out = Vec::new();
+    for name in mpicd_ddtbench::BENCHMARKS {
+        let p = mpicd_ddtbench::make(name, target);
+        out.push((name.to_string(), p.datatype(), p.base().to_vec()));
+    }
+    // Array-of-struct record stream (SNIPPETS.md traffic-detector shape):
+    // {3×i32, pad, f64, pad} resized to a 32-byte extent — alternating
+    // 12/8-byte runs that fuse into one `Pair` op per record batch.
+    let field = Datatype::structure(vec![
+        (3, 0, Datatype::of::<i32>()),
+        (1, 16, Datatype::of::<f64>()),
+    ]);
+    let records = (target / 20).max(1);
+    let dt = Datatype::contiguous(records, Datatype::resized(0, 32, field));
+    let base: Vec<u8> = (0..records * 32).map(|i| (i % 251) as u8).collect();
+    out.push(("REGISTER".to_string(), dt, base));
+    out
+}
+
 fn main() {
     let target = if quick_mode() { 128 * 1024 } else { 1 << 20 };
     let runs = 4; // the paper's 4-run averaging
@@ -77,13 +102,11 @@ fn main() {
         vec!["merged blocks".into(), "plan ops".into()],
     );
 
-    for name in mpicd_ddtbench::BENCHMARKS {
-        let p = mpicd_ddtbench::make(name, target);
-        let dt = p.datatype();
+    for (name, dt, base) in patterns(target) {
         let convertor = dt.commit_convertor().expect("valid datatype");
         let interpreted = dt.commit_interpreted().expect("valid datatype");
         let compiled = dt.commit().expect("valid datatype");
-        let base = p.base();
+        let base = &base[..];
         assert!(compiled.required_span(1) <= base.len());
 
         // Byte-identity across all three engines before timing anything.
@@ -111,7 +134,7 @@ fn main() {
         let vs_interp = Sample::point(comp.mean / interp.mean, 0.0);
         let vs_conv = Sample::point(comp.mean / conv.mean, 0.0);
         tput.push(
-            name,
+            &name,
             vec![
                 Some(conv),
                 Some(interp),
@@ -122,7 +145,7 @@ fn main() {
         );
         let plan = compiled.plan().expect("commit() compiles a plan");
         shape.push(
-            name,
+            &name,
             vec![
                 Some(Sample::point(interpreted.block_count() as f64, 0.0)),
                 Some(Sample::point(plan.op_count() as f64, 0.0)),
@@ -143,7 +166,6 @@ fn main() {
         "plan.cache.misses",
         "plan.kernel.memcpy_bytes",
         "plan.kernel.fixed4_bytes",
-        "plan.kernel.fixed8_bytes",
         "plan.kernel.fixed16_bytes",
         "plan.kernel.gather64_bytes",
         "plan.kernel.gather128_bytes",

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// Every figure/table binary, paper order.
-const BINARIES: [&str; 16] = [
+const BINARIES: [&str; 15] = [
     "fig01_double_vec_latency",
     "fig02_double_vec_bw",
     "fig03_struct_vec_latency",
@@ -26,7 +26,6 @@ const BINARIES: [&str; 16] = [
     "table1_characteristics",
     "ablation_wire_model",
     "ablation_pack_plan",
-    "ablation_kernel",
     "ablation_msgrate",
     "ablation_collective",
 ];

@@ -510,8 +510,8 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
     );
     let records = AtomicU64::new(0);
 
-    // Timed warmup: warms the bounce pool, scratch ring, pack-plan cache
-    // and autotuner so the baseline below is representative.
+    // Timed warmup: warms the bounce pool, scratch ring and pack-plan
+    // cache so the baseline below is representative.
     let warmup = cfg.warmup;
     drive(&world, cfg, &ty, 0, &records, |stop| {
         std::thread::sleep(warmup);
@@ -985,7 +985,15 @@ mod tests {
             window: Duration::from_millis(50),
             report: None,
         };
+        // `run` ends with a telemetry flush: send it to a temp dir, not
+        // the working tree.
+        let dir = std::env::temp_dir().join(format!("mpicd-soak-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        mpicd_obs::config::current()
+            .telemetry_file(dir.join("mpicd-telemetry.prom"))
+            .install();
         let r = run(&cfg);
+        std::fs::remove_dir_all(&dir).ok();
         assert!(r.messages > 0, "steady state moved traffic");
         assert!(
             r.records >= r.messages * 4,

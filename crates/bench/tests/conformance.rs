@@ -1,13 +1,14 @@
 //! Workspace conformance lints, run as ordinary tests.
 //!
-//! Three source-scanning checks that keep code and documentation from
-//! drifting apart (PRs 2–4 each added env knobs and obs counters by hand;
-//! these tests close that hole):
+//! Source-scanning checks that keep code and documentation from drifting
+//! apart, in both directions:
 //!
 //! 1. every `MPICD_*` env knob referenced in source appears in the knob
-//!    documentation in `DESIGN.md`;
+//!    documentation in `DESIGN.md` and `docs/PERFORMANCE.md`, and every
+//!    knob in those docs' tables is read by production code;
 //! 2. every `obs` counter/histogram and telemetry series/sketch name
-//!    emitted by production code appears in `docs/ARCHITECTURE.md`;
+//!    emitted by production code appears in `docs/ARCHITECTURE.md`, and
+//!    every name in its metrics table is emitted by production code;
 //! 3. memory-ordering audit: `Ordering::SeqCst` is forbidden outside a
 //!    justified allowlist, and the model-checked modules
 //!    (`obs::flight`, `fabric::pipeline`) must not import
@@ -75,10 +76,42 @@ fn scan(text: &str, prefix: &str, set: impl Fn(char) -> bool) -> BTreeSet<String
     out
 }
 
-/// Strip the conventional trailing `#[cfg(test)] mod … { … }` block plus
+/// Characters of an `MPICD_*` knob name after the prefix.
+fn knob_char(c: char) -> bool {
+    c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Whether `f` is test or example code rather than production code.
+fn is_test_or_example(f: &Path) -> bool {
+    f.components()
+        .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "examples")
+}
+
+/// The first cell of every markdown table row in `doc`.
+fn first_cells(doc: &str) -> impl Iterator<Item = &str> {
+    doc.lines()
+        .filter(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('|').nth(1))
+}
+
+/// Production code of the whole workspace, concatenated.
+fn all_production_code(root: &Path) -> String {
+    rust_sources(root)
+        .iter()
+        .filter(|f| !is_test_or_example(f))
+        .map(|f| production_code(&read(f)))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Strip the conventional trailing `#[cfg(test)] mod … { … }` block (an
+/// unindented `#[cfg(test)]` line; indented ones gate single items) plus
 /// doc-comment lines, leaving production code only.
 fn production_code(src: &str) -> String {
-    let cut = src.find("#[cfg(test)]").unwrap_or(src.len());
+    let cut = src
+        .match_indices("#[cfg(test)]")
+        .find(|&(i, _)| i == 0 || src.as_bytes()[i - 1] == b'\n')
+        .map_or(src.len(), |(i, _)| i);
     src[..cut]
         .lines()
         .filter(|l| {
@@ -93,16 +126,12 @@ fn production_code(src: &str) -> String {
 fn every_env_knob_is_documented_in_design_md() {
     let root = workspace_root();
     let design = read(&root.join("DESIGN.md"));
-    let documented = scan(&design, "MPICD_", |c| {
-        c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-    });
+    let documented = scan(&design, "MPICD_", knob_char);
 
     let mut undocumented = BTreeSet::new();
     for f in rust_sources(&root) {
         let src = read(&f);
-        for knob in scan(&src, "MPICD_", |c| {
-            c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-        }) {
+        for knob in scan(&src, "MPICD_", knob_char) {
             // `MPICD_` alone is the scanner's own prefix, not a knob.
             if knob != "MPICD_" && !documented.contains(&knob) {
                 undocumented.insert(format!("{knob} (first seen in {})", f.display()));
@@ -122,16 +151,12 @@ fn every_env_knob_is_documented_in_performance_md() {
     // tables must cover the full `MPICD_*` surface, not a subset.
     let root = workspace_root();
     let perf = read(&root.join("docs/PERFORMANCE.md"));
-    let documented = scan(&perf, "MPICD_", |c| {
-        c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-    });
+    let documented = scan(&perf, "MPICD_", knob_char);
 
     let mut undocumented = BTreeSet::new();
     for f in rust_sources(&root) {
         let src = read(&f);
-        for knob in scan(&src, "MPICD_", |c| {
-            c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-        }) {
+        for knob in scan(&src, "MPICD_", knob_char) {
             if knob != "MPICD_" && !documented.contains(&knob) {
                 undocumented.insert(format!("{knob} (first seen in {})", f.display()));
             }
@@ -153,9 +178,7 @@ fn every_obs_counter_is_documented_in_architecture_md() {
     for f in rust_sources(&root) {
         // Integration-test files exercise the registries with throwaway
         // names; only production emitters are load-bearing.
-        if f.components()
-            .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "examples")
-        {
+        if is_test_or_example(&f) {
             continue;
         }
         let code = production_code(&read(&f));
@@ -183,6 +206,60 @@ fn every_obs_counter_is_documented_in_architecture_md() {
         "obs metrics emitted by production code but missing from \
          docs/ARCHITECTURE.md:\n  {}",
         undocumented.into_iter().collect::<Vec<_>>().join("\n  ")
+    );
+}
+
+#[test]
+fn every_documented_knob_is_read_by_production_code() {
+    // The reverse direction: a knob deleted from the code must leave the
+    // DESIGN.md and docs/PERFORMANCE.md tables too.
+    let root = workspace_root();
+    let code = all_production_code(&root);
+    let mut stale = BTreeSet::new();
+    for doc in ["DESIGN.md", "docs/PERFORMANCE.md"] {
+        for cell in first_cells(&read(&root.join(doc))) {
+            for knob in scan(cell, "MPICD_", knob_char) {
+                if !code.contains(&format!("\"{knob}\"")) {
+                    stale.insert(format!("{knob} (in the {doc} knob tables)"));
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documented env knobs that no production code reads:\n  {}",
+        stale.into_iter().collect::<Vec<_>>().join("\n  ")
+    );
+}
+
+#[test]
+fn every_documented_metric_is_emitted_by_production_code() {
+    // The reverse direction: a counter deleted from the code must leave
+    // the docs/ARCHITECTURE.md metrics table too.
+    let root = workspace_root();
+    let arch = read(&root.join("docs/ARCHITECTURE.md"));
+    let start = arch
+        .find("## Metrics reference")
+        .expect("ARCHITECTURE.md has a metrics reference");
+    let table = &arch[start..];
+    let table = &table[..table[2..].find("\n## ").map_or(table.len(), |i| i + 2)];
+    let code = all_production_code(&root);
+    let mut stale = BTreeSet::new();
+    let mut rows = 0;
+    for cell in first_cells(table) {
+        let Some(name) = cell.split('`').nth(1) else {
+            continue;
+        };
+        rows += 1;
+        if !code.contains(&format!("\"{name}\"")) {
+            stale.insert(name.to_string());
+        }
+    }
+    assert!(rows > 20, "metrics table parsed: {rows} rows");
+    assert!(
+        stale.is_empty(),
+        "docs/ARCHITECTURE.md metrics that no production code emits:\n  {}",
+        stale.into_iter().collect::<Vec<_>>().join("\n  ")
     );
 }
 

@@ -240,10 +240,14 @@ impl Drop for CCustomUnpack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
 
-    static STATE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-    static STATE_FREES: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        // Per test thread: the callbacks run on the caller's thread, so
+        // tests running in parallel never see each other's calls.
+        static STATE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+        static STATE_FREES: Cell<usize> = const { Cell::new(0) };
+    }
 
     unsafe extern "C" fn test_statefn(
         _context: *mut c_void,
@@ -251,13 +255,13 @@ mod tests {
         _count: MPI_Count,
         state: *mut *mut c_void,
     ) -> c_int {
-        STATE_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        STATE_ALLOCS.with(|c| c.set(c.get() + 1));
         *state = Box::into_raw(Box::new(0u64)) as *mut c_void;
         MPI_SUCCESS
     }
 
     unsafe extern "C" fn test_freefn(state: *mut c_void) -> c_int {
-        STATE_FREES.fetch_add(1, Ordering::SeqCst);
+        STATE_FREES.with(|c| c.set(c.get() + 1));
         drop(Box::from_raw(state as *mut u64));
         MPI_SUCCESS
     }
@@ -308,8 +312,8 @@ mod tests {
 
     #[test]
     fn state_lifecycle_and_packing() {
-        let allocs0 = STATE_ALLOCS.load(Ordering::SeqCst);
-        let frees0 = STATE_FREES.load(Ordering::SeqCst);
+        let allocs0 = STATE_ALLOCS.with(Cell::get);
+        let frees0 = STATE_FREES.with(Cell::get);
         let data = [1i32, 2, 3];
         {
             let mut a = unsafe { CCustomPack::new(callbacks(), data.as_ptr().cast(), 3).unwrap() };
@@ -320,9 +324,9 @@ mod tests {
             assert!(a.inorder());
             assert!(a.regions().unwrap().is_empty());
         }
-        assert_eq!(STATE_ALLOCS.load(Ordering::SeqCst), allocs0 + 1);
+        assert_eq!(STATE_ALLOCS.with(Cell::get), allocs0 + 1);
         assert_eq!(
-            STATE_FREES.load(Ordering::SeqCst),
+            STATE_FREES.with(Cell::get),
             frees0 + 1,
             "freefn ran at drop"
         );

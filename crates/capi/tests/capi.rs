@@ -410,6 +410,9 @@ fn scenario_derived_datatypes() {
     }
     assert_eq!(std::mem::size_of::<Gapped>(), 24);
 
+    // Commit acts on the shared handle, so rank 1 may commit only after
+    // rank 0's uncommitted send has been rejected.
+    let (rejected_tx, rejected_rx) = std::sync::mpsc::channel();
     let t0 = std::thread::spawn(move || {
         assert_eq!(mpi_attach_rank(0), MPI_SUCCESS);
         let elems: Vec<Gapped> = (0..50)
@@ -422,6 +425,7 @@ fn scenario_derived_datatypes() {
             .collect();
         let rc = unsafe { MPI_Send(elems.as_ptr().cast(), 50, gapped, 1, 20, MPI_COMM_WORLD) };
         assert_eq!(rc, MPI_ERR_TYPE, "uncommitted type rejected");
+        rejected_tx.send(()).unwrap();
 
         let mut committed = gapped;
         assert_eq!(unsafe { MPI_Type_commit(&mut committed) }, MPI_SUCCESS);
@@ -430,6 +434,7 @@ fn scenario_derived_datatypes() {
     });
     let t1 = std::thread::spawn(move || {
         assert_eq!(mpi_attach_rank(1), MPI_SUCCESS);
+        rejected_rx.recv().unwrap();
         let mut committed = gapped;
         assert_eq!(unsafe { MPI_Type_commit(&mut committed) }, MPI_SUCCESS);
         let mut elems = vec![Gapped::default(); 50];

@@ -49,7 +49,7 @@ impl Committed {
     /// through the process-wide plan registry; see [`mod@crate::plan`]).
     pub fn new(t: &Datatype) -> DatatypeResult<Self> {
         let mut c = Self::build(t, true)?;
-        if plan::planning_enabled() && c.size > 0 {
+        if c.size > 0 {
             c.plan = Some(plan::lookup_or_compile(t, &c.blocks, c.size, c.extent));
         }
         Ok(c)

@@ -44,6 +44,6 @@ pub use marshal::{
     marshal, marshal_with_context, marshal_with_header, unmarshal, unmarshal_with_context,
     unmarshal_with_header,
 };
-pub use plan::{Kernel, KernelPolicy, PackPlan, PlanOp};
+pub use plan::{Kernel, PackPlan, PlanOp};
 pub use primitive::Primitive;
 pub use typ::Datatype;

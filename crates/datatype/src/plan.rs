@@ -15,21 +15,17 @@
 //!    two-block interleave, or 2-D nest of block arrays. A million-block
 //!    NAS face collapses to one op, and an array-of-struct layout whose
 //!    runs alternate between two lengths fuses into one [`PlanOp::Pair`].
-//! 2. **Select a copy kernel** per op at compile time ([`Kernel`]): a
-//!    straight `memcpy` for contiguous runs, fixed-size copies for the
-//!    ubiquitous 4/8/16-byte blocks, wide-word (u64/u128-chunked)
-//!    gather/scatter kernels for the remaining small blocks, and a generic
-//!    fallback for everything else.
-//! 3. **Autotune** the choice at run time: the first large execution of a
-//!    cached plan races the legal candidate kernels over disjoint chunks
-//!    of the real work (no byte is copied twice) and caches the winner
-//!    per (op, size class) alongside the plan — see [`set_tuning`] and
-//!    [`set_kernel_policy`].
-//! 4. **Cache** compiled plans in a process-wide registry keyed by the
+//! 2. **Select a copy kernel** per op ([`Kernel::for_block`]): a straight
+//!    `memcpy` for contiguous runs, fixed-size copies for 4/16-byte
+//!    blocks, wide-word (u64/u128-packed) gather/scatter kernels for
+//!    1/2/8-byte blocks, chunked wide copies for the remaining small
+//!    blocks, and a generic fallback for everything else. The choice is a
+//!    pure function of the op's shape, fixed when the plan is compiled,
+//!    so every process runs the same kernels.
+//! 3. **Cache** compiled plans in a process-wide registry keyed by the
 //!    structural type signature ([`crate::equivalence::structural_key`]),
 //!    so recommitting an equivalent type — benchmark harnesses and
-//!    long-running applications do this constantly — skips compilation
-//!    *and* inherits the tuned kernel choices.
+//!    long-running applications do this constantly — skips compilation.
 //!
 //! The executor keeps the engine's resumable contract: any byte range of
 //! the packed stream can be produced or consumed independently, so plans
@@ -39,15 +35,11 @@
 //! fragment boundary can fall anywhere — including mid-word.
 //!
 //! Observability: `plan.cache.hits` / `plan.cache.misses` count registry
-//! lookups, `plan.kernel.*_bytes` attribute every copied byte to the
-//! kernel that moved it, and `plan.tune.*` count autotuner races and
-//! their outcomes (see `mpicd-obs` and `docs/PERFORMANCE.md`). Knobs:
-//! `MPICD_PLAN=0` disables compilation (interpreted engine everywhere),
-//! `MPICD_PLAN_CACHE=0` disables only the registry,
-//! `MPICD_PLAN_CACHE_CAP` bounds it (default 1024 plans),
-//! `MPICD_PLAN_TUNE=0` freezes kernel choices at the static mapping, and
-//! `MPICD_PLAN_KERNEL` forces one kernel (or the `legacy` pre-wide-word
-//! mapping) everywhere it is legal — the ablation/debugging override.
+//! lookups and `plan.kernel.*_bytes` attribute every copied byte to the
+//! kernel that moved it (see `mpicd-obs` and `docs/PERFORMANCE.md`).
+//! `MPICD_PLAN_CACHE_CAP` bounds the registry (default 1024 plans); the
+//! plan-free merged-block engine stays reachable through
+//! [`crate::Datatype::commit_interpreted`].
 
 // Audited unsafe: compiled-plan kernels over raw memory; every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
@@ -57,28 +49,23 @@ use crate::typ::Datatype;
 use mpicd_obs::metrics::Counter;
 use mpicd_obs::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-/// Copy kernel selected for an op when the plan is compiled (and possibly
-/// replaced at run time by the autotuner — see [`set_tuning`]).
+/// Copy kernel of a plan op, selected when the plan is compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Unit-stride run: one `memcpy` of the whole op.
     Memcpy,
     /// Strided copy of 4-byte blocks (one `u32` load/store per block).
     Fixed4,
-    /// Strided copy of 8-byte blocks (one `u64` load/store per block).
-    Fixed8,
     /// Strided copy of 16-byte blocks (one 16-byte load/store per block).
     Fixed16,
-    /// Wide-word gather/scatter: groups of blocks that divide 8 bytes move
-    /// through one `u64` of the packed stream, with software prefetch
-    /// down long strides.
+    /// Wide-word gather/scatter: eight 1-byte blocks move through one
+    /// `u64` of the packed stream, with software prefetch down long
+    /// strides.
     Gather64,
-    /// Wide-word gather/scatter through `u128` packed words — for blocks
-    /// dividing 16 bytes (e.g. two 8-byte doubles per packed store).
+    /// Wide-word gather/scatter through `u128` packed words — eight
+    /// 2-byte or two 8-byte blocks per packed store.
     Gather128,
     /// Per-block chunked wide copy (overlapping unaligned u128/u64/u32/u16
     /// pieces) for arbitrary small blocks — a 12-byte block is two
@@ -89,39 +76,26 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Static kernel mapping for a strided op whose blocks are `block`
-    /// bytes long. The autotuner ([`set_tuning`]) may override this at
-    /// run time; `MPICD_PLAN_KERNEL=legacy` restores the pre-wide-word
-    /// mapping (4/8/16 fixed, everything else generic).
+    /// Kernel for a strided op whose blocks are `block` bytes long — the
+    /// one and only selection rule. 8-byte blocks take `Gather128`, which
+    /// beat the fixed 8-byte copy on the LAMMPS and NAS_MG_x faces.
     ///
     /// ```
     /// use mpicd_datatype::Kernel;
-    /// assert_eq!(Kernel::for_block(8), Kernel::Fixed8);
+    /// assert_eq!(Kernel::for_block(8), Kernel::Gather128);
     /// // Small odd blocks ride the wide-word kernels, not the byte loop:
-    /// assert_eq!(Kernel::for_block(2), Kernel::Gather64);
+    /// assert_eq!(Kernel::for_block(1), Kernel::Gather64);
     /// assert_eq!(Kernel::for_block(12), Kernel::Wide);
     /// // Very large blocks stay variable-length copies (memcpy wins).
     /// assert_eq!(Kernel::for_block(4096), Kernel::Generic);
     /// ```
     pub fn for_block(block: usize) -> Self {
         match block {
+            1 => Kernel::Gather64,
+            2 | 8 => Kernel::Gather128,
             4 => Kernel::Fixed4,
-            8 => Kernel::Fixed8,
             16 => Kernel::Fixed16,
-            1 | 2 => Kernel::Gather64,
             b if b <= 64 => Kernel::Wide,
-            _ => Kernel::Generic,
-        }
-    }
-
-    /// The pre-wide-word mapping (PR 2): fixed kernels for 4/8/16-byte
-    /// blocks, the generic byte loop for everything else. Kept for the
-    /// `legacy` ablation policy.
-    fn legacy_for_block(block: usize) -> Self {
-        match block {
-            4 => Kernel::Fixed4,
-            8 => Kernel::Fixed8,
-            16 => Kernel::Fixed16,
             _ => Kernel::Generic,
         }
     }
@@ -131,28 +105,12 @@ impl Kernel {
         match self {
             Kernel::Memcpy => 0,
             Kernel::Fixed4 => 1,
-            Kernel::Fixed8 => 2,
-            Kernel::Fixed16 => 3,
-            Kernel::Gather64 => 4,
-            Kernel::Gather128 => 5,
-            Kernel::Wide => 6,
-            Kernel::Generic => 7,
+            Kernel::Fixed16 => 2,
+            Kernel::Gather64 => 3,
+            Kernel::Gather128 => 4,
+            Kernel::Wide => 5,
+            Kernel::Generic => 6,
         }
-    }
-
-    /// Inverse of [`Kernel::index`].
-    fn from_index(i: usize) -> Option<Kernel> {
-        Some(match i {
-            0 => Kernel::Memcpy,
-            1 => Kernel::Fixed4,
-            2 => Kernel::Fixed8,
-            3 => Kernel::Fixed16,
-            4 => Kernel::Gather64,
-            5 => Kernel::Gather128,
-            6 => Kernel::Wide,
-            7 => Kernel::Generic,
-            _ => return None,
-        })
     }
 
     /// Human-readable name (matches the obs counter suffix).
@@ -160,7 +118,6 @@ impl Kernel {
         match self {
             Kernel::Memcpy => "memcpy",
             Kernel::Fixed4 => "fixed4",
-            Kernel::Fixed8 => "fixed8",
             Kernel::Fixed16 => "fixed16",
             Kernel::Gather64 => "gather64",
             Kernel::Gather128 => "gather128",
@@ -168,357 +125,10 @@ impl Kernel {
             Kernel::Generic => "generic",
         }
     }
-
-    /// Kernel for a `MPICD_PLAN_KERNEL`-style name.
-    fn parse(name: &str) -> Option<Kernel> {
-        Some(match name {
-            "memcpy" => Kernel::Memcpy,
-            "fixed4" => Kernel::Fixed4,
-            "fixed8" => Kernel::Fixed8,
-            "fixed16" => Kernel::Fixed16,
-            "gather64" => Kernel::Gather64,
-            "gather128" => Kernel::Gather128,
-            "wide" => Kernel::Wide,
-            "generic" => Kernel::Generic,
-            _ => return None,
-        })
-    }
-
-    /// Whether this kernel can execute a strided op with `block`-byte
-    /// blocks (the gathers need the block to divide their packed word).
-    fn legal_for_block(self, block: usize) -> bool {
-        match self {
-            Kernel::Memcpy => false, // contiguous runs only
-            Kernel::Fixed4 => block == 4,
-            Kernel::Fixed8 => block == 8,
-            Kernel::Fixed16 => block == 16,
-            Kernel::Gather64 => block != 0 && 8 % block == 0,
-            Kernel::Gather128 => block != 0 && 16 % block == 0,
-            Kernel::Wide | Kernel::Generic => true,
-        }
-    }
-
-    /// The kernels worth racing for a strided op with `block`-byte blocks,
-    /// static choice first. (`Gather64`/`Gather128` with `block == word`
-    /// degenerate to the fixed kernels plus software prefetch, which is
-    /// why they appear as candidates for 8- and 16-byte blocks.)
-    fn candidates(block: usize) -> &'static [Kernel] {
-        match block {
-            1 | 2 => &[Kernel::Gather64, Kernel::Gather128, Kernel::Generic],
-            4 => &[
-                Kernel::Fixed4,
-                Kernel::Gather64,
-                Kernel::Gather128,
-                Kernel::Generic,
-            ],
-            8 => &[
-                Kernel::Fixed8,
-                Kernel::Gather64,
-                Kernel::Gather128,
-                Kernel::Generic,
-            ],
-            16 => &[
-                Kernel::Fixed16,
-                Kernel::Gather128,
-                Kernel::Wide,
-                Kernel::Generic,
-            ],
-            b if b <= 64 => &[Kernel::Wide, Kernel::Generic],
-            _ => &[Kernel::Generic, Kernel::Wide],
-        }
-    }
 }
-
-/// Candidate kernels for a fused [`PlanOp::Pair`] op.
-const PAIR_CANDIDATES: &[Kernel] = &[Kernel::Wide, Kernel::Generic];
 
 /// Number of distinct [`Kernel`]s (size of the byte tallies).
-const KERNELS: usize = 8;
-
-// ---- kernel-selection policy and autotuner state ---------------------------
-
-/// Run-time kernel-selection policy — see [`set_kernel_policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPolicy {
-    /// Static block-size mapping ([`Kernel::for_block`]) plus the
-    /// autotuner when enabled. The default.
-    Auto,
-    /// The pre-wide-word mapping (fixed4/8/16 for 4/8/16-byte blocks,
-    /// generic byte loop otherwise), autotuner off. The ablation baseline.
-    Legacy,
-    /// Force one kernel everywhere it is legal; ops where it is illegal
-    /// keep their static choice. Deterministic — for ablation and debug.
-    Force(Kernel),
-}
-
-/// Encoded policy: `0` = environment not read yet.
-static POLICY: AtomicU8 = AtomicU8::new(0);
-/// Tuning toggle: `0` = environment not read yet, `1` = on, `2` = off.
-static TUNING: AtomicU8 = AtomicU8::new(0);
-
-fn encode_policy(p: KernelPolicy) -> u8 {
-    match p {
-        KernelPolicy::Auto => 1,
-        KernelPolicy::Legacy => 2,
-        KernelPolicy::Force(k) => 3 + k.index() as u8,
-    }
-}
-
-fn decode_policy(v: u8) -> Option<KernelPolicy> {
-    match v {
-        0 => None,
-        1 => Some(KernelPolicy::Auto),
-        2 => Some(KernelPolicy::Legacy),
-        v => Some(KernelPolicy::Force(Kernel::from_index(v as usize - 3)?)),
-    }
-}
-
-/// Accepted `MPICD_PLAN_KERNEL` values (validated loudly on first read).
-const POLICY_CHOICES: &[&str] = &[
-    "auto",
-    "legacy",
-    "memcpy",
-    "fixed4",
-    "fixed8",
-    "fixed16",
-    "gather64",
-    "gather128",
-    "wide",
-    "generic",
-];
-
-fn policy_from_env() -> KernelPolicy {
-    match mpicd_obs::config::env_choice("MPICD_PLAN_KERNEL", POLICY_CHOICES, "auto") {
-        "auto" => KernelPolicy::Auto,
-        "legacy" => KernelPolicy::Legacy,
-        name => KernelPolicy::Force(Kernel::parse(name).expect("choice list names kernels")),
-    }
-}
-
-/// The process-wide kernel-selection policy (`MPICD_PLAN_KERNEL` unless
-/// overridden programmatically).
-pub fn kernel_policy() -> KernelPolicy {
-    if let Some(p) = decode_policy(POLICY.load(Ordering::Relaxed)) {
-        return p;
-    }
-    let p = policy_from_env();
-    POLICY.store(encode_policy(p), Ordering::Relaxed);
-    p
-}
-
-/// Override the kernel-selection policy for this process (takes
-/// precedence over `MPICD_PLAN_KERNEL`). Plans already tuned keep their
-/// cached choices; the policy only controls how future executions pick.
-///
-/// ```
-/// use mpicd_datatype::{plan, Kernel, KernelPolicy};
-/// plan::set_kernel_policy(KernelPolicy::Force(Kernel::Gather128));
-/// assert_eq!(plan::kernel_policy(), KernelPolicy::Force(Kernel::Gather128));
-/// plan::set_kernel_policy(KernelPolicy::Auto);
-/// ```
-pub fn set_kernel_policy(p: KernelPolicy) {
-    POLICY.store(encode_policy(p), Ordering::Relaxed);
-}
-
-/// Whether the per-plan autotuner is enabled (`MPICD_PLAN_TUNE`, default
-/// on, unless overridden via [`set_tuning`]). When off, every op uses its
-/// static [`Kernel::for_block`] choice.
-pub fn tuning_enabled() -> bool {
-    match TUNING.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = mpicd_obs::config::env_toggle("MPICD_PLAN_TUNE", true);
-            TUNING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Enable/disable the autotuner for this process (takes precedence over
-/// `MPICD_PLAN_TUNE`).
-pub fn set_tuning(on: bool) {
-    TUNING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Number of tuner size classes per op (see [`size_class`]).
-const SIZE_CLASSES: usize = 4;
-
-/// Bucket a per-call byte volume into a tuner size class: the kernel that
-/// wins on a 4 KiB fragment is not necessarily the winner on a 16 MiB
-/// stream, so choices are cached per (op, class).
-fn size_class(bytes: usize) -> usize {
-    if bytes < (16 << 10) {
-        0
-    } else if bytes < (256 << 10) {
-        1
-    } else if bytes < (4 << 20) {
-        2
-    } else {
-        3
-    }
-}
-
-/// Minimum bytes one call must move through an op before the tuner races
-/// candidates on it: below this, timing noise beats any kernel delta and
-/// the static choice is used (without caching a decision).
-const RACE_MIN_BYTES: usize = 64 * 1024;
-
-/// Per-op tuned-kernel slots, one per size class. `0` = undecided,
-/// `k + 1` = kernel with index `k` won the race. Lives inside the cached
-/// plan, so every user of the structural-signature cache shares the
-/// decision.
-#[derive(Debug, Default)]
-struct TuneBank {
-    slots: [AtomicU8; SIZE_CLASSES],
-}
-
-impl TuneBank {
-    fn get(&self, class: usize) -> Option<Kernel> {
-        let v = self.slots[class].load(Ordering::Relaxed);
-        Kernel::from_index(v.checked_sub(1)? as usize)
-    }
-
-    fn set(&self, class: usize, k: Kernel) {
-        self.slots[class].store(k.index() as u8 + 1, Ordering::Relaxed);
-    }
-}
-
-/// Per-run dispatch context, resolved once per `run()` call.
-#[derive(Clone, Copy)]
-struct Dispatch {
-    policy: KernelPolicy,
-    tune: bool,
-}
-
-/// Outcome of kernel selection for one op call.
-#[derive(Clone, Copy)]
-enum Choice {
-    /// Execute with this kernel.
-    Use(Kernel),
-    /// Undecided: race these candidates, cache under this size class.
-    Race(&'static [Kernel], usize),
-}
-
-/// Select the kernel for one op call. `block` is the pair length for
-/// `Pair` ops (`pair == true`), the block length otherwise; `bytes` is
-/// what this call will move through the op.
-fn choose(
-    ctx: Dispatch,
-    bank: &TuneBank,
-    static_k: Kernel,
-    block: usize,
-    pair: bool,
-    bytes: usize,
-) -> Choice {
-    match ctx.policy {
-        KernelPolicy::Legacy => Choice::Use(if pair {
-            Kernel::Generic
-        } else {
-            Kernel::legacy_for_block(block)
-        }),
-        KernelPolicy::Force(k) => {
-            let legal = if pair {
-                matches!(k, Kernel::Wide | Kernel::Generic)
-            } else {
-                k.legal_for_block(block)
-            };
-            Choice::Use(if legal { k } else { static_k })
-        }
-        KernelPolicy::Auto => {
-            if !ctx.tune {
-                return Choice::Use(static_k);
-            }
-            let class = size_class(bytes);
-            if let Some(k) = bank.get(class) {
-                return Choice::Use(k);
-            }
-            let cands = if pair {
-                PAIR_CANDIDATES
-            } else {
-                Kernel::candidates(block)
-            };
-            if bytes >= RACE_MIN_BYTES && cands.len() >= 2 {
-                Choice::Race(cands, class)
-            } else {
-                Choice::Use(static_k)
-            }
-        }
-    }
-}
-
-/// A challenger must beat the static kernel's ns/byte by this margin to
-/// overturn it — a sub-margin win on one fragment is indistinguishable
-/// from timing noise, and a wrong switch is sticky.
-const RACE_SWITCH_MARGIN: f64 = 0.9;
-
-/// Race candidate kernels over disjoint leading chunks of one op call.
-/// Each chunk is real work — no byte is copied twice — and `exec` is
-/// called as `exec(kernel, byte_offset, byte_budget) -> bytes_moved` with
-/// `byte_offset`/`byte_budget` both multiples of `unit`. Returns the
-/// winner (by ns/byte), the bytes already moved, and whether the race
-/// actually measured anything (a call too small to feed every candidate a
-/// meaningful share falls straight back to the static choice).
-fn race(
-    cands: &[Kernel],
-    static_k: Kernel,
-    unit: usize,
-    bytes: usize,
-    mut exec: impl FnMut(Kernel, usize, usize) -> usize,
-) -> (Kernel, usize, bool) {
-    let units = bytes / unit;
-    if units < cands.len() {
-        return (static_k, 0, false);
-    }
-    let share = (units / cands.len()) * unit;
-    let mut done = 0usize;
-    let mut best = (f64::INFINITY, static_k);
-    let mut static_score = f64::INFINITY;
-    for &k in cands {
-        if done >= bytes {
-            break;
-        }
-        let budget = share.min(bytes - done);
-        let t0 = Instant::now();
-        let n = exec(k, done, budget);
-        let dt = t0.elapsed().as_nanos() as f64;
-        if n == 0 {
-            break;
-        }
-        let score = dt / n as f64;
-        if k == static_k {
-            static_score = score;
-        }
-        if score < best.0 {
-            best = (score, k);
-        }
-        done += n;
-    }
-    let winner = if best.1 == static_k || best.0 < static_score * RACE_SWITCH_MARGIN {
-        best.1
-    } else {
-        static_k
-    };
-    (winner, done, true)
-}
-
-/// Record a race outcome: cache the winner and — when the race actually
-/// measured candidates — bump the `plan.tune.*` counters (`kept` when
-/// the static mapping already had it right, `switched` when the race
-/// overturned it).
-fn finish_race(bank: &TuneBank, class: usize, winner: Kernel, static_k: Kernel, measured: bool) {
-    bank.set(class, winner);
-    if !measured {
-        return;
-    }
-    let c = counters();
-    c.tune_races.inc();
-    if winner == static_k {
-        c.tune_kept.inc();
-    } else {
-        c.tune_switched.inc();
-    }
-}
+const KERNELS: usize = 7;
 
 // ---- plan representation ---------------------------------------------------
 
@@ -549,7 +159,8 @@ pub enum PlanOp {
     },
     /// `count` interleaved pairs of two runs (`block_a` then `block_b`
     /// bytes) repeating at a constant period — the array-of-struct layout
-    /// whose runs alternate between two lengths, fused into one op.
+    /// whose runs alternate between two lengths, fused into one op that
+    /// always runs the [`Kernel::Wide`] chunked copy.
     Pair {
         /// Byte offset of pair 0's first run from the element base.
         mem: isize,
@@ -563,8 +174,6 @@ pub enum PlanOp {
         block_b: usize,
         /// Number of pairs.
         count: usize,
-        /// Copy kernel selected for the fused pair.
-        kernel: Kernel,
     },
     /// `rows` repetitions of a strided block array — the doubly-nested
     /// loop shape of the NAS/MILC/WRF face exchanges.
@@ -604,32 +213,27 @@ impl PlanOp {
         }
     }
 
-    /// The copy kernel this op executes with (statically; the autotuner
-    /// may pick a different one at run time).
+    /// The copy kernel this op executes with.
     pub fn kernel(&self) -> Kernel {
         match *self {
             PlanOp::Contig { .. } => Kernel::Memcpy,
-            PlanOp::Strided { kernel, .. }
-            | PlanOp::Pair { kernel, .. }
-            | PlanOp::Nest2 { kernel, .. } => kernel,
+            PlanOp::Pair { .. } => Kernel::Wide,
+            PlanOp::Strided { kernel, .. } | PlanOp::Nest2 { kernel, .. } => kernel,
         }
     }
 }
 
 /// A compiled pack plan: the canonical op list for one element, plus the
-/// placement facts needed to execute over `count` consecutive elements,
-/// plus the autotuner's cached kernel choices.
+/// placement facts needed to execute over `count` consecutive elements.
 ///
 /// Byte-for-byte, a plan's output is identical to the interpreted engine's
-/// (asserted by the workspace property tests) under every kernel policy;
-/// only the loop structure and copy kernels differ.
+/// (asserted by the workspace property tests); only the loop structure
+/// and copy kernels differ.
 #[derive(Debug)]
 pub struct PackPlan {
     ops: Vec<PlanOp>,
     /// `prefix[i]` = packed bytes preceding op `i` within one element.
     prefix: Vec<usize>,
-    /// Per-op tuned-kernel slots (see [`TuneBank`]).
-    tune: Vec<TuneBank>,
     /// Packed bytes per element.
     size: usize,
     /// Element-to-element spacing in memory.
@@ -730,7 +334,6 @@ impl PackPlan {
                         block_a: a,
                         block_b: b,
                         count: pairs,
-                        kernel: Kernel::Wide,
                     });
                     i += 2 * pairs;
                     continue;
@@ -794,11 +397,9 @@ impl PackPlan {
             acc += op.packed_len();
         }
         debug_assert_eq!(acc, size, "plan covers exactly the packed size");
-        let tune = folded.iter().map(|_| TuneBank::default()).collect();
         Self {
             ops: folded,
             prefix,
-            tune,
             size,
             extent,
         }
@@ -876,10 +477,6 @@ impl PackPlan {
         if packed_off >= total {
             return 0;
         }
-        let ctx = Dispatch {
-            policy: kernel_policy(),
-            tune: tuning_enabled(),
-        };
         let goal = buf_len.min(total - packed_off);
         let mut remaining = goal;
         let mut tally = [0u64; KERNELS];
@@ -896,16 +493,7 @@ impl PackPlan {
             while remaining > 0 && oi < self.ops.len() {
                 let skip = within - self.prefix[oi];
                 let op = &self.ops[oi];
-                let n = exec_op::<PACK>(
-                    op,
-                    &self.tune[oi],
-                    ctx,
-                    elem_base,
-                    skip,
-                    buf,
-                    remaining,
-                    &mut tally,
-                );
+                let n = exec_op::<PACK>(op, elem_base, skip, buf, remaining, &mut tally);
                 buf = buf.add(n);
                 remaining -= n;
                 within += n;
@@ -1142,29 +730,15 @@ unsafe fn strided_part<const PACK: bool>(
     let full = (want - done) / block;
     if full > 0 {
         let mem = mem0.offset(bi as isize * stride);
-        match kernel {
-            Kernel::Fixed4 => strided_fixed::<4, PACK>(mem, stride, full, buf),
-            Kernel::Fixed8 => strided_fixed::<8, PACK>(mem, stride, full, buf),
-            Kernel::Fixed16 => strided_fixed::<16, PACK>(mem, stride, full, buf),
-            Kernel::Gather64 => match block {
-                1 => strided_gather::<1, 8, PACK>(mem, stride, full, buf),
-                2 => strided_gather::<2, 8, PACK>(mem, stride, full, buf),
-                4 => strided_gather::<4, 8, PACK>(mem, stride, full, buf),
-                8 => strided_gather::<8, 8, PACK>(mem, stride, full, buf),
-                _ => strided_generic::<PACK>(mem, stride, block, full, buf),
-            },
-            Kernel::Gather128 => match block {
-                1 => strided_gather::<1, 16, PACK>(mem, stride, full, buf),
-                2 => strided_gather::<2, 16, PACK>(mem, stride, full, buf),
-                4 => strided_gather::<4, 16, PACK>(mem, stride, full, buf),
-                8 => strided_gather::<8, 16, PACK>(mem, stride, full, buf),
-                16 => strided_gather::<16, 16, PACK>(mem, stride, full, buf),
-                _ => strided_generic::<PACK>(mem, stride, block, full, buf),
-            },
-            Kernel::Wide => strided_wide::<PACK>(mem, stride, block, full, buf),
-            Kernel::Memcpy | Kernel::Generic => {
-                strided_generic::<PACK>(mem, stride, block, full, buf)
-            }
+        debug_assert_eq!(kernel, Kernel::for_block(block));
+        match (kernel, block) {
+            (Kernel::Fixed4, 4) => strided_fixed::<4, PACK>(mem, stride, full, buf),
+            (Kernel::Fixed16, 16) => strided_fixed::<16, PACK>(mem, stride, full, buf),
+            (Kernel::Gather64, 1) => strided_gather::<1, 8, PACK>(mem, stride, full, buf),
+            (Kernel::Gather128, 2) => strided_gather::<2, 16, PACK>(mem, stride, full, buf),
+            (Kernel::Gather128, 8) => strided_gather::<8, 16, PACK>(mem, stride, full, buf),
+            (Kernel::Wide, _) => strided_wide::<PACK>(mem, stride, block, full, buf),
+            _ => strided_generic::<PACK>(mem, stride, block, full, buf),
         }
         tally[kernel.index()] += (full * block) as u64;
         done += full * block;
@@ -1208,7 +782,8 @@ unsafe fn pair_slice<const PACK: bool>(
 
 /// Execute (part of) one fused two-run `Pair` op: skip `skip` packed
 /// bytes in, move at most `want` bytes, return bytes moved. Partial
-/// head/tail pairs are byte-accurate; whole pairs run the fused kernel.
+/// head/tail pairs are byte-accurate; whole pairs run the chunked wide
+/// copy.
 #[allow(clippy::too_many_arguments)]
 unsafe fn pair_part<const PACK: bool>(
     mem0: *mut u8,
@@ -1217,7 +792,6 @@ unsafe fn pair_part<const PACK: bool>(
     block_a: usize,
     block_b: usize,
     count: usize,
-    kernel: Kernel,
     skip: usize,
     want: usize,
     mut buf: *mut u8,
@@ -1254,23 +828,16 @@ unsafe fn pair_part<const PACK: bool>(
     if full > 0 {
         let mut mem = mem0.offset(pi as isize * stride);
         let pf = stride.unsigned_abs() >= PF_MIN_STRIDE;
-        let wide = matches!(kernel, Kernel::Wide);
         for _ in 0..full {
             if pf {
                 prefetch(mem.wrapping_offset(stride * 8));
             }
-            if wide {
-                copy_wide::<PACK>(mem, buf, block_a);
-                copy_wide::<PACK>(mem.offset(delta), buf.add(block_a), block_b);
-            } else {
-                copy::<PACK>(mem, buf, block_a);
-                copy::<PACK>(mem.offset(delta), buf.add(block_a), block_b);
-            }
+            copy_wide::<PACK>(mem, buf, block_a);
+            copy_wide::<PACK>(mem.offset(delta), buf.add(block_a), block_b);
             mem = mem.offset(stride);
             buf = buf.add(pair_len);
         }
-        let ki = if wide { Kernel::Wide } else { Kernel::Generic };
-        tally[ki.index()] += (full * pair_len) as u64;
+        tally[Kernel::Wide.index()] += (full * pair_len) as u64;
         done += full * pair_len;
         pi += full;
     }
@@ -1297,7 +864,7 @@ unsafe fn pair_part<const PACK: bool>(
 /// dedicated row loop — single dispatch, next-row prefetch, none of the
 /// per-row partial-block bookkeeping — which is where fine-grained nests
 /// like LAMMPS (6 blocks of 8 bytes per row) recover their loop overhead.
-/// The fixed/generic kernels keep the historical per-row path.
+/// The fixed/generic kernels keep the per-row [`strided_part`] path.
 #[allow(clippy::too_many_arguments)]
 unsafe fn nest2_rows<const PACK: bool>(
     k: Kernel,
@@ -1313,17 +880,11 @@ unsafe fn nest2_rows<const PACK: bool>(
     let row_len = cols * block;
     match k {
         Kernel::Gather64 | Kernel::Gather128 => {
-            debug_assert!(k.legal_for_block(block));
-            let f: unsafe fn(*mut u8, isize, usize, *mut u8) = match (k, block) {
-                (Kernel::Gather64, 1) => strided_gather::<1, 8, PACK>,
-                (Kernel::Gather64, 2) => strided_gather::<2, 8, PACK>,
-                (Kernel::Gather64, 4) => strided_gather::<4, 8, PACK>,
-                (Kernel::Gather64, _) => strided_gather::<8, 8, PACK>,
-                (Kernel::Gather128, 1) => strided_gather::<1, 16, PACK>,
-                (Kernel::Gather128, 2) => strided_gather::<2, 16, PACK>,
-                (Kernel::Gather128, 4) => strided_gather::<4, 16, PACK>,
-                (Kernel::Gather128, 8) => strided_gather::<8, 16, PACK>,
-                _ => strided_gather::<16, 16, PACK>,
+            debug_assert_eq!(k, Kernel::for_block(block));
+            let f: unsafe fn(*mut u8, isize, usize, *mut u8) = match block {
+                1 => strided_gather::<1, 8, PACK>,
+                2 => strided_gather::<2, 16, PACK>,
+                _ => strided_gather::<8, 16, PACK>,
             };
             let mut mem = mem0;
             for _ in 0..nrows {
@@ -1358,11 +919,8 @@ unsafe fn nest2_rows<const PACK: bool>(
 
 /// Execute (part of) one op at `skip` packed bytes in; returns bytes moved
 /// (`> 0` whenever `want > 0` and the op has bytes past `skip`).
-#[allow(clippy::too_many_arguments)]
 unsafe fn exec_op<const PACK: bool>(
     op: &PlanOp,
-    bank: &TuneBank,
-    ctx: Dispatch,
     elem_base: *mut u8,
     skip: usize,
     buf: *mut u8,
@@ -1382,49 +940,17 @@ unsafe fn exec_op<const PACK: bool>(
             block,
             count,
             kernel,
-        } => {
-            let mem0 = elem_base.offset(mem);
-            let bytes = want.min(block * count - skip);
-            match choose(ctx, bank, kernel, block, false, bytes) {
-                Choice::Race(cands, class) if skip.is_multiple_of(block) => {
-                    let (winner, mut done, measured) =
-                        race(cands, kernel, block, bytes, |k, off, budget| {
-                            strided_part::<PACK>(
-                                mem0,
-                                stride,
-                                block,
-                                count,
-                                k,
-                                skip + off,
-                                budget,
-                                buf.add(off),
-                                tally,
-                            )
-                        });
-                    finish_race(bank, class, winner, kernel, measured);
-                    if done < bytes {
-                        done += strided_part::<PACK>(
-                            mem0,
-                            stride,
-                            block,
-                            count,
-                            winner,
-                            skip + done,
-                            bytes - done,
-                            buf.add(done),
-                            tally,
-                        );
-                    }
-                    done
-                }
-                Choice::Race(..) => {
-                    strided_part::<PACK>(mem0, stride, block, count, kernel, skip, want, buf, tally)
-                }
-                Choice::Use(k) => {
-                    strided_part::<PACK>(mem0, stride, block, count, k, skip, want, buf, tally)
-                }
-            }
-        }
+        } => strided_part::<PACK>(
+            elem_base.offset(mem),
+            stride,
+            block,
+            count,
+            kernel,
+            skip,
+            want,
+            buf,
+            tally,
+        ),
         PlanOp::Pair {
             mem,
             delta,
@@ -1432,55 +958,18 @@ unsafe fn exec_op<const PACK: bool>(
             block_a,
             block_b,
             count,
-            kernel,
-        } => {
-            let mem0 = elem_base.offset(mem);
-            let pair_len = block_a + block_b;
-            let bytes = want.min(pair_len * count - skip);
-            match choose(ctx, bank, kernel, pair_len, true, bytes) {
-                Choice::Race(cands, class) if skip.is_multiple_of(pair_len) => {
-                    let (winner, mut done, measured) =
-                        race(cands, kernel, pair_len, bytes, |k, off, budget| {
-                            pair_part::<PACK>(
-                                mem0,
-                                delta,
-                                stride,
-                                block_a,
-                                block_b,
-                                count,
-                                k,
-                                skip + off,
-                                budget,
-                                buf.add(off),
-                                tally,
-                            )
-                        });
-                    finish_race(bank, class, winner, kernel, measured);
-                    if done < bytes {
-                        done += pair_part::<PACK>(
-                            mem0,
-                            delta,
-                            stride,
-                            block_a,
-                            block_b,
-                            count,
-                            winner,
-                            skip + done,
-                            bytes - done,
-                            buf.add(done),
-                            tally,
-                        );
-                    }
-                    done
-                }
-                Choice::Race(..) => pair_part::<PACK>(
-                    mem0, delta, stride, block_a, block_b, count, kernel, skip, want, buf, tally,
-                ),
-                Choice::Use(k) => pair_part::<PACK>(
-                    mem0, delta, stride, block_a, block_b, count, k, skip, want, buf, tally,
-                ),
-            }
-        }
+        } => pair_part::<PACK>(
+            elem_base.offset(mem),
+            delta,
+            stride,
+            block_a,
+            block_b,
+            count,
+            skip,
+            want,
+            buf,
+            tally,
+        ),
         PlanOp::Nest2 {
             mem,
             row_stride,
@@ -1495,54 +984,24 @@ unsafe fn exec_op<const PACK: bool>(
             let mut row = skip / row_len;
             let rskip = skip % row_len;
             let mut done = 0usize;
-            let choice = choose(ctx, bank, kernel, block, false, bytes);
-            let mut k = match choice {
-                Choice::Use(k) => k,
-                Choice::Race(..) => kernel,
-            };
             // Head: finish a partially consumed row.
             if rskip != 0 {
                 let m = elem_base.offset(mem + row as isize * row_stride);
-                let n =
-                    strided_part::<PACK>(m, col_stride, block, cols, k, rskip, bytes, buf, tally);
+                let n = strided_part::<PACK>(
+                    m, col_stride, block, cols, kernel, rskip, bytes, buf, tally,
+                );
                 done += n;
                 if rskip + n < row_len {
                     return done;
                 }
                 row += 1;
             }
-            // Body: whole rows (racing candidates over row ranges first,
-            // if the tuner has no decision for this op yet).
-            let mut full = ((bytes - done) / row_len).min(rows - row);
-            if let Choice::Race(cands, class) = choice {
-                if full > 0 {
-                    let r0 = row;
-                    let base_done = done;
-                    let (winner, raced, measured) =
-                        race(cands, kernel, row_len, full * row_len, |kk, off, budget| {
-                            nest2_rows::<PACK>(
-                                kk,
-                                elem_base.offset(mem + (r0 + off / row_len) as isize * row_stride),
-                                row_stride,
-                                budget / row_len,
-                                col_stride,
-                                cols,
-                                block,
-                                buf.add(base_done + off),
-                                tally,
-                            )
-                        });
-                    finish_race(bank, class, winner, kernel, measured);
-                    k = winner;
-                    done += raced;
-                    row += raced / row_len;
-                    full = ((bytes - done) / row_len).min(rows - row);
-                }
-            }
+            // Body: whole rows.
+            let full = ((bytes - done) / row_len).min(rows - row);
             if full > 0 {
                 let m = elem_base.offset(mem + row as isize * row_stride);
                 done += nest2_rows::<PACK>(
-                    k,
+                    kernel,
                     m,
                     row_stride,
                     full,
@@ -1562,7 +1021,7 @@ unsafe fn exec_op<const PACK: bool>(
                     col_stride,
                     block,
                     cols,
-                    k,
+                    kernel,
                     0,
                     bytes - done,
                     buf.add(done),
@@ -1582,9 +1041,6 @@ struct PlanCounters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     kernel_bytes: [Arc<Counter>; KERNELS],
-    tune_races: Arc<Counter>,
-    tune_kept: Arc<Counter>,
-    tune_switched: Arc<Counter>,
 }
 
 fn counters() -> &'static PlanCounters {
@@ -1597,16 +1053,12 @@ fn counters() -> &'static PlanCounters {
             kernel_bytes: [
                 r.counter("plan.kernel.memcpy_bytes"),
                 r.counter("plan.kernel.fixed4_bytes"),
-                r.counter("plan.kernel.fixed8_bytes"),
                 r.counter("plan.kernel.fixed16_bytes"),
                 r.counter("plan.kernel.gather64_bytes"),
                 r.counter("plan.kernel.gather128_bytes"),
                 r.counter("plan.kernel.wide_bytes"),
                 r.counter("plan.kernel.generic_bytes"),
             ],
-            tune_races: r.counter("plan.tune.races"),
-            tune_kept: r.counter("plan.tune.kept"),
-            tune_switched: r.counter("plan.tune.switched"),
         }
     })
 }
@@ -1623,32 +1075,13 @@ fn flush_tally(tally: &[u64; KERNELS]) {
 
 // ---- process-wide plan cache -----------------------------------------------
 
-/// Runtime knobs, read once from the environment (all validated loudly —
-/// see `mpicd_obs::config`).
-struct PlanConfig {
-    /// `MPICD_PLAN` (default on): compile plans at `commit()` at all.
-    enabled: bool,
-    /// `MPICD_PLAN_CACHE` (default on): share compiled plans across
-    /// commits.
-    cache: bool,
-    /// `MPICD_PLAN_CACHE_CAP`: max cached plans (insertions stop beyond
-    /// it).
-    cache_cap: usize,
-}
-
-fn config() -> &'static PlanConfig {
-    static CFG: OnceLock<PlanConfig> = OnceLock::new();
-    CFG.get_or_init(|| PlanConfig {
-        enabled: mpicd_obs::config::env_toggle("MPICD_PLAN", true),
-        cache: mpicd_obs::config::env_toggle("MPICD_PLAN_CACHE", true),
-        cache_cap: mpicd_obs::config::env_bounded("MPICD_PLAN_CACHE_CAP", 1024, 1 << 24) as usize,
+/// `MPICD_PLAN_CACHE_CAP`: max cached plans (insertions stop beyond it),
+/// read once and validated loudly (see `mpicd_obs::config`).
+fn cache_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        mpicd_obs::config::env_bounded("MPICD_PLAN_CACHE_CAP", 1024, 1 << 24) as usize
     })
-}
-
-/// Whether `commit()` compiles plans in this process (`MPICD_PLAN=0`
-/// turns the compiler off and every commit runs the interpreted engine).
-pub fn planning_enabled() -> bool {
-    config().enabled
 }
 
 fn cache() -> &'static Mutex<HashMap<StructuralKey, Arc<PackPlan>>> {
@@ -1666,18 +1099,13 @@ pub fn cache_len() -> usize {
 /// `blocks`/`size`/`extent` are the already-flattened facts from
 /// [`crate::Committed`] (so a cache miss does not re-walk the tree). Two
 /// structurally equivalent types — same type map, extent and lower bound,
-/// regardless of which constructors described them — share one plan (and
-/// with it, the autotuner's kernel decisions).
+/// regardless of which constructors described them — share one plan.
 pub fn lookup_or_compile(
     t: &Datatype,
     blocks: &[(isize, usize)],
     size: usize,
     extent: usize,
 ) -> Arc<PackPlan> {
-    if !config().cache {
-        counters().misses.inc();
-        return Arc::new(PackPlan::compile(blocks, size, extent));
-    }
     let key = structural_key(t);
     if let Some(plan) = cache().lock().get(&key) {
         counters().hits.inc();
@@ -1686,7 +1114,7 @@ pub fn lookup_or_compile(
     counters().misses.inc();
     let plan = Arc::new(PackPlan::compile(blocks, size, extent));
     let mut map = cache().lock();
-    if map.len() < config().cache_cap {
+    if map.len() < cache_cap() {
         map.insert(key, Arc::clone(&plan));
     }
     plan
@@ -1741,7 +1169,7 @@ mod tests {
                 col_stride: 16,
                 cols: 8,
                 block: 8,
-                kernel: Kernel::Fixed8,
+                kernel: Kernel::Gather128,
             }]
         );
     }
@@ -1759,20 +1187,20 @@ mod tests {
 
     #[test]
     fn block_size_to_kernel_mapping_is_pinned() {
-        // The static mapping: fixed kernels for the ubiquitous power-of-two
-        // blocks, wide-word kernels for every other small block (the old
-        // mapping silently routed 2- and 12-byte blocks — traffic-detector
-        // struct fields — to the generic byte loop), memcpy-sized blocks
-        // stay generic.
+        // The static mapping: wide-word gathers for 1/2/8-byte blocks,
+        // fixed kernels for 4/16, chunked wide copies for every other
+        // small block (the generic byte loop would crawl over 12-byte
+        // traffic-detector struct fields), and memcpy-sized blocks stay
+        // generic.
         let expect = [
             (1, Kernel::Gather64),
-            (2, Kernel::Gather64),
+            (2, Kernel::Gather128),
             (3, Kernel::Wide),
             (4, Kernel::Fixed4),
             (5, Kernel::Wide),
             (6, Kernel::Wide),
             (7, Kernel::Wide),
-            (8, Kernel::Fixed8),
+            (8, Kernel::Gather128),
             (12, Kernel::Wide),
             (16, Kernel::Fixed16),
             (24, Kernel::Wide),
@@ -1782,16 +1210,6 @@ mod tests {
         ];
         for (block, kernel) in expect {
             assert_eq!(Kernel::for_block(block), kernel, "block {block}");
-        }
-        // Every static choice must be legal for its block size.
-        for block in 1..=128usize {
-            assert!(
-                Kernel::for_block(block).legal_for_block(block),
-                "block {block}"
-            );
-            for k in Kernel::candidates(block) {
-                assert!(k.legal_for_block(block), "candidate {k:?} for {block}");
-            }
         }
     }
 
@@ -1816,9 +1234,9 @@ mod tests {
                 block_a: 12,
                 block_b: 8,
                 count: 32,
-                kernel: Kernel::Wide,
             }]
         );
+        assert_eq!(p.ops()[0].kernel(), Kernel::Wide);
 
         // And the fused op is byte-identical to the interpreted engine,
         // including suspend/resume at every packed offset.
@@ -1877,99 +1295,6 @@ mod tests {
             }
             assert_eq!(out, full, "cut={cut}");
         }
-    }
-
-    #[test]
-    fn every_forced_kernel_is_byte_identical() {
-        // Byte identity must hold under every kernel policy — forced
-        // kernels (legal or not), the legacy mapping, and wide-word
-        // suspend/resume at every packed offset. This is the executor-side
-        // guarantee that lets the autotuner race candidates on live data.
-        let shapes = [
-            // Strided 8-byte blocks (gather lanes, mid-word resume).
-            Datatype::vector(37, 1, 2, Datatype::Predefined(Primitive::Double)),
-            // Strided 2-byte blocks (gather64's deepest lane count).
-            Datatype::vector(61, 1, 3, Datatype::Predefined(Primitive::Int16)),
-            // Nest2 of 8-byte blocks (row loop + gather).
-            Datatype::hvector(
-                5,
-                1,
-                96,
-                Datatype::hvector(4, 1, 16, Datatype::Predefined(Primitive::Double)),
-            ),
-            // 12-byte blocks (wide chunked copy).
-            Datatype::vector(23, 3, 5, Datatype::Predefined(Primitive::Int32)),
-        ];
-        let policies = [
-            KernelPolicy::Auto,
-            KernelPolicy::Legacy,
-            KernelPolicy::Force(Kernel::Fixed8),
-            KernelPolicy::Force(Kernel::Gather64),
-            KernelPolicy::Force(Kernel::Gather128),
-            KernelPolicy::Force(Kernel::Wide),
-            KernelPolicy::Force(Kernel::Generic),
-        ];
-        for t in &shapes {
-            let c = crate::Committed::new_interpreted(t).unwrap();
-            let p = plan_of(t);
-            let count = 2;
-            let span = c.required_span(count);
-            let src: Vec<u8> = (0..span).map(|i| (i % 241) as u8).collect();
-            let full = c.pack_slice(&src, count).unwrap();
-            for policy in policies {
-                set_kernel_policy(policy);
-                let step = (full.len() / 7).max(1);
-                for cut in (0..full.len()).step_by(step) {
-                    let mut out = vec![0u8; full.len()];
-                    unsafe {
-                        p.pack_segment(src.as_ptr(), count, cut, &mut out[cut..]);
-                        p.pack_segment(src.as_ptr(), count, 0, &mut out[..cut]);
-                    }
-                    assert_eq!(out, full, "{policy:?} cut={cut}");
-                    // And scatter back: unpack must invert pack bytewise.
-                    let mut dst = vec![0u8; span];
-                    unsafe {
-                        p.unpack_segment(dst.as_mut_ptr(), count, cut, &full[cut..]);
-                        p.unpack_segment(dst.as_mut_ptr(), count, 0, &full[..cut]);
-                    }
-                    assert_eq!(
-                        p_pack(&p, &dst, count, full.len()),
-                        full,
-                        "{policy:?} unpack cut={cut}"
-                    );
-                }
-            }
-            set_kernel_policy(KernelPolicy::Auto);
-        }
-    }
-
-    fn p_pack(p: &PackPlan, src: &[u8], count: usize, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        let n = unsafe { p.pack_segment(src.as_ptr(), count, 0, &mut out) };
-        assert_eq!(n, len);
-        out
-    }
-
-    #[test]
-    fn autotuner_races_once_and_caches_the_winner() {
-        set_tuning(true);
-        set_kernel_policy(KernelPolicy::Auto);
-        // One big strided op (512 KiB packed) — crosses RACE_MIN_BYTES.
-        let t = Datatype::vector(65_536, 1, 2, Datatype::Predefined(Primitive::Double));
-        let c = crate::Committed::new_interpreted(&t).unwrap();
-        let p = plan_of(&t);
-        let span = c.required_span(1);
-        let src: Vec<u8> = (0..span).map(|i| (i % 239) as u8).collect();
-        let reference = c.pack_slice(&src, 1).unwrap();
-
-        let races_before = mpicd_obs::global().snapshot().counter("plan.tune.races");
-        assert_eq!(p_pack(&p, &src, 1, reference.len()), reference);
-        let races_mid = mpicd_obs::global().snapshot().counter("plan.tune.races");
-        assert!(races_mid > races_before, "first large pack races");
-        // The decision is cached: repacking must not race again on this op.
-        assert_eq!(p_pack(&p, &src, 1, reference.len()), reference);
-        let races_after = mpicd_obs::global().snapshot().counter("plan.tune.races");
-        assert_eq!(races_mid, races_after, "winner cached in the plan");
     }
 
     #[test]

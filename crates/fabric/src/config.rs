@@ -172,7 +172,7 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// The process-wide default, from the `MPICD_PIPELINE*` environment
-    /// knobs (read once and cached, like the `MPICD_PLAN*` family).
+    /// knobs (read once and cached, like `MPICD_PLAN_CACHE_CAP`).
     pub fn from_env() -> Self {
         static CFG: std::sync::OnceLock<PipelineConfig> = std::sync::OnceLock::new();
         *CFG.get_or_init(|| {

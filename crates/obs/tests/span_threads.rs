@@ -2,9 +2,17 @@
 //! global enable flag cannot leak into other tests.
 
 use mpicd_obs::trace::{self, Event};
+use std::sync::{Mutex, MutexGuard};
+
+/// Both tests drain the process-wide span rings, so they take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn spans_nest_and_interleave_across_threads() {
+    let _serial = serial();
     mpicd_obs::set_enabled(true);
     let _ = trace::take_events(); // start clean
 
@@ -64,6 +72,7 @@ fn spans_nest_and_interleave_across_threads() {
 
 #[test]
 fn events_are_sorted_by_start_time() {
+    let _serial = serial();
     mpicd_obs::set_enabled(true);
     let _ = trace::take_events();
     // Record out of order across synthetic timestamps.

@@ -208,22 +208,22 @@ fn plan_cache_hits_on_repeated_equivalent_commits() {
 
 #[test]
 fn kernel_byte_counters_attribute_packed_bytes() {
-    // An 8-byte-block strided type must route its bytes through the fixed8
-    // kernel counter when packed via the compiled plan.
+    // An 8-byte-block strided type must route its bytes through the
+    // gather128 kernel counter when packed via the compiled plan.
     let t = Datatype::vector(64, 1, 2, Datatype::Predefined(Primitive::Double));
     let c = t.commit().unwrap();
     let src = vec![3u8; c.required_span(1)];
     let before = mpicd_obs::global()
         .snapshot()
-        .counter("plan.kernel.fixed8_bytes");
+        .counter("plan.kernel.gather128_bytes");
     let packed = c.pack_slice(&src, 1).unwrap();
     let after = mpicd_obs::global()
         .snapshot()
-        .counter("plan.kernel.fixed8_bytes");
+        .counter("plan.kernel.gather128_bytes");
     assert_eq!(packed.len(), 512);
     assert!(
         after >= before + 512,
-        "fixed8 kernel bytes counted ({before} -> {after})"
+        "gather128 kernel bytes counted ({before} -> {after})"
     );
 }
 
