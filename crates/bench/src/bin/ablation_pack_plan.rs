@@ -12,7 +12,9 @@
 //!
 //! Patterns are the DDTBench set plus `REGISTER`, an array-of-struct
 //! record (3×i32 + f64 with trailing padding) whose alternating runs
-//! exercise the two-block `Pair` fusion.
+//! exercise the two-block `Pair` fusion, and `REGISTER×count`, the same
+//! records sent the MPI way as `count` elements of the record type — the
+//! plan's element fold must make it cost what `REGISTER` costs.
 //!
 //! The table reports pack throughput per engine plus the compiled/
 //! interpreted and compiled/convertor speedups, and a second table shows
@@ -29,13 +31,14 @@ use std::time::Instant;
 /// default granularity.
 const FRAG: usize = 64 * 1024;
 
-/// Pack the full stream once through `FRAG`-sized fragments.
-fn pack_once(c: &Committed, base: &[u8], buf: &mut [u8]) -> usize {
+/// Pack the full stream of `count` elements once through `FRAG`-sized
+/// fragments.
+fn pack_once(c: &Committed, base: &[u8], count: usize, buf: &mut [u8]) -> usize {
     let mut off = 0usize;
     loop {
-        // SAFETY: `base` spans the committed type (asserted by the caller
-        // via `required_span` before timing).
-        let n = unsafe { c.pack_segment(base.as_ptr(), 1, off, buf) };
+        // SAFETY: `base` spans `count` elements of the committed type
+        // (asserted by the caller via `required_span` before timing).
+        let n = unsafe { c.pack_segment(base.as_ptr(), count, off, buf) };
         if n == 0 {
             return off;
         }
@@ -44,14 +47,14 @@ fn pack_once(c: &Committed, base: &[u8], buf: &mut [u8]) -> usize {
 }
 
 /// Mean pack throughput in MB/s over `runs` timed repetitions.
-fn throughput(c: &Committed, base: &[u8], reps: usize, runs: usize) -> Sample {
+fn throughput(c: &Committed, base: &[u8], count: usize, reps: usize, runs: usize) -> Sample {
     let mut buf = vec![0u8; FRAG];
-    let bytes = (c.size() * reps) as f64;
+    let bytes = (c.size() * count * reps) as f64;
     let vals: Vec<f64> = (0..runs)
         .map(|_| {
             let t0 = Instant::now();
             for _ in 0..reps {
-                std::hint::black_box(pack_once(c, base, &mut buf));
+                std::hint::black_box(pack_once(c, base, count, &mut buf));
             }
             bytes / t0.elapsed().as_secs_f64() / 1e6
         })
@@ -59,12 +62,13 @@ fn throughput(c: &Committed, base: &[u8], reps: usize, runs: usize) -> Sample {
     Sample::from_values(&vals)
 }
 
-/// One benchmarked pattern: name, datatype, and a backing buffer.
-fn patterns(target: usize) -> Vec<(String, Datatype, Vec<u8>)> {
+/// One benchmarked pattern: name, datatype, element count, and a backing
+/// buffer.
+fn patterns(target: usize) -> Vec<(String, Datatype, usize, Vec<u8>)> {
     let mut out = Vec::new();
     for name in mpicd_ddtbench::BENCHMARKS {
         let p = mpicd_ddtbench::make(name, target);
-        out.push((name.to_string(), p.datatype(), p.base().to_vec()));
+        out.push((name.to_string(), p.datatype(), 1, p.base().to_vec()));
     }
     // Array-of-struct record stream (SNIPPETS.md traffic-detector shape):
     // {3×i32, pad, f64, pad} resized to a 32-byte extent — alternating
@@ -74,9 +78,11 @@ fn patterns(target: usize) -> Vec<(String, Datatype, Vec<u8>)> {
         (1, 16, Datatype::of::<f64>()),
     ]);
     let records = (target / 20).max(1);
-    let dt = Datatype::contiguous(records, Datatype::resized(0, 32, field));
+    let record = Datatype::resized(0, 32, field);
+    let dt = Datatype::contiguous(records, record.clone());
     let base: Vec<u8> = (0..records * 32).map(|i| (i % 251) as u8).collect();
-    out.push(("REGISTER".to_string(), dt, base));
+    out.push(("REGISTER".to_string(), dt, 1, base.clone()));
+    out.push(("REGISTER×count".to_string(), record, records, base));
     out
 }
 
@@ -102,22 +108,24 @@ fn main() {
         vec!["merged blocks".into(), "plan ops".into()],
     );
 
-    for (name, dt, base) in patterns(target) {
+    for (name, dt, count, base) in patterns(target) {
         let convertor = dt.commit_convertor().expect("valid datatype");
         let interpreted = dt.commit_interpreted().expect("valid datatype");
         let compiled = dt.commit().expect("valid datatype");
         let base = &base[..];
-        assert!(compiled.required_span(1) <= base.len());
+        assert!(compiled.required_span(count).expect("span fits") <= base.len());
 
         // Byte-identity across all three engines before timing anything.
-        let reference = convertor.pack_slice(base, 1).expect("convertor pack");
+        let reference = convertor.pack_slice(base, count).expect("convertor pack");
         assert_eq!(
-            interpreted.pack_slice(base, 1).expect("interpreted pack"),
+            interpreted
+                .pack_slice(base, count)
+                .expect("interpreted pack"),
             reference,
             "{name}: interpreted engine diverges"
         );
         assert_eq!(
-            compiled.pack_slice(base, 1).expect("compiled pack"),
+            compiled.pack_slice(base, count).expect("compiled pack"),
             reference,
             "{name}: compiled plan diverges"
         );
@@ -126,11 +134,11 @@ fn main() {
         let reps = if quick_mode() {
             4
         } else {
-            ((256 << 20) / compiled.size().max(1)).clamp(8, 512)
+            ((256 << 20) / reference.len().max(1)).clamp(8, 512)
         };
-        let conv = throughput(&convertor, base, reps, runs);
-        let interp = throughput(&interpreted, base, reps, runs);
-        let comp = throughput(&compiled, base, reps, runs);
+        let conv = throughput(&convertor, base, count, reps, runs);
+        let interp = throughput(&interpreted, base, count, reps, runs);
+        let comp = throughput(&compiled, base, count, reps, runs);
         let vs_interp = Sample::point(comp.mean / interp.mean, 0.0);
         let vs_conv = Sample::point(comp.mean / conv.mean, 0.0);
         tput.push(

@@ -265,7 +265,7 @@ fn derived_types_pack_identically_across_engines() {
                 bodies.len(),
             )
         };
-        let mut out = vec![0u8; packer.packed_size()];
+        let mut out = vec![0u8; packer.packed_size().unwrap()];
         let written = packer.pack_at(0, &mut out);
         assert_eq!(written, out.len());
         assert_eq!(out, planned, "{engine} engine disagrees with the plan");

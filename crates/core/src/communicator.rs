@@ -557,7 +557,7 @@ impl Communicator {
             // Gapped types stream through the type-map pack engine, fragment
             // by fragment — Open MPI's convertor behaviour (slow in Fig 5).
             let packer = DatatypePacker::new(Arc::clone(ty), base, count);
-            let packed_size = packer.packed_size();
+            let packed_size = packer.packed_size()?;
             // `inorder: false`: the type-map engine addresses any stream
             // offset directly, so fragments may arrive (or be produced by
             // the parallel pipeline) in any order.
@@ -599,7 +599,7 @@ impl Communicator {
                 .post_recv_sig(RecvDesc::Contig(entry), source, tag, sig)?)
         } else {
             let unpacker = DatatypeUnpacker::new(Arc::clone(ty), base, count);
-            let packed_size = unpacker.packed_size();
+            let packed_size = unpacker.packed_size()?;
             Ok(self.ep.post_recv_sig(
                 RecvDesc::Generic {
                     unpacker: Box::new(DtUnpack(unpacker)),

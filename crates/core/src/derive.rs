@@ -131,7 +131,7 @@ impl TypedPack<'_> {
 
 impl CustomPack for TypedPack<'_> {
     fn packed_size(&self) -> Result<usize> {
-        Ok(self.packer.packed_size())
+        Ok(self.packer.packed_size()?)
     }
 
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize> {
@@ -184,7 +184,7 @@ impl TypedUnpack<'_> {
 
 impl CustomUnpack for TypedUnpack<'_> {
     fn packed_size(&self) -> Result<usize> {
-        Ok(self.unpacker.packed_size())
+        Ok(self.unpacker.packed_size()?)
     }
 
     fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<()> {

@@ -155,6 +155,29 @@ mod tests {
     }
 
     #[test]
+    fn typed_transfer_rejects_a_count_whose_span_overflows() {
+        // Unchecked, (2^60 + 1 - 1) * 16 + 8 wraps to 8 and the 16-byte
+        // regions would pass the bounds check.
+        let ty = Arc::new(
+            mpicd_datatype::Datatype::resized(0, 16, mpicd_datatype::Datatype::of::<f64>())
+                .commit()
+                .unwrap(),
+        );
+        let world = World::new(2);
+        let (a, b) = world.pair();
+        let send = [7u8; 16];
+        let mut recv = [0xA5u8; 16];
+        let count = (1usize << 60) + 1;
+        let err = transfer_typed(&a, &b, &send, &mut recv, count, &ty, 0).unwrap_err();
+        assert!(matches!(
+            err,
+            crate::Error::Datatype(mpicd_datatype::DatatypeError::CountOverflow { .. })
+        ));
+        assert_eq!(recv, [0xA5u8; 16], "nothing was written");
+        assert_eq!(world.fabric().stats().messages, 0, "nothing was sent");
+    }
+
+    #[test]
     fn pingpong_loop_many_iterations() {
         let world = World::new(2);
         let (a, b) = world.pair();

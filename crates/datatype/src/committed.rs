@@ -183,12 +183,24 @@ impl Committed {
     }
 
     /// Bytes of memory a buffer of `count` elements must provide past the
-    /// base address for the safe slice API.
-    pub fn required_span(&self, count: usize) -> usize {
+    /// base address for the safe slice API, or
+    /// [`DatatypeError::CountOverflow`] when that exceeds `usize`.
+    pub fn required_span(&self, count: usize) -> DatatypeResult<usize> {
         if count == 0 || self.size == 0 {
-            return 0;
+            return Ok(0);
         }
-        (count - 1) * self.extent + self.max_end.max(0) as usize
+        (count - 1)
+            .checked_mul(self.extent)
+            .and_then(|s| s.checked_add(self.max_end.max(0) as usize))
+            .ok_or(DatatypeError::CountOverflow { count })
+    }
+
+    /// Packed bytes of `count` elements, or
+    /// [`DatatypeError::CountOverflow`] when that exceeds `usize`.
+    pub(crate) fn packed_len(&self, count: usize) -> DatatypeResult<usize> {
+        self.size
+            .checked_mul(count)
+            .ok_or(DatatypeError::CountOverflow { count })
     }
 
     /// Flattened `(offset, len)` list for `count` consecutive elements,
@@ -220,7 +232,8 @@ impl Committed {
     ///
     /// # Safety
     /// `base` must be valid for reads over every typemap block of all
-    /// `count` elements.
+    /// `count` elements, and `size() * count` must not overflow `usize`
+    /// ([`Self::check_bounds`] checks both).
     pub unsafe fn pack_segment(
         &self,
         base: *const u8,
@@ -241,7 +254,8 @@ impl Committed {
     ///
     /// # Safety
     /// `base` must be valid for writes over every typemap block of all
-    /// `count` elements.
+    /// `count` elements, and `size() * count` must not overflow `usize`
+    /// ([`Self::check_bounds`] checks both).
     pub unsafe fn unpack_segment(
         &self,
         base: *mut u8,
@@ -317,12 +331,15 @@ impl Committed {
     // ---- safe slice API -----------------------------------------------------
 
     /// Validate that `count` elements fit inside `region_len` bytes for the
-    /// safe APIs (requires a non-negative lower bound).
+    /// safe APIs (requires a non-negative lower bound), and that their
+    /// packed stream is addressable — the pack engines count bytes of it
+    /// in `usize`.
     pub fn check_bounds(&self, count: usize, region_len: usize) -> DatatypeResult<()> {
         if self.lb < 0 {
             return Err(DatatypeError::NegativeLowerBound { lb: self.lb });
         }
-        let span = self.required_span(count);
+        self.packed_len(count)?;
+        let span = self.required_span(count)?;
         if span > region_len {
             return Err(DatatypeError::OutOfBounds {
                 offset: self.max_end,
@@ -336,7 +353,7 @@ impl Committed {
     /// Pack `count` elements from `src` into a fresh buffer.
     pub fn pack_slice(&self, src: &[u8], count: usize) -> DatatypeResult<Vec<u8>> {
         self.check_bounds(count, src.len())?;
-        let mut out = vec![0u8; self.size * count];
+        let mut out = vec![0u8; self.packed_len(count)?];
         // SAFETY: bounds checked above.
         let n = unsafe { self.pack_segment(src.as_ptr(), count, 0, &mut out) };
         debug_assert_eq!(n, out.len());
@@ -346,7 +363,7 @@ impl Committed {
     /// Unpack a packed stream into `count` elements of `dst`.
     pub fn unpack_slice(&self, packed: &[u8], dst: &mut [u8], count: usize) -> DatatypeResult<()> {
         self.check_bounds(count, dst.len())?;
-        let needed = self.size * count;
+        let needed = self.packed_len(count)?;
         if packed.len() < needed {
             return Err(DatatypeError::UnpackUnderflow {
                 needed,
@@ -518,8 +535,31 @@ mod tests {
     fn required_span_accounts_for_trailing_gap() {
         let c = struct_simple();
         // 2 elements: (2-1)*24 + 24 = 48.
-        assert_eq!(c.required_span(2), 48);
-        assert_eq!(c.required_span(0), 0);
+        assert_eq!(c.required_span(2), Ok(48));
+        assert_eq!(c.required_span(0), Ok(0));
+    }
+
+    #[test]
+    fn huge_counts_are_rejected_not_wrapped() {
+        // (2^60 + 1 - 1) * 16 wraps to 0 in usize: unchecked, the span of
+        // 2^60 + 1 elements would read as 8 bytes and pass a 16-byte region.
+        let c = Datatype::resized(0, 16, dbl()).commit().unwrap();
+        let count = (1usize << 60) + 1;
+        let overflow = DatatypeError::CountOverflow { count };
+        assert_eq!(c.required_span(count), Err(overflow.clone()));
+        assert_eq!(c.check_bounds(count, 16), Err(overflow.clone()));
+        assert_eq!(c.pack_slice(&[0u8; 16], count), Err(overflow.clone()));
+        let mut dst = [0xA5u8; 16];
+        assert_eq!(c.unpack_slice(&[0u8; 16], &mut dst, count), Err(overflow));
+        assert_eq!(dst, [0xA5u8; 16], "nothing was written");
+        // The packed length overflows on its own when the extent is 0.
+        let z = Datatype::resized(0, 0, dbl()).commit().unwrap();
+        let count = usize::MAX / 4;
+        assert_eq!(z.required_span(count), Ok(8));
+        assert_eq!(
+            z.check_bounds(count, 8),
+            Err(DatatypeError::CountOverflow { count })
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 #![allow(unsafe_code)]
 
 use crate::committed::Committed;
+use crate::error::DatatypeResult;
 use std::sync::Arc;
 
 /// A resumable packer: produces arbitrary byte ranges of the packed stream
@@ -43,9 +44,10 @@ impl DatatypePacker {
         }
     }
 
-    /// Total packed size in bytes.
-    pub fn packed_size(&self) -> usize {
-        self.committed.size() * self.count
+    /// Total packed size in bytes, or
+    /// [`crate::DatatypeError::CountOverflow`] when that exceeds `usize`.
+    pub fn packed_size(&self) -> DatatypeResult<usize> {
+        self.committed.packed_len(self.count)
     }
 
     /// Produce packed bytes starting at `offset`; returns bytes written.
@@ -97,9 +99,10 @@ impl DatatypeUnpacker {
         }
     }
 
-    /// Total packed size in bytes.
-    pub fn packed_size(&self) -> usize {
-        self.committed.size() * self.count
+    /// Total packed size in bytes, or
+    /// [`crate::DatatypeError::CountOverflow`] when that exceeds `usize`.
+    pub fn packed_size(&self) -> DatatypeResult<usize> {
+        self.committed.packed_len(self.count)
     }
 
     /// Consume packed bytes whose first byte is stream offset `offset`.
@@ -143,7 +146,7 @@ mod tests {
         let mut dst = vec![0u8; 120];
         let mut packer = unsafe { DatatypePacker::new(Arc::clone(&c), src.as_ptr(), 5) };
         let mut unpacker = unsafe { DatatypeUnpacker::new(Arc::clone(&c), dst.as_mut_ptr(), 5) };
-        assert_eq!(packer.packed_size(), 100);
+        assert_eq!(packer.packed_size(), Ok(100));
 
         // Simulate a fragmented wire with 17-byte fragments.
         let mut off = 0;

@@ -37,6 +37,11 @@ pub enum DatatypeError {
         /// Bytes the source provides.
         available: usize,
     },
+    /// `count` elements span, or pack to, more bytes than `usize` holds.
+    CountOverflow {
+        /// The element count asked for.
+        count: usize,
+    },
     /// A constructor was given inconsistent arguments.
     InvalidArgument(&'static str),
 }
@@ -60,6 +65,9 @@ impl fmt::Display for DatatypeError {
             }
             Self::UnpackUnderflow { needed, available } => {
                 write!(f, "unpack needs {needed} bytes, source has {available}")
+            }
+            Self::CountOverflow { count } => {
+                write!(f, "{count} elements exceed the address space")
             }
             Self::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
         }

@@ -363,7 +363,7 @@ mod tests {
         let back = unmarshal(&marshal(&t)).unwrap();
         let c1 = t.commit().unwrap();
         let c2 = back.commit().unwrap();
-        let src: Vec<u8> = (0..c1.required_span(2)).map(|i| i as u8).collect();
+        let src: Vec<u8> = (0..c1.required_span(2).unwrap()).map(|i| i as u8).collect();
         assert_eq!(
             c1.pack_slice(&src, 2).unwrap(),
             c2.pack_slice(&src, 2).unwrap()

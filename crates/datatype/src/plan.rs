@@ -15,6 +15,10 @@
 //!    two-block interleave, or 2-D nest of block arrays. A million-block
 //!    NAS face collapses to one op, and an array-of-struct layout whose
 //!    runs alternate between two lengths fuses into one [`PlanOp::Pair`].
+//!    Elements of one or two runs, or of one block array, also get an
+//!    *element fold*: a `count`-element stream (`MPI_Send(buf, count, T)`)
+//!    runs as one op at stride = extent instead of a loop over elements,
+//!    so `count × T` costs what `contiguous(count, T)` costs.
 //! 2. **Select a copy kernel** per op ([`Kernel::for_block`]): a straight
 //!    `memcpy` for contiguous runs, fixed-size copies for 4/16-byte
 //!    blocks, wide-word (u64/u128-packed) gather/scatter kernels for
@@ -221,6 +225,17 @@ impl PlanOp {
             PlanOp::Strided { kernel, .. } | PlanOp::Nest2 { kernel, .. } => kernel,
         }
     }
+
+    /// An element fold (see [`element_fold`]) stretched over `n` elements.
+    fn repeated(&self, n: usize) -> PlanOp {
+        let mut op = self.clone();
+        match &mut op {
+            PlanOp::Strided { count, .. } | PlanOp::Pair { count, .. } => *count = n,
+            PlanOp::Nest2 { rows, .. } => *rows = n,
+            PlanOp::Contig { .. } => unreachable!("an element fold is never Contig"),
+        }
+        op
+    }
 }
 
 /// A compiled pack plan: the canonical op list for one element, plus the
@@ -238,6 +253,10 @@ pub struct PackPlan {
     size: usize,
     /// Element-to-element spacing in memory.
     extent: usize,
+    /// The element fold: one op that runs a stream of `count > 1` elements
+    /// at stride `extent`, stored for a one-element stream (see
+    /// [`element_fold`]). `None` keeps the per-element loop.
+    fold: Option<PlanOp>,
 }
 
 impl PackPlan {
@@ -398,6 +417,7 @@ impl PackPlan {
         }
         debug_assert_eq!(acc, size, "plan covers exactly the packed size");
         Self {
+            fold: element_fold(&folded, extent as isize),
             ops: folded,
             prefix,
             size,
@@ -426,7 +446,7 @@ impl PackPlan {
     ///
     /// # Safety
     /// `base` must be valid for reads over every typemap block of all
-    /// `count` elements.
+    /// `count` elements, and `size() * count` must not overflow `usize`.
     pub unsafe fn pack_segment(
         &self,
         base: *const u8,
@@ -448,7 +468,7 @@ impl PackPlan {
     ///
     /// # Safety
     /// `base` must be valid for writes over every typemap block of all
-    /// `count` elements.
+    /// `count` elements, and `size() * count` must not overflow `usize`.
     pub unsafe fn unpack_segment(
         &self,
         base: *mut u8,
@@ -481,27 +501,37 @@ impl PackPlan {
         let mut remaining = goal;
         let mut tally = [0u64; KERNELS];
 
-        let mut elem = packed_off / self.size;
-        let mut within = packed_off % self.size;
+        // A stream of `count > 1` elements with an element fold runs as one
+        // element made of the one folded op.
+        let folded;
+        let (ops, prefix, size, count) = match &self.fold {
+            Some(fold) if count > 1 => {
+                folded = fold.repeated(count);
+                (std::slice::from_ref(&folded), &[0][..], total, 1)
+            }
+            _ => (&self.ops[..], &self.prefix[..], self.size, count),
+        };
+        let mut elem = packed_off / size;
+        let mut within = packed_off % size;
         // Locate the entry op once; the walk is sequential afterwards.
-        let mut oi = match self.prefix.binary_search(&within) {
+        let mut oi = match prefix.binary_search(&within) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         while remaining > 0 && elem < count {
             let elem_base = base.add(elem * self.extent);
-            while remaining > 0 && oi < self.ops.len() {
-                let skip = within - self.prefix[oi];
-                let op = &self.ops[oi];
+            while remaining > 0 && oi < ops.len() {
+                let skip = within - prefix[oi];
+                let op = &ops[oi];
                 let n = exec_op::<PACK>(op, elem_base, skip, buf, remaining, &mut tally);
                 buf = buf.add(n);
                 remaining -= n;
                 within += n;
-                if within == self.prefix[oi] + op.packed_len() {
+                if within == prefix[oi] + op.packed_len() {
                     oi += 1;
                 }
             }
-            if oi == self.ops.len() {
+            if oi == ops.len() {
                 elem += 1;
                 within = 0;
                 oi = 0;
@@ -509,6 +539,53 @@ impl PackPlan {
         }
         flush_tally(&tally);
         goal - remaining
+    }
+}
+
+/// The element fold of an element whose ops are `ops`: the op that packs
+/// element `i` of a stream at `i * extent`, for a one-element stream
+/// ([`PlanOp::repeated`] sets the element count). A single run becomes a
+/// `Strided` block array; two runs of at most 64 B a fused `Pair` (above
+/// 64 B [`Kernel::for_block`] keeps the plain copy, so longer runs stay
+/// `memcpy`s); a single `Strided` op a `Nest2` with one row per element.
+/// Any other element keeps the per-element loop.
+fn element_fold(ops: &[PlanOp], extent: isize) -> Option<PlanOp> {
+    match *ops {
+        [PlanOp::Contig { mem, len }] => Some(PlanOp::Strided {
+            mem,
+            stride: extent,
+            block: len,
+            count: 1,
+            kernel: Kernel::for_block(len),
+        }),
+        [PlanOp::Contig { mem, len: a }, PlanOp::Contig { mem: mem_b, len: b }]
+            if a <= 64 && b <= 64 =>
+        {
+            Some(PlanOp::Pair {
+                mem,
+                delta: mem_b - mem,
+                stride: extent,
+                block_a: a,
+                block_b: b,
+                count: 1,
+            })
+        }
+        [PlanOp::Strided {
+            mem,
+            stride,
+            block,
+            count,
+            kernel,
+        }] => Some(PlanOp::Nest2 {
+            mem,
+            row_stride: extent,
+            rows: 1,
+            col_stride: stride,
+            cols: count,
+            block,
+            kernel,
+        }),
+        _ => None,
     }
 }
 
@@ -1241,7 +1318,7 @@ mod tests {
         // And the fused op is byte-identical to the interpreted engine,
         // including suspend/resume at every packed offset.
         let c = crate::Committed::new_interpreted(&t).unwrap();
-        let span = c.required_span(1);
+        let span = c.required_span(1).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
         let full = c.pack_slice(&src, 1).unwrap();
         for cut in 0..full.len() {
@@ -1252,6 +1329,74 @@ mod tests {
             }
             assert_eq!(out, full, "cut={cut}");
         }
+    }
+
+    #[test]
+    fn element_fold_shapes_are_pinned() {
+        let int = || Datatype::Predefined(Primitive::Int32);
+        let dbl = || Datatype::Predefined(Primitive::Double);
+        let fold = |t: &Datatype| plan_of(t).fold;
+        // One gapped run: a strided block array at stride = extent.
+        assert_eq!(
+            fold(&Datatype::resized(0, 16, dbl())),
+            Some(PlanOp::Strided {
+                mem: 0,
+                stride: 16,
+                block: 8,
+                count: 1,
+                kernel: Kernel::Gather128,
+            })
+        );
+        // Two runs ≤ 64 B (struct-simple): a fused Pair.
+        let simple = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]);
+        assert_eq!(
+            fold(&simple),
+            Some(PlanOp::Pair {
+                mem: 0,
+                delta: 16,
+                stride: 24,
+                block_a: 12,
+                block_b: 8,
+                count: 1,
+            })
+        );
+        // Runs of 64 and 60 B still fuse.
+        let wide = Datatype::structure(vec![(16, 0, int()), (15, 72, int())]);
+        assert!(matches!(fold(&wide), Some(PlanOp::Pair { .. })));
+        // One block array (a resized matrix column): a Nest2, one row per
+        // element.
+        let column = Datatype::resized(0, 8, Datatype::vector(4, 1, 3, dbl()));
+        assert_eq!(
+            fold(&column),
+            Some(PlanOp::Nest2 {
+                mem: 0,
+                row_stride: 8,
+                rows: 1,
+                col_stride: 24,
+                cols: 4,
+                block: 8,
+                kernel: Kernel::Gather128,
+            })
+        );
+        // Everything else keeps the per-element loop: a run > 64 B
+        // (struct-vec keeps memcpy), three runs, an element that is
+        // already a Pair or a Nest2.
+        let struct_vec = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl()), (17, 24, int())]);
+        let three = Datatype::structure(vec![(1, 0, int()), (2, 8, int()), (1, 20, int())]);
+        let pairs = Datatype::contiguous(4, Datatype::resized(0, 32, simple));
+        let nest = Datatype::hvector(4, 1, 256, Datatype::hvector(8, 1, 16, dbl()));
+        for t in [struct_vec, three, pairs, nest] {
+            assert_eq!(fold(&t), None, "{t:?}");
+        }
+
+        // A folded stream is the per-element stream, byte for byte.
+        let c = crate::Committed::new_interpreted(&column).unwrap();
+        let span = c.required_span(3).unwrap();
+        let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
+        let mut out = vec![0u8; 3 * 32];
+        let n = unsafe { plan_of(&column).pack_segment(src.as_ptr(), 3, 0, &mut out) };
+        assert_eq!(n, out.len());
+        assert_eq!(out, c.pack_slice(&src, 3).unwrap());
     }
 
     #[test]
@@ -1284,7 +1429,7 @@ mod tests {
         let c = crate::Committed::new_interpreted(&t).unwrap();
         let p = plan_of(&t);
         let count = 3;
-        let span = c.required_span(count);
+        let span = c.required_span(count).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 253) as u8).collect();
         let full = c.pack_slice(&src, count).unwrap();
         for cut in 0..full.len() {

@@ -59,7 +59,7 @@ fn pack_unpack_roundtrip() {
         if c.size() == 0 {
             continue;
         }
-        let span = c.required_span(count);
+        let span = c.required_span(count).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
         let packed = c.pack_slice(&src, count).unwrap();
         assert_eq!(packed.len(), c.size() * count);
@@ -85,7 +85,7 @@ fn convertor_and_merged_commits_agree() {
         if merged.size() == 0 {
             continue;
         }
-        let span = merged.required_span(count);
+        let span = merged.required_span(count).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i * 7 % 256) as u8).collect();
         assert_eq!(
             merged.pack_slice(&src, count).unwrap(),
@@ -106,7 +106,7 @@ fn segmented_pack_reassembles() {
             continue;
         }
         let count = 3usize;
-        let span = c.required_span(count);
+        let span = c.required_span(count).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 255) as u8).collect();
         let full = c.pack_slice(&src, count).unwrap();
 
@@ -136,7 +136,7 @@ fn out_of_order_unpack_segments() {
             continue;
         }
         let count = 2usize;
-        let span = c.required_span(count);
+        let span = c.required_span(count).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 250) as u8).collect();
         let packed = c.pack_slice(&src, count).unwrap();
 

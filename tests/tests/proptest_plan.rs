@@ -1,12 +1,22 @@
-//! Property tests for the commit-time pack-plan compiler: on random type
-//! trees (including hvector and resized constructors), the compiled plan
-//! must be byte-identical to the interpreted merged-block engine and to the
-//! convertor baseline — for whole-stream packing, for mid-fragment
-//! suspend/resume, and for out-of-order unpacking — and recommitting an
-//! equivalent type must hit the process-wide plan cache.
+//! Property tests for the commit-time pack-plan compiler: on the element
+//! types of every element-fold shape and on random type trees (including
+//! hvector and resized constructors), at element counts from 1 to 375, the
+//! compiled plan must be byte-identical to the interpreted merged-block
+//! engine and to the convertor baseline — for whole-stream packing, for
+//! mid-fragment suspend/resume, and for out-of-order unpacking — and
+//! recommitting an equivalent type must hit the process-wide plan cache.
 
-use mpicd_datatype::{Datatype, Primitive};
+use mpicd_datatype::{Committed, Datatype, Primitive};
 use mpicd_obs::XorShift64Star;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that pack: the kernel byte counters are
+/// process-global, and the counter test asserts exact deltas.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the `()` it guards stays valid.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Random leaf primitive.
 fn prim(rng: &mut XorShift64Star) -> Datatype {
@@ -68,104 +78,160 @@ fn datatype(rng: &mut XorShift64Star, depth: u32) -> Datatype {
     }
 }
 
+/// Element counts of every case. Counts above 1 run a plan's element fold
+/// (one op over the whole stream) where the element has a foldable shape.
+const COUNTS: [usize; 5] = [1, 2, 3, 17, 375];
+
+/// Named element types, one per element-fold shape plus one that must not
+/// fold, followed by `random` random type trees from `seed`.
+fn cases(seed: u64, random: usize) -> Vec<(String, Datatype)> {
+    let int = || Datatype::of::<i32>();
+    let dbl = || Datatype::of::<f64>();
+    let mut out = vec![
+        // Two runs of 12 and 8 B: a fused Pair over the stream.
+        (
+            "StructSimple".into(),
+            mpicd::types::StructSimple::datatype(),
+        ),
+        // A traffic-detector record, runs of 15 and 14 B: a fused Pair.
+        (
+            "Register".into(),
+            Datatype::resized(
+                0,
+                32,
+                Datatype::structure(vec![
+                    (2, 0, int()),
+                    (1, 8, Datatype::of::<i16>()),
+                    (2, 10, Datatype::of::<u8>()),
+                    (3, 12, Datatype::of::<u8>()),
+                    (3, 16, Datatype::of::<f32>()),
+                    (2, 28, Datatype::of::<u8>()),
+                ]),
+            ),
+        ),
+        // One run per element: a strided block array over the stream.
+        ("resized f64".into(), Datatype::resized(0, 16, dbl())),
+        // A column of an 8 × 400 matrix of doubles, resized so column j
+        // starts at 8j: the element's Strided op becomes a Nest2.
+        (
+            "matrix column".into(),
+            Datatype::resized(0, 8, Datatype::vector(8, 1, 400, dbl())),
+        ),
+        // Runs of 12 and 8 200 B: the long run keeps memcpy, no fold.
+        ("StructVec".into(), mpicd::types::StructVec::datatype()),
+    ];
+    let mut rng = XorShift64Star::new(seed);
+    for case in 0..random {
+        out.push((format!("random {case}"), datatype(&mut rng, 3)));
+    }
+    out
+}
+
+/// The memory image of unpacking `packed` into a sentinel-filled region.
+fn image(c: &Committed, packed: &[u8], span: usize, count: usize) -> Vec<u8> {
+    let mut dst = vec![0xA5u8; span];
+    c.unpack_slice(packed, &mut dst, count).unwrap();
+    dst
+}
+
+/// Source bytes for `count` elements of `c`, and the interpreted engine's
+/// packed stream of them.
+fn reference(c: &Committed, count: usize) -> (Vec<u8>, Vec<u8>) {
+    let span = c.required_span(count).unwrap();
+    let src: Vec<u8> = (0..span).map(|i| (i % 249) as u8).collect();
+    let packed = c.pack_slice(&src, count).unwrap();
+    (src, packed)
+}
+
 #[test]
 fn compiled_plan_matches_interpreted_and_convertor() {
-    let mut rng = XorShift64Star::new(0xDA7A_0010);
-    for case in 0..96 {
-        let t = datatype(&mut rng, 3);
-        let count = rng.range(1, 4);
+    let _serial = serial();
+    for (name, t) in cases(0xDA7A_0010, 96) {
         let compiled = t.commit().unwrap();
         let interpreted = t.commit_interpreted().unwrap();
         let convertor = t.commit_convertor().unwrap();
-        assert!(
-            compiled.plan().is_some() || compiled.size() == 0,
-            "case {case}"
-        );
+        assert!(compiled.plan().is_some() || compiled.size() == 0, "{name}");
         assert!(interpreted.plan().is_none() && convertor.plan().is_none());
         if compiled.size() == 0 {
             continue;
         }
-        let span = compiled.required_span(count);
-        let src: Vec<u8> = (0..span).map(|i| (i % 249) as u8).collect();
-        let reference = interpreted.pack_slice(&src, count).unwrap();
-        assert_eq!(
-            compiled.pack_slice(&src, count).unwrap(),
-            reference,
-            "case {case}: compiled pack diverges from interpreted: {t:?}"
-        );
-        assert_eq!(
-            convertor.pack_slice(&src, count).unwrap(),
-            reference,
-            "case {case}: convertor pack diverges: {t:?}"
-        );
+        for count in COUNTS {
+            let (src, reference) = reference(&interpreted, count);
+            assert_eq!(
+                compiled.pack_slice(&src, count).unwrap(),
+                reference,
+                "{name} ×{count}: compiled pack diverges from interpreted: {t:?}"
+            );
+            assert_eq!(
+                convertor.pack_slice(&src, count).unwrap(),
+                reference,
+                "{name} ×{count}: convertor pack diverges: {t:?}"
+            );
 
-        // Unpack into identical sentinel buffers: data bytes equal by
-        // construction, gap bytes untouched by all three engines.
-        let mut via_plan = vec![0xA5u8; span];
-        let mut via_interp = vec![0xA5u8; span];
-        compiled
-            .unpack_slice(&reference, &mut via_plan, count)
-            .unwrap();
-        interpreted
-            .unpack_slice(&reference, &mut via_interp, count)
-            .unwrap();
-        assert_eq!(via_plan, via_interp, "case {case}: unpack diverges: {t:?}");
+            // Unpack into identical sentinel buffers: data bytes equal by
+            // construction, gap bytes untouched by all three engines.
+            let span = src.len();
+            let expect = image(&interpreted, &reference, span, count);
+            assert_eq!(
+                image(&compiled, &reference, span, count),
+                expect,
+                "{name} ×{count}: compiled unpack diverges: {t:?}"
+            );
+            assert_eq!(
+                image(&convertor, &reference, span, count),
+                expect,
+                "{name} ×{count}: convertor unpack diverges: {t:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn compiled_plan_suspends_and_resumes_mid_fragment() {
+    let _serial = serial();
     let mut rng = XorShift64Star::new(0xDA7A_0011);
-    for case in 0..96 {
-        let t = datatype(&mut rng, 3);
-        let frag = rng.range(1, 48);
+    for (name, t) in cases(0xDA7A_0011, 96) {
         let compiled = t.commit().unwrap();
         if compiled.size() == 0 {
             continue;
         }
-        let count = 3usize;
-        let span = compiled.required_span(count);
-        let src: Vec<u8> = (0..span).map(|i| (i % 247) as u8).collect();
-        let full = t
-            .commit_interpreted()
-            .unwrap()
-            .pack_slice(&src, count)
-            .unwrap();
+        let interpreted = t.commit_interpreted().unwrap();
+        for count in COUNTS {
+            let (src, full) = reference(&interpreted, count);
+            let span = src.len();
+            let expect = image(&interpreted, &full, span, count);
+            // Every fragment boundary is a suspend/resume point: 13 B lands
+            // mid-pair and mid-element, 16 B on word boundaries, 4099 B
+            // deep inside the folded op.
+            for frag in [13, 16, 4099, rng.range(1, 48)] {
+                let mut acc = Vec::new();
+                let mut off = 0usize;
+                loop {
+                    let mut buf = vec![0u8; frag];
+                    let n = unsafe { compiled.pack_segment(src.as_ptr(), count, off, &mut buf) };
+                    if n == 0 {
+                        break;
+                    }
+                    acc.extend_from_slice(&buf[..n]);
+                    off += n;
+                }
+                assert_eq!(acc, full, "{name} ×{count}: frag={frag} {t:?}");
 
-        // Pack through arbitrary fragment sizes: every fragment boundary is
-        // a suspend/resume point, usually mid-block.
-        let mut acc = Vec::new();
-        let mut off = 0usize;
-        loop {
-            let mut buf = vec![0u8; frag];
-            let n = unsafe { compiled.pack_segment(src.as_ptr(), count, off, &mut buf) };
-            if n == 0 {
-                break;
-            }
-            acc.extend_from_slice(&buf[..n]);
-            off += n;
-        }
-        assert_eq!(acc, full, "case {case}: frag={frag} {t:?}");
-
-        // Unpack the same fragments out of order (reverse delivery).
-        let mut cuts = Vec::new();
-        let mut o = 0usize;
-        while o < full.len() {
-            cuts.push(o);
-            o += frag;
-        }
-        let mut dst = vec![0u8; span];
-        for &c in cuts.iter().rev() {
-            let end = (c + frag).min(full.len());
-            unsafe {
-                compiled.unpack_segment(dst.as_mut_ptr(), count, c, &full[c..end]);
+                // Unpack the same fragments out of order (reverse delivery).
+                let mut dst = vec![0xA5u8; span];
+                let cuts: Vec<usize> = (0..full.len()).step_by(frag).collect();
+                for &c in cuts.iter().rev() {
+                    let end = (c + frag).min(full.len());
+                    unsafe {
+                        compiled.unpack_segment(dst.as_mut_ptr(), count, c, &full[c..end]);
+                    }
+                }
+                assert_eq!(
+                    dst, expect,
+                    "{name} ×{count}: frag={frag} out-of-order unpack diverges: {t:?}"
+                );
             }
         }
-        assert_eq!(
-            compiled.pack_slice(&dst, count).unwrap(),
-            full,
-            "case {case}: out-of-order unpack diverges"
-        );
     }
 }
 
@@ -208,11 +274,26 @@ fn plan_cache_hits_on_repeated_equivalent_commits() {
 
 #[test]
 fn kernel_byte_counters_attribute_packed_bytes() {
+    let _serial = serial();
+    let counter = |name: &str| mpicd_obs::global().snapshot().counter(name);
+    // 375 StructSimple elements (runs of 12 and 8 B at extent 24) run as
+    // one fused Pair op: all 7 500 B through the wide kernel, none
+    // through per-element memcpy.
+    let c = mpicd::types::StructSimple::datatype().commit().unwrap();
+    let src = vec![3u8; c.required_span(375).unwrap()];
+    let (wide, memcpy) = (
+        counter("plan.kernel.wide_bytes"),
+        counter("plan.kernel.memcpy_bytes"),
+    );
+    assert_eq!(c.pack_slice(&src, 375).unwrap().len(), 7500);
+    assert_eq!(counter("plan.kernel.wide_bytes") - wide, 7500);
+    assert_eq!(counter("plan.kernel.memcpy_bytes") - memcpy, 0);
+
     // An 8-byte-block strided type must route its bytes through the
     // gather128 kernel counter when packed via the compiled plan.
     let t = Datatype::vector(64, 1, 2, Datatype::Predefined(Primitive::Double));
     let c = t.commit().unwrap();
-    let src = vec![3u8; c.required_span(1)];
+    let src = vec![3u8; c.required_span(1).unwrap()];
     let before = mpicd_obs::global()
         .snapshot()
         .counter("plan.kernel.gather128_bytes");
