@@ -11,7 +11,8 @@
 //!    every name in its metrics table is emitted by production code;
 //! 3. memory-ordering audit: `Ordering::SeqCst` is forbidden outside a
 //!    justified allowlist, and the model-checked modules
-//!    (`obs::flight`, `fabric::pipeline`) must not import
+//!    (`obs::flight`, `fabric::pipeline`, `fabric::request`,
+//!    `fabric::fabric`) must not import
 //!    `std::sync::atomic` directly — atomics there have to come through
 //!    the `mpicd_obs::sync::atomic` seam so `--cfg mpicd_check` can swap
 //!    in the instrumented primitives.
@@ -323,7 +324,12 @@ fn seqcst_is_confined_to_the_allowlist() {
 #[test]
 fn checked_modules_use_the_sync_seam_not_raw_atomics() {
     let root = workspace_root();
-    for rel in ["crates/obs/src/flight.rs", "crates/fabric/src/pipeline.rs"] {
+    for rel in [
+        "crates/obs/src/flight.rs",
+        "crates/fabric/src/pipeline.rs",
+        "crates/fabric/src/request.rs",
+        "crates/fabric/src/fabric.rs",
+    ] {
         let src = read(&root.join(rel));
         for (n, line) in src.lines().enumerate() {
             let t = line.trim_start();

@@ -19,6 +19,13 @@ fn check(code: c_int) -> Result<()> {
     }
 }
 
+/// A byte or element count a callback wrote back; a negative one is a
+/// broken contract (cast to `usize` it would read as ~2^64), so it fails
+/// the operation with `MPI_ERR_ARG`.
+fn count(n: MPI_Count) -> Result<usize> {
+    usize::try_from(n).map_err(|_| Error::Serialization(MPI_ERR_ARG))
+}
+
 /// Send-side adapter: C callbacks → [`CustomPack`].
 pub struct CCustomPack {
     cb: CustomCallbacks,
@@ -54,7 +61,7 @@ impl CustomPack for CCustomPack {
         let mut size: MPI_Count = 0;
         // SAFETY: state/buf validity guaranteed by `new`'s contract.
         check(unsafe { (self.cb.queryfn)(self.state, self.buf, self.count, &mut size) })?;
-        Ok(size as usize)
+        count(size)
     }
 
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize> {
@@ -74,7 +81,7 @@ impl CustomPack for CCustomPack {
                 &mut used,
             )
         })?;
-        Ok(used as usize)
+        count(used)
     }
 
     fn regions(&mut self) -> Result<Vec<SendRegion>> {
@@ -85,7 +92,7 @@ impl CustomPack for CCustomPack {
         let mut n: MPI_Count = 0;
         // SAFETY: per `new`'s contract.
         check(unsafe { region_countfn(self.state, self.buf as *mut c_void, self.count, &mut n) })?;
-        let n = n as usize;
+        let n = count(n)?;
         let mut bases = vec![std::ptr::null_mut::<c_void>(); n];
         let mut lens = vec![0 as MPI_Count; n];
         let mut types = vec![MPI_BYTE; n];
@@ -106,14 +113,16 @@ impl CustomPack for CCustomPack {
                 "only MPI_BYTE regions are supported by this prototype",
             ));
         }
-        Ok(bases
+        bases
             .into_iter()
             .zip(lens)
-            .map(|(b, l)| SendRegion {
-                ptr: b as *const u8,
-                len: l as usize,
+            .map(|(b, l)| {
+                Ok(SendRegion {
+                    ptr: b as *const u8,
+                    len: count(l)?,
+                })
             })
-            .collect())
+            .collect()
     }
 
     fn inorder(&self) -> bool {
@@ -166,7 +175,7 @@ impl CustomUnpack for CCustomUnpack {
         let mut size: MPI_Count = 0;
         // SAFETY: per `new`'s contract.
         check(unsafe { (self.cb.queryfn)(self.state, self.buf, self.count, &mut size) })?;
-        Ok(size as usize)
+        count(size)
     }
 
     fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<()> {
@@ -194,7 +203,7 @@ impl CustomUnpack for CCustomUnpack {
         let mut n: MPI_Count = 0;
         // SAFETY: per `new`'s contract.
         check(unsafe { region_countfn(self.state, self.buf, self.count, &mut n) })?;
-        let n = n as usize;
+        let n = count(n)?;
         let mut bases = vec![std::ptr::null_mut::<c_void>(); n];
         let mut lens = vec![0 as MPI_Count; n];
         let mut types = vec![MPI_BYTE; n];
@@ -215,14 +224,16 @@ impl CustomUnpack for CCustomUnpack {
                 "only MPI_BYTE regions are supported by this prototype",
             ));
         }
-        Ok(bases
+        bases
             .into_iter()
             .zip(lens)
-            .map(|(b, l)| RecvRegion {
-                ptr: b as *mut u8,
-                len: l as usize,
+            .map(|(b, l)| {
+                Ok(RecvRegion {
+                    ptr: b as *mut u8,
+                    len: count(l)?,
+                })
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -349,5 +360,42 @@ mod tests {
         let data = [0u8; 4];
         let a = unsafe { CCustomPack::new(cb, data.as_ptr().cast(), 1).unwrap() };
         assert_eq!(a.packed_size(), Err(Error::Serialization(33)));
+    }
+
+    #[test]
+    fn negative_counts_are_rejected() {
+        unsafe extern "C" fn negative_region_countfn(
+            _state: *mut c_void,
+            _buf: *mut c_void,
+            _count: MPI_Count,
+            region_count: *mut MPI_Count,
+        ) -> c_int {
+            *region_count = -1;
+            MPI_SUCCESS
+        }
+        unsafe extern "C" fn unused_regionfn(
+            _state: *mut c_void,
+            _buf: *mut c_void,
+            _count: MPI_Count,
+            _region_count: MPI_Count,
+            _reg_bases: *mut *mut c_void,
+            _reg_lens: *mut MPI_Count,
+            _reg_types: *mut MPI_Datatype,
+        ) -> c_int {
+            unreachable!("a negative region count is rejected before regionfn")
+        }
+        let bad = Error::Serialization(MPI_ERR_ARG);
+        // `test_queryfn` reports count * 4 bytes: -4 for count -1.
+        let cb = CustomCallbacks {
+            region_countfn: Some(negative_region_countfn),
+            regionfn: Some(unused_regionfn),
+            ..callbacks()
+        };
+        let mut a = unsafe { CCustomPack::new(cb, std::ptr::null(), -1).unwrap() };
+        assert_eq!(a.packed_size(), Err(bad.clone()));
+        assert!(a.regions().is_err_and(|e| e == bad));
+        let mut u = unsafe { CCustomUnpack::new(cb, std::ptr::null_mut(), -1).unwrap() };
+        assert_eq!(u.packed_size(), Err(bad.clone()));
+        assert!(u.regions().is_err_and(|e| e == bad));
     }
 }

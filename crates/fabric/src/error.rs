@@ -44,6 +44,16 @@ pub enum FabricError {
         /// Bytes still to pack.
         remaining: usize,
     },
+    /// A pack callback reported writing more bytes than the fragment it was
+    /// handed could hold, so the rest of its count was never written.
+    PackOverrun {
+        /// Packed-stream offset of the fragment.
+        offset: usize,
+        /// Bytes the callback claimed to have written.
+        used: usize,
+        /// Bytes the fragment could hold.
+        room: usize,
+    },
     /// The iov layouts of sender and receiver disagree in total length.
     IovMismatch {
         /// Total bytes the sender provides.
@@ -84,6 +94,10 @@ impl fmt::Display for FabricError {
                 f,
                 "pack callback stalled at offset {offset} with {remaining} bytes remaining"
             ),
+            Self::PackOverrun { offset, used, room } => write!(
+                f,
+                "pack callback at offset {offset} claimed {used} bytes of a {room}-byte fragment"
+            ),
             Self::IovMismatch {
                 send_bytes,
                 recv_bytes,
@@ -118,6 +132,7 @@ impl FabricError {
             Self::Cancelled => 9,
             Self::ShutDown => 10,
             Self::TypeMismatch { .. } => 11,
+            Self::PackOverrun { .. } => 12,
         }
     }
 }
@@ -164,6 +179,11 @@ mod tests {
             FabricError::TypeMismatch {
                 sent: 1,
                 expected: 2,
+            },
+            FabricError::PackOverrun {
+                offset: 0,
+                used: 2,
+                room: 1,
             },
         ];
         let mut codes: Vec<u64> = all.iter().map(|e| e.flight_code()).collect();

@@ -442,11 +442,7 @@ impl Endpoint {
                     })
                     .with_flight(fid)
                 }
-                Err(e) => {
-                    let st = ReqState::new();
-                    st.complete(Err(e));
-                    Request::new(st).with_flight(fid)
-                }
+                Err(e) => Request::done(Err(e)).with_flight(fid),
             });
         }
 
@@ -606,9 +602,7 @@ impl Endpoint {
                     Err(e) => Err(e.clone()),
                 });
             }
-            let req = ReqState::new();
-            req.complete(outcome);
-            return Ok(Request::new(req).with_flight(rfid));
+            return Ok(Request::done(outcome).with_flight(rfid));
         }
 
         let req = ReqState::new();
@@ -801,9 +795,7 @@ impl Endpoint {
                 Err(e) => Err(e.clone()),
             });
         }
-        let req = ReqState::new();
-        req.complete(outcome);
-        Ok(Request::new(req).with_flight(rfid))
+        Ok(Request::done(outcome).with_flight(rfid))
     }
 
     /// Blocking convenience send of a byte slice.
@@ -1192,6 +1184,79 @@ mod tests {
         assert_eq!(env.bytes, 12);
         assert_eq!(env.source, 0);
         assert_eq!(&buf[..12], b"hello fabric");
+    }
+
+    /// A thread parked in `probe`, then in `mprobe`, wakes for a send
+    /// posted after it parked.
+    #[test]
+    fn parked_probe_and_mprobe_wake_on_a_later_send() {
+        let fabric = Fabric::new(2);
+        let a = fabric.endpoint(0).unwrap();
+        let b = fabric.endpoint(1).unwrap();
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let prober = std::thread::spawn(move || {
+            parked_tx.send(()).unwrap();
+            let env = b.probe(0, 3);
+            parked_tx.send(()).unwrap();
+            let (menv, msg) = b.mprobe(0, 4);
+            let mut buf = [0u8; 2];
+            let req = unsafe {
+                b.post_mrecv(RecvDesc::Contig(IovEntryMut::from_slice(&mut buf)), msg)
+                    .unwrap()
+            };
+            req.wait().unwrap();
+            (env, menv, buf)
+        });
+        for (payload, tag) in [(&b"abc"[..], 3), (&b"de"[..], 4)] {
+            parked_rx.recv().unwrap();
+            // Give the prober time to find the queue empty and park.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            a.send_bytes(payload, 1, tag).unwrap();
+        }
+        let (env, menv, buf) = prober.join().unwrap();
+        assert_eq!((env.tag, env.bytes), (3, 3));
+        assert_eq!((menv.tag, menv.bytes), (4, 2));
+        assert_eq!(&buf, b"de");
+    }
+
+    /// A receive matched when it is posted comes back finished; it clones,
+    /// tests, waits and cancels exactly like a pending request that was
+    /// completed by a later send.
+    #[test]
+    fn receive_matched_at_post_behaves_like_a_pending_one() {
+        let fabric = Fabric::new(2);
+        let a = fabric.endpoint(0).unwrap();
+        let b = fabric.endpoint(1).unwrap();
+        let mut early = [0u8; 4];
+        let mut late = [0u8; 4];
+        // Pending: posted before its send.
+        let pending = unsafe {
+            b.post_recv(RecvDesc::Contig(IovEntryMut::from_slice(&mut late)), 0, 1)
+                .unwrap()
+        };
+        assert!(!pending.is_done());
+        a.send_bytes(b"wxyz", 1, 2).unwrap();
+        a.send_bytes(b"WXYZ", 1, 1).unwrap();
+        // Finished: its send is already queued.
+        let finished = unsafe {
+            b.post_recv(RecvDesc::Contig(IovEntryMut::from_slice(&mut early)), 0, 2)
+                .unwrap()
+        };
+        for (r, tag) in [(&finished, 2), (&pending, 1)] {
+            let want = Envelope {
+                source: 0,
+                tag,
+                bytes: 4,
+            };
+            let copy = r.clone();
+            assert!(r.is_done() && copy.is_done());
+            assert_eq!(r.test(), Some(Ok(want)));
+            r.cancel();
+            assert_eq!(copy.wait(), Ok(want), "cancel after completion is a no-op");
+            assert_eq!(r.test(), Some(Ok(want)));
+        }
+        assert_eq!(&early, b"wxyz");
+        assert_eq!(&late, b"WXYZ");
     }
 
     #[test]
@@ -1890,5 +1955,41 @@ mod tests {
         .unwrap();
         assert_eq!(buf, data);
         assert_eq!(fabric.stats().type_mismatch, 0);
+    }
+}
+
+/// Model-checked arrival wakeups. Run with
+/// `RUSTFLAGS="--cfg mpicd_check" cargo test -p mpicd-fabric`; the match
+/// state lock and the `arrivals` condvar then resolve to the instrumented
+/// primitives, and the checker explores a blocking probe racing the send
+/// it waits for.
+#[cfg(all(test, mpicd_check))]
+mod model_tests {
+    use super::*;
+    use mpicd_check::{model, thread as mthread};
+
+    /// `probe` and `mprobe` park on `arrivals` until a matching send is
+    /// queued; in every interleaving with the eager `post_send` they wake
+    /// and see it.
+    #[test]
+    fn blocking_probe_racing_post_send_never_misses_the_arrival() {
+        // Initialize process-wide observability state outside the model,
+        // so every explored iteration runs the same operations.
+        drop(Fabric::new(2));
+        model(|| {
+            let fabric = Fabric::new(2);
+            let rx = fabric.endpoint(1).unwrap();
+            let tx = fabric.endpoint(0).unwrap();
+            let prober = mthread::spawn(move || {
+                let env = rx.probe(0, 5);
+                let (menv, msg) = rx.mprobe(0, 5);
+                drop(msg);
+                (env, menv)
+            });
+            tx.send_bytes(&[1, 2, 3], 1, 5).unwrap();
+            let (env, menv) = prober.join();
+            assert_eq!((env.source, env.tag, env.bytes), (0, 5, 3));
+            assert_eq!(env, menv, "mprobe takes the message probe saw");
+        });
     }
 }

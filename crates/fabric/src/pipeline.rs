@@ -38,7 +38,7 @@ use crate::config::PipelineConfig;
 use crate::error::{FabricError, FabricResult};
 use crate::payload::{IovEntry, IovEntryMut, RandomAccessPacker, RandomAccessUnpacker};
 use crate::stats::FabricMetrics;
-use crate::transfer::{DstSeg, SrcSeg};
+use crate::transfer::{checked_used, DstSeg, SrcSeg};
 use mpicd_obs::flight::{self, EventKind};
 use mpicd_obs::sync::{Condvar, Mutex};
 use mpicd_obs::telemetry;
@@ -377,17 +377,13 @@ impl JobShared<'_> {
                 packer.pack_at(offset + filled, &mut out[filled..])
             }
             .map_err(|c| (filled, FabricError::PackFailed(c)))?;
-            let used = used.min(out.len() - filled);
-            if used == 0 {
-                return Err((
-                    filled,
-                    FabricError::PackStalled {
-                        offset: offset + filled,
-                        remaining: seg_len - (offset + filled),
-                    },
-                ));
-            }
-            filled += used;
+            filled += checked_used(
+                used,
+                out.len() - filled,
+                offset + filled,
+                seg_len - (offset + filled),
+            )
+            .map_err(|e| (filled, e))?;
         }
         Ok(())
     }
@@ -948,6 +944,61 @@ mod tests {
         ring.checkin(b3);
     }
 
+    /// The pool's worker is parked on an empty queue when a job arrives.
+    /// The posting thread holds its first fragment until another thread
+    /// has packed one, so the transfer only finishes if queueing the job
+    /// woke the parked worker.
+    #[test]
+    fn parked_worker_wakes_for_a_queued_job() {
+        use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
+        use std::thread::ThreadId;
+        use std::time::Duration;
+
+        struct NeedsHelper {
+            poster: ThreadId,
+            helped: (StdMutex<bool>, StdCondvar),
+        }
+        impl RandomAccessPacker for NeedsHelper {
+            fn pack_at(&self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+                let (m, cv) = &self.helped;
+                if std::thread::current().id() == self.poster {
+                    let g = m.lock().unwrap();
+                    let (g, _) = cv
+                        .wait_timeout_while(g, Duration::from_secs(30), |h| !*h)
+                        .unwrap();
+                    if !*g {
+                        return Err(99);
+                    }
+                } else {
+                    *m.lock().unwrap() = true;
+                    cv.notify_all();
+                }
+                for (i, b) in dst.iter_mut().enumerate() {
+                    *b = (offset + i) as u8;
+                }
+                Ok(dst.len())
+            }
+        }
+
+        let metrics = FabricMetrics::detached();
+        let pool = PipelinePool::spawn(PipelineConfig::with_threads(2), &metrics);
+        // Give the worker time to find the queue empty and park.
+        std::thread::sleep(Duration::from_millis(20));
+        let packer = NeedsHelper {
+            poster: std::thread::current().id(),
+            helped: (StdMutex::new(false), StdCondvar::new()),
+        };
+        let mut out = vec![0u8; 64];
+        let src = vec![ParSrc::Packer {
+            packer: &packer,
+            len: 64,
+        }];
+        let dst = vec![ParDst::Mem(IovEntryMut::from_slice(&mut out))];
+        assert_eq!(run_parallel(&pool, 32, src, dst, &metrics, 0, 0), Ok(64));
+        let want: Vec<u8> = (0..64u8).collect();
+        assert_eq!(out, want);
+    }
+
     #[test]
     fn pack_stall_is_reported() {
         let metrics = FabricMetrics::detached();
@@ -1007,6 +1058,28 @@ mod model_tests {
                 st.issued,
                 "every issued buffer is back in the pool"
             );
+        });
+    }
+
+    /// A checkout blocked at `depth` races the checkin that frees a slot.
+    /// `checkin` notifies after dropping the guard, so the parked-waiter
+    /// count is read outside the critical section: in every interleaving
+    /// the blocked checkout still wakes and takes the returned buffer.
+    #[test]
+    fn checkout_blocked_at_depth_wakes_on_checkin() {
+        model(|| {
+            let ring = Arc::new(ScratchRing::new(
+                1,
+                Arc::new(telemetry::Gauge::standalone()),
+            ));
+            let mut held = ring.checkout();
+            held.push(7);
+            let r = Arc::clone(&ring);
+            let blocked = mthread::spawn(move || r.checkout());
+            ring.checkin(held);
+            let b = blocked.join();
+            assert_eq!(b, vec![7], "the blocked checkout gets the returned buffer");
+            assert_eq!(ring.state.lock().issued, 1, "no second buffer was issued");
         });
     }
 

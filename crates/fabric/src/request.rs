@@ -47,14 +47,34 @@ impl ReqState {
 /// well-behaved code waits.
 #[derive(Debug, Clone)]
 pub struct Request {
-    state: Arc<ReqState>,
+    state: Completion,
     flight_id: u64,
 }
 
+/// Where a request's outcome lives.
+#[derive(Debug, Clone)]
+enum Completion {
+    /// Finished when the request was created (an eager send, a receive
+    /// matched at post time): the outcome is held inline, with no shared
+    /// state, lock or condvar.
+    Done(FabricResult<Envelope>),
+    /// Completed later by the fabric through the shared state.
+    Pending(Arc<ReqState>),
+}
+
 impl Request {
+    /// A request the fabric completes later through `state`.
     pub(crate) fn new(state: Arc<ReqState>) -> Self {
         Self {
-            state,
+            state: Completion::Pending(state),
+            flight_id: 0,
+        }
+    }
+
+    /// A request whose operation finished before it was handed out.
+    pub(crate) fn done(outcome: FabricResult<Envelope>) -> Self {
+        Self {
+            state: Completion::Done(outcome),
             flight_id: 0,
         }
     }
@@ -62,12 +82,7 @@ impl Request {
     /// A request that is already complete (used for eager sends, and by
     /// layers that must hand back a request for work done synchronously).
     pub fn ready(envelope: Envelope) -> Self {
-        let state = ReqState::new();
-        state.complete(Ok(envelope));
-        Self {
-            state,
-            flight_id: 0,
-        }
+        Self::done(Ok(envelope))
     }
 
     /// Attach the flight-recorder transfer id this request belongs to.
@@ -85,19 +100,29 @@ impl Request {
 
     /// Nonblocking completion check; returns the outcome when done.
     pub fn test(&self) -> Option<FabricResult<Envelope>> {
-        self.state.slot.lock().clone()
+        match &self.state {
+            Completion::Done(outcome) => Some(outcome.clone()),
+            Completion::Pending(state) => state.slot.lock().clone(),
+        }
     }
 
     /// Has the operation finished (successfully or not)?
     pub fn is_done(&self) -> bool {
-        self.state.is_done()
+        match &self.state {
+            Completion::Done(_) => true,
+            Completion::Pending(state) => state.is_done(),
+        }
     }
 
     /// Block until completion; returns the envelope or the error.
     pub fn wait(&self) -> FabricResult<Envelope> {
-        let mut slot = self.state.slot.lock();
+        let state = match &self.state {
+            Completion::Done(outcome) => return outcome.clone(),
+            Completion::Pending(state) => state,
+        };
+        let mut slot = state.slot.lock();
         while slot.is_none() {
-            slot = self.state.cond.wait(slot);
+            slot = state.cond.wait(slot);
         }
         slot.clone().expect("slot populated")
     }
@@ -105,9 +130,12 @@ impl Request {
     /// Cancel the request if it has not completed yet.
     ///
     /// Unlike MPI_Cancel this always "succeeds" locally: a later match will
-    /// see the request already completed and skip it.
+    /// see the request already completed and skip it. On a finished
+    /// request it does nothing (first completion wins).
     pub fn cancel(&self) {
-        self.state.complete(Err(FabricError::Cancelled));
+        if let Completion::Pending(state) = &self.state {
+            state.complete(Err(FabricError::Cancelled));
+        }
     }
 }
 
@@ -128,12 +156,25 @@ mod tests {
         }
     }
 
+    /// `Request::ready` holds its outcome inline; clones, `test`, `wait`
+    /// and `cancel` behave as on a pending request completed with the
+    /// same outcome.
     #[test]
     fn ready_request_is_done() {
-        let r = Request::ready(env(5));
-        assert!(r.is_done());
-        assert_eq!(r.wait().unwrap().bytes, 5);
-        assert_eq!(r.test().unwrap().unwrap().bytes, 5);
+        let state = ReqState::new();
+        state.complete(Ok(env(9)));
+        for r in [Request::ready(env(9)), Request::new(state)] {
+            let copy = r.clone();
+            assert!(r.is_done() && copy.is_done());
+            assert_eq!(r.test(), Some(Ok(env(9))));
+            r.cancel();
+            assert_eq!(copy.test(), Some(Ok(env(9))), "first completion wins");
+            assert_eq!(r.wait(), Ok(env(9)));
+            assert_eq!(copy.wait(), Ok(env(9)));
+        }
+        let failed = Request::done(Err(FabricError::PackFailed(4)));
+        failed.cancel();
+        assert_eq!(failed.wait(), Err(FabricError::PackFailed(4)));
     }
 
     #[test]
@@ -159,6 +200,27 @@ mod tests {
         assert_eq!(t.join().unwrap().unwrap().bytes, 77);
     }
 
+    /// 1 000 rounds of a thread parked in `wait` woken by `complete` from
+    /// another thread.
+    #[test]
+    fn parked_waiter_is_woken_every_round() {
+        for round in 0..1000 {
+            let state = ReqState::new();
+            let r = Request::new(Arc::clone(&state));
+            let (parking_tx, parking_rx) = std::sync::mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                parking_tx.send(()).unwrap();
+                r.wait()
+            });
+            parking_rx.recv().unwrap();
+            // Most rounds the waiter is parked by now; the rest cover the
+            // completion landing before it parks.
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            state.complete(Ok(env(round)));
+            assert_eq!(waiter.join().unwrap(), Ok(env(round)));
+        }
+    }
+
     #[test]
     fn first_completion_wins() {
         let state = ReqState::new();
@@ -182,5 +244,43 @@ mod tests {
         let envs = wait_all(&rs).unwrap();
         assert_eq!(envs[0].bytes, 1);
         assert_eq!(envs[1].bytes, 2);
+    }
+}
+
+/// Model-checked completion wakeups. Run with
+/// `RUSTFLAGS="--cfg mpicd_check" cargo test -p mpicd-fabric`.
+#[cfg(all(test, mpicd_check))]
+mod model_tests {
+    use super::*;
+    use mpicd_check::{model, thread as mthread};
+
+    /// Two threads wait on a pending request while the fabric completes
+    /// it from a third and the owner cancels it: no waiter is left
+    /// parked, and all of them see the one outcome that won.
+    #[test]
+    fn waiters_racing_complete_and_cancel_all_wake_to_one_outcome() {
+        model(|| {
+            let state = ReqState::new();
+            let r = Request::new(Arc::clone(&state));
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let r = r.clone();
+                    mthread::spawn(move || r.wait())
+                })
+                .collect();
+            let completer = mthread::spawn(move || {
+                state.complete(Ok(Envelope {
+                    source: 1,
+                    tag: 2,
+                    bytes: 3,
+                }))
+            });
+            r.cancel();
+            completer.join();
+            let won = r.test().expect("complete after both completions");
+            for w in waiters {
+                assert_eq!(w.join(), won, "every waiter sees the winning outcome");
+            }
+        });
     }
 }

@@ -98,6 +98,24 @@ fn fill_frag_buf(spare: &mut Vec<Vec<u8>>, bytes: &[u8]) -> Vec<u8> {
     b
 }
 
+/// Hold a pack callback to its `used` count: at most the `room` it was
+/// handed (more would deliver bytes it never wrote), and not 0 while
+/// `remaining` bytes are left at stream `offset` (that would loop forever).
+pub(crate) fn checked_used(
+    used: usize,
+    room: usize,
+    offset: usize,
+    remaining: usize,
+) -> FabricResult<usize> {
+    if used > room {
+        return Err(FabricError::PackOverrun { offset, used, room });
+    }
+    if used == 0 {
+        return Err(FabricError::PackStalled { offset, remaining });
+    }
+    Ok(used)
+}
+
 /// Move the full send stream into the receive stream.
 ///
 /// * Fragmentation: no single callback invocation or memcpy spans more than
@@ -201,14 +219,7 @@ pub(crate) fn copy_stream(
                     packer.pack(s_off, dst)
                 }
                 .map_err(FabricError::PackFailed)?;
-                debug_assert!(used <= want, "packer overreported bytes used");
-                let used = used.min(want);
-                if used == 0 {
-                    return Err(FabricError::PackStalled {
-                        offset: s_off,
-                        remaining: s_rem,
-                    });
-                }
+                let used = checked_used(used, want, s_off, s_rem)?;
                 flight::record_frag(
                     EventKind::FragPacked,
                     fid,
@@ -227,14 +238,7 @@ pub(crate) fn copy_stream(
                     packer.pack(s_off, &mut scratch.buf[..want])
                 }
                 .map_err(FabricError::PackFailed)?;
-                debug_assert!(used <= want, "packer overreported bytes used");
-                let used = used.min(want);
-                if used == 0 {
-                    return Err(FabricError::PackStalled {
-                        offset: s_off,
-                        remaining: s_rem,
-                    });
-                }
+                let used = checked_used(used, want, s_off, s_rem)?;
                 flight::record_frag(
                     EventKind::FragPacked,
                     fid,

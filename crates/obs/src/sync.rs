@@ -16,7 +16,6 @@
 
 #[cfg(not(mpicd_check))]
 use std::sync::{self, LockResult};
-#[cfg(not(mpicd_check))]
 use std::time::Duration;
 
 /// Atomics for lock-free protocol code. Import from here (not
@@ -37,7 +36,10 @@ pub mod atomic {
 /// Instrumented lock types under `--cfg mpicd_check` (same poison-ignoring
 /// API, plus every operation is a model schedule point).
 #[cfg(mpicd_check)]
-pub use mpicd_check::sync::{Condvar, Mutex, MutexGuard};
+pub use mpicd_check::sync::{Mutex, MutexGuard};
+
+#[cfg(mpicd_check)]
+use mpicd_check::sync::Condvar as RawCondvar;
 
 /// A mutex whose `lock` ignores poisoning and returns the guard directly.
 #[cfg(not(mpicd_check))]
@@ -79,27 +81,23 @@ impl<T> Mutex<T> {
     }
 }
 
-/// Condition variable paired with [`Mutex`]; `wait` ignores poisoning.
+/// The std condition variable with poisoning ignored; the instrumented
+/// `mpicd-check` one takes its place under `--cfg mpicd_check`.
 #[cfg(not(mpicd_check))]
 #[derive(Debug, Default)]
-pub struct Condvar(sync::Condvar);
+struct RawCondvar(sync::Condvar);
 
 #[cfg(not(mpicd_check))]
-impl Condvar {
-    /// New condition variable.
-    pub const fn new() -> Self {
+impl RawCondvar {
+    const fn new() -> Self {
         Self(sync::Condvar::new())
     }
 
-    /// Block until notified, releasing the guard while waiting.
-    /// Consumes and returns the guard (std style).
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         ignore_poison(self.0.wait(guard))
     }
 
-    /// Like [`Self::wait`] with a timeout; returns the reacquired guard
-    /// and whether the wait timed out (poison ignored).
-    pub fn wait_timeout<'a, T>(
+    fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
         dur: Duration,
@@ -111,14 +109,83 @@ impl Condvar {
         (g, res.timed_out())
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
+    fn notify_one(&self) {
         self.0.notify_one();
     }
 
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
+    fn notify_all(&self) {
         self.0.notify_all();
+    }
+}
+
+/// Condition variable paired with [`Mutex`]; `wait` ignores poisoning.
+///
+/// A notify with no thread parked costs one relaxed load and no syscall:
+/// the condvar counts the threads between registering (under the caller's
+/// guard, just before parking) and deregistering (under the guard again,
+/// just after waking), and `notify_*` return at once when that count is 0.
+///
+/// **Contract:** mutate the predicate a waiter checks under the paired
+/// mutex, then notify (with the guard held or after dropping it). That is
+/// what makes `Relaxed` enough: if the notifier's critical section comes
+/// after the waiter's, the mutex orders the waiter's registration before
+/// the notifier's load of the count; if it comes before, the waiter sees
+/// the new predicate and never parks. A predicate changed outside the
+/// mutex (say, a bare atomic flag) can lose the wakeup.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    /// Threads registered as parked (or about to park) on this condvar.
+    waiters: atomic::AtomicUsize,
+    inner: RawCondvar,
+}
+
+impl Condvar {
+    /// New condition variable.
+    pub const fn new() -> Self {
+        Self {
+            waiters: atomic::AtomicUsize::new(0),
+            inner: RawCondvar::new(),
+        }
+    }
+
+    /// Block until notified, releasing the guard while waiting.
+    /// Consumes and returns the guard (std style).
+    #[track_caller]
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.waiters.fetch_add(1, atomic::Ordering::Relaxed);
+        let guard = self.inner.wait(guard);
+        self.waiters.fetch_sub(1, atomic::Ordering::Relaxed);
+        guard
+    }
+
+    /// Like [`Self::wait`] with a timeout; returns the reacquired guard
+    /// and whether the wait timed out (poison ignored).
+    #[track_caller]
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        dur: Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        self.waiters.fetch_add(1, atomic::Ordering::Relaxed);
+        let (guard, timed_out) = self.inner.wait_timeout(guard, dur);
+        self.waiters.fetch_sub(1, atomic::Ordering::Relaxed);
+        (guard, timed_out)
+    }
+
+    /// Wake one waiter; free when none is parked.
+    #[track_caller]
+    pub fn notify_one(&self) {
+        if self.waiters.load(atomic::Ordering::Relaxed) != 0 {
+            self.inner.notify_one();
+        }
+    }
+
+    /// Wake all waiters; free when none is parked.
+    #[track_caller]
+    pub fn notify_all(&self) {
+        if self.waiters.load(atomic::Ordering::Relaxed) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -254,5 +321,110 @@ mod tests {
         a.fetch_add(1, Ordering::AcqRel);
         fence(Ordering::Acquire);
         assert_eq!(a.load(Ordering::Acquire), 2);
+    }
+}
+
+/// Model-checked wake protocol of [`Condvar`]. Run with
+/// `RUSTFLAGS="--cfg mpicd_check" cargo test -p mpicd-obs`; under that cfg
+/// the waiter count is an instrumented atomic, so the checker explores
+/// every interleaving of registration, predicate change and the skipped
+/// or delivered notify, and any weak-memory outcome of the `Relaxed` count.
+#[cfg(all(test, mpicd_check))]
+mod model_tests {
+    use super::atomic::Ordering;
+    use super::*;
+    use mpicd_check::{model, thread as mthread, Model};
+    use std::sync::Arc;
+
+    type Flag = Arc<(Mutex<bool>, Condvar)>;
+
+    fn park_until_set(flag: &Flag) {
+        let (m, cv) = &**flag;
+        let mut set = m.lock();
+        while !*set {
+            set = cv.wait(set);
+        }
+    }
+
+    /// Two waiters park on one flag; the notifier sets it under the mutex
+    /// and notifies after dropping the guard. No interleaving loses a
+    /// wakeup (a lost one would leave a waiter parked: a deadlock).
+    #[test]
+    fn notify_after_unlock_wakes_every_parked_waiter() {
+        model(|| {
+            let flag: Flag = Arc::new((Mutex::new(false), Condvar::new()));
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let f = Arc::clone(&flag);
+                    mthread::spawn(move || park_until_set(&f))
+                })
+                .collect();
+            *flag.0.lock() = true;
+            flag.1.notify_all();
+            for w in waiters {
+                w.join();
+            }
+        });
+    }
+
+    /// One waiter, `notify_one` with the guard still held.
+    #[test]
+    fn notify_one_under_the_guard_wakes_the_waiter() {
+        model(|| {
+            let flag: Flag = Arc::new((Mutex::new(false), Condvar::new()));
+            let f = Arc::clone(&flag);
+            let w = mthread::spawn(move || park_until_set(&f));
+            let mut set = flag.0.lock();
+            *set = true;
+            flag.1.notify_one();
+            drop(set);
+            w.join();
+        });
+    }
+
+    /// [`Condvar::wait`] with the seeded mutation: the waiter releases the
+    /// guard it checked the predicate under, registers, and only then
+    /// re-locks and parks. The real `wait` registers under the caller's
+    /// guard, so check, registration and park form one critical section.
+    fn wait_registering_late<'a, T>(
+        cv: &Condvar,
+        m: &'a Mutex<T>,
+        guard: MutexGuard<'a, T>,
+    ) -> MutexGuard<'a, T> {
+        drop(guard);
+        // BUG under test: a notifier that sets the predicate in this gap
+        // reads a count of 0 and skips the wake.
+        cv.waiters.fetch_add(1, Ordering::Relaxed);
+        let guard = cv.inner.wait(m.lock());
+        cv.waiters.fetch_sub(1, Ordering::Relaxed);
+        guard
+    }
+
+    /// Negative test: the checker must find the schedule in which the
+    /// late-registering waiter parks after the notify was skipped, and
+    /// report it as a deadlock.
+    #[test]
+    fn checker_catches_a_waiter_registering_after_the_guard_is_released() {
+        let failure = Model::new()
+            .find_bug(|| {
+                let flag: Flag = Arc::new((Mutex::new(false), Condvar::new()));
+                let f = Arc::clone(&flag);
+                let w = mthread::spawn(move || {
+                    let (m, cv) = &*f;
+                    let mut set = m.lock();
+                    while !*set {
+                        set = wait_registering_late(cv, m, set);
+                    }
+                });
+                *flag.0.lock() = true;
+                flag.1.notify_all();
+                w.join();
+            })
+            .expect("the late registration must be caught as a lost wakeup");
+        assert!(
+            failure.message.contains("deadlock"),
+            "failure is the parked waiter nobody wakes: {}",
+            failure.message
+        );
     }
 }
