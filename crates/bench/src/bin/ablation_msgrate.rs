@@ -76,7 +76,12 @@ const BATCH: usize = 64;
 /// Matched messages/second through a queue held at `depth` entries,
 /// mean over `runs` timed repetitions (plus one untimed warmup).
 fn msgrate(mix: Mix, depth: usize, cfg: MatchConfig, runs: usize) -> Sample {
-    let fabric = Fabric::with_config(2, WireModel::zero_cost(), PipelineConfig::serial(), cfg);
+    let fabric = Fabric::with_config(
+        2,
+        WireModel::zero_cost(),
+        PipelineConfig::with_threads(1),
+        cfg,
+    );
     let tx = fabric.endpoint(0).expect("endpoint 0");
     let rx = fabric.endpoint(1).expect("endpoint 1");
     flood_backlog(&tx, mix, depth);

@@ -19,7 +19,8 @@ fn inspect_reconstructs_every_ddtbench_transfer() {
     flight::set_enabled(true);
     let size = 32 * 1024;
 
-    let world = World::with_model_and_pipeline(2, WireModel::default(), PipelineConfig::serial());
+    let world =
+        World::with_model_and_pipeline(2, WireModel::default(), PipelineConfig::with_threads(1));
     let (a, b) = world.pair();
     for name in BENCHMARKS {
         let sender = make(name, size);

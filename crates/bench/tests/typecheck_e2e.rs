@@ -25,7 +25,7 @@ fn world(mode: TypecheckMode) -> World {
     World::with_config(
         2,
         WireModel::default(),
-        PipelineConfig::serial(),
+        PipelineConfig::with_threads(1),
         MatchConfig::default().with_typecheck(mode),
     )
 }

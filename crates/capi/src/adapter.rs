@@ -26,6 +26,17 @@ fn count(n: MPI_Count) -> Result<usize> {
     usize::try_from(n).map_err(|_| Error::Serialization(MPI_ERR_ARG))
 }
 
+/// A region a `regionfn` wrote back. A null base with a nonzero length
+/// would have the engine copy from or into address 0, so, like a negative
+/// length, it fails the operation with `MPI_ERR_ARG`.
+fn region(base: *mut c_void, len: MPI_Count) -> Result<(*mut u8, usize)> {
+    let len = count(len)?;
+    if base.is_null() && len > 0 {
+        return Err(Error::Serialization(MPI_ERR_ARG));
+    }
+    Ok((base.cast(), len))
+}
+
 /// Send-side adapter: C callbacks → [`CustomPack`].
 pub struct CCustomPack {
     cb: CustomCallbacks,
@@ -117,9 +128,10 @@ impl CustomPack for CCustomPack {
             .into_iter()
             .zip(lens)
             .map(|(b, l)| {
+                let (ptr, len) = region(b, l)?;
                 Ok(SendRegion {
-                    ptr: b as *const u8,
-                    len: count(l)?,
+                    ptr: ptr.cast_const(),
+                    len,
                 })
             })
             .collect()
@@ -228,10 +240,8 @@ impl CustomUnpack for CCustomUnpack {
             .into_iter()
             .zip(lens)
             .map(|(b, l)| {
-                Ok(RecvRegion {
-                    ptr: b as *mut u8,
-                    len: count(l)?,
-                })
+                let (ptr, len) = region(b, l)?;
+                Ok(RecvRegion { ptr, len })
             })
             .collect()
     }

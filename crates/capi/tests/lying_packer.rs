@@ -1,9 +1,11 @@
-//! A C pack callback that lies about how many bytes it wrote fails the
-//! transfer with a typed error on both engines, in debug and release
-//! builds alike: a negative `used` is rejected by the C adapter, and a
-//! `used` larger than the fragment is rejected by the engine. Either way
-//! both sides fail instead of reporting bytes the packer never wrote as
-//! delivered.
+//! A C callback that lies fails the operation with a typed error on both
+//! paths of the fragment engine (inline at one thread, the worker pool at
+//! two), in debug and release builds alike. A negative `used` is rejected
+//! by the C adapter, and a `used` larger than the fragment is rejected by
+//! the engine; either way both sides fail instead of reporting bytes the
+//! packer never wrote as delivered. A region with a null base and a
+//! nonzero length is rejected by the adapter when the operation is posted,
+//! on the send and the receive side.
 //!
 //! Each case builds its own two-rank world with an explicit
 //! `PipelineConfig` (no process environment, no global C world), and the
@@ -13,7 +15,7 @@
 use mpicd::datatype::{CustomPack, RandomAccessPacker, SendRegion};
 use mpicd::fabric::{FabricError, PipelineConfig, WireModel};
 use mpicd::{Error, Result, World};
-use mpicd_capi::adapter::CCustomPack;
+use mpicd_capi::adapter::{CCustomPack, CCustomUnpack};
 use mpicd_capi::*;
 use std::os::raw::{c_int, c_void};
 use std::sync::Mutex;
@@ -81,7 +83,7 @@ fn callbacks(lie: &Lie) -> CustomCallbacks {
     }
 }
 
-/// The C adapter behind a lock, offered to the pipeline as random access:
+/// The C adapter behind a lock, offered to the pool as random access:
 /// the lying callback is offset-addressed, so every fragment reaches it
 /// through the adapter from whichever thread packs it.
 struct Shared(Mutex<CCustomPack>);
@@ -133,7 +135,7 @@ fn exchange(lie: Lie, pipeline: PipelineConfig) -> (Result<()>, Result<()>, u64)
         // SAFETY: `lie` outlives the adapter; the buffer pointer is never
         // dereferenced by these callbacks.
         let ctx = unsafe { CCustomPack::new(callbacks(&lie), std::ptr::null(), 1) }.unwrap();
-        let sent = if pipeline.enabled {
+        let sent = if pipeline.threads > 1 {
             c0.send_custom(Box::new(Shared(Mutex::new(ctx))), 1, 7)
         } else {
             c0.send_custom(Box::new(ctx), 1, 7)
@@ -144,7 +146,7 @@ fn exchange(lie: Lie, pipeline: PipelineConfig) -> (Result<()>, Result<()>, u64)
 }
 
 fn serial() -> PipelineConfig {
-    PipelineConfig::serial()
+    PipelineConfig::with_threads(1)
 }
 
 fn pipelined() -> PipelineConfig {
@@ -199,4 +201,79 @@ fn negative_used_is_rejected_on_the_pipelined_engine() {
     assert_eq!(pipelined, 1);
     assert_negative_rejected(&sent, "sender");
     assert_negative_rejected(&received, "receiver");
+}
+
+/// One region of `TOTAL` bytes at address 0.
+unsafe extern "C" fn one_region(
+    _state: *mut c_void,
+    _buf: *mut c_void,
+    _count: MPI_Count,
+    region_count: *mut MPI_Count,
+) -> c_int {
+    *region_count = 1;
+    MPI_SUCCESS
+}
+
+unsafe extern "C" fn null_regionfn(
+    _state: *mut c_void,
+    _buf: *mut c_void,
+    _count: MPI_Count,
+    _region_count: MPI_Count,
+    reg_bases: *mut *mut c_void,
+    reg_lens: *mut MPI_Count,
+    reg_types: *mut MPI_Datatype,
+) -> c_int {
+    *reg_bases = std::ptr::null_mut();
+    *reg_lens = TOTAL as MPI_Count;
+    *reg_types = MPI_BYTE;
+    MPI_SUCCESS
+}
+
+fn null_region_callbacks(lie: &Lie) -> CustomCallbacks {
+    CustomCallbacks {
+        region_countfn: Some(one_region),
+        regionfn: Some(null_regionfn),
+        ..callbacks(lie)
+    }
+}
+
+/// Post a send, or a receive, whose C `regionfn` reports a null region:
+/// the post fails with `MPI_ERR_ARG` and nothing moves. Posted without
+/// waiting, so an accepted post fails the test instead of blocking it.
+fn null_region(pipeline: PipelineConfig, send: bool) {
+    let world = World::with_model_and_pipeline(2, WireModel::default(), pipeline);
+    let (c0, c1) = world.pair();
+    let lie = Lie::Negative;
+    let cb = null_region_callbacks(&lie);
+    // SAFETY: the buffer pointer is never dereferenced by these callbacks,
+    // and a rejected post leaves no request behind.
+    let r = unsafe {
+        if send {
+            let ctx = CCustomPack::new(cb, std::ptr::null(), 1).unwrap();
+            c0.post_custom_send(Box::new(ctx), 1, 7).map(|_| ())
+        } else {
+            let mut ctx = CCustomUnpack::new(cb, std::ptr::null_mut(), 1).unwrap();
+            c1.post_custom_recv(&mut ctx, 0, 7).map(|_| ())
+        }
+    };
+    let side = if send { "send" } else { "receive" };
+    let t = pipeline.threads;
+    assert_eq!(
+        r,
+        Err(Error::Serialization(MPI_ERR_ARG)),
+        "{side} at {t} threads"
+    );
+    assert_eq!(world.fabric().stats().messages, 0, "{side} at {t} threads");
+}
+
+#[test]
+fn null_send_region_is_rejected() {
+    null_region(serial(), true);
+    null_region(pipelined(), true);
+}
+
+#[test]
+fn null_recv_region_is_rejected() {
+    null_region(serial(), false);
+    null_region(pipelined(), false);
 }

@@ -93,9 +93,10 @@ impl World {
         }
     }
 
-    /// A world with an explicit wire model *and* fragment-pipeline
-    /// configuration, overriding the `MPICD_PIPELINE*` environment knobs
-    /// (used by the ablation harness to sweep thread counts).
+    /// A world with an explicit wire model *and* fragment-engine
+    /// configuration, overriding the `MPICD_PIPELINE_THREADS` and
+    /// `MPICD_PIPELINE_DEPTH` knobs (used by the ablation harness to sweep
+    /// thread counts).
     pub fn with_model_and_pipeline(
         size: usize,
         model: WireModel,

@@ -632,7 +632,7 @@ mod tests {
         let world = crate::communicator::World::with_config(
             2,
             crate::fabric::WireModel::default(),
-            crate::fabric::PipelineConfig::serial(),
+            crate::fabric::PipelineConfig::with_threads(1),
             crate::fabric::MatchConfig::default()
                 .with_typecheck(crate::fabric::TypecheckMode::Enforce),
         );

@@ -145,74 +145,57 @@ impl WireModel {
     }
 }
 
-/// Configuration of the parallel fragment pipeline (the `pipeline` module
-/// in the crate sources).
+/// Configuration of the fragment engine (the `transfer` and `pipeline`
+/// modules in the crate sources).
 ///
-/// Environment knobs, read once per process by [`PipelineConfig::from_env`]:
+/// Environment knobs, read once per process by [`PipelineConfig::from_env`]
+/// (a value that is 0, not a number or above the maximum warns on stderr):
 ///
-/// * `MPICD_PIPELINE` — `0` disables the parallel engine entirely (the
-///   serial `copy_stream` runs for every transfer, exactly as before the
-///   pipeline existed). Default: enabled.
-/// * `MPICD_PIPELINE_THREADS` — total worker concurrency, including the
-///   posting thread. Default: `min(4, available_parallelism)`.
+/// * `MPICD_PIPELINE_THREADS` — fragment-working threads, including the
+///   posting thread, at most 64. `1` runs every transfer inline on the
+///   posting thread and spawns no pool. Default:
+///   `min(4, available_parallelism)`.
 /// * `MPICD_PIPELINE_DEPTH` — bound on the ring of pooled per-fragment
-///   scratch buffers (only packer→unpacker fragments need staging).
-///   Default: `2 × threads`.
+///   scratch buffers (only packer→unpacker fragments need staging), at most
+///   1024. Default: `2 × threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Whether eligible transfers may use the parallel engine at all.
-    pub enabled: bool,
     /// Total fragment-working threads, counting the thread that posted the
-    /// transfer (which always participates). `1` means the parallel engine
-    /// runs but spawns no workers.
+    /// transfer (which always participates). `1` means no worker pool.
     pub threads: usize,
     /// Maximum pooled scratch buffers checked out at once.
     pub depth: usize,
 }
 
+/// Ceilings on [`PipelineConfig`]'s `threads` and `depth`.
+const MAX_THREADS: usize = 64;
+const MAX_DEPTH: usize = 1024;
+
 impl PipelineConfig {
-    /// The process-wide default, from the `MPICD_PIPELINE*` environment
-    /// knobs (read once and cached, like `MPICD_PLAN_CACHE_CAP`).
+    /// The process-wide default, from the `MPICD_PIPELINE_THREADS` and
+    /// `MPICD_PIPELINE_DEPTH` knobs (read once and cached, like
+    /// `MPICD_PLAN_CACHE_CAP`).
     pub fn from_env() -> Self {
         static CFG: std::sync::OnceLock<PipelineConfig> = std::sync::OnceLock::new();
         *CFG.get_or_init(|| {
-            let off = |k: &str| std::env::var(k).is_ok_and(|v| v == "0");
-            let num = |k: &str| {
-                std::env::var(k)
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let bounded = |k, default: usize, max: usize| {
+                mpicd_obs::config::env_bounded(k, default as u64, max as u64) as usize
             };
-            let threads = num("MPICD_PIPELINE_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(4)
-            });
+            let threads = bounded("MPICD_PIPELINE_THREADS", cores.min(4), MAX_THREADS);
             PipelineConfig {
-                enabled: !off("MPICD_PIPELINE"),
                 threads,
-                depth: num("MPICD_PIPELINE_DEPTH").unwrap_or(2 * threads),
+                depth: bounded("MPICD_PIPELINE_DEPTH", 2 * threads, MAX_DEPTH),
             }
         })
     }
 
-    /// A configuration that never uses the parallel engine — today's serial
-    /// `copy_stream` for every transfer.
-    pub fn serial() -> Self {
-        Self {
-            enabled: false,
-            threads: 1,
-            depth: 1,
-        }
-    }
-
-    /// An explicit parallel configuration (mostly for benchmarks and tests
-    /// that sweep thread counts without touching the environment).
+    /// An explicit configuration with `threads` clamped to `1..=64`
+    /// (benchmarks and tests that sweep thread counts without touching the
+    /// environment). `with_threads(1)` runs every transfer inline.
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
+        let threads = threads.clamp(1, MAX_THREADS);
         Self {
-            enabled: true,
             threads,
             depth: 2 * threads,
         }
@@ -348,13 +331,13 @@ mod tests {
 
     #[test]
     fn pipeline_config_constructors() {
-        let s = PipelineConfig::serial();
-        assert!(!s.enabled);
         let p = PipelineConfig::with_threads(4);
-        assert!(p.enabled);
         assert_eq!(p.threads, 4);
         assert_eq!(p.depth, 8);
         assert_eq!(PipelineConfig::with_threads(0).threads, 1);
+        let top = PipelineConfig::with_threads(10_000);
+        assert_eq!(top.threads, MAX_THREADS);
+        assert_eq!(top.depth, 2 * MAX_THREADS);
     }
 
     #[test]

@@ -24,11 +24,11 @@ use crate::clock::WireLedger;
 use crate::config::{bounce_pool_cap, MatchConfig, PipelineConfig, TypecheckMode, WireModel};
 use crate::error::{FabricError, FabricResult};
 use crate::matching::{Envelope, RecvQueue, Selector, SendQueue, Tag};
-use crate::payload::{IovEntry, IovEntryMut, RecvDesc, SendDesc};
-use crate::pipeline::{self, PipelinePool};
+use crate::payload::{FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, RecvDesc, SendDesc};
+use crate::pipeline::Engine;
 use crate::request::{ReqState, Request};
 use crate::stats::{gauge_shift, FabricMetrics, FabricStats, StatsView};
-use crate::transfer::{copy_stream, DstSeg, SrcSeg, TransferScratch};
+use crate::transfer::{Stream, Walk};
 use mpicd_obs::causal;
 use mpicd_obs::flight::{self, EventKind, FlightEvent, Method};
 use mpicd_obs::sync::{Condvar, Mutex};
@@ -94,10 +94,10 @@ struct MatchState {
     /// of latency measurements, like UCX's preregistered eager buffers.
     /// Bounded by `MPICD_BOUNCE_POOL_CAP` (default 64 buffers).
     bounce_pool: Vec<Vec<u8>>,
-    /// Recycled serial-engine scratch (staging buffer, out-of-order
-    /// fragment buffers). Transfers run with the match lock held, so one
-    /// set per fabric suffices.
-    xfer_scratch: TransferScratch,
+    /// The inline path's packer→unpacker staging buffer, reused by every
+    /// transfer. Transfers run with the match lock held, so one per fabric
+    /// suffices.
+    stage: Vec<u8>,
 }
 
 struct Inner {
@@ -113,12 +113,11 @@ struct Inner {
     /// Signature-enforcement mode applied at match time (`MPICD_TYPECHECK`
     /// unless the fabric was built with an explicit [`MatchConfig`]).
     typecheck: TypecheckMode,
-    /// Parallel fragment pipeline configuration (env knobs unless the
-    /// fabric was built with [`Fabric::with_model_and_pipeline`]).
-    pipeline_cfg: PipelineConfig,
-    /// The worker pool, spawned lazily on the first eligible transfer and
-    /// joined when the fabric drops.
-    pipeline: OnceLock<PipelinePool>,
+    /// The fragment engine: its thread count (env knobs unless the fabric
+    /// was built with [`Fabric::with_model_and_pipeline`]) and the worker
+    /// pool, spawned on the first transfer handed to it and joined when the
+    /// fabric drops.
+    engine: Engine,
 }
 
 /// An in-process world of communicating ranks.
@@ -136,8 +135,9 @@ impl Fabric {
         Self::with_model(size, WireModel::default())
     }
 
-    /// A world of `size` ranks with an explicit wire model. The parallel
-    /// fragment pipeline follows the `MPICD_PIPELINE*` environment knobs.
+    /// A world of `size` ranks with an explicit wire model. The fragment
+    /// engine follows the `MPICD_PIPELINE_THREADS` and
+    /// `MPICD_PIPELINE_DEPTH` knobs.
     pub fn with_model(size: usize, model: WireModel) -> Self {
         Self::with_model_and_pipeline(size, model, PipelineConfig::from_env())
     }
@@ -145,7 +145,8 @@ impl Fabric {
     /// A world of `size` ranks with an explicit wire model *and* an
     /// explicit pipeline configuration, ignoring the environment knobs.
     /// Benchmarks and tests use this to sweep thread counts;
-    /// [`PipelineConfig::serial`] pins every transfer to the serial engine.
+    /// `PipelineConfig::with_threads(1)` runs every transfer inline on the
+    /// posting thread.
     /// The matching engine follows `MPICD_MATCH_BUCKETS`.
     pub fn with_model_and_pipeline(
         size: usize,
@@ -180,12 +181,14 @@ impl Fabric {
                         .map(|_| RecvQueue::new(matching.buckets))
                         .collect(),
                     bounce_pool: Vec::new(),
-                    xfer_scratch: TransferScratch::default(),
+                    stage: Vec::new(),
                 }),
                 arrivals: Condvar::new(),
                 typecheck: matching.typecheck,
-                pipeline_cfg: pipeline,
-                pipeline: OnceLock::new(),
+                engine: Engine {
+                    cfg: pipeline,
+                    pool: OnceLock::new(),
+                },
             }),
         }
     }
@@ -200,9 +203,9 @@ impl Fabric {
         &self.inner.model
     }
 
-    /// The parallel-pipeline configuration in effect.
+    /// The fragment-engine configuration in effect.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        self.inner.pipeline_cfg
+        self.inner.engine.cfg
     }
 
     /// The modeled wire-time ledger.
@@ -901,7 +904,7 @@ impl Inner {
         source: usize,
         dest: usize,
         tag: Tag,
-        send: SendSide,
+        mut send: SendSide,
         mut recv: RecvDesc,
         state: &mut MatchState,
         send_fid: u64,
@@ -1015,89 +1018,57 @@ impl Inner {
             SendSide::Direct(SendDesc::Generic { inorder, .. }) => *inorder,
             _ => false,
         };
-        let allow_ooo = self.model.out_of_order_fragments && !inorder;
         let regions = send_regions.max(recv.region_count());
 
-        // Build segment lists and stream the bytes.
+        // Describe both sides as byte streams and move the bytes.
         let result = {
-            let mut src_segs: Vec<SrcSeg<'_>> = Vec::new();
-            let mut send = send;
-            match &mut send {
+            let bounce;
+            let (cb, mem) = match &mut send {
                 SendSide::Bounce { data } => {
-                    src_segs.push(SrcSeg::Mem(IovEntry::from_slice(data)));
+                    bounce = IovEntry::from_slice(data);
+                    (None, std::slice::from_ref(&bounce))
                 }
-                SendSide::Direct(desc) => match desc {
-                    SendDesc::Contig(e) => src_segs.push(SrcSeg::Mem(*e)),
-                    SendDesc::Iov(v) => src_segs.extend(v.iter().map(|e| SrcSeg::Mem(*e))),
-                    SendDesc::Generic {
-                        packer,
-                        packed_size,
-                        regions,
-                        ..
-                    } => {
-                        src_segs.push(SrcSeg::Packer {
-                            packer: packer.as_mut(),
-                            len: *packed_size,
-                        });
-                        src_segs.extend(regions.iter().map(|e| SrcSeg::Mem(*e)));
-                    }
-                },
-            }
-
-            let mut dst_segs: Vec<DstSeg<'_>> = Vec::new();
-            match &mut recv {
-                RecvDesc::Contig(e) => dst_segs.push(DstSeg::Mem(*e)),
-                RecvDesc::Iov(v) => dst_segs.extend(v.iter().map(|e| DstSeg::Mem(*e))),
+                SendSide::Direct(SendDesc::Contig(e)) => (None, std::slice::from_ref(e)),
+                SendSide::Direct(SendDesc::Iov(v)) => (None, &v[..]),
+                SendSide::Direct(SendDesc::Generic {
+                    packer,
+                    packed_size,
+                    regions,
+                    ..
+                }) => (
+                    Some((packer.as_mut() as &mut dyn FragmentPacker, *packed_size)),
+                    &regions[..],
+                ),
+            };
+            let mut src = Stream { cb, mem };
+            let (cb, mem) = match &mut recv {
+                RecvDesc::Contig(e) => (None, std::slice::from_ref(e)),
+                RecvDesc::Iov(v) => (None, &v[..]),
                 RecvDesc::Generic {
                     unpacker,
                     packed_size,
                     regions,
-                } => {
-                    dst_segs.push(DstSeg::Unpacker {
-                        unpacker: unpacker.as_mut(),
-                        len: *packed_size,
-                    });
-                    dst_segs.extend(regions.iter().map(|e| DstSeg::Mem(*e)));
-                }
-            }
-
-            // Dispatch seam: eligible transfers go through the parallel
-            // fragment pipeline, everything else through the serial engine.
-            // Eligibility: pipeline enabled, the sender did not demand
-            // in-order callback delivery, the payload splits into at least
-            // two fragments, and every callback segment is random-access.
-            let mut parallel: Option<FabricResult<usize>> = None;
-            if self.pipeline_cfg.enabled && !inorder && total > self.model.frag_size {
-                if let Some((ps, pd)) = pipeline::parallel_view(&src_segs, &dst_segs) {
-                    let pool = self
-                        .pipeline
-                        .get_or_init(|| PipelinePool::spawn(self.pipeline_cfg, &self.metrics));
-                    self.stats.record_pipelined();
-                    parallel = Some(pipeline::run_parallel(
-                        pool,
-                        self.model.frag_size,
-                        ps,
-                        pd,
-                        &self.metrics,
-                        send_fid,
-                        mlc,
-                    ));
-                }
-            }
-            let r = match parallel {
-                Some(r) => r,
-                None => copy_stream(
-                    &self.model,
-                    &mut src_segs,
-                    &mut dst_segs,
-                    allow_ooo,
-                    &self.metrics,
-                    &mut state.xfer_scratch,
-                    send_fid,
-                    mlc,
+                } => (
+                    Some((unpacker.as_mut() as &mut dyn FragmentUnpacker, *packed_size)),
+                    &regions[..],
                 ),
             };
-            drop(src_segs);
+            let mut dst = Stream { cb, mem };
+            let walk = Walk {
+                frag: self.model.frag_size.max(1),
+                metrics: &self.metrics,
+                fid: send_fid,
+                lc: mlc,
+            };
+            let r = self.engine.run(
+                &walk,
+                &self.stats,
+                &mut src,
+                &mut dst,
+                inorder,
+                self.model.out_of_order_fragments,
+                &mut state.stage,
+            );
             // Recycle the bounce buffer.
             if let SendSide::Bounce { data } = send {
                 if state.bounce_pool.len() < bounce_pool_cap() {
@@ -1702,7 +1673,7 @@ mod tests {
         let fabric = Fabric::with_config(
             2,
             WireModel::default(),
-            PipelineConfig::serial(),
+            PipelineConfig::with_threads(1),
             MatchConfig::linear(),
         );
         let a = fabric.endpoint(0).unwrap();
@@ -1742,7 +1713,7 @@ mod tests {
         Fabric::with_config(
             2,
             WireModel::default(),
-            PipelineConfig::serial(),
+            PipelineConfig::with_threads(1),
             MatchConfig::default().with_typecheck(mode),
         )
     }
@@ -1852,7 +1823,7 @@ mod tests {
         let fabric = Fabric::with_config(
             2,
             WireModel::default(),
-            PipelineConfig::serial(),
+            PipelineConfig::with_threads(1),
             MatchConfig::default(),
         );
         let a = fabric.endpoint(0).unwrap();

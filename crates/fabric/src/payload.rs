@@ -94,7 +94,7 @@ impl fmt::Debug for IovEntryMut {
 }
 
 /// Shared, offset-addressed view of a packer — the *random access*
-/// capability that admits a packer to the parallel fragment pipeline.
+/// capability that admits a packer to the fragment engine's worker pool.
 ///
 /// Implementations promise that `pack_at` is a pure function of `offset`:
 /// any byte range of the packed stream can be produced independently, in
@@ -136,9 +136,9 @@ pub trait FragmentPacker: Send {
     /// [`FabricError::PackFailed`](crate::FabricError::PackFailed).
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32>;
 
-    /// Opt into the parallel fragment pipeline by exposing a shared
-    /// offset-addressed view, or `None` (the default) to stay on the serial
-    /// engine. Non-random-access callbacks must leave this as `None`.
+    /// Opt into the fragment engine's worker pool by exposing a shared
+    /// offset-addressed view, or `None` (the default) to stay on the inline
+    /// path. Non-random-access callbacks must leave this as `None`.
     fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
         None
     }
@@ -153,8 +153,8 @@ pub trait FragmentUnpacker: Send {
     /// delivery.
     fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32>;
 
-    /// Opt into the parallel fragment pipeline (see
-    /// [`FragmentPacker::random_access`]). Default: serial only.
+    /// Opt into the fragment engine's worker pool (see
+    /// [`FragmentPacker::random_access`]). Default: inline only.
     fn random_access(&self) -> Option<&dyn RandomAccessUnpacker> {
         None
     }

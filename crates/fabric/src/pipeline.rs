@@ -1,118 +1,84 @@
-//! The parallel fragment pipeline — concurrent pack/copy/unpack of a
-//! matched transfer's byte stream.
+//! The worker pool of the fragment engine: runs the fragments of one
+//! matched transfer concurrently.
 //!
-//! PR 2 made every plan-backed packer *offset-addressed*: any fragment of
-//! the packed stream can be produced or consumed independently. This module
-//! exploits that. When a matched transfer's source and destination are both
-//! random-access (every callback segment exposes a
-//! [`RandomAccessPacker`]/[`RandomAccessUnpacker`] view) and the sender did
-//! not demand `inorder` delivery, the stream is split at the wire model's
-//! fragment size and the fragments are executed concurrently by a
+//! Plan-backed packers are *offset-addressed*: any fragment of the packed
+//! stream can be produced or consumed independently. An [`Engine`] with
+//! more than one thread hands such transfers' fixed-size fragments to a
 //! persistent, lazily-spawned worker pool — the CPU-side analogue of the
 //! overlapped fragment pipelining UCX does on the wire (paper §IV, Fig. 5).
+//! Every other transfer runs inline on the posting thread; both paths move
+//! bytes through the one fragment walker, `transfer::move_range`.
 //!
-//! Design points:
-//!
-//! * **Serial fallback.** The pool is only consulted for eligible
-//!   transfers; everything else (streaming callbacks, `inorder` senders,
-//!   single-fragment payloads, `MPICD_PIPELINE=0`) runs the untouched
-//!   serial [`copy_stream`](crate::transfer) engine.
-//! * **Bounded scratch ring.** Packer→unpacker fragments stage through a
-//!   pool of recycled per-fragment buffers; at most
+//! * **Bounded scratch ring.** Packer→unpacker fragments stage through
+//!   recycled per-fragment buffers; at most
 //!   [`PipelineConfig`](crate::config::PipelineConfig)::`depth` are ever
 //!   checked out, bounding memory regardless of transfer size.
 //! * **First error wins.** Workers never stop mid-transfer; every callback
 //!   error is recorded with its stream position and the *lowest-position*
-//!   error is surfaced — the same error the serial engine's in-order walk
-//!   would have returned first (matching the paper's error-return
-//!   semantics). Which later callbacks also ran is unspecified on error.
-//! * **The posting thread participates.** A pool configured with
-//!   `threads = 1` spawns no workers at all: the posting thread drains the
-//!   fragment queue itself, so the parallel machinery can be benchmarked
-//!   head-to-head against the serial engine with no thread handoff cost.
+//!   error is surfaced — the one the in-order walk would have returned
+//!   first. Which later callbacks also ran is unspecified on error.
+//! * **The posting thread participates.** It drains the fragment queue
+//!   alongside the `threads - 1` workers, then waits for stragglers.
 
 // Audited unsafe: lifetime-erased job sharing (see JobRef safety argument); every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
 
 use crate::config::PipelineConfig;
 use crate::error::{FabricError, FabricResult};
-use crate::payload::{IovEntry, IovEntryMut, RandomAccessPacker, RandomAccessUnpacker};
-use crate::stats::FabricMetrics;
-use crate::transfer::{checked_used, DstSeg, SrcSeg};
-use mpicd_obs::flight::{self, EventKind};
+use crate::payload::{
+    FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, RandomAccessPacker,
+    RandomAccessUnpacker,
+};
+use crate::stats::{FabricMetrics, FabricStats};
+use crate::transfer::{move_range, run_inline, At, Stream, Walk};
 use mpicd_obs::sync::{Condvar, Mutex};
 use mpicd_obs::telemetry;
 use mpicd_obs::trace::span_acc;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-// ---- parallel-capable segment views ----------------------------------------
-
-/// A source segment admitted to the parallel engine.
-pub(crate) enum ParSrc<'a> {
-    /// Position-addressed memory — always eligible.
-    Mem(IovEntry),
-    /// A packer that exposed its random-access view.
-    Packer {
-        packer: &'a dyn RandomAccessPacker,
-        len: usize,
-    },
+/// The fabric's fragment engine: its thread count and the worker pool,
+/// spawned on the first transfer handed to it.
+pub(crate) struct Engine {
+    pub(crate) cfg: PipelineConfig,
+    pub(crate) pool: OnceLock<PipelinePool>,
 }
 
-/// A destination segment admitted to the parallel engine.
-pub(crate) enum ParDst<'a> {
-    Mem(IovEntryMut),
-    Unpacker {
-        unpacker: &'a dyn RandomAccessUnpacker,
-        len: usize,
-    },
-}
-
-/// Try to build parallel views of a matched transfer's segment lists.
-///
-/// Returns `None` — routing the transfer to the serial engine — unless
-/// *every* callback segment is random-access. Memory segments always
-/// qualify.
-pub(crate) fn parallel_view<'a>(
-    src_segs: &'a [SrcSeg<'_>],
-    dst_segs: &'a [DstSeg<'_>],
-) -> Option<(Vec<ParSrc<'a>>, Vec<ParDst<'a>>)> {
-    let src = src_segs
-        .iter()
-        .map(|s| match s {
-            SrcSeg::Mem(e) => Some(ParSrc::Mem(*e)),
-            SrcSeg::Packer { packer, len } => packer
-                .random_access()
-                .map(|packer| ParSrc::Packer { packer, len: *len }),
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let dst = dst_segs
-        .iter()
-        .map(|d| match d {
-            DstSeg::Mem(e) => Some(ParDst::Mem(*e)),
-            DstSeg::Unpacker { unpacker, len } => {
-                unpacker.random_access().map(|unpacker| ParDst::Unpacker {
-                    unpacker,
-                    len: *len,
-                })
+impl Engine {
+    /// Move every byte of a matched transfer and return the count.
+    ///
+    /// The transfer goes to the worker pool (counted in `stats`) when the
+    /// engine has more than one thread, the stream spans at least two
+    /// fragments, the sender did not set `inorder`, and every callback
+    /// segment is random-access. Otherwise it runs inline on the posting
+    /// thread, with the unpacker's fragments delivered in reverse order on
+    /// an `ooo_wire` (see [`run_inline`]).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &self,
+        w: &Walk<'_>,
+        stats: &FabricStats,
+        src: &mut Stream<'_, &mut dyn FragmentPacker, IovEntry>,
+        dst: &mut Stream<'_, &mut dyn FragmentUnpacker, IovEntryMut>,
+        inorder: bool,
+        ooo_wire: bool,
+        stage: &mut Vec<u8>,
+    ) -> FabricResult<usize> {
+        let total = src.len();
+        if self.cfg.threads > 1 && !inorder && total > w.frag {
+            if let (Some(s), Some(d)) = (
+                src.view(|p| p.random_access()),
+                dst.view(|u| u.random_access()),
+            ) {
+                let pool = self
+                    .pool
+                    .get_or_init(|| PipelinePool::spawn(self.cfg, w.metrics));
+                stats.record_pipelined();
+                return run_pooled(pool, w, s, d, total);
             }
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some((src, dst))
-}
-
-fn src_len(s: &ParSrc<'_>) -> usize {
-    match s {
-        ParSrc::Mem(e) => e.len,
-        ParSrc::Packer { len, .. } => *len,
-    }
-}
-
-fn dst_len(d: &ParDst<'_>) -> usize {
-    match d {
-        ParDst::Mem(e) => e.len,
-        ParDst::Unpacker { len, .. } => *len,
+        }
+        run_inline(w, src, dst, ooo_wire && !inorder, stage)
     }
 }
 
@@ -187,24 +153,19 @@ impl ScratchRing {
 
 // ---- one in-flight transfer -------------------------------------------------
 
-/// Shared state of one pipelined transfer, stack-allocated by the posting
+/// Shared state of one pooled transfer, stack-allocated by the posting
 /// thread, which blocks until `remaining` hits zero. Workers reach it
 /// through a lifetime-erased pointer that provably never outlives it (see
 /// the safety argument on [`JobRef`]).
 struct JobShared<'a> {
-    frag: usize,
+    walk: &'a Walk<'a>,
     total: usize,
-    src: Vec<ParSrc<'a>>,
+    src: Stream<'a, &'a dyn RandomAccessPacker, IovEntry>,
     /// Stream offset where each source segment starts; last entry = total.
     src_prefix: Vec<usize>,
-    dst: Vec<ParDst<'a>>,
+    dst: Stream<'a, &'a dyn RandomAccessUnpacker, IovEntryMut>,
     dst_prefix: Vec<usize>,
     scratch: &'a ScratchRing,
-    metrics: &'a FabricMetrics,
-    /// Flight-recorder transfer id (0 = not recording).
-    fid: u64,
-    /// Merged Lamport clock of the transfer, stamped on fragment events.
-    lc: u64,
     /// Lowest-stream-position callback error (position, error).
     error: Mutex<Option<(usize, FabricError)>>,
     /// Fragments not yet finished; guarded decrement, last one notifies.
@@ -215,7 +176,7 @@ struct JobShared<'a> {
 /// Record `(pos, e)` into the job's error slot unless an error at an
 /// equal-or-lower stream position is already there: concurrent fragments
 /// can fail in any order, but the transfer reports the error closest to
-/// the start of the stream, matching what the serial engine would hit
+/// the start of the stream, matching what the in-order walk would hit
 /// first.
 fn record_error(slot: &Mutex<Option<(usize, FabricError)>>, pos: usize, e: FabricError) {
     let mut g = slot.lock();
@@ -242,150 +203,34 @@ impl JobShared<'_> {
     /// the posting thread observes `remaining == 0` (which requires this
     /// mutex), no worker dereferences the job again.
     fn exec_fragment(&self, idx: usize) {
-        let lo = idx * self.frag;
-        let hi = self.total.min(lo + self.frag);
-        if let Err((pos, e)) = self.run_range(lo, hi) {
+        let lo = idx * self.walk.frag;
+        let hi = self.total.min(lo + self.walk.frag);
+        let (mut src, mut dst) = (self.src, self.dst);
+        let staged = src.cb.is_some() && dst.cb.is_some();
+        let mut buf = if staged {
+            self.scratch.checkout()
+        } else {
+            Vec::new()
+        };
+        // The cursor of the segment holding stream offset `lo`.
+        let at = |prefix: &[usize]| {
+            let seg = prefix.partition_point(|&p| p <= lo) - 1;
+            At {
+                seg,
+                start: prefix[seg],
+            }
+        };
+        let (sa, da) = (at(&self.src_prefix), at(&self.dst_prefix));
+        let r = move_range(
+            self.walk, &mut src, &mut dst, lo, hi, sa, da, &mut buf, false,
+        );
+        if staged {
+            self.scratch.checkin(buf);
+        }
+        if let Err((pos, e)) = r {
             record_error(&self.error, pos, e);
         }
         complete_fragment(&self.remaining, &self.done);
-    }
-
-    /// Move stream bytes `[lo, hi)`, walking the (src × dst) segment
-    /// intersections exactly like the serial engine but addressed
-    /// absolutely. Errors carry the stream position they occurred at.
-    fn run_range(&self, lo: usize, hi: usize) -> Result<(), (usize, FabricError)> {
-        let mut pos = lo;
-        let mut si = self.src_prefix.partition_point(|&p| p <= pos) - 1;
-        let mut di = self.dst_prefix.partition_point(|&p| p <= pos) - 1;
-        while pos < hi {
-            while self.src_prefix[si + 1] <= pos {
-                si += 1;
-            }
-            while self.dst_prefix[di + 1] <= pos {
-                di += 1;
-            }
-            let s_off = pos - self.src_prefix[si];
-            let d_off = pos - self.dst_prefix[di];
-            let n = (self.src_prefix[si + 1] - pos)
-                .min(self.dst_prefix[di + 1] - pos)
-                .min(hi - pos);
-            match (&self.src[si], &self.dst[di]) {
-                (ParSrc::Mem(s), ParDst::Mem(d)) => {
-                    // SAFETY: post contracts guarantee both regions are live
-                    // and non-overlapping; concurrent fragments touch
-                    // disjoint ranges.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(s.ptr.add(s_off), d.ptr.add(d_off), n);
-                    }
-                }
-                (ParSrc::Mem(s), ParDst::Unpacker { unpacker, .. }) => {
-                    // SAFETY: as above.
-                    let bytes = unsafe { std::slice::from_raw_parts(s.ptr.add(s_off), n) };
-                    let t0 = flight::clock(self.fid);
-                    {
-                        let _sp = span_acc("unpack", "fabric", n as u64, &self.metrics.unpack_ns);
-                        unpacker
-                            .unpack_at(d_off, bytes)
-                            .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
-                    }
-                    flight::record_frag(
-                        EventKind::FragUnpacked,
-                        self.fid,
-                        t0,
-                        n as u64,
-                        d_off as u64,
-                        self.lc,
-                    );
-                }
-                (ParSrc::Packer { packer, len }, ParDst::Mem(d)) => {
-                    // SAFETY: `n` stays within the destination region.
-                    let out = unsafe { std::slice::from_raw_parts_mut(d.ptr.add(d_off), n) };
-                    let t0 = flight::clock(self.fid);
-                    self.pack_fill(*packer, s_off, out, *len)
-                        .map_err(|(rel, e)| (pos + rel, e))?;
-                    flight::record_frag(
-                        EventKind::FragPacked,
-                        self.fid,
-                        t0,
-                        n as u64,
-                        s_off as u64,
-                        self.lc,
-                    );
-                }
-                (ParSrc::Packer { packer, len }, ParDst::Unpacker { unpacker, .. }) => {
-                    let mut buf = self.scratch.checkout();
-                    buf.resize(n, 0);
-                    let t0 = flight::clock(self.fid);
-                    let r = self
-                        .pack_fill(*packer, s_off, &mut buf[..n], *len)
-                        .map_err(|(rel, e)| (pos + rel, e))
-                        .and_then(|()| {
-                            flight::record_frag(
-                                EventKind::FragPacked,
-                                self.fid,
-                                t0,
-                                n as u64,
-                                s_off as u64,
-                                self.lc,
-                            );
-                            let t1 = flight::clock(self.fid);
-                            {
-                                let _sp =
-                                    span_acc("unpack", "fabric", n as u64, &self.metrics.unpack_ns);
-                                unpacker
-                                    .unpack_at(d_off, &buf[..n])
-                                    .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
-                            }
-                            flight::record_frag(
-                                EventKind::FragUnpacked,
-                                self.fid,
-                                t1,
-                                n as u64,
-                                d_off as u64,
-                                self.lc,
-                            );
-                            Ok(())
-                        });
-                    self.scratch.checkin(buf);
-                    r?;
-                }
-            }
-            pos += n;
-        }
-        Ok(())
-    }
-
-    /// Fill `out` completely from `packer` starting at segment-local
-    /// `offset`, honoring the partial-fill contract. Errors carry the
-    /// byte count already filled (relative position).
-    fn pack_fill(
-        &self,
-        packer: &dyn RandomAccessPacker,
-        offset: usize,
-        out: &mut [u8],
-        seg_len: usize,
-    ) -> Result<(), (usize, FabricError)> {
-        let mut filled = 0usize;
-        while filled < out.len() {
-            let used = {
-                let _sp = span_acc(
-                    "pack",
-                    "fabric",
-                    (out.len() - filled) as u64,
-                    &self.metrics.pack_ns,
-                );
-                packer.pack_at(offset + filled, &mut out[filled..])
-            }
-            .map_err(|c| (filled, FabricError::PackFailed(c)))?;
-            filled += checked_used(
-                used,
-                out.len() - filled,
-                offset + filled,
-                seg_len - (offset + filled),
-            )
-            .map_err(|e| (filled, e))?;
-        }
-        Ok(())
     }
 }
 
@@ -455,9 +300,10 @@ pub(crate) struct PipelinePool {
 
 impl PipelinePool {
     /// Spawn `cfg.threads - 1` workers (the posting thread is the last
-    /// participant) and record the pool size in the obs registry.
+    /// participant) and record the pool size in the obs registry. A worker
+    /// the OS refuses is left out: the posting thread still drains every
+    /// fragment, so the pool only runs narrower.
     pub(crate) fn spawn(cfg: PipelineConfig, metrics: &FabricMetrics) -> Self {
-        let threads = cfg.threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
                 jobs: VecDeque::new(),
@@ -466,27 +312,22 @@ impl PipelinePool {
             }),
             work: Condvar::new(),
         });
-        let workers = (1..threads)
-            .map(|i| {
+        let workers: Vec<_> = (1..cfg.threads)
+            .map_while(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("mpicd-pipeline-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("spawn pipeline worker")
+                    .map_err(|e| eprintln!("mpicd: pipeline worker {i} not spawned: {e}"))
+                    .ok()
             })
             .collect();
-        metrics.pipeline_threads.add(threads as u64);
+        metrics.pipeline_threads.add(workers.len() as u64 + 1);
         Self {
             shared,
             scratch: ScratchRing::new(cfg.depth, Arc::clone(&metrics.g_scratch_free)),
             workers,
         }
-    }
-
-    /// Total concurrency, counting the posting thread.
-    #[cfg(test)]
-    pub(crate) fn threads(&self) -> usize {
-        self.workers.len() + 1
     }
 }
 
@@ -522,55 +363,29 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Run one eligible transfer through the pool. Blocks (while participating
-/// in the fragment work) until every fragment completes; returns the bytes
-/// moved or the lowest-stream-position callback error.
-///
-/// `fid` is the send-side flight-recorder transfer id (0 = no recording);
-/// workers emit `FragPacked`/`FragUnpacked` events against it, stamped
-/// with the transfer's merged Lamport clock `lc`.
-pub(crate) fn run_parallel(
+/// Run one transfer of `total` bytes through the pool. Blocks (while
+/// participating in the fragment work) until every fragment completes;
+/// returns the bytes moved or the lowest-stream-position callback error.
+fn run_pooled(
     pool: &PipelinePool,
-    frag_size: usize,
-    src: Vec<ParSrc<'_>>,
-    dst: Vec<ParDst<'_>>,
-    metrics: &FabricMetrics,
-    fid: u64,
-    lc: u64,
+    w: &Walk<'_>,
+    src: Stream<'_, &dyn RandomAccessPacker, IovEntry>,
+    dst: Stream<'_, &dyn RandomAccessUnpacker, IovEntryMut>,
+    total: usize,
 ) -> FabricResult<usize> {
-    let total: usize = src.iter().map(src_len).sum();
-    let frag = frag_size.max(1);
-    let frags = total.div_ceil(frag);
-    if frags == 0 {
-        return Ok(0);
-    }
-
-    let mut src_prefix = Vec::with_capacity(src.len() + 1);
-    src_prefix.push(0usize);
-    for s in &src {
-        src_prefix.push(src_prefix.last().unwrap() + src_len(s));
-    }
-    let mut dst_prefix = Vec::with_capacity(dst.len() + 1);
-    dst_prefix.push(0usize);
-    for d in &dst {
-        dst_prefix.push(dst_prefix.last().unwrap() + dst_len(d));
-    }
-
-    let _sp = span_acc("pipeline", "fabric", total as u64, &metrics.pipeline_ns);
-    metrics.pipeline_transfers.inc();
-    metrics.pipeline_frags.add(frags as u64);
+    let frags = total.div_ceil(w.frag);
+    let _sp = span_acc("pipeline", "fabric", total as u64, &w.metrics.pipeline_ns);
+    w.metrics.pipeline_transfers.inc();
+    w.metrics.pipeline_frags.add(frags as u64);
 
     let job = JobShared {
-        frag,
+        walk: w,
         total,
+        src_prefix: src.prefix(),
         src,
-        src_prefix,
+        dst_prefix: dst.prefix(),
         dst,
-        dst_prefix,
         scratch: &pool.scratch,
-        metrics,
-        fid,
-        lc,
         error: Mutex::new(None),
         remaining: Mutex::new(frags),
         done: Condvar::new(),
@@ -621,14 +436,11 @@ pub(crate) fn run_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WireModel;
-    use crate::payload::{FragmentPacker, FragmentUnpacker};
-    use crate::transfer::{copy_stream, TransferScratch};
     use mpicd_obs::XorShift64Star;
 
     /// Offset-addressed test packer over a byte vector; optionally fails
     /// deterministically on any call whose range covers `fail_at`, and
-    /// optionally emits at most `max_chunk` bytes per call (partial fills).
+    /// emits at most `max_chunk` bytes per call (partial fills).
     struct TestPacker {
         data: Vec<u8>,
         max_chunk: usize,
@@ -706,20 +518,26 @@ mod tests {
         }
     }
 
-    /// One randomized transfer layout, derived from the seed.
+    /// One randomized transfer layout, derived from the seed. Each side
+    /// is an optional leading callback segment of `cb` bytes followed by
+    /// memory regions of `mem` bytes each; failures sit at stream offsets
+    /// inside the callback segments.
     struct Layout {
         payload: Vec<u8>,
-        /// Byte lengths of the source segments; index 0 may be a packer.
-        src_splits: Vec<usize>,
-        src_lead_packer: bool,
-        dst_splits: Vec<usize>,
-        dst_lead_unpacker: bool,
+        src_cb: Option<usize>,
+        src_mem: Vec<usize>,
+        dst_cb: Option<usize>,
+        dst_mem: Vec<usize>,
         frag: usize,
         max_chunk: usize,
-        pack_fail: Option<(usize, i32)>,
-        unpack_fail: Option<(usize, i32)>,
+        pack_fail: Option<usize>,
+        unpack_fail: Option<usize>,
     }
 
+    const PACK_CODE: i32 = 17;
+    const UNPACK_CODE: i32 = 23;
+
+    /// Split `total` into `parts` random lengths (zero lengths included).
     fn splits(rng: &mut XorShift64Star, total: usize, parts: usize) -> Vec<usize> {
         let mut v = Vec::new();
         let mut left = total;
@@ -740,196 +558,275 @@ mod tests {
         let payload: Vec<u8> = (0..total)
             .map(|i| (rng.next_u64() as u8).wrapping_add(i as u8))
             .collect();
-        let nsrc = 1 + (rng.next_u64() as usize) % 3;
-        let ndst = 1 + (rng.next_u64() as usize) % 3;
-        let frag = 1 + (rng.next_u64() as usize) % (8 * 1024);
-        let max_chunk = 1 + (rng.next_u64() as usize) % 4096;
-        let mut fail = |p: i32| -> Option<(usize, i32)> {
-            if with_errors && rng.next_u64().is_multiple_of(3) {
-                Some(((rng.next_u64() as usize) % total, p))
-            } else {
-                None
-            }
+        let side = |rng: &mut XorShift64Star| {
+            let parts = 1 + (rng.next_u64() as usize) % 3;
+            let mut lens = splits(rng, total, parts);
+            let cb = rng.next_u64().is_multiple_of(2).then(|| lens.remove(0));
+            (cb, lens)
         };
-        let pack_fail = fail(17);
-        let unpack_fail = fail(23);
+        let (src_cb, src_mem) = side(rng);
+        let (dst_cb, dst_mem) = side(rng);
+        let mut fail = |cb: Option<usize>| match cb {
+            Some(len) if len > 0 && with_errors && rng.next_u64().is_multiple_of(2) => {
+                Some((rng.next_u64() as usize) % len)
+            }
+            _ => None,
+        };
+        let pack_fail = fail(src_cb);
+        let unpack_fail = fail(dst_cb);
         Layout {
-            src_splits: splits(rng, total, nsrc),
-            src_lead_packer: rng.next_u64().is_multiple_of(2),
-            dst_splits: splits(rng, total, ndst),
-            dst_lead_unpacker: rng.next_u64().is_multiple_of(2),
             payload,
-            frag,
-            max_chunk,
+            src_cb,
+            src_mem,
+            dst_cb,
+            dst_mem,
+            frag: 1 + (rng.next_u64() as usize) % (8 * 1024),
+            max_chunk: 1 + (rng.next_u64() as usize) % 4096,
             pack_fail,
             unpack_fail,
         }
     }
 
-    /// Drive one layout through an engine (serial or parallel) and return
-    /// (reassembled destination bytes, result).
-    fn drive(layout: &Layout, pool: Option<&PipelinePool>) -> (Vec<u8>, FabricResult<usize>) {
-        let total = layout.payload.len();
-        let mut out = vec![0u8; total];
-        let model = WireModel {
-            frag_size: layout.frag,
-            ..WireModel::zero_cost()
-        };
-        let metrics = FabricMetrics::detached();
-
-        // Source segments.
-        let mut packers: Vec<TestPacker> = Vec::new();
-        let mut bounds = Vec::new();
-        let mut at = 0usize;
-        for (i, len) in layout.src_splits.iter().enumerate() {
-            bounds.push((at, *len, i == 0 && layout.src_lead_packer));
-            at += len;
-        }
-        for &(start, len, is_packer) in &bounds {
-            if is_packer {
-                packers.push(TestPacker {
-                    data: layout.payload[start..start + len].to_vec(),
-                    max_chunk: layout.max_chunk,
-                    fail_at: layout.pack_fail.and_then(|(p, c)| {
-                        (p >= start && p < start + len).then_some((p - start, c))
-                    }),
-                });
-            }
-        }
-        let mut packer_iter = packers.iter_mut();
-        let mut src_segs: Vec<SrcSeg<'_>> = Vec::new();
-        for &(start, len, is_packer) in &bounds {
-            if is_packer {
-                src_segs.push(SrcSeg::Packer {
-                    packer: packer_iter.next().unwrap(),
-                    len,
-                });
-            } else {
-                src_segs.push(SrcSeg::Mem(IovEntry {
-                    ptr: layout.payload[start..].as_ptr(),
-                    len,
-                }));
-            }
-        }
-
-        // Destination segments.
-        let mut unpackers: Vec<TestUnpacker> = Vec::new();
-        let mut dbounds = Vec::new();
-        at = 0;
-        for (i, len) in layout.dst_splits.iter().enumerate() {
-            dbounds.push((at, *len, i == 0 && layout.dst_lead_unpacker));
-            at += len;
-        }
-        for &(start, len, is_unpacker) in &dbounds {
-            if is_unpacker {
-                unpackers.push(TestUnpacker {
-                    base: out[start..].as_mut_ptr(),
-                    len,
-                    fail_at: layout.unpack_fail.and_then(|(p, c)| {
-                        (p >= start && p < start + len).then_some((p - start, c))
-                    }),
-                });
-            }
-        }
-        let mut unpacker_iter = unpackers.iter_mut();
-        let mut dst_segs: Vec<DstSeg<'_>> = Vec::new();
-        for &(start, len, is_unpacker) in &dbounds {
-            if is_unpacker {
-                dst_segs.push(DstSeg::Unpacker {
-                    unpacker: unpacker_iter.next().unwrap(),
-                    len,
-                });
-            } else {
-                dst_segs.push(DstSeg::Mem(IovEntryMut {
-                    ptr: out[start..].as_mut_ptr(),
-                    len,
-                }));
-            }
-        }
-
-        let r = match pool {
-            None => copy_stream(
-                &model,
-                &mut src_segs,
-                &mut dst_segs,
-                false,
-                &metrics,
-                &mut TransferScratch::default(),
-                0,
-                0,
-            ),
-            Some(pool) => {
-                let (ps, pd) =
-                    parallel_view(&src_segs, &dst_segs).expect("test segments are random-access");
-                run_parallel(pool, model.frag_size, ps, pd, &metrics, 0, 0)
-            }
-        };
-        drop(src_segs);
-        drop(dst_segs);
-        (out, r)
+    /// Region lengths → (start, len) pairs from stream offset `at`.
+    fn regions(at: usize, lens: &[usize]) -> Vec<(usize, usize)> {
+        let mut at = at;
+        lens.iter()
+            .map(|&len| {
+                at += len;
+                (at - len, len)
+            })
+            .collect()
     }
 
-    /// The satellite property test: across random segment layouts,
-    /// fragment sizes, thread counts and mid-stream callback errors, the
-    /// pipelined engine is byte-identical to the serial `copy_stream` and
-    /// surfaces the same first error.
+    /// The error the fragment engine must surface for `layout`, straight
+    /// from the layout. In stream order, a failing callback's error
+    /// belongs to the piece (the intersection of a fragment, a source and a
+    /// destination segment) that holds its offset, and a piece packs
+    /// before it unpacks; the earliest such error wins. When the unpacker's
+    /// fragments are delivered in reverse, every pack precedes every
+    /// unpack.
+    fn expected_error(layout: &Layout, reversed: bool) -> Option<FabricError> {
+        let cuts: Vec<usize> = regions(layout.src_cb.unwrap_or(0), &layout.src_mem)
+            .into_iter()
+            .chain(regions(layout.dst_cb.unwrap_or(0), &layout.dst_mem))
+            .map(|(start, _)| start)
+            .collect();
+        let piece = |x: usize| {
+            cuts.iter()
+                .copied()
+                .filter(|&c| c <= x)
+                .fold(x / layout.frag * layout.frag, usize::max)
+        };
+        let pack = layout
+            .pack_fail
+            .map(|p| ((piece(p), 0), FabricError::PackFailed(PACK_CODE)));
+        let unpack = layout
+            .unpack_fail
+            .map(|q| ((piece(q), 1), FabricError::UnpackFailed(UNPACK_CODE)));
+        if reversed {
+            return pack.or(unpack).map(|(_, e)| e);
+        }
+        pack.into_iter()
+            .chain(unpack)
+            .min_by_key(|(key, _)| *key)
+            .map(|(_, e)| e)
+    }
+
+    /// Drive one layout through `engine` and return (destination bytes,
+    /// result, whether the pool ran it).
+    fn drive(
+        engine: &Engine,
+        layout: &Layout,
+        inorder: bool,
+        ooo_wire: bool,
+    ) -> (Vec<u8>, FabricResult<usize>, bool) {
+        let total = layout.payload.len();
+        let mut out = vec![0u8; total];
+        let metrics = FabricMetrics::detached();
+        let stats = FabricStats::default();
+        let w = Walk {
+            frag: layout.frag,
+            metrics: &metrics,
+            fid: 0,
+            lc: 0,
+        };
+        let src_at = layout.src_cb.unwrap_or(0);
+        let src_mem: Vec<IovEntry> = regions(src_at, &layout.src_mem)
+            .iter()
+            .map(|&(start, len)| IovEntry::from_slice(&layout.payload[start..start + len]))
+            .collect();
+        let mut packer = layout.src_cb.map(|len| TestPacker {
+            data: layout.payload[..len].to_vec(),
+            max_chunk: layout.max_chunk,
+            fail_at: layout.pack_fail.map(|p| (p, PACK_CODE)),
+        });
+        let dst_at = layout.dst_cb.unwrap_or(0);
+        let dst_mem: Vec<IovEntryMut> = regions(dst_at, &layout.dst_mem)
+            .iter()
+            .map(|&(start, len)| IovEntryMut {
+                ptr: out[start..].as_mut_ptr(),
+                len,
+            })
+            .collect();
+        let mut unpacker = layout.dst_cb.map(|len| TestUnpacker {
+            base: out.as_mut_ptr(),
+            len,
+            fail_at: layout.unpack_fail.map(|q| (q, UNPACK_CODE)),
+        });
+        let mut src = Stream {
+            cb: packer
+                .as_mut()
+                .map(|p| (p as &mut dyn FragmentPacker, src_at)),
+            mem: &src_mem,
+        };
+        let mut dst = Stream {
+            cb: unpacker
+                .as_mut()
+                .map(|u| (u as &mut dyn FragmentUnpacker, dst_at)),
+            mem: &dst_mem,
+        };
+        let mut stage = Vec::new();
+        let r = engine.run(
+            &w, &stats, &mut src, &mut dst, inorder, ooo_wire, &mut stage,
+        );
+        (out, r, stats.view().pipelined == 1)
+    }
+
+    /// Across random segment layouts, fragment sizes, partial fills and
+    /// mid-stream callback errors, the engine delivers exactly the
+    /// payload, or exactly the error the layout predicts: inline at one
+    /// thread, on the pool at two and four, inline for an `inorder`
+    /// sender, and in reverse on an out-of-order wire.
     #[test]
     fn pipelined_engine_matches_serial_property() {
-        let metrics = FabricMetrics::detached();
-        let pools: Vec<PipelinePool> = [1usize, 2, 4]
+        let engines: Vec<Engine> = [1usize, 2, 4]
             .iter()
-            .map(|&t| PipelinePool::spawn(PipelineConfig::with_threads(t), &metrics))
+            .map(|&t| Engine {
+                cfg: PipelineConfig::with_threads(t),
+                pool: OnceLock::new(),
+            })
             .collect();
         let mut rng = XorShift64Star::new(0x5eed_cafe_d00d_f00d);
+        let mut seen = [0usize; 3]; // inline, pooled, reversed
         for case in 0..120 {
-            let with_errors = case % 2 == 1;
-            let layout = random_layout(&mut rng, with_errors);
-            let (serial_out, serial_r) = drive(&layout, None);
-            for pool in &pools {
-                let (par_out, par_r) = drive(&layout, Some(pool));
-                match (&serial_r, &par_r) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "case {case}: bytes moved");
-                        assert_eq!(
-                            par_out,
-                            serial_out,
-                            "case {case}, {} threads: byte identity",
-                            pool.threads()
-                        );
+            let layout = random_layout(&mut rng, case % 2 == 1);
+            let total = layout.payload.len();
+            for engine in &engines {
+                for (inorder, ooo_wire) in [(false, false), (true, false), (false, true)] {
+                    let threads = engine.cfg.threads;
+                    let (out, r, pooled) = drive(engine, &layout, inorder, ooo_wire);
+                    let want_pooled = threads > 1 && !inorder && total > layout.frag;
+                    let reversed = !want_pooled && ooo_wire && layout.dst_cb.is_some_and(|l| l > 0);
+                    let at = format!(
+                        "case {case}, {threads} threads, inorder {inorder}, ooo {ooo_wire}"
+                    );
+                    assert_eq!(pooled, want_pooled, "{at}: path");
+                    seen[usize::from(pooled) + 2 * usize::from(reversed)] += 1;
+                    match expected_error(&layout, reversed) {
+                        None => {
+                            assert_eq!(r, Ok(total), "{at}");
+                            assert!(out == layout.payload, "{at}: byte identity");
+                        }
+                        Some(e) => assert_eq!(r, Err(e), "{at}: first error"),
                     }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "case {case}: same first error surfaced");
-                    }
-                    (a, b) => panic!(
-                        "case {case}, {} threads: serial {a:?} vs parallel {b:?}",
-                        pool.threads()
-                    ),
                 }
             }
         }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every path exercised: {seen:?}"
+        );
+    }
+
+    /// Run `src` into a same-length memory destination through a
+    /// two-thread engine; return (bytes, result, pooled).
+    fn two_threads(
+        src: &mut Stream<'_, &mut dyn FragmentPacker, IovEntry>,
+        frag: usize,
+    ) -> (Vec<u8>, FabricResult<usize>, bool) {
+        let metrics = FabricMetrics::detached();
+        let stats = FabricStats::default();
+        let w = Walk {
+            frag,
+            metrics: &metrics,
+            fid: 0,
+            lc: 0,
+        };
+        let mut out = vec![0u8; src.len()];
+        let dst_mem = [IovEntryMut::from_slice(&mut out)];
+        let mut dst = Stream {
+            cb: None,
+            mem: &dst_mem,
+        };
+        let engine = Engine {
+            cfg: PipelineConfig::with_threads(2),
+            pool: OnceLock::new(),
+        };
+        let r = engine.run(&w, &stats, src, &mut dst, false, false, &mut Vec::new());
+        (out, r, stats.view().pipelined == 1)
     }
 
     #[test]
     fn streaming_callbacks_are_rejected() {
-        // A plain closure packer has no random-access view, so the
-        // parallel engine must refuse the transfer (serial fallback).
-        let mut closure = |_o: usize, _d: &mut [u8]| Ok(0usize);
-        let src = [SrcSeg::Packer {
-            packer: &mut closure,
-            len: 8,
-        }];
-        let mut out = [0u8; 8];
-        let dst = [DstSeg::Mem(IovEntryMut::from_slice(&mut out))];
-        assert!(parallel_view(&src, &dst).is_none());
+        // A plain closure packer has no random-access view, so the pool
+        // must refuse the transfer and the posting thread runs it.
+        let data: Vec<u8> = (0..64u8).collect();
+        let mut closure = |o: usize, d: &mut [u8]| {
+            d.copy_from_slice(&data[o..o + d.len()]);
+            Ok(d.len())
+        };
+        let mut src = Stream {
+            cb: Some((&mut closure as &mut dyn FragmentPacker, 64)),
+            mem: &[],
+        };
+        let (out, r, pooled) = two_threads(&mut src, 16);
+        assert_eq!((r, pooled), (Ok(64), false));
+        assert_eq!(out, data);
     }
 
     #[test]
     fn mem_only_transfers_are_eligible() {
-        let a = [1u8, 2, 3, 4];
-        let mut b = [0u8; 4];
-        let src = [SrcSeg::Mem(IovEntry::from_slice(&a))];
-        let dst = [DstSeg::Mem(IovEntryMut::from_slice(&mut b))];
-        assert!(parallel_view(&src, &dst).is_some());
+        let data: Vec<u8> = (0..64u8).collect();
+        let src_mem = [IovEntry::from_slice(&data)];
+        let mut src = Stream {
+            cb: None,
+            mem: &src_mem,
+        };
+        let (out, r, pooled) = two_threads(&mut src, 16);
+        assert_eq!((r, pooled), (Ok(64), true));
+        assert_eq!(out, data);
+    }
+
+    #[test]
+    fn pack_stall_is_reported() {
+        struct Stall;
+        impl FragmentPacker for Stall {
+            fn pack(&mut self, _o: usize, _d: &mut [u8]) -> Result<usize, i32> {
+                Ok(0)
+            }
+            fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
+                Some(self)
+            }
+        }
+        impl RandomAccessPacker for Stall {
+            fn pack_at(&self, _o: usize, _d: &mut [u8]) -> Result<usize, i32> {
+                Ok(0)
+            }
+        }
+        let mut stall = Stall;
+        let mut src = Stream {
+            cb: Some((&mut stall as &mut dyn FragmentPacker, 64)),
+            mem: &[],
+        };
+        let (_, r, pooled) = two_threads(&mut src, 16);
+        assert!(pooled);
+        assert_eq!(
+            r,
+            Err(FabricError::PackStalled {
+                offset: 0,
+                remaining: 64
+            })
+        );
     }
 
     #[test]
@@ -989,35 +886,24 @@ mod tests {
             helped: (StdMutex::new(false), StdCondvar::new()),
         };
         let mut out = vec![0u8; 64];
-        let src = vec![ParSrc::Packer {
-            packer: &packer,
-            len: 64,
-        }];
-        let dst = vec![ParDst::Mem(IovEntryMut::from_slice(&mut out))];
-        assert_eq!(run_parallel(&pool, 32, src, dst, &metrics, 0, 0), Ok(64));
+        let dst_mem = [IovEntryMut::from_slice(&mut out)];
+        let src = Stream {
+            cb: Some((&packer as &dyn RandomAccessPacker, 64)),
+            mem: &[],
+        };
+        let dst = Stream {
+            cb: None::<(&dyn RandomAccessUnpacker, usize)>,
+            mem: &dst_mem,
+        };
+        let w = Walk {
+            frag: 32,
+            metrics: &metrics,
+            fid: 0,
+            lc: 0,
+        };
+        assert_eq!(run_pooled(&pool, &w, src, dst, 64), Ok(64));
         let want: Vec<u8> = (0..64u8).collect();
         assert_eq!(out, want);
-    }
-
-    #[test]
-    fn pack_stall_is_reported() {
-        let metrics = FabricMetrics::detached();
-        let pool = PipelinePool::spawn(PipelineConfig::with_threads(2), &metrics);
-        struct Stall;
-        impl RandomAccessPacker for Stall {
-            fn pack_at(&self, _o: usize, _d: &mut [u8]) -> Result<usize, i32> {
-                Ok(0)
-            }
-        }
-        let stall = Stall;
-        let mut out = vec![0u8; 64];
-        let src = vec![ParSrc::Packer {
-            packer: &stall,
-            len: 64,
-        }];
-        let dst = vec![ParDst::Mem(IovEntryMut::from_slice(&mut out))];
-        let err = run_parallel(&pool, 16, src, dst, &metrics, 0, 0).unwrap_err();
-        assert!(matches!(err, FabricError::PackStalled { .. }));
     }
 }
 

@@ -165,8 +165,9 @@ pub struct StatsView {
     pub regions: u64,
     /// Messages that arrived before a matching receive was posted.
     pub unexpected: u64,
-    /// Messages whose payload moved through the parallel fragment pipeline
-    /// (zero whenever `MPICD_PIPELINE=0` or the transfer was ineligible).
+    /// Messages whose fragments were handed to the fragment engine's worker
+    /// pool (zero at one pipeline thread; transfers run inline on the
+    /// posting thread are not counted).
     pub pipelined: u64,
     /// Send/recv pairings found through the O(1) exact-match hash path.
     pub match_exact: u64,
@@ -294,13 +295,13 @@ pub(crate) struct FabricMetrics {
     pub copy_bytes: Arc<Counter>,
     /// Message-size distribution.
     pub msg_size: Arc<Histogram>,
-    /// Transfers executed by the parallel fragment pipeline (always on).
+    /// Transfers handed to the fragment engine's worker pool (always on).
     pub pipeline_transfers: Arc<Counter>,
-    /// Fragments executed by the parallel engine (always on).
+    /// Fragments of those transfers (always on).
     pub pipeline_frags: Arc<Counter>,
-    /// Worker threads spawned by pipeline pools (recorded once per pool).
+    /// Threads of each worker pool, posting thread included (once per pool).
     pub pipeline_threads: Arc<Counter>,
-    /// Wall time inside the parallel engine, submit to completion
+    /// Wall time of pooled transfers, submit to completion
     /// (tracing only, fed by a `span_acc` guard like `pack_ns`).
     pub pipeline_ns: Arc<Counter>,
     /// Pairings found through the exact-match hash path (always on).

@@ -1,112 +1,173 @@
-//! The data-movement engine: pairs a matched send and receive as two byte
+//! The fragment engine: pairs a matched send and receive as two byte
 //! streams and moves every payload byte for real.
 //!
-//! The sender's segments (memory regions and/or a callback-produced packed
-//! stream) are read in order and scattered into the receiver's segments in
-//! order, chunked at the wire model's fragment size. This mirrors how UCX
-//! walks iov lists and invokes generic-datatype pack/unpack callbacks per
-//! fragment.
+//! Each side is a [`Stream`]: an optional leading callback segment (a
+//! generic datatype's packed stream) followed by memory regions. The stream
+//! is cut at the wire model's fixed fragment boundaries, and [`move_range`]
+//! moves one range of it across the (source × destination) segment
+//! intersections, invoking pack/unpack callbacks with explicit virtual byte
+//! offsets — the UCX generic-datatype contract of the paper (§IV). It is the
+//! only code that runs a memcpy, a pack or an unpack callback.
+//!
+//! Two drivers share it. [`run_inline`] walks every fragment in order on the
+//! posting thread; the worker pool in the `pipeline` module runs the
+//! fragments of eligible transfers concurrently. They differ only in how a
+//! callback segment is reached ([`PackFn`]/[`UnpackFn`]): through
+//! `&mut dyn FragmentPacker` inline, through the shared random-access view
+//! from pool workers.
 
-// Audited unsafe: serial copy engine over posted raw regions; every unsafe block carries a SAFETY note.
+// Audited unsafe: fragment walk over posted raw regions; every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
 
-use crate::config::WireModel;
 use crate::error::{FabricError, FabricResult};
-use crate::payload::{FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut};
+use crate::payload::{
+    FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, RandomAccessPacker,
+    RandomAccessUnpacker,
+};
 use crate::stats::FabricMetrics;
 use mpicd_obs::flight::{self, EventKind};
 use mpicd_obs::trace::span_acc;
 
-/// A readable segment of the send-side stream.
-pub(crate) enum SrcSeg<'a> {
-    /// A contiguous memory region (zero-copy source).
-    Mem(IovEntry),
-    /// A callback-produced packed stream of exactly `len` bytes.
-    Packer {
-        packer: &'a mut dyn FragmentPacker,
-        len: usize,
-    },
+/// How the engine reaches a pack callback.
+pub(crate) trait PackFn {
+    fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32>;
 }
 
-impl SrcSeg<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Self::Mem(e) => e.len,
-            Self::Packer { len, .. } => *len,
-        }
+/// How the engine reaches an unpack callback.
+pub(crate) trait UnpackFn {
+    fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32>;
+}
+
+impl PackFn for &mut dyn FragmentPacker {
+    fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+        FragmentPacker::pack(&mut **self, offset, dst)
     }
 }
 
-/// A writable segment of the receive-side stream.
-pub(crate) enum DstSeg<'a> {
-    /// A contiguous memory region (zero-copy destination).
-    Mem(IovEntryMut),
-    /// A callback-consumed packed stream of exactly `len` bytes.
-    Unpacker {
-        unpacker: &'a mut dyn FragmentUnpacker,
-        len: usize,
-    },
-}
-
-impl DstSeg<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Self::Mem(e) => e.len,
-            Self::Unpacker { len, .. } => *len,
-        }
+impl PackFn for &dyn RandomAccessPacker {
+    fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+        self.pack_at(offset, dst)
     }
 }
 
-/// Per-transfer allocations of [`copy_stream`], recycled across transfers.
-///
-/// Every matched transfer used to heap-allocate a fresh staging buffer and
-/// a fresh out-of-order fragment list; the fabric now keeps one of these in
-/// its match state (mirroring the eager bounce-buffer freelist) and hands
-/// it to every serial transfer.
-#[derive(Default)]
-pub(crate) struct TransferScratch {
-    /// Packer→unpacker staging buffer (capacity kept across transfers).
-    buf: Vec<u8>,
-    /// Out-of-order delivery list: (local offset, data). Drained after use;
-    /// entries left behind by an error return are reclaimed on reuse.
-    ooo: Vec<(usize, Vec<u8>)>,
-    /// Freelist of fragment buffers for the `ooo` list.
-    spare: Vec<Vec<u8>>,
-}
-
-/// Cap on pooled ooo fragment buffers — bounds retained memory to
-/// `SPARE_CAP × frag_size` per fabric.
-const SPARE_CAP: usize = 64;
-
-impl TransferScratch {
-    /// Prepare for a new transfer: recycle anything a previous transfer
-    /// (possibly one that errored mid-stream) left behind.
-    fn reset(&mut self) {
-        while let Some((_, data)) = self.ooo.pop() {
-            if self.spare.len() < SPARE_CAP {
-                self.spare.push(data);
-            }
-        }
+impl UnpackFn for &mut dyn FragmentUnpacker {
+    fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
+        FragmentUnpacker::unpack(&mut **self, offset, src)
     }
 }
 
-/// Copy `bytes` into a (possibly recycled) fragment buffer.
-fn fill_frag_buf(spare: &mut Vec<Vec<u8>>, bytes: &[u8]) -> Vec<u8> {
-    let mut b = spare.pop().unwrap_or_default();
-    b.clear();
-    b.extend_from_slice(bytes);
-    b
+impl UnpackFn for &dyn RandomAccessUnpacker {
+    fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
+        self.unpack_at(offset, src)
+    }
+}
+
+/// A memory region of a stream.
+pub(crate) trait Region: Copy {
+    fn bytes(&self) -> usize;
+}
+
+impl Region for IovEntry {
+    fn bytes(&self) -> usize {
+        self.len
+    }
+}
+
+impl Region for IovEntryMut {
+    fn bytes(&self) -> usize {
+        self.len
+    }
+}
+
+/// One side of a matched transfer as a byte stream: the callback segment
+/// `cb` (callback, packed length) at stream offset 0 if there is one, then
+/// the memory regions `mem`.
+#[derive(Clone, Copy)]
+pub(crate) struct Stream<'a, C, M> {
+    pub(crate) cb: Option<(C, usize)>,
+    pub(crate) mem: &'a [M],
+}
+
+/// A segment of a [`Stream`].
+enum Seg<'s, C, M> {
+    Cb(&'s mut C),
+    Mem(M),
+}
+
+impl<'a, C, M: Region> Stream<'a, C, M> {
+    fn seg_len(&self, i: usize) -> usize {
+        match &self.cb {
+            Some((_, len)) if i == 0 => *len,
+            Some(_) => self.mem[i - 1].bytes(),
+            None => self.mem[i].bytes(),
+        }
+    }
+
+    fn seg(&mut self, i: usize) -> Seg<'_, C, M> {
+        match &mut self.cb {
+            Some((cb, _)) if i == 0 => Seg::Cb(cb),
+            Some(_) => Seg::Mem(self.mem[i - 1]),
+            None => Seg::Mem(self.mem[i]),
+        }
+    }
+
+    /// Total stream length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.cb.as_ref().map_or(0, |(_, len)| *len) + self.mem.iter().map(M::bytes).sum::<usize>()
+    }
+
+    /// Stream offset where each segment starts; the last entry is `len()`.
+    pub(crate) fn prefix(&self) -> Vec<usize> {
+        let segs = usize::from(self.cb.is_some()) + self.mem.len();
+        let mut v = Vec::with_capacity(segs + 1);
+        v.push(0);
+        for i in 0..segs {
+            v.push(v[i] + self.seg_len(i));
+        }
+        v
+    }
+
+    /// The same stream with its callback reached through `view`, or `None`
+    /// when `view` declines it.
+    pub(crate) fn view<'s, D>(
+        &'s self,
+        view: impl FnOnce(&'s C) -> Option<D>,
+    ) -> Option<Stream<'a, D, M>> {
+        let cb = match &self.cb {
+            Some((c, len)) => Some((view(c)?, *len)),
+            None => None,
+        };
+        Some(Stream { cb, mem: self.mem })
+    }
+}
+
+/// Per-transfer constants of the fragment walk.
+pub(crate) struct Walk<'a> {
+    /// Fragment size: no callback invocation or memcpy crosses a multiple
+    /// of it, so partial-pack semantics are exercised exactly as on a
+    /// fragmenting transport.
+    pub(crate) frag: usize,
+    pub(crate) metrics: &'a FabricMetrics,
+    /// Send-side flight-recorder transfer id (0 = no recording); fragment
+    /// callbacks emit `FragPacked`/`FragUnpacked` events against it.
+    pub(crate) fid: u64,
+    /// The transfer's merged Lamport clock, stamped on every fragment event
+    /// so the causal-DAG analyzer can order fragments inside the transfer.
+    pub(crate) lc: u64,
+}
+
+/// A segment cursor: the index of a segment and the stream offset where it
+/// starts.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct At {
+    pub(crate) seg: usize,
+    pub(crate) start: usize,
 }
 
 /// Hold a pack callback to its `used` count: at most the `room` it was
 /// handed (more would deliver bytes it never wrote), and not 0 while
 /// `remaining` bytes are left at stream `offset` (that would loop forever).
-pub(crate) fn checked_used(
-    used: usize,
-    room: usize,
-    offset: usize,
-    remaining: usize,
-) -> FabricResult<usize> {
+fn checked_used(used: usize, room: usize, offset: usize, remaining: usize) -> FabricResult<usize> {
     if used > room {
         return Err(FabricError::PackOverrun { offset, used, room });
     }
@@ -116,239 +177,235 @@ pub(crate) fn checked_used(
     Ok(used)
 }
 
-/// Move the full send stream into the receive stream.
+/// Move stream bytes `[lo, hi)` from `src` into `dst`, starting from the
+/// cursors `sa`/`da` (at or before `lo`).
 ///
-/// * Fragmentation: no single callback invocation or memcpy spans more than
-///   `model.frag_size` bytes, so partial-pack semantics are exercised exactly
-///   as on a fragmenting transport.
-/// * Out-of-order delivery: when `allow_ooo` is set (wire model enables it
-///   *and* the sender did not demand in-order), fragments destined for an
-///   unpacker are buffered and delivered in reverse offset order, modeling a
-///   transport that completes fragments out of order. Memory-region segments
-///   are position-addressed and unaffected.
-///
-/// Returns the number of bytes moved. The caller has already verified the
-/// receive side has sufficient capacity.
-///
-/// `fid` is the send-side flight-recorder transfer id; pack/unpack callback
-/// invocations emit `FragPacked`/`FragUnpacked` events against it (0 = no
-/// recording, the cost of one relaxed load per fragment). `lc` is the
-/// transfer's merged Lamport clock, stamped on every fragment event so the
-/// causal-DAG analyzer can order fragments inside the transfer.
+/// A packer that partially fills its buffer is re-invoked at the advanced
+/// offset until the piece is full. Packer→unpacker pieces stage through
+/// `stage`. With `staged` set, bytes bound for the unpacker are not
+/// delivered: they land in `stage` at their packed offset, which the caller
+/// has sized to the unpacker's share of the stream. Errors carry the stream
+/// position they occurred at; the walk stops at the first one.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn copy_stream(
-    model: &WireModel,
-    src_segs: &mut [SrcSeg<'_>],
-    dst_segs: &mut [DstSeg<'_>],
-    allow_ooo: bool,
-    metrics: &FabricMetrics,
-    scratch: &mut TransferScratch,
-    fid: u64,
-    lc: u64,
-) -> FabricResult<usize> {
-    let total: usize = src_segs.iter().map(|s| s.len()).sum();
-    let frag = model.frag_size.max(1);
-
-    scratch.reset();
-
-    let (mut si, mut s_off) = (0usize, 0usize);
-    let (mut di, mut d_off) = (0usize, 0usize);
-    let mut moved = 0usize;
-
-    while moved < total {
-        // Advance past exhausted segments.
-        while si < src_segs.len() && s_off == src_segs[si].len() {
-            si += 1;
-            s_off = 0;
+pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
+    w: &Walk<'_>,
+    src: &mut Stream<'_, P, IovEntry>,
+    dst: &mut Stream<'_, U, IovEntryMut>,
+    lo: usize,
+    hi: usize,
+    mut sa: At,
+    mut da: At,
+    stage: &mut Vec<u8>,
+    staged: bool,
+) -> Result<(), (usize, FabricError)> {
+    let mut pos = lo;
+    while pos < hi {
+        while sa.start + src.seg_len(sa.seg) <= pos {
+            sa.start += src.seg_len(sa.seg);
+            sa.seg += 1;
         }
-        while di < dst_segs.len() && d_off == dst_segs[di].len() {
-            di += 1;
-            d_off = 0;
+        while da.start + dst.seg_len(da.seg) <= pos {
+            da.start += dst.seg_len(da.seg);
+            da.seg += 1;
         }
-        if si >= src_segs.len() || di >= dst_segs.len() {
-            break;
-        }
-
-        let s_rem = src_segs[si].len() - s_off;
-        let d_rem = dst_segs[di].len() - d_off;
-        let want = s_rem.min(d_rem).min(frag);
-        if want == 0 {
-            continue;
-        }
-
-        let advanced = match (&mut src_segs[si], &mut dst_segs[di]) {
-            (SrcSeg::Mem(s), DstSeg::Mem(d)) => {
-                // SAFETY: post contracts guarantee both regions are live and
-                // non-overlapping for the duration of the operation.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(s.ptr.add(s_off), d.ptr.add(d_off), want);
-                }
-                want
-            }
-            (SrcSeg::Mem(s), DstSeg::Unpacker { unpacker, .. }) => {
-                // SAFETY: as above.
-                let bytes = unsafe { std::slice::from_raw_parts(s.ptr.add(s_off), want) };
-                if allow_ooo {
-                    let b = fill_frag_buf(&mut scratch.spare, bytes);
-                    scratch.ooo.push((d_off, b));
-                } else {
-                    let t0 = flight::clock(fid);
-                    {
-                        let _sp = span_acc("unpack", "fabric", want as u64, &metrics.unpack_ns);
-                        unpacker
-                            .unpack(d_off, bytes)
-                            .map_err(FabricError::UnpackFailed)?;
+        let (s_off, d_off) = (pos - sa.start, pos - da.start);
+        let s_len = src.seg_len(sa.seg);
+        let n = (s_len - s_off)
+            .min(dst.seg_len(da.seg) - d_off)
+            .min(hi - pos)
+            .min(w.frag - pos % w.frag);
+        let dseg = dst.seg(da.seg);
+        let bytes: &[u8] = match (src.seg(sa.seg), &dseg) {
+            // SAFETY: post contracts keep the source region live and
+            // unmutated for the operation; `n` stays inside it.
+            (Seg::Mem(s), Seg::Cb(_)) if !staged => unsafe {
+                std::slice::from_raw_parts(s.ptr.add(s_off), n)
+            },
+            (sseg, dref) => {
+                let sink: &mut [u8] = match dref {
+                    // SAFETY: post contracts keep the destination region
+                    // live, exclusive and disjoint from the source; `n`
+                    // stays inside it, and concurrent fragments write
+                    // disjoint ranges.
+                    Seg::Mem(d) => unsafe { std::slice::from_raw_parts_mut(d.ptr.add(d_off), n) },
+                    Seg::Cb(_) if staged => &mut stage[d_off..d_off + n],
+                    Seg::Cb(_) => {
+                        if stage.len() < n {
+                            stage.resize(n, 0);
+                        }
+                        &mut stage[..n]
                     }
-                    flight::record_frag(
-                        EventKind::FragUnpacked,
-                        fid,
-                        t0,
-                        want as u64,
-                        d_off as u64,
-                        lc,
-                    );
-                }
-                want
-            }
-            (SrcSeg::Packer { packer, .. }, DstSeg::Mem(d)) => {
-                // SAFETY: as above; `want` stays within the destination region.
-                let dst = unsafe { std::slice::from_raw_parts_mut(d.ptr.add(d_off), want) };
-                let t0 = flight::clock(fid);
-                let used = {
-                    let _sp = span_acc("pack", "fabric", want as u64, &metrics.pack_ns);
-                    packer.pack(s_off, dst)
-                }
-                .map_err(FabricError::PackFailed)?;
-                let used = checked_used(used, want, s_off, s_rem)?;
-                flight::record_frag(
-                    EventKind::FragPacked,
-                    fid,
-                    t0,
-                    used as u64,
-                    s_off as u64,
-                    lc,
-                );
-                used
-            }
-            (SrcSeg::Packer { packer, .. }, DstSeg::Unpacker { unpacker, .. }) => {
-                scratch.buf.resize(want, 0);
-                let t0 = flight::clock(fid);
-                let used = {
-                    let _sp = span_acc("pack", "fabric", want as u64, &metrics.pack_ns);
-                    packer.pack(s_off, &mut scratch.buf[..want])
-                }
-                .map_err(FabricError::PackFailed)?;
-                let used = checked_used(used, want, s_off, s_rem)?;
-                flight::record_frag(
-                    EventKind::FragPacked,
-                    fid,
-                    t0,
-                    used as u64,
-                    s_off as u64,
-                    lc,
-                );
-                if allow_ooo {
-                    let b = fill_frag_buf(&mut scratch.spare, &scratch.buf[..used]);
-                    scratch.ooo.push((d_off, b));
-                } else {
-                    let t1 = flight::clock(fid);
-                    {
-                        let _sp = span_acc("unpack", "fabric", used as u64, &metrics.unpack_ns);
-                        unpacker
-                            .unpack(d_off, &scratch.buf[..used])
-                            .map_err(FabricError::UnpackFailed)?;
+                };
+                match sseg {
+                    // SAFETY: as above for the source region.
+                    Seg::Mem(s) => unsafe {
+                        std::ptr::copy_nonoverlapping(s.ptr.add(s_off), sink.as_mut_ptr(), n);
+                    },
+                    Seg::Cb(packer) => {
+                        let t0 = flight::clock(w.fid);
+                        let mut filled = 0;
+                        while filled < n {
+                            let at = s_off + filled;
+                            let room = n - filled;
+                            let used = {
+                                let _sp =
+                                    span_acc("pack", "fabric", room as u64, &w.metrics.pack_ns);
+                                packer.pack(at, &mut sink[filled..])
+                            }
+                            .map_err(|c| (pos + filled, FabricError::PackFailed(c)))?;
+                            filled += checked_used(used, room, at, s_len - at)
+                                .map_err(|e| (pos + filled, e))?;
+                        }
+                        let (n, s_off) = (n as u64, s_off as u64);
+                        flight::record_frag(EventKind::FragPacked, w.fid, t0, n, s_off, w.lc);
                     }
-                    flight::record_frag(
-                        EventKind::FragUnpacked,
-                        fid,
-                        t1,
-                        used as u64,
-                        d_off as u64,
-                        lc,
-                    );
                 }
-                used
+                sink
             }
         };
-
-        s_off += advanced;
-        d_off += advanced;
-        moved += advanced;
-    }
-
-    // Deliver buffered out-of-order fragments (reverse offset order) to the
-    // unpacker segment. At most one unpacker segment exists by construction
-    // (the packed stream is always the leading segment). Popping walks the
-    // list in reverse; an error return leaves the remainder in `scratch`,
-    // where the next transfer's `reset` reclaims the buffers.
-    if !scratch.ooo.is_empty() {
-        let unpacker = dst_segs
-            .iter_mut()
-            .find_map(|d| match d {
-                DstSeg::Unpacker { unpacker, .. } => Some(unpacker),
-                _ => None,
-            })
-            .expect("ooo fragments imply an unpacker segment");
-        while let Some((off, data)) = scratch.ooo.pop() {
-            let t0 = flight::clock(fid);
+        if let (Seg::Cb(unpacker), false) = (dseg, staged) {
+            let t0 = flight::clock(w.fid);
             {
-                let _sp = span_acc("unpack", "fabric", data.len() as u64, &metrics.unpack_ns);
+                let _sp = span_acc("unpack", "fabric", n as u64, &w.metrics.unpack_ns);
                 unpacker
-                    .unpack(off, &data)
-                    .map_err(FabricError::UnpackFailed)?;
+                    .unpack(d_off, bytes)
+                    .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
             }
-            flight::record_frag(
-                EventKind::FragUnpacked,
-                fid,
-                t0,
-                data.len() as u64,
-                off as u64,
-                lc,
-            );
-            if scratch.spare.len() < SPARE_CAP {
-                scratch.spare.push(data);
-            }
+            let (n, d_off) = (n as u64, d_off as u64);
+            flight::record_frag(EventKind::FragUnpacked, w.fid, t0, n, d_off, w.lc);
         }
+        pos += n;
     }
+    Ok(())
+}
 
-    Ok(moved)
+/// Most staging bytes kept between transfers, in fragments.
+const STAGE_KEEP_FRAGS: usize = 64;
+
+/// Run every fragment of a transfer in order on the posting thread and
+/// return the bytes moved.
+///
+/// Packers see increasing offsets. With `reverse` set (an out-of-order wire
+/// model and a sender that did not demand `inorder`), the unpacker's bytes
+/// are staged and delivered one fragment per call, last fragment first,
+/// modeling a transport that completes fragments out of order; memory
+/// regions are position-addressed and unaffected. `stage` is reused across
+/// transfers.
+pub(crate) fn run_inline(
+    w: &Walk<'_>,
+    src: &mut Stream<'_, &mut dyn FragmentPacker, IovEntry>,
+    dst: &mut Stream<'_, &mut dyn FragmentUnpacker, IovEntryMut>,
+    reverse: bool,
+    stage: &mut Vec<u8>,
+) -> FabricResult<usize> {
+    let total = src.len();
+    // The unpacker's bytes are the stream prefix [0, staged).
+    let staged = match &dst.cb {
+        Some((_, len)) if reverse => (*len).min(total),
+        _ => 0,
+    };
+    if staged > 0 {
+        stage.clear();
+        stage.resize(staged, 0);
+    }
+    let (start, walk_staged) = (At::default(), staged > 0);
+    let r = move_range(w, src, dst, 0, total, start, start, stage, walk_staged)
+        .map_err(|(_, e)| e)
+        .and_then(|()| {
+            let Some((unpacker, _)) = dst.cb.as_mut() else {
+                return Ok(());
+            };
+            let mut hi = staged;
+            while hi > 0 {
+                let lo = (hi - 1) / w.frag * w.frag;
+                let t0 = flight::clock(w.fid);
+                {
+                    let _sp = span_acc("unpack", "fabric", (hi - lo) as u64, &w.metrics.unpack_ns);
+                    unpacker
+                        .unpack(lo, &stage[lo..hi])
+                        .map_err(FabricError::UnpackFailed)?;
+                }
+                let (n, off) = ((hi - lo) as u64, lo as u64);
+                flight::record_frag(EventKind::FragUnpacked, w.fid, t0, n, off, w.lc);
+                hi = lo;
+            }
+            Ok(())
+        });
+    if stage.capacity() > STAGE_KEEP_FRAGS * w.frag {
+        *stage = Vec::new();
+    }
+    r.map(|()| total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model_with_frag(frag: usize) -> WireModel {
-        WireModel {
-            frag_size: frag,
-            ..WireModel::zero_cost()
+    type Src<'a> = Stream<'a, &'a mut dyn FragmentPacker, IovEntry>;
+    type Dst<'a> = Stream<'a, &'a mut dyn FragmentUnpacker, IovEntryMut>;
+
+    /// Run `src` into `dst` inline at fragment size `frag`.
+    fn run(
+        frag: usize,
+        mut src: Src<'_>,
+        mut dst: Dst<'_>,
+        reverse: bool,
+        stage: &mut Vec<u8>,
+    ) -> FabricResult<usize> {
+        let metrics = FabricMetrics::detached();
+        let w = Walk {
+            frag,
+            metrics: &metrics,
+            fid: 0,
+            lc: 0,
+        };
+        run_inline(&w, &mut src, &mut dst, reverse, stage)
+    }
+
+    /// Unpacker writing into an owned buffer and logging call offsets.
+    struct Log {
+        out: Vec<u8>,
+        offsets: Vec<usize>,
+    }
+
+    impl FragmentUnpacker for Log {
+        fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
+            self.offsets.push(offset);
+            self.out[offset..offset + src.len()].copy_from_slice(src);
+            Ok(())
+        }
+    }
+
+    fn log(len: usize) -> Log {
+        Log {
+            out: vec![0; len],
+            offsets: Vec::new(),
         }
     }
 
     #[test]
     fn mem_to_mem_across_boundaries() {
-        let model = model_with_frag(4);
         let a = [1u8, 2, 3, 4, 5];
         let b = [6u8, 7, 8];
         let mut out1 = [0u8; 2];
         let mut out2 = [0u8; 6];
-        let mut src = [
-            SrcSeg::Mem(IovEntry::from_slice(&a)),
-            SrcSeg::Mem(IovEntry::from_slice(&b)),
+        let src = [IovEntry::from_slice(&a), IovEntry::from_slice(&b)];
+        let dst = [
+            IovEntryMut::from_slice(&mut out1),
+            IovEntryMut::from_slice(&mut out2),
         ];
-        let mut dst = [
-            DstSeg::Mem(IovEntryMut::from_slice(&mut out1)),
-            DstSeg::Mem(IovEntryMut::from_slice(&mut out2)),
-        ];
-        let moved = copy_stream(
-            &model,
-            &mut src,
-            &mut dst,
+        let moved = run(
+            4,
+            Stream {
+                cb: None,
+                mem: &src,
+            },
+            Stream {
+                cb: None,
+                mem: &dst,
+            },
             false,
-            &FabricMetrics::detached(),
-            &mut TransferScratch::default(),
-            0,
-            0,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(moved, 8);
@@ -359,38 +416,52 @@ mod tests {
     #[test]
     fn packer_partial_fill_is_respected() {
         // Packer emits at most 3 bytes per call regardless of fragment size.
-        let model = model_with_frag(64);
         let data: Vec<u8> = (0..20u8).collect();
         let src_data = data.clone();
-        let mut packer = move |offset: usize, dst: &mut [u8]| {
+        let mut calls = Vec::new();
+        let mut packer = |offset: usize, dst: &mut [u8]| {
+            calls.push((offset, dst.len()));
             let n = dst.len().min(3).min(src_data.len() - offset);
             dst[..n].copy_from_slice(&src_data[offset..offset + n]);
             Ok(n)
         };
         let mut out = vec![0u8; 20];
-        let mut src = [SrcSeg::Packer {
-            packer: &mut packer,
-            len: 20,
-        }];
-        let mut dst = [DstSeg::Mem(IovEntryMut::from_slice(&mut out))];
-        let moved = copy_stream(
-            &model,
-            &mut src,
-            &mut dst,
+        let dst = [IovEntryMut::from_slice(&mut out)];
+        let moved = run(
+            8,
+            Stream {
+                cb: Some((&mut packer as &mut dyn FragmentPacker, 20)),
+                mem: &[],
+            },
+            Stream {
+                cb: None,
+                mem: &dst,
+            },
             false,
-            &FabricMetrics::detached(),
-            &mut TransferScratch::default(),
-            0,
-            0,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(moved, 20);
         assert_eq!(out, data);
+        // Re-invoked at the advanced offset with the rest of the fragment;
+        // no call crosses a fragment boundary.
+        assert_eq!(
+            calls,
+            [
+                (0, 8),
+                (3, 5),
+                (6, 2),
+                (8, 8),
+                (11, 5),
+                (14, 2),
+                (16, 4),
+                (19, 1)
+            ]
+        );
     }
 
     #[test]
     fn packer_to_unpacker_roundtrip() {
-        let model = model_with_frag(7);
         let data: Vec<u8> = (0..50u8).map(|x| x.wrapping_mul(3)).collect();
         let src_data = data.clone();
         let mut packer = move |offset: usize, dst: &mut [u8]| {
@@ -398,189 +469,179 @@ mod tests {
             dst[..n].copy_from_slice(&src_data[offset..offset + n]);
             Ok(n)
         };
-        let mut received = vec![0u8; 50];
-        let out = std::sync::Arc::new(mpicd_obs::sync::Mutex::new(vec![0u8; 50]));
-        struct U(std::sync::Arc<mpicd_obs::sync::Mutex<Vec<u8>>>);
-        impl FragmentUnpacker for U {
-            fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
-                self.0.lock()[offset..offset + src.len()].copy_from_slice(src);
-                Ok(())
-            }
-        }
-        let mut unpacker = U(std::sync::Arc::clone(&out));
-        let mut src = [SrcSeg::Packer {
-            packer: &mut packer,
-            len: 50,
-        }];
-        let mut dst = [DstSeg::Unpacker {
-            unpacker: &mut unpacker,
-            len: 50,
-        }];
-        let moved = copy_stream(
-            &model,
-            &mut src,
-            &mut dst,
+        let mut unpacker = log(50);
+        let moved = run(
+            7,
+            Stream {
+                cb: Some((&mut packer as &mut dyn FragmentPacker, 50)),
+                mem: &[],
+            },
+            Stream {
+                cb: Some((&mut unpacker as &mut dyn FragmentUnpacker, 50)),
+                mem: &[],
+            },
             false,
-            &FabricMetrics::detached(),
-            &mut TransferScratch::default(),
-            0,
-            0,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(moved, 50);
-        received.copy_from_slice(&out.lock());
-        assert_eq!(received, data);
+        assert_eq!(unpacker.out, data);
+        assert_eq!(unpacker.offsets, (0..50).step_by(7).collect::<Vec<_>>());
     }
 
     #[test]
     fn out_of_order_delivery_permutes_offsets() {
-        let model = model_with_frag(8);
         let data: Vec<u8> = (0..32u8).collect();
-        let mut offsets_seen = Vec::new();
-        struct U<'a> {
-            out: Vec<u8>,
-            offsets: &'a mut Vec<usize>,
-        }
-        impl FragmentUnpacker for U<'_> {
-            fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
-                self.offsets.push(offset);
-                self.out[offset..offset + src.len()].copy_from_slice(src);
-                Ok(())
-            }
-        }
-        let mut unpacker = U {
-            out: vec![0u8; 32],
-            offsets: &mut offsets_seen,
-        };
-        let mut src = [SrcSeg::Mem(IovEntry::from_slice(&data))];
-        let mut dst = [DstSeg::Unpacker {
-            unpacker: &mut unpacker,
-            len: 32,
-        }];
-        copy_stream(
-            &model,
-            &mut src,
-            &mut dst,
+        let mut unpacker = log(32);
+        let src = [IovEntry::from_slice(&data)];
+        run(
+            8,
+            Stream {
+                cb: None,
+                mem: &src,
+            },
+            Stream {
+                cb: Some((&mut unpacker as &mut dyn FragmentUnpacker, 32)),
+                mem: &[],
+            },
             true,
-            &FabricMetrics::detached(),
-            &mut TransferScratch::default(),
-            0,
-            0,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(unpacker.out, data, "offset-addressed unpack reassembles");
-        assert_eq!(offsets_seen, vec![24, 16, 8, 0], "reverse-order delivery");
+        assert_eq!(
+            unpacker.offsets,
+            vec![24, 16, 8, 0],
+            "reverse-order delivery"
+        );
     }
 
     #[test]
     fn stalled_packer_errors() {
-        let model = model_with_frag(8);
         let mut packer = |_offset: usize, _dst: &mut [u8]| Ok(0usize);
         let mut out = vec![0u8; 16];
-        let mut src = [SrcSeg::Packer {
-            packer: &mut packer,
-            len: 16,
-        }];
-        let mut dst = [DstSeg::Mem(IovEntryMut::from_slice(&mut out))];
-        let err = copy_stream(
-            &model,
-            &mut src,
-            &mut dst,
+        let dst = [IovEntryMut::from_slice(&mut out)];
+        let err = run(
+            8,
+            Stream {
+                cb: Some((&mut packer as &mut dyn FragmentPacker, 16)),
+                mem: &[],
+            },
+            Stream {
+                cb: None,
+                mem: &dst,
+            },
             false,
-            &FabricMetrics::detached(),
-            &mut TransferScratch::default(),
-            0,
-            0,
+            &mut Vec::new(),
         )
         .unwrap_err();
-        assert!(matches!(err, FabricError::PackStalled { .. }));
+        assert_eq!(
+            err,
+            FabricError::PackStalled {
+                offset: 0,
+                remaining: 16
+            }
+        );
     }
 
     #[test]
     fn failing_unpacker_propagates_code() {
-        let model = model_with_frag(8);
-        let data = [0u8; 16];
         struct Fail;
         impl FragmentUnpacker for Fail {
             fn unpack(&mut self, _offset: usize, _src: &[u8]) -> Result<(), i32> {
                 Err(42)
             }
         }
-        let mut unpacker = Fail;
-        let mut src = [SrcSeg::Mem(IovEntry::from_slice(&data))];
-        let mut dst = [DstSeg::Unpacker {
-            unpacker: &mut unpacker,
-            len: 16,
-        }];
-        assert_eq!(
-            copy_stream(
-                &model,
-                &mut src,
-                &mut dst,
-                false,
-                &FabricMetrics::detached(),
-                &mut TransferScratch::default(),
-                0,
-                0
-            ),
-            Err(FabricError::UnpackFailed(42))
-        );
+        let data = [0u8; 16];
+        let src = [IovEntry::from_slice(&data)];
+        for reverse in [false, true] {
+            let mut unpacker = Fail;
+            let r = run(
+                8,
+                Stream {
+                    cb: None,
+                    mem: &src,
+                },
+                Stream {
+                    cb: Some((&mut unpacker as &mut dyn FragmentUnpacker, 16)),
+                    mem: &[],
+                },
+                reverse,
+                &mut Vec::new(),
+            );
+            assert_eq!(r, Err(FabricError::UnpackFailed(42)), "reverse {reverse}");
+        }
     }
 
     #[test]
     fn scratch_freelist_recycles_ooo_buffers() {
-        let model = model_with_frag(8);
+        // One staging buffer serves every transfer: packer→unpacker pieces
+        // and out-of-order staging reuse its allocation instead of
+        // reallocating per transfer.
         let data: Vec<u8> = (0..32u8).collect();
-        struct U(Vec<u8>);
-        impl FragmentUnpacker for U {
-            fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
-                self.0[offset..offset + src.len()].copy_from_slice(src);
-                Ok(())
-            }
-        }
-        let mut scratch = TransferScratch::default();
-        for round in 0..3 {
-            let mut unpacker = U(vec![0u8; 32]);
-            let mut src = [SrcSeg::Mem(IovEntry::from_slice(&data))];
-            let mut dst = [DstSeg::Unpacker {
-                unpacker: &mut unpacker,
-                len: 32,
-            }];
-            copy_stream(
-                &model,
-                &mut src,
-                &mut dst,
-                true,
-                &FabricMetrics::detached(),
-                &mut scratch,
-                0,
-                0,
+        let mut stage = Vec::new();
+        let mut base = None;
+        for (round, reverse) in [true, false, true, false].into_iter().enumerate() {
+            let src_data = data.clone();
+            let mut packer = move |offset: usize, dst: &mut [u8]| {
+                let n = dst.len().min(src_data.len() - offset);
+                dst[..n].copy_from_slice(&src_data[offset..offset + n]);
+                Ok(n)
+            };
+            let mut unpacker = log(32);
+            run(
+                8,
+                Stream {
+                    cb: Some((&mut packer as &mut dyn FragmentPacker, 32)),
+                    mem: &[],
+                },
+                Stream {
+                    cb: Some((&mut unpacker as &mut dyn FragmentUnpacker, 32)),
+                    mem: &[],
+                },
+                reverse,
+                &mut stage,
             )
             .unwrap();
-            assert_eq!(unpacker.0, data, "round {round}");
+            assert_eq!(unpacker.out, data, "round {round}");
+            assert_eq!(*base.get_or_insert(stage.as_ptr()), stage.as_ptr());
         }
-        // 4 ooo fragments per round were pooled and reused, not reallocated.
-        assert_eq!(scratch.spare.len(), 4, "fragment buffers returned to pool");
+        assert_eq!(stage.capacity(), 32, "one transfer's worth of staging");
+    }
+
+    #[test]
+    fn staging_above_the_keep_bound_is_released() {
+        let data = vec![7u8; 2 * STAGE_KEEP_FRAGS * 8];
+        let src = [IovEntry::from_slice(&data)];
+        let mut unpacker = log(data.len());
+        let mut stage = Vec::new();
+        run(
+            8,
+            Stream {
+                cb: None,
+                mem: &src,
+            },
+            Stream {
+                cb: Some((&mut unpacker as &mut dyn FragmentUnpacker, data.len())),
+                mem: &[],
+            },
+            true,
+            &mut stage,
+        )
+        .unwrap();
+        assert_eq!(unpacker.out, data);
+        assert_eq!(stage.capacity(), 0);
     }
 
     #[test]
     fn empty_transfer_moves_nothing() {
-        let model = model_with_frag(8);
-        let mut src: [SrcSeg<'_>; 0] = [];
-        let mut dst: [DstSeg<'_>; 0] = [];
-        assert_eq!(
-            copy_stream(
-                &model,
-                &mut src,
-                &mut dst,
-                false,
-                &FabricMetrics::detached(),
-                &mut TransferScratch::default(),
-                0,
-                0
-            )
-            .unwrap(),
-            0
+        let r = run(
+            8,
+            Stream { cb: None, mem: &[] },
+            Stream { cb: None, mem: &[] },
+            false,
+            &mut Vec::new(),
         );
+        assert_eq!(r, Ok(0));
     }
 }

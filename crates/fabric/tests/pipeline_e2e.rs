@@ -1,6 +1,6 @@
-//! End-to-end tests of the parallel fragment pipeline through the public
-//! fabric API: eligible transfers are pipelined, byte-identical to the
-//! serial engine, and the serial configuration never touches the pool.
+//! End-to-end tests of the fragment engine through the public fabric API:
+//! eligible transfers go to the worker pool, byte-identical to the inline
+//! path, and a one-thread configuration never touches the pool.
 
 use mpicd_fabric::{
     Fabric, FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, PipelineConfig,
@@ -109,9 +109,10 @@ fn eligible_transfer_is_pipelined_and_correct() {
 #[test]
 fn serial_config_never_pipelines_and_matches() {
     let payload: Vec<u8> = (0..64 * 1024).map(|i| (i % 241) as u8).collect();
-    let serial = Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::serial());
+    let serial =
+        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(1));
     let out = roundtrip(&serial, &payload);
-    assert_eq!(out, payload, "serial fallback moves identical bytes");
+    assert_eq!(out, payload, "the inline path moves identical bytes");
     assert_eq!(serial.stats().pipelined, 0);
 
     // Same transfer, parallel config: identical bytes and traffic stats
@@ -155,7 +156,7 @@ fn inorder_sender_stays_serial() {
                 packer: Box::new(VecPacker(payload.clone())),
                 packed_size: payload.len(),
                 regions: Vec::new(),
-                inorder: true, // demands in-order delivery → serial engine
+                inorder: true, // demands in-order delivery → inline path
             },
             1,
             2,
@@ -210,7 +211,7 @@ fn streaming_callbacks_stay_serial() {
     assert_eq!(
         fabric.stats().pipelined,
         0,
-        "no random-access view → serial"
+        "no random-access view → inline"
     );
 }
 
