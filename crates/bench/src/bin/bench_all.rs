@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// Every figure/table binary, paper order.
-const BINARIES: [&str; 15] = [
+const BINARIES: [&str; 14] = [
     "fig01_double_vec_latency",
     "fig02_double_vec_bw",
     "fig03_struct_vec_latency",
@@ -27,7 +27,6 @@ const BINARIES: [&str; 15] = [
     "ablation_wire_model",
     "ablation_pack_plan",
     "ablation_msgrate",
-    "ablation_collective",
 ];
 
 fn main() {

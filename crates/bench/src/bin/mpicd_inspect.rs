@@ -17,7 +17,8 @@
 //! * **critical-path**: builds the cross-rank happens-before DAG from the
 //!   merged timelines, walks the binding-constraint chain from the last
 //!   event back to the origin, and prints the longest weighted path with
-//!   per-rank blame, per-transfer slack, and per-collective spines.
+//!   per-rank blame, per-transfer slack, and per-collective (bcast,
+//!   reduce) spines.
 //! * **health**: reads the periodic health-snapshot stream written under
 //!   `MPICD_HEALTH_MS` (gauge levels/high-waters, series and sketch
 //!   summaries over the run) and, with `--flight`, joins it with a

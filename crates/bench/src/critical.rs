@@ -33,7 +33,7 @@
 //!
 //! **Collectives** are grouped by their reserved tags
 //! ([`mpicd::collective_tag_name`]): each group gets its own sub-DAG and
-//! critical path, exposing the spine of the bcast/gather/reduce tree.
+//! critical path, exposing the spine of the bcast tree or the reduce fan-in.
 
 use crate::flight::{json_escape, Analysis, Timeline};
 use std::collections::BTreeMap;
@@ -142,7 +142,7 @@ pub struct TransferSlack {
 /// Critical path of one collective operation's reserved-tag traffic.
 #[derive(Debug, Clone)]
 pub struct CollectivePath {
-    /// Operation name (`bcast`, `gather`, …).
+    /// Operation name (`bcast` or `reduce`).
     pub name: &'static str,
     /// Transfers carrying the reserved tag.
     pub transfers: usize,

@@ -2,33 +2,26 @@
 //! the integration with collective operations as future work, which we
 //! acknowledge as a requirement for standardization of our approach").
 //!
-//! This module demonstrates that integration: binomial-tree broadcast and
-//! central gather/scatter built from the point-to-point layer, with the
-//! broadcast accepting **custom-serialized buffers** — every hop re-invokes
-//! the type's pack/unpack contexts, so a `Vec<Vec<i32>>` (or any custom
-//! [`Buffer`]) can be broadcast as easily as raw bytes.
+//! This module demonstrates that integration with one algorithm per
+//! operation, built from the point-to-point layer: a binomial-tree
+//! broadcast that accepts **custom-serialized buffers** — every hop
+//! re-invokes the type's pack/unpack contexts, so a `Vec<Vec<i32>>` (or any
+//! custom [`Buffer`]) can be broadcast as easily as raw bytes — and an
+//! `f64` allreduce that reduces at rank 0 and broadcasts the result.
 //!
 //! All collectives here are blocking and must be entered by every rank
 //! (ranks on separate threads), like their MPI namesakes. Tags in the
 //! reserved collective range keep them out of the application tag space.
 
 use crate::buffer::{Buffer, BufferMut};
-use crate::coll_sched::{
-    makespan_ns, sched_allreduce_central, sched_allreduce_rd, sched_allreduce_ring,
-    sched_gather_binomial, sched_gather_flat,
-};
 use crate::communicator::Communicator;
 use crate::error::{Error, Result};
-use mpicd_fabric::{Tag, WireModel};
+use mpicd_fabric::Tag;
 use mpicd_obs::telemetry;
 use std::sync::{Arc, OnceLock};
 
 /// Reserved tag for broadcast traffic.
 const BCAST_TAG: Tag = i32::MAX - 11;
-/// Reserved tag for gather traffic.
-const GATHER_TAG: Tag = i32::MAX - 12;
-/// Reserved tag for scatter traffic.
-const SCATTER_TAG: Tag = i32::MAX - 13;
 /// Reserved tag for reduce traffic.
 const REDUCE_TAG: Tag = i32::MAX - 14;
 
@@ -41,132 +34,8 @@ const REDUCE_TAG: Tag = i32::MAX - 14;
 pub fn collective_tag_name(tag: Tag) -> Option<&'static str> {
     match tag {
         BCAST_TAG => Some("bcast"),
-        GATHER_TAG => Some("gather"),
-        SCATTER_TAG => Some("scatter"),
         REDUCE_TAG => Some("reduce"),
         _ => None,
-    }
-}
-
-/// Allreduce algorithm choice.
-///
-/// Knob: `MPICD_COLL_ALLREDUCE` = `auto` (default) | `central` | `ring` |
-/// `rd`. `Auto` compares modeled schedule makespans at the actual
-/// (rank count, vector size) point and keeps the naive central algorithm
-/// unless a smarter one is a clear (≥5%) win — the Träff self-consistency
-/// guideline by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllreduceAlgo {
-    /// Select by modeled makespan at the call's size and rank count.
-    Auto,
-    /// Reduce at rank 0, then binomial broadcast (the naive baseline).
-    Central,
-    /// Ring reduce-scatter + allgather: bandwidth-optimal for large
-    /// vectors (`2 (p-1)/p · n` bytes per rank, no root bottleneck).
-    Ring,
-    /// Recursive doubling: `log₂ p` full-vector exchanges — latency-
-    /// optimal for small vectors at large rank counts.
-    RecursiveDoubling,
-}
-
-/// Tree-vs-flat choice for gather/scatter.
-///
-/// Knob: `MPICD_COLL_TREE` = `auto` (default) | `flat` | `binomial`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeAlgo {
-    /// Select by modeled makespan at the call's size and rank count.
-    Auto,
-    /// The root sends/receives every block itself (the naive baseline).
-    Flat,
-    /// Binomial tree: `⌈log₂ p⌉` levels, payload doubling toward the root.
-    Binomial,
-}
-
-/// Parse an `MPICD_COLL_ALLREDUCE` value.
-pub(crate) fn parse_allreduce(s: &str) -> Option<AllreduceAlgo> {
-    match s.to_ascii_lowercase().as_str() {
-        "auto" => Some(AllreduceAlgo::Auto),
-        "central" => Some(AllreduceAlgo::Central),
-        "ring" => Some(AllreduceAlgo::Ring),
-        "rd" | "recursive-doubling" => Some(AllreduceAlgo::RecursiveDoubling),
-        _ => None,
-    }
-}
-
-/// Parse an `MPICD_COLL_TREE` value.
-pub(crate) fn parse_tree(s: &str) -> Option<TreeAlgo> {
-    match s.to_ascii_lowercase().as_str() {
-        "auto" => Some(TreeAlgo::Auto),
-        "flat" => Some(TreeAlgo::Flat),
-        "binomial" => Some(TreeAlgo::Binomial),
-        _ => None,
-    }
-}
-
-/// The process-wide allreduce algorithm from `MPICD_COLL_ALLREDUCE`
-/// (read once; unknown values warn on stderr and fall back to `Auto`).
-fn allreduce_algo_env() -> AllreduceAlgo {
-    static A: OnceLock<AllreduceAlgo> = OnceLock::new();
-    *A.get_or_init(|| {
-        let v = mpicd_obs::config::env_choice(
-            "MPICD_COLL_ALLREDUCE",
-            &["auto", "central", "ring", "rd", "recursive-doubling"],
-            "auto",
-        );
-        parse_allreduce(v).expect("env_choice returns a listed value")
-    })
-}
-
-/// The process-wide gather/scatter algorithm from `MPICD_COLL_TREE`
-/// (read once; unknown values warn on stderr and fall back to `Auto`).
-fn tree_algo_env() -> TreeAlgo {
-    static A: OnceLock<TreeAlgo> = OnceLock::new();
-    *A.get_or_init(|| {
-        let v =
-            mpicd_obs::config::env_choice("MPICD_COLL_TREE", &["auto", "flat", "binomial"], "auto");
-        parse_tree(v).expect("env_choice returns a listed value")
-    })
-}
-
-/// Keep the naive algorithm unless the challenger is at least this much
-/// faster in the model (stability margin against model noise).
-const SELECT_MARGIN: f64 = 1.05;
-
-/// Resolve `Auto` for an allreduce of `n` elements of `elem` bytes at `p`
-/// ranks. Never returns `Auto`; never returns an algorithm whose modeled
-/// makespan exceeds the central baseline's.
-pub fn select_allreduce(p: usize, n: usize, elem: usize, model: &WireModel) -> AllreduceAlgo {
-    if p <= 2 {
-        return AllreduceAlgo::Central;
-    }
-    let central = makespan_ns(p, model, |c| sched_allreduce_central(p, n, elem, c));
-    let ring = makespan_ns(p, model, |c| sched_allreduce_ring(p, n, elem, c));
-    let rd = makespan_ns(p, model, |c| sched_allreduce_rd(p, n, elem, c));
-    let (best, best_ns) = if ring <= rd {
-        (AllreduceAlgo::Ring, ring)
-    } else {
-        (AllreduceAlgo::RecursiveDoubling, rd)
-    };
-    if best_ns * SELECT_MARGIN < central {
-        best
-    } else {
-        AllreduceAlgo::Central
-    }
-}
-
-/// Resolve `Auto` for a gather/scatter of `block`-byte blocks at `p`
-/// ranks (the scatter schedule mirrors the gather one, so one selector
-/// serves both directions).
-pub fn select_tree(p: usize, block: usize, model: &WireModel) -> TreeAlgo {
-    if p <= 2 {
-        return TreeAlgo::Flat;
-    }
-    let flat = makespan_ns(p, model, |c| sched_gather_flat(p, 0, block, c));
-    let tree = makespan_ns(p, model, |c| sched_gather_binomial(p, 0, block, c));
-    if tree * SELECT_MARGIN < flat {
-        TreeAlgo::Binomial
-    } else {
-        TreeAlgo::Flat
     }
 }
 
@@ -181,8 +50,6 @@ fn coll_sketch(
 }
 
 static BCAST_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
-static GATHER_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
-static SCATTER_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
 static ALLREDUCE_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
 
 /// Time one collective invocation into its latency sketch. Returns a
@@ -260,270 +127,6 @@ pub fn bcast<B: Buffer + BufferMut + ?Sized>(
     Ok(())
 }
 
-/// Gather equal-length byte blocks to `root`. Non-roots pass `recv = None`;
-/// the root receives `size × send.len()` bytes, rank-major. The algorithm
-/// follows `MPICD_COLL_TREE` (default: modeled-makespan auto-selection).
-pub fn gather_bytes(
-    comm: &Communicator,
-    send: &[u8],
-    recv: Option<&mut Vec<u8>>,
-    root: usize,
-) -> Result<()> {
-    gather_bytes_with(comm, send, recv, root, tree_algo_env())
-}
-
-/// [`gather_bytes`] with an explicit algorithm choice.
-pub fn gather_bytes_with(
-    comm: &Communicator,
-    send: &[u8],
-    recv: Option<&mut Vec<u8>>,
-    root: usize,
-    algo: TreeAlgo,
-) -> Result<()> {
-    let size = comm.size();
-    if root >= size {
-        return Err(Error::Fabric(mpicd_fabric::FabricError::InvalidRank {
-            rank: root,
-            world: size,
-        }));
-    }
-    let _sp = mpicd_obs::span!("coll.gather", "core", send.len());
-    let _tm = CollTimer::start(&GATHER_NS, "coll.gather_ns");
-    let algo = match algo {
-        TreeAlgo::Auto => select_tree(size, send.len(), comm.endpoint().model()),
-        a => a,
-    };
-    match algo {
-        TreeAlgo::Binomial => gather_binomial(comm, send, recv, root),
-        _ => gather_flat(comm, send, recv, root),
-    }
-}
-
-/// The original central gather: the root receives every block itself.
-fn gather_flat(
-    comm: &Communicator,
-    send: &[u8],
-    recv: Option<&mut Vec<u8>>,
-    root: usize,
-) -> Result<()> {
-    let size = comm.size();
-    if comm.rank() == root {
-        let out = recv.ok_or(Error::Unsupported("root must supply a receive buffer"))?;
-        out.clear();
-        out.resize(size * send.len(), 0);
-        out[root * send.len()..(root + 1) * send.len()].copy_from_slice(send);
-        for r in 0..size {
-            if r == root {
-                continue;
-            }
-            let dst = &mut out[r * send.len()..(r + 1) * send.len()];
-            let st = comm.recv(dst, r as i32, GATHER_TAG)?;
-            if st.bytes != send.len() {
-                return Err(Error::LengthMismatch {
-                    expected: send.len(),
-                    got: st.bytes,
-                });
-            }
-        }
-    } else {
-        comm.send(send, root, GATHER_TAG)?;
-    }
-    Ok(())
-}
-
-/// Binomial-tree gather: `⌈log₂ p⌉` levels, each non-leaf folding its
-/// whole subtree into one contiguous message toward the root.
-fn gather_binomial(
-    comm: &Communicator,
-    send: &[u8],
-    recv: Option<&mut Vec<u8>>,
-    root: usize,
-) -> Result<()> {
-    let size = comm.size();
-    let blk = send.len();
-    let vrank = (comm.rank() + size - root) % size;
-    let real = |v: usize| (v + root) % size;
-    // `acc` holds this rank's subtree vrank-major and contiguous: own
-    // block first, then each child's subtree as it arrives (the child at
-    // offset `mask` covers vranks `vrank+mask .. vrank+mask+cnt`).
-    let mut acc = send.to_vec();
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            // Every child has reported; fold the subtree into the parent.
-            comm.send(&acc, real(vrank - mask), GATHER_TAG)?;
-            break;
-        }
-        let child = vrank + mask;
-        if child < size {
-            let cnt = mask.min(size - child);
-            let off = acc.len();
-            acc.resize(off + cnt * blk, 0);
-            let st = comm.recv(&mut acc[off..], real(child) as i32, GATHER_TAG)?;
-            if st.bytes != cnt * blk {
-                return Err(Error::LengthMismatch {
-                    expected: cnt * blk,
-                    got: st.bytes,
-                });
-            }
-        }
-        mask <<= 1;
-    }
-    if vrank == 0 {
-        let out = recv.ok_or(Error::Unsupported("root must supply a receive buffer"))?;
-        out.clear();
-        out.resize(size * blk, 0);
-        // Remap the vrank-major accumulation back to rank-major output.
-        for v in 0..size {
-            out[real(v) * blk..(real(v) + 1) * blk].copy_from_slice(&acc[v * blk..(v + 1) * blk]);
-        }
-    }
-    Ok(())
-}
-
-/// Scatter equal-length byte blocks from `root`. The root passes the full
-/// rank-major buffer; everyone receives their block into `recv`. The
-/// algorithm follows `MPICD_COLL_TREE` (default: auto-selection).
-pub fn scatter_bytes(
-    comm: &Communicator,
-    send: Option<&[u8]>,
-    recv: &mut [u8],
-    root: usize,
-) -> Result<()> {
-    scatter_bytes_with(comm, send, recv, root, tree_algo_env())
-}
-
-/// [`scatter_bytes`] with an explicit algorithm choice.
-pub fn scatter_bytes_with(
-    comm: &Communicator,
-    send: Option<&[u8]>,
-    recv: &mut [u8],
-    root: usize,
-    algo: TreeAlgo,
-) -> Result<()> {
-    let size = comm.size();
-    if root >= size {
-        return Err(Error::Fabric(mpicd_fabric::FabricError::InvalidRank {
-            rank: root,
-            world: size,
-        }));
-    }
-    let _sp = mpicd_obs::span!("coll.scatter", "core", recv.len());
-    let _tm = CollTimer::start(&SCATTER_NS, "coll.scatter_ns");
-    let algo = match algo {
-        TreeAlgo::Auto => select_tree(size, recv.len(), comm.endpoint().model()),
-        a => a,
-    };
-    match algo {
-        TreeAlgo::Binomial => scatter_binomial(comm, send, recv, root),
-        _ => scatter_flat(comm, send, recv, root),
-    }
-}
-
-/// The original central scatter: the root sends every block itself.
-fn scatter_flat(
-    comm: &Communicator,
-    send: Option<&[u8]>,
-    recv: &mut [u8],
-    root: usize,
-) -> Result<()> {
-    let size = comm.size();
-    if comm.rank() == root {
-        let all = send.ok_or(Error::Unsupported("root must supply the send buffer"))?;
-        if all.len() != size * recv.len() {
-            return Err(Error::LengthMismatch {
-                expected: size * recv.len(),
-                got: all.len(),
-            });
-        }
-        for r in 0..size {
-            let block = &all[r * recv.len()..(r + 1) * recv.len()];
-            if r == root {
-                recv.copy_from_slice(block);
-            } else {
-                comm.send(block, r, SCATTER_TAG)?;
-            }
-        }
-    } else {
-        let st = comm.recv(recv, root as i32, SCATTER_TAG)?;
-        if st.bytes != recv.len() {
-            return Err(Error::LengthMismatch {
-                expected: recv.len(),
-                got: st.bytes,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Binomial-tree scatter — the mirror of [`gather_binomial`]: each node
-/// receives its whole subtree's blocks in one message, then peels off and
-/// forwards the upper half at every descending tree level.
-fn scatter_binomial(
-    comm: &Communicator,
-    send: Option<&[u8]>,
-    recv: &mut [u8],
-    root: usize,
-) -> Result<()> {
-    let size = comm.size();
-    let blk = recv.len();
-    let vrank = (comm.rank() + size - root) % size;
-    let real = |v: usize| (v + root) % size;
-    // Obtain this rank's subtree slice (vrank-major, own block first) and
-    // the tree level at which forwarding starts.
-    let (mut mask, tmp): (usize, Vec<u8>) = if vrank == 0 {
-        let all = send.ok_or(Error::Unsupported("root must supply the send buffer"))?;
-        if all.len() != size * blk {
-            return Err(Error::LengthMismatch {
-                expected: size * blk,
-                got: all.len(),
-            });
-        }
-        // Remap rank-major input to vrank-major so subtrees are contiguous.
-        let mut t = vec![0u8; size * blk];
-        for v in 0..size {
-            t[v * blk..(v + 1) * blk].copy_from_slice(&all[real(v) * blk..(real(v) + 1) * blk]);
-        }
-        let mut m = 1usize;
-        while m < size {
-            m <<= 1;
-        }
-        (m, t)
-    } else {
-        let mut m = 1usize;
-        loop {
-            if vrank & m != 0 {
-                let cnt = m.min(size - vrank);
-                let mut t = vec![0u8; cnt * blk];
-                let st = comm.recv(&mut t, real(vrank - m) as i32, SCATTER_TAG)?;
-                if st.bytes != cnt * blk {
-                    return Err(Error::LengthMismatch {
-                        expected: cnt * blk,
-                        got: st.bytes,
-                    });
-                }
-                break (m, t);
-            }
-            m <<= 1;
-        }
-    };
-    mask >>= 1;
-    while mask > 0 {
-        if vrank + mask < size {
-            let child = vrank + mask;
-            let cnt = mask.min(size - child);
-            comm.send(
-                &tmp[mask * blk..(mask + cnt) * blk],
-                real(child),
-                SCATTER_TAG,
-            )?;
-        }
-        mask >>= 1;
-    }
-    recv.copy_from_slice(&tmp[..blk]);
-    Ok(())
-}
-
 /// Elementwise reduction operators for [`allreduce_f64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
@@ -546,147 +149,33 @@ impl ReduceOp {
 }
 
 /// All-reduce over `f64` slices. `buf` holds this rank's contribution on
-/// entry, the full reduction on exit. The algorithm follows
-/// `MPICD_COLL_ALLREDUCE` (default: modeled-makespan auto-selection).
+/// entry, the full reduction on exit. Rank 0 reduces every rank's vector
+/// in rank order, then broadcasts the result with [`bcast`]: `2 (p-1)`
+/// messages per call. Every rank must pass a vector of the same length;
+/// rank 0 returns [`Error::LengthMismatch`] for a shorter one.
 pub fn allreduce_f64(comm: &Communicator, buf: &mut [f64], op: ReduceOp) -> Result<()> {
-    allreduce_f64_with(comm, buf, op, allreduce_algo_env())
-}
-
-/// [`allreduce_f64`] with an explicit algorithm choice.
-pub fn allreduce_f64_with(
-    comm: &Communicator,
-    buf: &mut [f64],
-    op: ReduceOp,
-    algo: AllreduceAlgo,
-) -> Result<()> {
     let size = comm.size();
     if size == 1 {
         return Ok(());
     }
     let _sp = mpicd_obs::span!("coll.allreduce", "core", buf.len() * 8);
     let _tm = CollTimer::start(&ALLREDUCE_NS, "coll.allreduce_ns");
-    let algo = match algo {
-        AllreduceAlgo::Auto => select_allreduce(size, buf.len(), 8, comm.endpoint().model()),
-        a => a,
-    };
-    match algo {
-        AllreduceAlgo::Ring => allreduce_ring(comm, buf, op),
-        AllreduceAlgo::RecursiveDoubling => allreduce_rd(comm, buf, op),
-        _ => allreduce_central(comm, buf, op),
-    }
-}
-
-/// The original central algorithm: reduce at rank 0, binomial broadcast.
-fn allreduce_central(comm: &Communicator, buf: &mut [f64], op: ReduceOp) -> Result<()> {
-    let size = comm.size();
     if comm.rank() == 0 {
         let mut incoming = vec![0f64; buf.len()];
         for r in 1..size {
-            comm.recv(&mut incoming, r as i32, REDUCE_TAG)?;
+            let st = comm.recv(&mut incoming, r as i32, REDUCE_TAG)?;
+            if st.bytes != buf.len() * 8 {
+                return Err(Error::LengthMismatch {
+                    expected: buf.len() * 8,
+                    got: st.bytes,
+                });
+            }
             op.apply(buf, &incoming);
         }
     } else {
         comm.send(&*buf, 0, REDUCE_TAG)?;
     }
     bcast(comm, buf, 0)
-}
-
-/// Ring allreduce: a reduce-scatter pass then an allgather pass, each
-/// `p-1` rounds of simultaneous send-right/recv-left. Chunk `c` spans
-/// elements `c·n/p .. (c+1)·n/p` (chunks may be empty when `n < p`).
-fn allreduce_ring(comm: &Communicator, buf: &mut [f64], op: ReduceOp) -> Result<()> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let n = buf.len();
-    let right = (rank + 1) % p;
-    let left = (rank + p - 1) % p;
-    let bounds = |c: usize| (c * n / p, (c + 1) * n / p);
-    // Staging buffers: the outgoing chunk must be copied out of `buf`
-    // because the incoming chunk lands in `buf` under a separate borrow.
-    let mut stmp = vec![0f64; n.div_ceil(p)];
-    let mut rtmp = vec![0f64; n.div_ceil(p)];
-    // Reduce-scatter: after step `s` this rank holds the partial sum of
-    // chunk `(rank+p-s-1) % p` over `s+1` contributors; after `p-1` steps
-    // it owns the complete reduction of chunk `(rank+1) % p`.
-    for s in 0..p - 1 {
-        let (slo, shi) = bounds((rank + p - s) % p);
-        let (rlo, rhi) = bounds((rank + p - s - 1) % p);
-        stmp[..shi - slo].copy_from_slice(&buf[slo..shi]);
-        comm.sendrecv(
-            &stmp[..shi - slo],
-            right,
-            REDUCE_TAG,
-            &mut rtmp[..rhi - rlo],
-            left as i32,
-            REDUCE_TAG,
-        )?;
-        op.apply(&mut buf[rlo..rhi], &rtmp[..rhi - rlo]);
-    }
-    // Allgather: circulate the finished chunks rightward.
-    for s in 0..p - 1 {
-        let (slo, shi) = bounds((rank + 1 + p - s) % p);
-        let (rlo, rhi) = bounds((rank + p - s) % p);
-        stmp[..shi - slo].copy_from_slice(&buf[slo..shi]);
-        comm.sendrecv(
-            &stmp[..shi - slo],
-            right,
-            REDUCE_TAG,
-            &mut rtmp[..rhi - rlo],
-            left as i32,
-            REDUCE_TAG,
-        )?;
-        buf[rlo..rhi].copy_from_slice(&rtmp[..rhi - rlo]);
-    }
-    Ok(())
-}
-
-/// Recursive-doubling allreduce (MPICH's non-power-of-two variant): fold
-/// the first `2·rem` ranks pairwise so a power-of-two subset survives,
-/// run `log₂ pof2` full-vector pairwise exchanges, then unfold.
-fn allreduce_rd(comm: &Communicator, buf: &mut [f64], op: ReduceOp) -> Result<()> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let mut pof2 = 1usize;
-    while pof2 * 2 <= p {
-        pof2 *= 2;
-    }
-    let rem = p - pof2;
-    let mut tmp = vec![0f64; buf.len()];
-    // Fold: even ranks below 2·rem donate their vector to the odd
-    // neighbour above and sit out the exchange phase.
-    let newrank: isize = if rank < 2 * rem {
-        if rank.is_multiple_of(2) {
-            comm.send(&*buf, rank + 1, REDUCE_TAG)?;
-            -1
-        } else {
-            comm.recv(&mut tmp, (rank - 1) as i32, REDUCE_TAG)?;
-            op.apply(buf, &tmp);
-            (rank / 2) as isize
-        }
-    } else {
-        (rank - rem) as isize
-    };
-    // Pairwise exchange among the pof2 survivors.
-    if newrank >= 0 {
-        let v = newrank as usize;
-        let mut mask = 1usize;
-        while mask < pof2 {
-            let pv = v ^ mask;
-            let peer = if pv < rem { pv * 2 + 1 } else { pv + rem };
-            comm.sendrecv(&*buf, peer, REDUCE_TAG, &mut tmp, peer as i32, REDUCE_TAG)?;
-            op.apply(buf, &tmp);
-            mask <<= 1;
-        }
-    }
-    // Unfold: the surviving odd ranks return the result to their partner.
-    if rank < 2 * rem {
-        if rank.is_multiple_of(2) {
-            comm.recv(buf, (rank + 1) as i32, REDUCE_TAG)?;
-        } else {
-            comm.send(&*buf, rank - 1, REDUCE_TAG)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -740,36 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_rank_blocks() {
-        run_all(4, |c| {
-            let mine = vec![c.rank() as u8; 16];
-            if c.rank() == 1 {
-                let mut all = Vec::new();
-                gather_bytes(c, &mine, Some(&mut all), 1).unwrap();
-                for r in 0..4 {
-                    assert_eq!(&all[r * 16..(r + 1) * 16], vec![r as u8; 16].as_slice());
-                }
-            } else {
-                gather_bytes(c, &mine, None, 1).unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn scatter_distributes_rank_blocks() {
-        run_all(3, |c| {
-            let mut mine = vec![0u8; 8];
-            if c.rank() == 0 {
-                let all: Vec<u8> = (0..3u8).flat_map(|r| vec![r * 10; 8]).collect();
-                scatter_bytes(c, Some(&all), &mut mine, 0).unwrap();
-            } else {
-                scatter_bytes(c, None, &mut mine, 0).unwrap();
-            }
-            assert_eq!(mine, vec![c.rank() as u8 * 10; 8]);
-        });
-    }
-
-    #[test]
     fn allreduce_sum_min_max() {
         for (op, expect) in [
             (
@@ -797,236 +256,76 @@ mod tests {
     }
 
     #[test]
-    fn gather_root_without_buffer_rejected() {
-        let world = World::new(1);
-        let c = world.comm(0);
-        assert!(matches!(
-            gather_bytes(&c, &[1, 2], None, 0),
-            Err(Error::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn allreduce_algorithms_agree_on_all_shapes() {
-        for algo in [
-            AllreduceAlgo::Central,
-            AllreduceAlgo::Ring,
-            AllreduceAlgo::RecursiveDoubling,
-        ] {
-            for p in [1usize, 2, 3, 4, 5, 7, 8, 12] {
-                // Vector lengths below, equal to, and far above the rank
-                // count (including n % p != 0 and empty ring chunks).
-                for n in [1usize, 3, 4 * p + 1] {
-                    run_all(p, |c| {
-                        let r = c.rank() as f64;
-                        let mut buf: Vec<f64> = (0..n).map(|i| r * 100.0 + i as f64).collect();
-                        allreduce_f64_with(c, &mut buf, ReduceOp::Sum, algo).unwrap();
-                        let rank_sum: f64 = (0..p).map(|q| q as f64).sum();
-                        for (i, v) in buf.iter().enumerate() {
-                            let expect = rank_sum * 100.0 + (i * p) as f64;
-                            assert!(
-                                (v - expect).abs() < 1e-9,
-                                "algo {algo:?} p {p} n {n} rank {} elem {i}: {v} != {expect}",
-                                c.rank()
-                            );
-                        }
-                    });
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_min_max_survive_smart_algorithms() {
-        for algo in [AllreduceAlgo::Ring, AllreduceAlgo::RecursiveDoubling] {
-            run_all(5, |c| {
-                let r = c.rank() as f64;
-                let mut lo = [r, -r];
-                allreduce_f64_with(c, &mut lo, ReduceOp::Min, algo).unwrap();
-                assert_eq!(lo, [0.0, -4.0], "{algo:?} rank {}", c.rank());
-                let mut hi = [r, -r];
-                allreduce_f64_with(c, &mut hi, ReduceOp::Max, algo).unwrap();
-                assert_eq!(hi, [4.0, 0.0], "{algo:?} rank {}", c.rank());
-            });
-        }
-    }
-
-    #[test]
-    fn binomial_gather_scatter_round_trip_all_roots() {
-        for p in [1usize, 2, 3, 4, 6, 8, 12] {
-            for root in [0, p - 1] {
+        for p in [1usize, 2, 3, 4, 5, 7, 8, 12] {
+            // Vector lengths below, equal to, and far above the rank count.
+            for n in [1usize, 3, 4 * p + 1] {
                 run_all(p, |c| {
-                    let blk = 5usize;
-                    let mine = vec![(c.rank() as u8) ^ 0x5a; blk];
-                    if c.rank() == root {
-                        let mut all = Vec::new();
-                        gather_bytes_with(c, &mine, Some(&mut all), root, TreeAlgo::Binomial)
-                            .unwrap();
-                        assert_eq!(all.len(), p * blk);
-                        for r in 0..p {
-                            assert_eq!(
-                                &all[r * blk..(r + 1) * blk],
-                                vec![(r as u8) ^ 0x5a; blk].as_slice(),
-                                "p {p} root {root} block {r}"
-                            );
-                        }
-                    } else {
-                        gather_bytes_with(c, &mine, None, root, TreeAlgo::Binomial).unwrap();
+                    let r = c.rank() as f64;
+                    let mut buf: Vec<f64> = (0..n).map(|i| r * 100.0 + i as f64).collect();
+                    allreduce_f64(c, &mut buf, ReduceOp::Sum).unwrap();
+                    let rank_sum: f64 = (0..p).map(|q| q as f64).sum();
+                    for (i, v) in buf.iter().enumerate() {
+                        let expect = rank_sum * 100.0 + (i * p) as f64;
+                        assert!(
+                            (v - expect).abs() < 1e-9,
+                            "p {p} n {n} rank {} elem {i}: {v} != {expect}",
+                            c.rank()
+                        );
                     }
-                    let mut back = vec![0u8; blk];
-                    if c.rank() == root {
-                        let all: Vec<u8> = (0..p).flat_map(|r| vec![r as u8 + 7; blk]).collect();
-                        scatter_bytes_with(c, Some(&all), &mut back, root, TreeAlgo::Binomial)
-                            .unwrap();
-                    } else {
-                        scatter_bytes_with(c, None, &mut back, root, TreeAlgo::Binomial).unwrap();
-                    }
-                    assert_eq!(back, vec![c.rank() as u8 + 7; blk], "p {p} root {root}");
                 });
             }
         }
     }
 
     #[test]
-    fn knob_values_parse() {
-        assert_eq!(parse_allreduce("RING"), Some(AllreduceAlgo::Ring));
-        assert_eq!(parse_allreduce("central"), Some(AllreduceAlgo::Central));
-        assert_eq!(
-            parse_allreduce("rd"),
-            Some(AllreduceAlgo::RecursiveDoubling)
-        );
-        assert_eq!(
-            parse_allreduce("recursive-doubling"),
-            Some(AllreduceAlgo::RecursiveDoubling)
-        );
-        assert_eq!(parse_allreduce("auto"), Some(AllreduceAlgo::Auto));
-        assert_eq!(parse_allreduce("bogus"), None);
-        assert_eq!(parse_tree("Binomial"), Some(TreeAlgo::Binomial));
-        assert_eq!(parse_tree("flat"), Some(TreeAlgo::Flat));
-        assert_eq!(parse_tree("auto"), Some(TreeAlgo::Auto));
-        assert_eq!(parse_tree(""), None);
-    }
-
-    #[test]
-    fn selector_never_picks_a_loser() {
-        // The Träff self-consistency invariant: whatever Auto resolves to
-        // must not be modeled slower than the naive baseline.
-        let model = mpicd_fabric::WireModel::infiniband_100g();
-        for p in [3usize, 4, 16, 64, 256, 1024] {
-            for n in [1usize, 128, 16 * 1024, 128 * 1024] {
-                let pick = select_allreduce(p, n, 8, &model);
-                assert_ne!(pick, AllreduceAlgo::Auto);
-                let cost = |a: AllreduceAlgo| {
-                    makespan_ns(p, &model, |c| match a {
-                        AllreduceAlgo::Ring => sched_allreduce_ring(p, n, 8, c),
-                        AllreduceAlgo::RecursiveDoubling => sched_allreduce_rd(p, n, 8, c),
-                        _ => sched_allreduce_central(p, n, 8, c),
-                    })
-                };
-                assert!(
-                    cost(pick) <= cost(AllreduceAlgo::Central),
-                    "p {p} n {n}: {pick:?} modeled slower than central"
-                );
-                let tree = select_tree(p, n, &model);
-                assert_ne!(tree, TreeAlgo::Auto);
-                let tcost = |a: TreeAlgo| {
-                    makespan_ns(p, &model, |c| match a {
-                        TreeAlgo::Binomial => sched_gather_binomial(p, 0, n, c),
-                        _ => sched_gather_flat(p, 0, n, c),
-                    })
-                };
-                assert!(
-                    tcost(tree) <= tcost(TreeAlgo::Flat),
-                    "p {p} block {n}: {tree:?} modeled slower than flat"
-                );
-            }
-        }
+    fn allreduce_root_rejects_a_short_contribution() {
+        // Rank 1 contributes one element to a two-element allreduce and
+        // calls nothing else, so nothing waits for the root's broadcast.
+        let world = World::new(2);
+        let comms = world.comms();
+        std::thread::scope(|s| {
+            s.spawn(|| comms[1].send(&[7.0f64][..], 0, REDUCE_TAG).unwrap());
+            let mut buf = [1.0f64, 2.0];
+            assert_eq!(
+                allreduce_f64(&comms[0], &mut buf, ReduceOp::Sum),
+                Err(Error::LengthMismatch {
+                    expected: 16,
+                    got: 8
+                })
+            );
+        });
     }
 
     #[test]
     fn schedules_predict_real_traffic_exactly() {
-        // The virtual schedules drive both the selector and the scaling
-        // benchmark — pin them to the real implementations by comparing
-        // message/byte counts against fabric statistics deltas.
-        use crate::coll_sched::{sched_scatter_binomial, MsgCounter};
-        struct Case {
-            p: usize,
-            run: fn(&Communicator),
-            sched: fn(usize, &mut MsgCounter),
-        }
-        let cases = [
-            Case {
-                p: 4,
-                run: |c| {
-                    let mut buf = vec![c.rank() as f64; 12];
-                    allreduce_f64_with(c, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring).unwrap();
-                },
-                sched: |p, m| sched_allreduce_ring(p, 12, 8, m),
-            },
-            Case {
-                p: 6,
-                run: |c| {
-                    let mut buf = vec![c.rank() as f64; 12];
-                    allreduce_f64_with(
-                        c,
-                        &mut buf,
-                        ReduceOp::Sum,
-                        AllreduceAlgo::RecursiveDoubling,
-                    )
-                    .unwrap();
-                },
-                sched: |p, m| sched_allreduce_rd(p, 12, 8, m),
-            },
-            Case {
-                p: 6,
-                run: |c| {
-                    let mine = vec![c.rank() as u8; 32];
-                    if c.rank() == 0 {
-                        let mut all = Vec::new();
-                        gather_bytes_with(c, &mine, Some(&mut all), 0, TreeAlgo::Binomial).unwrap();
-                    } else {
-                        gather_bytes_with(c, &mine, None, 0, TreeAlgo::Binomial).unwrap();
-                    }
-                },
-                sched: |p, m| sched_gather_binomial(p, 0, 32, m),
-            },
-            Case {
-                p: 6,
-                run: |c| {
-                    let mut mine = vec![0u8; 32];
-                    if c.rank() == 0 {
-                        let all = vec![9u8; 6 * 32];
-                        scatter_bytes_with(c, Some(&all), &mut mine, 0, TreeAlgo::Binomial)
-                            .unwrap();
-                    } else {
-                        scatter_bytes_with(c, None, &mut mine, 0, TreeAlgo::Binomial).unwrap();
-                    }
-                },
-                sched: |p, m| sched_scatter_binomial(p, 0, 32, m),
-            },
-        ];
-        for case in &cases {
-            let world = World::new(case.p);
+        // Pin the message and byte counts of both operations to their
+        // closed forms against fabric statistics deltas: a broadcast of b
+        // bytes sends p-1 messages of b bytes; an allreduce of n elements
+        // sends p-1 contributions to rank 0 and broadcasts the result.
+        fn traffic(p: usize, run: impl Fn(&Communicator) + Sync) -> (u64, u64) {
+            let world = World::new(p);
             let before = world.fabric().stats();
             let comms = world.comms();
             std::thread::scope(|s| {
                 for c in &comms {
-                    s.spawn(|| (case.run)(c));
+                    s.spawn(|| run(c));
                 }
             });
             let delta = world.fabric().stats().since(&before);
-            let mut expect = MsgCounter::default();
-            (case.sched)(case.p, &mut expect);
-            assert_eq!(
-                delta.messages, expect.messages,
-                "p {} message count drifted from schedule",
-                case.p
-            );
-            assert_eq!(
-                delta.bytes, expect.bytes,
-                "p {} byte count drifted from schedule",
-                case.p
-            );
+            (delta.messages, delta.bytes)
+        }
+        for p in [2usize, 3, 4, 6] {
+            let m = (p - 1) as u64;
+            let b = 97u64;
+            let bc = traffic(p, |c| bcast(c, &mut vec![1u8; b as usize], 0).unwrap());
+            assert_eq!(bc, (m, m * b), "bcast at p {p}");
+            let n = 12u64;
+            let ar = traffic(p, |c| {
+                let mut buf = vec![c.rank() as f64; n as usize];
+                allreduce_f64(c, &mut buf, ReduceOp::Sum).unwrap();
+            });
+            assert_eq!(ar, (2 * m, 2 * m * 8 * n), "allreduce at p {p}");
         }
     }
 }

@@ -49,7 +49,6 @@
 //! ```
 
 pub mod buffer;
-pub mod coll_sched;
 pub mod collective;
 pub mod communicator;
 pub mod containers;
@@ -63,11 +62,7 @@ pub mod types;
 pub mod vecvec;
 
 pub use buffer::{Buffer, BufferMut, RecvView, SendView};
-pub use collective::{
-    allreduce_f64, allreduce_f64_with, bcast, collective_tag_name, gather_bytes, gather_bytes_with,
-    scatter_bytes, scatter_bytes_with, select_allreduce, select_tree, AllreduceAlgo, ReduceOp,
-    TreeAlgo,
-};
+pub use collective::{allreduce_f64, bcast, collective_tag_name, ReduceOp};
 pub use communicator::{Communicator, MatchedMessage, Scope, Status, World};
 pub use datatype::{
     CustomPack, CustomUnpack, RandomAccessPacker, RandomAccessUnpacker, RecvRegion, SendRegion,

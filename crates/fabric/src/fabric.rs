@@ -289,11 +289,6 @@ impl Endpoint {
         self.inner.size
     }
 
-    /// The wire model in effect.
-    pub fn model(&self) -> &WireModel {
-        &self.inner.model
-    }
-
     /// The fabric's modeled wire-time ledger.
     pub fn ledger(&self) -> &WireLedger {
         &self.inner.ledger

@@ -1,7 +1,8 @@
 //! A 1-D stencil (heat equation) with halo exchange — the generated-macro
 //! plus collectives tour: `custom_struct!` declares the halo record,
-//! `sendrecv` swaps halos around the ring deadlock-free, and `allreduce`
-//! computes the global residual each step.
+//! `bcast` hands every rank the run parameters, `sendrecv` swaps halos
+//! around the ring deadlock-free, and `allreduce_f64` computes the global
+//! residual each step (rank 0 reduces, then broadcasts the result).
 //!
 //! ```text
 //! cargo run --release -p mpicd-examples --example stencil_halo
