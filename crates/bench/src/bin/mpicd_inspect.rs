@@ -20,7 +20,7 @@
 //!   per-rank blame, per-transfer slack, and per-collective (bcast,
 //!   reduce) spines.
 //! * **health**: reads the periodic health-snapshot stream written under
-//!   `MPICD_HEALTH_MS` (gauge levels/high-waters, series and sketch
+//!   `MPICD_HEALTH_MS` (counter rates, gauge levels/high-waters, sketch
 //!   summaries over the run) and, with `--flight`, joins it with a
 //!   sampled flight dump so live health and sampled timelines land in
 //!   one report.

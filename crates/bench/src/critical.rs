@@ -35,7 +35,8 @@
 //! ([`mpicd::collective_tag_name`]): each group gets its own sub-DAG and
 //! critical path, exposing the spine of the bcast tree or the reduce fan-in.
 
-use crate::flight::{json_escape, Analysis, Timeline};
+use crate::flight::{Analysis, Timeline};
+use mpicd_obs::export::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -632,7 +633,7 @@ fn steps_json(out: &mut String, steps: &[PathStep]) {
             s.ns,
             s.rank,
             s.id,
-            json_escape(&s.label),
+            escape(&s.label),
             s.cross_rank
         );
     }
@@ -646,7 +647,7 @@ pub fn render_critical_json(a: &Analysis, r: &CriticalReport, source: &str) -> S
         out,
         "{{\"source\":\"{}\",\"malformed\":{},\"transfers\":{},\"components\":{},\
          \"origin_ns\":{},\"makespan_ns\":{},\"cross_rank_steps\":{},",
-        json_escape(source),
+        escape(source),
         a.malformed.len(),
         r.transfers,
         r.components,

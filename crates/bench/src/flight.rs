@@ -7,65 +7,19 @@
 //! renders a report with per-method percentiles, the top-N slowest transfers
 //! with their critical path, and straggler flags.
 //!
-//! The parser is hand-rolled like every other JSON emitter/reader in the
-//! workspace: the dump format is flat objects with integer fields and
-//! escape-free enum strings, so a full JSON parser would be dead weight.
+//! Dump lines are read with the workspace's one JSON reader,
+//! [`crate::regress::parse_json`], and unsigned fields must be exact
+//! non-negative integers.
 
+use crate::regress::parse_json;
 use crate::report::size_label;
+use mpicd_obs::export::escape;
 use mpicd_obs::flight::{EventKind, Method};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 // ---- parsing ----------------------------------------------------------------
-
-/// One value in a flat dump object: integers or escape-free strings only.
-enum Val<'a> {
-    Num(i128),
-    Str(&'a str),
-}
-
-/// Parse one `{"k":v,...}` line with no nesting and no string escapes.
-fn parse_flat_object(line: &str) -> Option<Vec<(&str, Val<'_>)>> {
-    let mut rest = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([',', ' ']);
-        if rest.is_empty() {
-            return Some(out);
-        }
-        rest = rest.strip_prefix('"')?;
-        let kend = rest.find('"')?;
-        let key = &rest[..kend];
-        rest = rest[kend + 1..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        if let Some(r) = rest.strip_prefix('"') {
-            let vend = r.find('"')?;
-            out.push((key, Val::Str(&r[..vend])));
-            rest = &r[vend + 1..];
-        } else {
-            let vend = rest.find(',').unwrap_or(rest.len());
-            out.push((key, Val::Num(rest[..vend].trim().parse().ok()?)));
-            rest = &rest[vend..];
-        }
-    }
-}
-
-fn get_num(fields: &[(&str, Val<'_>)], key: &str) -> Option<i128> {
-    fields.iter().find_map(|(k, v)| match v {
-        Val::Num(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn get_str<'a>(fields: &[(&'a str, Val<'a>)], key: &str) -> Option<&'a str> {
-    fields.iter().find_map(|(k, v)| match v {
-        Val::Str(s) if *k == key => Some(*s),
-        _ => None,
-    })
-}
 
 fn kind_from_str(s: &str) -> Option<EventKind> {
     Some(match s {
@@ -185,40 +139,52 @@ enum Line {
 }
 
 fn parse_line(line: &str, lineno: usize) -> Result<Line, String> {
-    let fields =
-        parse_flat_object(line).ok_or_else(|| format!("line {lineno}: not a flat JSON object"))?;
-    let kind =
-        get_str(&fields, "kind").ok_or_else(|| format!("line {lineno}: missing \"kind\""))?;
+    let obj = parse_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
+    let get = |key: &str| {
+        obj.get(key)
+            .ok_or_else(|| format!("line {lineno}: missing \"{key}\""))
+    };
+    let bad = |key: &str, what: &str| format!("line {lineno}: \"{key}\" is not {what}");
+    // Unsigned fields must be exact non-negative integers; an absent
+    // optional one reads 0 (v1 dumps carry no causal fields).
+    let uint = |key: &str| {
+        get(key)?
+            .as_u64()
+            .ok_or_else(|| bad(key, "a non-negative integer"))
+    };
+    let opt_uint = |key: &str| obj.get(key).map_or(Ok(0), |_| uint(key));
+    // src/dst/tag are signed (wildcards are negative).
+    let int = |key: &str| get(key)?.as_i64().ok_or_else(|| bad(key, "an integer"));
+    let kind = get("kind")?
+        .as_str()
+        .ok_or_else(|| bad("kind", "a string"))?;
     if kind == "flight_meta" {
         return Ok(Line::Meta(DumpMeta {
-            version: get_num(&fields, "version").unwrap_or(0) as u64,
-            events: get_num(&fields, "events").unwrap_or(0) as u64,
-            overflowed: get_num(&fields, "overflowed").unwrap_or(0) as u64,
-            trace_dropped: get_num(&fields, "trace_dropped").unwrap_or(0) as u64,
+            version: opt_uint("version")?,
+            events: opt_uint("events")?,
+            overflowed: opt_uint("overflowed")?,
+            trace_dropped: opt_uint("trace_dropped")?,
         }));
     }
     let kind =
         kind_from_str(kind).ok_or_else(|| format!("line {lineno}: unknown kind \"{kind}\""))?;
-    let num = |key: &str| {
-        get_num(&fields, key).ok_or_else(|| format!("line {lineno}: missing \"{key}\""))
-    };
-    let method = get_str(&fields, "method")
+    let method = get("method")?
+        .as_str()
         .and_then(method_from_str)
         .ok_or_else(|| format!("line {lineno}: bad \"method\""))?;
     Ok(Line::Event(Event {
         kind,
-        id: num("id")? as u64,
-        t_ns: num("t_ns")? as u64,
-        dur_ns: num("dur_ns")? as u64,
-        src: num("src")? as i64,
-        dst: num("dst")? as i64,
-        tag: num("tag")? as i64,
-        bytes: num("bytes")? as u64,
+        id: uint("id")?,
+        t_ns: uint("t_ns")?,
+        dur_ns: uint("dur_ns")?,
+        src: int("src")?,
+        dst: int("dst")?,
+        tag: int("tag")?,
+        bytes: uint("bytes")?,
         method,
-        aux: num("aux")? as u64,
-        // Absent from v1 dumps; default 0 keeps them readable.
-        lc: get_num(&fields, "lc").unwrap_or(0) as u64,
-        parent: get_num(&fields, "parent").unwrap_or(0) as u64,
+        aux: uint("aux")?,
+        lc: opt_uint("lc")?,
+        parent: opt_uint("parent")?,
     }))
 }
 
@@ -840,30 +806,13 @@ pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String
 
 // ---- JSON output -------------------------------------------------------------
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// enough for the reason strings this module generates.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the analysis as one machine-readable JSON object (the `--json`
 /// flag of `mpicd-inspect`): summary counts, malformed reasons, and every
 /// reconstructed timeline with its phase attribution.
 pub fn render_json(a: &Analysis, source: &str) -> String {
     let mut out = String::new();
     out.push_str("{\"source\":\"");
-    out.push_str(&json_escape(source));
+    out.push_str(&escape(source));
     out.push_str("\",\"meta\":");
     match a.meta {
         Some(m) => {
@@ -893,7 +842,7 @@ pub fn render_json(a: &Analysis, source: &str) -> String {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&json_escape(m));
+        out.push_str(&escape(m));
         out.push('"');
     }
     out.push_str("],\"transfers\":[");
@@ -1153,7 +1102,6 @@ mod tests {
         assert!(j.contains("\"malformed\":0"));
         assert!(j.contains("\"e2e\":900"));
         assert!(j.contains("\"post_recv_ns\":100"));
-        assert_eq!(json_escape("a\\b\nc"), "a\\\\b\\u000ac");
     }
 
     #[test]

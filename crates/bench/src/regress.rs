@@ -21,9 +21,9 @@ use crate::harness::Sample;
 use crate::report::Table;
 
 // ---------------------------------------------------------------------------
-// Minimal JSON value parser (the workspace has no serde; this reads only
-// what `Table::render_json` emits: objects, arrays, strings, numbers,
-// null).
+// Minimal JSON value parser (the workspace has no serde). The one reader
+// of every JSON the workspace emits: bench tables, flight dumps, health
+// snapshots.
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value.
@@ -33,7 +33,9 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as f64).
+    /// An integer literal, kept exact (a `u64` above 2^53 survives).
+    Int(i128),
+    /// Any other JSON number (fraction or exponent), as f64.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -55,7 +57,25 @@ impl Json {
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Exact unsigned value, if this is an integer literal in `u64` range
+    /// (negative or fractional numbers are `None`).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// Exact signed value, if this is an integer literal in `i64` range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Int(n) => i64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -140,11 +160,16 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let int = text.strip_prefix('-').unwrap_or(text);
+        if !int.is_empty() && int.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse() {
+                return Ok(Json::Int(n));
+            }
+        }
+        text.parse()
             .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+            .map_err(|_| format!("bad number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -610,5 +635,17 @@ mod tests {
         // Escapes decode.
         let v = parse_json(r#""a\"bA\\""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"bA\\"));
+    }
+
+    #[test]
+    fn integers_stay_exact() {
+        let v = parse_json("[9007199254740993,-1,2.5,1e3]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_u64(), Some((1 << 53) + 1));
+        assert_eq!(items[1].as_u64(), None, "negative is not unsigned");
+        assert_eq!(items[1].as_i64(), Some(-1));
+        assert_eq!(items[2].as_u64(), None, "fraction is not an integer");
+        assert_eq!(items[2].as_f64(), Some(2.5));
+        assert_eq!(items[3].as_f64(), Some(1000.0));
     }
 }

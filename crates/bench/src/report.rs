@@ -2,6 +2,7 @@
 //! same rows/series the paper's plot shows.
 
 use crate::harness::Sample;
+use mpicd_obs::export::escape;
 
 /// A result table: one row per x value (message size or benchmark name),
 /// one column per method/series, mean ± std in each cell.
@@ -12,7 +13,7 @@ pub struct Table {
     pub xlabel: String,
     /// Value unit appended to the header (e.g. `us`, `MB/s`).
     pub unit: String,
-    /// Series (column) labels.
+    /// Column labels, one per method.
     pub columns: Vec<String>,
     /// Rows: x label → one sample per column (`None` = not applicable).
     pub rows: Vec<(String, Vec<Option<Sample>>)>,
@@ -95,9 +96,6 @@ impl Table {
     /// Render as a JSON document (hand-rolled — the workspace has no JSON
     /// dependency) so CI can publish results as artifacts.
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
@@ -106,19 +104,19 @@ impl Table {
             }
         }
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": \"{}\",\n", esc(&self.title)));
-        out.push_str(&format!("  \"xlabel\": \"{}\",\n", esc(&self.xlabel)));
-        out.push_str(&format!("  \"unit\": \"{}\",\n", esc(&self.unit)));
+        out.push_str(&format!("  \"title\": \"{}\",\n", escape(&self.title)));
+        out.push_str(&format!("  \"xlabel\": \"{}\",\n", escape(&self.xlabel)));
+        out.push_str(&format!("  \"unit\": \"{}\",\n", escape(&self.unit)));
         out.push_str("  \"columns\": [");
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", esc(c)));
+            out.push_str(&format!("\"{}\"", escape(c)));
         }
         out.push_str("],\n  \"rows\": [\n");
         for (ri, (x, cells)) in self.rows.iter().enumerate() {
-            out.push_str(&format!("    {{\"x\": \"{}\", \"cells\": [", esc(x)));
+            out.push_str(&format!("    {{\"x\": \"{}\", \"cells\": [", escape(x)));
             for (i, cell) in cells.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");

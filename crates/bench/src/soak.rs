@@ -34,7 +34,7 @@ use crate::report::Table;
 use mpicd::types::as_bytes;
 use mpicd::{transfer, transfer_typed, Communicator, World};
 use mpicd_datatype::{Committed, Datatype};
-use mpicd_obs::{flight, telemetry};
+use mpicd_obs::{flight, telemetry, Gauge};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -273,28 +273,26 @@ pub struct GaugeLevels {
 }
 
 impl GaugeLevels {
+    fn from_gauges(level: fn(&Gauge) -> u64) -> Self {
+        let g = |name| level(&mpicd_obs::global().gauge(name));
+        Self {
+            bounce_pool: g("fabric.bounce_pool"),
+            scratch_free: g("fabric.scratch_free"),
+            match_live: g("fabric.match.live"),
+            match_tombstones: g("fabric.match.tombstones"),
+            unexpected: g("fabric.unexpected_depth"),
+            pipeline_queue: g("fabric.pipeline.queue"),
+        }
+    }
+
     /// Current values.
     pub fn read() -> Self {
-        Self {
-            bounce_pool: telemetry::gauge("fabric.bounce_pool").get(),
-            scratch_free: telemetry::gauge("fabric.scratch_free").get(),
-            match_live: telemetry::gauge("fabric.match.live").get(),
-            match_tombstones: telemetry::gauge("fabric.match.tombstones").get(),
-            unexpected: telemetry::gauge("fabric.unexpected_depth").get(),
-            pipeline_queue: telemetry::gauge("fabric.pipeline.queue").get(),
-        }
+        Self::from_gauges(Gauge::get)
     }
 
     /// High-water marks.
     pub fn high_water() -> Self {
-        Self {
-            bounce_pool: telemetry::gauge("fabric.bounce_pool").high_water(),
-            scratch_free: telemetry::gauge("fabric.scratch_free").high_water(),
-            match_live: telemetry::gauge("fabric.match.live").high_water(),
-            match_tombstones: telemetry::gauge("fabric.match.tombstones").high_water(),
-            unexpected: telemetry::gauge("fabric.unexpected_depth").high_water(),
-            pipeline_queue: telemetry::gauge("fabric.pipeline.queue").high_water(),
-        }
+        Self::from_gauges(Gauge::high_water)
     }
 
     /// Total growth of `self` (the quiesced end-of-soak levels) versus the
@@ -536,7 +534,7 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
     }
 
     // Steady state: stream for `duration` while reporting live windows.
-    let sketch = telemetry::sketch("fabric.transfer_active_ns");
+    let sketch = mpicd_obs::global().sketch("fabric.transfer_active_ns");
     let stats0 = world.fabric().stats();
     let strag0 = straggler_total();
     let counts0 = sketch.bucket_counts();

@@ -113,6 +113,46 @@ fn corrupt_line_amid_valid_events_exits_two() {
     assert!(stdout.contains("malformed timelines: 1"), "{stdout}");
 }
 
+#[test]
+fn ids_above_2_pow_53_round_trip_exactly() {
+    let id = (1u64 << 53) + 1;
+    let text = [
+        event_line("post_recv", id + 1, 100, 0, 1, 0),
+        event_line("post_send", id, 110, 0, 1, 0),
+        event_line("match", id, 120, 0, 1, id + 1),
+        event_line("complete", id, 150, 0, 1, 0),
+    ]
+    .join("\n");
+    let dump = parse_dump(&text).unwrap();
+    assert!(dump.bad_lines.is_empty(), "{:?}", dump.bad_lines);
+    assert_eq!(dump.events[1].id, id);
+    let a = analyze(&dump);
+    assert!(a.malformed.is_empty(), "{:?}", a.malformed);
+    assert_eq!(a.completed[0].id, id);
+    assert_eq!(a.completed[0].recv_id, id + 1);
+}
+
+#[test]
+fn negative_unsigned_field_exits_two() {
+    let mut text = clean_dump(2);
+    text.push('\n');
+    text.push_str(&event_line("post_send", 99, 900, 0, 1, 0).replace("\"id\":99", "\"id\":-1"));
+    let path = write_temp("negative-id.jsonl", &text);
+    let (code, stdout, _) = run_inspect(&[path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 2, "{stdout}");
+    assert!(stdout.contains("malformed timelines: 1"), "{stdout}");
+    let bad = parse_dump(&text).unwrap().bad_lines;
+    assert_eq!(bad.len(), 1);
+    assert!(
+        bad[0].starts_with("line 10: \"id\" is not a non-negative integer"),
+        "{bad:?}"
+    );
+    // A fraction in an unsigned field is rejected the same way.
+    let frac = event_line("complete", 1, 5, 0, 1, 0).replace("\"bytes\":256", "\"bytes\":2.5");
+    assert!(parse_dump(&frac).is_err());
+}
+
 // ---------------------------------------------------------------------------
 // Truncation
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ use crate::buffer::{Buffer, BufferMut};
 use crate::communicator::Communicator;
 use crate::error::{Error, Result};
 use mpicd_fabric::Tag;
-use mpicd_obs::telemetry;
+use mpicd_obs::{telemetry, Sketch};
 use std::sync::{Arc, OnceLock};
 
 /// Reserved tag for broadcast traffic.
@@ -42,27 +42,24 @@ pub fn collective_tag_name(tag: Tag) -> Option<&'static str> {
 /// Lazily-registered per-collective latency sketch (entry-to-exit wall
 /// time of this rank's participation). One relaxed load when telemetry
 /// is off; the registry lock is only ever taken once per op name.
-fn coll_sketch(
-    cell: &'static OnceLock<Arc<telemetry::Sketch>>,
-    name: &'static str,
-) -> &'static telemetry::Sketch {
-    cell.get_or_init(|| telemetry::sketch(name))
+fn coll_sketch(cell: &'static OnceLock<Arc<Sketch>>, name: &'static str) -> &'static Sketch {
+    cell.get_or_init(|| mpicd_obs::global().sketch(name))
 }
 
-static BCAST_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
-static ALLREDUCE_NS: OnceLock<Arc<telemetry::Sketch>> = OnceLock::new();
+static BCAST_NS: OnceLock<Arc<Sketch>> = OnceLock::new();
+static ALLREDUCE_NS: OnceLock<Arc<Sketch>> = OnceLock::new();
 
 /// Time one collective invocation into its latency sketch. Returns a
 /// guard so every `?`-exit records too (failures are the interesting
 /// latencies).
 struct CollTimer {
     t0: u64,
-    cell: &'static OnceLock<Arc<telemetry::Sketch>>,
+    cell: &'static OnceLock<Arc<Sketch>>,
     name: &'static str,
 }
 
 impl CollTimer {
-    fn start(cell: &'static OnceLock<Arc<telemetry::Sketch>>, name: &'static str) -> Self {
+    fn start(cell: &'static OnceLock<Arc<Sketch>>, name: &'static str) -> Self {
         Self {
             t0: telemetry::clock(),
             cell,

@@ -172,7 +172,7 @@ impl Fabric {
                 size,
                 ledger: WireLedger::new(),
                 stats: FabricStats::default(),
-                metrics: FabricMetrics::from_global(),
+                metrics: FabricMetrics::new(mpicd_obs::global()),
                 state: Mutex::new(MatchState {
                     unexpected: (0..size)
                         .map(|_| SendQueue::new(matching.buckets))
@@ -862,7 +862,7 @@ enum SendSide {
 
 impl Inner {
     /// Record one send/recv pairing (exact path or wildcard sideline) in
-    /// the per-fabric stats, the global registry, and telemetry.
+    /// the per-fabric stats and the registry counters.
     fn note_match(&self, wildcard: bool) {
         self.stats.record_match(wildcard);
         self.metrics.record_match(wildcard);

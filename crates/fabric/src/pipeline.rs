@@ -32,8 +32,8 @@ use crate::payload::{
 use crate::stats::{FabricMetrics, FabricStats};
 use crate::transfer::{move_range, run_inline, At, Stream, Walk};
 use mpicd_obs::sync::{Condvar, Mutex};
-use mpicd_obs::telemetry;
 use mpicd_obs::trace::span_acc;
+use mpicd_obs::Gauge;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -93,7 +93,7 @@ struct ScratchRing {
     /// Level gauge (`fabric.scratch_free`): slots still available for
     /// checkout. A sustained low reading means fragments are stalling on
     /// staging buffers (raise `MPICD_PIPELINE_DEPTH`).
-    gauge: Arc<telemetry::Gauge>,
+    gauge: Arc<Gauge>,
 }
 
 struct RingState {
@@ -110,7 +110,7 @@ impl RingState {
 }
 
 impl ScratchRing {
-    fn new(depth: usize, gauge: Arc<telemetry::Gauge>) -> Self {
+    fn new(depth: usize, gauge: Arc<Gauge>) -> Self {
         let depth = depth.max(1);
         // Structural baseline, recorded even before telemetry is enabled
         // so the gauge never reads 0-free on an idle ring.
@@ -267,7 +267,7 @@ struct PoolQueue {
     shutdown: bool,
     /// Level gauge (`fabric.pipeline.queue`): jobs with unclaimed
     /// fragments. Updated at the push and pop sites, under the queue lock.
-    depth_gauge: Arc<telemetry::Gauge>,
+    depth_gauge: Arc<Gauge>,
 }
 
 struct PoolShared {
@@ -642,7 +642,7 @@ mod tests {
     ) -> (Vec<u8>, FabricResult<usize>, bool) {
         let total = layout.payload.len();
         let mut out = vec![0u8; total];
-        let metrics = FabricMetrics::detached();
+        let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let stats = FabricStats::default();
         let w = Walk {
             frag: layout.frag,
@@ -744,7 +744,7 @@ mod tests {
         src: &mut Stream<'_, &mut dyn FragmentPacker, IovEntry>,
         frag: usize,
     ) -> (Vec<u8>, FabricResult<usize>, bool) {
-        let metrics = FabricMetrics::detached();
+        let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let stats = FabricStats::default();
         let w = Walk {
             frag,
@@ -831,7 +831,7 @@ mod tests {
 
     #[test]
     fn scratch_ring_is_bounded_and_recycles() {
-        let ring = ScratchRing::new(2, Arc::new(telemetry::Gauge::standalone()));
+        let ring = ScratchRing::new(2, Arc::new(Gauge::new()));
         let b1 = ring.checkout();
         let b2 = ring.checkout();
         ring.checkin(b1);
@@ -877,7 +877,7 @@ mod tests {
             }
         }
 
-        let metrics = FabricMetrics::detached();
+        let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let pool = PipelinePool::spawn(PipelineConfig::with_threads(2), &metrics);
         // Give the worker time to find the queue empty and park.
         std::thread::sleep(Duration::from_millis(20));
@@ -923,10 +923,7 @@ mod model_tests {
     #[test]
     fn scratch_ring_hands_single_buffer_across_threads() {
         model(|| {
-            let ring = Arc::new(ScratchRing::new(
-                1,
-                Arc::new(telemetry::Gauge::standalone()),
-            ));
+            let ring = Arc::new(ScratchRing::new(1, Arc::new(Gauge::new())));
             let r = Arc::clone(&ring);
             let t = mthread::spawn(move || {
                 let mut b = r.checkout();
@@ -954,10 +951,7 @@ mod model_tests {
     #[test]
     fn checkout_blocked_at_depth_wakes_on_checkin() {
         model(|| {
-            let ring = Arc::new(ScratchRing::new(
-                1,
-                Arc::new(telemetry::Gauge::standalone()),
-            ));
+            let ring = Arc::new(ScratchRing::new(1, Arc::new(Gauge::new())));
             let mut held = ring.checkout();
             held.push(7);
             let r = Arc::clone(&ring);
@@ -1017,7 +1011,7 @@ mod model_tests {
                 queue: Mutex::new(PoolQueue {
                     jobs: VecDeque::new(),
                     shutdown: false,
-                    depth_gauge: Arc::new(telemetry::Gauge::standalone()),
+                    depth_gauge: Arc::new(Gauge::new()),
                 }),
                 work: Condvar::new(),
             });
@@ -1070,7 +1064,7 @@ mod model_tests {
                 queue: Mutex::new(PoolQueue {
                     jobs: VecDeque::new(),
                     shutdown: false,
-                    depth_gauge: Arc::new(telemetry::Gauge::standalone()),
+                    depth_gauge: Arc::new(Gauge::new()),
                 }),
                 work: Condvar::new(),
             });

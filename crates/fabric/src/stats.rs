@@ -6,13 +6,13 @@
 //! eager messages pay a bounce-buffer copy that rendezvous avoids.
 //!
 //! [`FabricStats`] keeps the per-fabric counters the public API exposes;
-//! the crate-private `FabricMetrics` mirrors the same traffic into the process-global
+//! the crate-private `FabricMetrics` mirrors the same traffic into an
 //! `mpicd-obs` registry (plus phase-time counters fed by spans) so the
-//! benchmark harness can take registry snapshots without holding a fabric
-//! handle.
+//! benchmark harness can read the process-global registry without holding
+//! a fabric handle.
 
-use mpicd_obs::metrics::{global, Counter, Histogram};
-use mpicd_obs::telemetry;
+use mpicd_obs::telemetry::{quantile_from_counts, sketch_bucket, SKETCH_BUCKETS};
+use mpicd_obs::{Counter, Gauge, Registry, Sketch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,12 +26,12 @@ const MIN_WINDOW_SAMPLES: u64 = 100;
 /// enough that the threshold tracks shifting traffic).
 const STRAGGLER_WINDOW_NS: u64 = 1_000_000_000;
 
-/// Online straggler detector: log2-bucketed latency histogram over a
-/// rotating wall-clock window. Each completed transfer's active time is
-/// recorded into the current window; when the window rolls over, the
-/// p99 of the *closed* window sets the straggler threshold (2x the
-/// p99 bucket's upper bound) for the next one. A transfer is flagged
-/// the moment it completes — no post-mortem pass.
+/// Online straggler detector: a latency histogram in sketch buckets over
+/// a rotating wall-clock window. Each completed transfer's active time is
+/// recorded into the current window; when the window rolls over, the p99
+/// of the *closed* window sets the straggler threshold (2x the p99
+/// bucket's upper bound) for the next one. A transfer is flagged the
+/// moment it completes — no post-mortem pass.
 ///
 /// The gate is advisory: rotation races with concurrent `observe`
 /// calls can misplace a handful of samples across a window boundary,
@@ -42,7 +42,7 @@ const STRAGGLER_WINDOW_NS: u64 = 1_000_000_000;
 pub(crate) struct StragglerGate {
     window_ns: u64,
     epoch: AtomicU64,
-    buckets: [AtomicU64; 64],
+    buckets: [AtomicU64; SKETCH_BUCKETS],
     threshold_ns: AtomicU64,
 }
 
@@ -54,19 +54,6 @@ impl StragglerGate {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             threshold_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Upper bound of log2 bucket `idx` (the largest value that maps there).
-    fn bucket_upper(idx: usize) -> u64 {
-        if idx >= 63 {
-            u64::MAX
-        } else {
-            (2u64 << idx) - 1
-        }
-    }
-
-    fn bucket_index(v: u64) -> usize {
-        63 - (v | 1).leading_zeros() as usize
     }
 
     /// Record one completed transfer's active time; returns `true` when
@@ -89,17 +76,7 @@ impl StragglerGate {
                 .collect();
             let total: u64 = counts.iter().sum();
             let thr = if epoch == cur + 1 && total >= MIN_WINDOW_SAMPLES {
-                let rank = (total * 99).div_ceil(100);
-                let mut cum = 0u64;
-                let mut p99_idx = counts.len() - 1;
-                for (i, c) in counts.iter().enumerate() {
-                    cum += c;
-                    if cum >= rank {
-                        p99_idx = i;
-                        break;
-                    }
-                }
-                Self::bucket_upper(p99_idx).saturating_mul(2)
+                quantile_from_counts(&counts, 0.99).saturating_mul(2)
             } else {
                 // Idle gap or thin window: disarm rather than flag
                 // against stale statistics.
@@ -107,7 +84,7 @@ impl StragglerGate {
             };
             self.threshold_ns.store(thr, Ordering::Relaxed);
         }
-        self.buckets[Self::bucket_index(active_ns)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[sketch_bucket(active_ns)].fetch_add(1, Ordering::Relaxed);
         let thr = self.threshold_ns.load(Ordering::Relaxed);
         thr != 0 && active_ns > thr
     }
@@ -122,7 +99,7 @@ impl StragglerGate {
 /// Move `gauge` by the difference between a resource's occupancy before
 /// and after an operation, issuing only the one delta (O(1) per call —
 /// never a rescan of the structure).
-pub(crate) fn gauge_shift(gauge: &telemetry::Gauge, before: usize, after: usize) {
+pub(crate) fn gauge_shift(gauge: &Gauge, before: usize, after: usize) {
     if after > before {
         gauge.add((after - before) as u64);
     } else if before > after {
@@ -269,9 +246,9 @@ impl StatsView {
     }
 }
 
-/// Handles into the process-global `mpicd-obs` registry for everything the
-/// fabric reports. Created once per [`Fabric`](crate::Fabric); all fabrics
-/// share the same underlying registry entries (get-or-create by name).
+/// Handles into an `mpicd-obs` registry for everything the fabric reports.
+/// Created once per [`Fabric`](crate::Fabric) from the process-global
+/// registry, so all fabrics share the same entries (get-or-create by name).
 ///
 /// The `*_ns` phase counters are fed by `span_acc` guards and therefore
 /// only advance while tracing is enabled; the traffic counters and the
@@ -293,8 +270,9 @@ pub(crate) struct FabricMetrics {
     pub unpack_ns: Arc<Counter>,
     /// Bytes copied into eager bounce buffers (the copy the custom path avoids).
     pub copy_bytes: Arc<Counter>,
-    /// Message-size distribution.
-    pub msg_size: Arc<Histogram>,
+    /// Message-size distribution (always on: recorded with the ungated
+    /// `observe`).
+    pub msg_size: Arc<Sketch>,
     /// Transfers handed to the fragment engine's worker pool (always on).
     pub pipeline_transfers: Arc<Counter>,
     /// Fragments of those transfers (always on).
@@ -313,43 +291,33 @@ pub(crate) struct FabricMetrics {
     /// Matched pairs whose structural signatures disagreed (always on;
     /// counted in `warn` and `enforce` typecheck modes).
     pub type_mismatch: Arc<Counter>,
-    /// Continuous telemetry (`MPICD_TELEMETRY=1`): message traffic as a
-    /// windowed time series (count = messages, sum = payload bytes).
-    pub tele_traffic: Arc<telemetry::Series>,
-    /// Continuous telemetry: modeled per-message wire latency sketch.
-    pub tele_wire_ns: Arc<telemetry::Sketch>,
-    /// Continuous telemetry: match-to-complete wall time per transfer.
-    pub tele_active_ns: Arc<telemetry::Sketch>,
-    /// Continuous telemetry: match events as a windowed series (count =
-    /// pairings; rate over a window is matches/sec).
-    pub tele_match: Arc<telemetry::Series>,
-    /// Transfers flagged by the online straggler gate (always on).
+    /// Telemetry sketch (`MPICD_TELEMETRY=1`): modeled per-message wire
+    /// latency.
+    pub tele_wire_ns: Arc<Sketch>,
+    /// Telemetry sketch: match-to-complete wall time per transfer.
+    pub tele_active_ns: Arc<Sketch>,
+    /// Transfers flagged by the online straggler gate.
     pub stragglers: Arc<Counter>,
-    /// Continuous telemetry: stragglers as a windowed series (count =
-    /// flagged transfers, sum = their active ns), so a live scraper sees
-    /// the current window's straggler rate, not just the lifetime total.
-    pub tele_stragglers: Arc<telemetry::Series>,
     /// Windowed p99 gate feeding `stragglers`.
     pub straggler_gate: Arc<StragglerGate>,
     /// Level gauge: eager bounce-buffer freelist occupancy.
-    pub g_bounce_pool: Arc<telemetry::Gauge>,
+    pub g_bounce_pool: Arc<Gauge>,
     /// Level gauge: pending unexpected sends across all destinations.
-    pub g_unexpected: Arc<telemetry::Gauge>,
+    pub g_unexpected: Arc<Gauge>,
     /// Level gauge: live entries across matching slabs (posted + unexpected).
-    pub g_match_live: Arc<telemetry::Gauge>,
+    pub g_match_live: Arc<Gauge>,
     /// Level gauge: tombstoned (matched/cancelled, not yet compacted)
     /// matching-slab entries.
-    pub g_match_tombstones: Arc<telemetry::Gauge>,
+    pub g_match_tombstones: Arc<Gauge>,
     /// Level gauge: free scratch-ring slots in the pipeline pool.
-    pub g_scratch_free: Arc<telemetry::Gauge>,
+    pub g_scratch_free: Arc<Gauge>,
     /// Level gauge: jobs queued to the pipeline worker pool.
-    pub g_pipeline_queue: Arc<telemetry::Gauge>,
+    pub g_pipeline_queue: Arc<Gauge>,
 }
 
 impl FabricMetrics {
-    /// Handles into the process-global registry under `fabric.*` names.
-    pub(crate) fn from_global() -> Self {
-        let r = global();
+    /// Handles into `r` under `fabric.*` names.
+    pub(crate) fn new(r: &Registry) -> Self {
         Self {
             messages: r.counter("fabric.messages"),
             bytes: r.counter("fabric.bytes"),
@@ -362,7 +330,7 @@ impl FabricMetrics {
             pack_ns: r.counter("fabric.pack_ns"),
             unpack_ns: r.counter("fabric.unpack_ns"),
             copy_bytes: r.counter("fabric.copy_bytes"),
-            msg_size: r.histogram("fabric.msg_size"),
+            msg_size: r.sketch("fabric.msg_size"),
             pipeline_transfers: r.counter("fabric.pipeline.transfers"),
             pipeline_frags: r.counter("fabric.pipeline.frags"),
             pipeline_threads: r.counter("fabric.pipeline.threads"),
@@ -371,65 +339,21 @@ impl FabricMetrics {
             match_wildcard: r.counter("fabric.match.wildcard"),
             match_drained: r.counter("fabric.match.drained"),
             type_mismatch: r.counter("fabric.type_mismatch"),
-            tele_traffic: telemetry::series("fabric.traffic"),
-            tele_wire_ns: telemetry::sketch("fabric.wire_latency_ns"),
-            tele_active_ns: telemetry::sketch("fabric.transfer_active_ns"),
-            tele_match: telemetry::series("fabric.match.rate"),
+            tele_wire_ns: r.sketch("fabric.wire_latency_ns"),
+            tele_active_ns: r.sketch("fabric.transfer_active_ns"),
             stragglers: r.counter("fabric.stragglers"),
-            tele_stragglers: telemetry::series("fabric.stragglers"),
             straggler_gate: Arc::new(StragglerGate::new(STRAGGLER_WINDOW_NS)),
-            g_bounce_pool: telemetry::gauge("fabric.bounce_pool"),
-            g_unexpected: telemetry::gauge("fabric.unexpected_depth"),
-            g_match_live: telemetry::gauge("fabric.match.live"),
-            g_match_tombstones: telemetry::gauge("fabric.match.tombstones"),
-            g_scratch_free: telemetry::gauge("fabric.scratch_free"),
-            g_pipeline_queue: telemetry::gauge("fabric.pipeline.queue"),
-        }
-    }
-
-    /// Standalone handles not registered anywhere — for unit tests that
-    /// must not see cross-test traffic through the global registry.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Self {
-        Self {
-            messages: Arc::new(Counter::new()),
-            bytes: Arc::new(Counter::new()),
-            eager: Arc::new(Counter::new()),
-            rendezvous: Arc::new(Counter::new()),
-            fragments: Arc::new(Counter::new()),
-            regions: Arc::new(Counter::new()),
-            unexpected: Arc::new(Counter::new()),
-            wire_ns: Arc::new(Counter::new()),
-            pack_ns: Arc::new(Counter::new()),
-            unpack_ns: Arc::new(Counter::new()),
-            copy_bytes: Arc::new(Counter::new()),
-            msg_size: Arc::new(Histogram::new()),
-            pipeline_transfers: Arc::new(Counter::new()),
-            pipeline_frags: Arc::new(Counter::new()),
-            pipeline_threads: Arc::new(Counter::new()),
-            pipeline_ns: Arc::new(Counter::new()),
-            match_exact: Arc::new(Counter::new()),
-            match_wildcard: Arc::new(Counter::new()),
-            match_drained: Arc::new(Counter::new()),
-            type_mismatch: Arc::new(Counter::new()),
-            tele_traffic: Arc::new(telemetry::Series::standalone(1_000_000_000)),
-            tele_wire_ns: Arc::new(telemetry::Sketch::standalone()),
-            tele_active_ns: Arc::new(telemetry::Sketch::standalone()),
-            tele_match: Arc::new(telemetry::Series::standalone(1_000_000_000)),
-            stragglers: Arc::new(Counter::new()),
-            tele_stragglers: Arc::new(telemetry::Series::standalone(1_000_000_000)),
-            straggler_gate: Arc::new(StragglerGate::new(STRAGGLER_WINDOW_NS)),
-            g_bounce_pool: Arc::new(telemetry::Gauge::standalone()),
-            g_unexpected: Arc::new(telemetry::Gauge::standalone()),
-            g_match_live: Arc::new(telemetry::Gauge::standalone()),
-            g_match_tombstones: Arc::new(telemetry::Gauge::standalone()),
-            g_scratch_free: Arc::new(telemetry::Gauge::standalone()),
-            g_pipeline_queue: Arc::new(telemetry::Gauge::standalone()),
+            g_bounce_pool: r.gauge("fabric.bounce_pool"),
+            g_unexpected: r.gauge("fabric.unexpected_depth"),
+            g_match_live: r.gauge("fabric.match.live"),
+            g_match_tombstones: r.gauge("fabric.match.tombstones"),
+            g_scratch_free: r.gauge("fabric.scratch_free"),
+            g_pipeline_queue: r.gauge("fabric.pipeline.queue"),
         }
     }
 
     /// Mirror of [`FabricStats::record_message`], plus modeled wire time
-    /// and the message-size histogram.
+    /// and the message-size sketch.
     pub(crate) fn record_message(
         &self,
         bytes: usize,
@@ -448,22 +372,18 @@ impl FabricMetrics {
         self.fragments.add(fragments as u64);
         self.regions.add(regions as u64);
         self.wire_ns.add(wire_ns as u64);
-        self.msg_size.record(bytes as u64);
-        // Continuous telemetry mirror; each call is one relaxed load when
-        // MPICD_TELEMETRY is off.
-        self.tele_traffic.add(bytes as u64);
+        self.msg_size.observe(bytes as u64);
+        // One relaxed load when MPICD_TELEMETRY is off.
         self.tele_wire_ns.record(wire_ns as u64);
     }
 
-    /// Mirror of [`FabricStats::record_match`] into the global registry and
-    /// the `fabric.match.rate` telemetry series.
+    /// Mirror of [`FabricStats::record_match`].
     pub(crate) fn record_match(&self, wildcard: bool) {
         if wildcard {
             self.match_wildcard.inc();
         } else {
             self.match_exact.inc();
         }
-        self.tele_match.add(1);
     }
 
     /// Mirror of [`FabricStats::record_drained`].
@@ -478,7 +398,6 @@ impl FabricMetrics {
     pub(crate) fn record_straggler_check(&self, now_ns: u64, active_ns: u64) {
         if self.straggler_gate.observe(now_ns, active_ns) {
             self.stragglers.inc();
-            self.tele_stragglers.add(active_ns);
         }
     }
 }
@@ -553,7 +472,7 @@ mod tests {
         assert_eq!(v.match_wildcard, 1);
         assert_eq!(v.match_drained, 5);
 
-        let m = FabricMetrics::detached();
+        let m = FabricMetrics::new(&Registry::new());
         m.record_match(true);
         m.record_drained(7);
         assert_eq!(m.match_wildcard.get(), 1);
@@ -564,14 +483,14 @@ mod tests {
     #[test]
     fn straggler_gate_arms_from_previous_window_p99() {
         let g = StragglerGate::new(1_000);
-        // Window 0: 200 samples around 100 ns (bucket 6, upper bound 127).
+        // Window 0: 200 samples of 100 ns (sketch bucket [96, 112)).
         for i in 0..200u64 {
             assert!(!g.observe(i, 100), "gate must stay disarmed in window 0");
         }
         assert_eq!(g.threshold(), 0);
-        // First observe in window 1 rotates; threshold = 2 * 127 = 254.
+        // First observe in window 1 rotates; threshold = 2 * 111 = 222.
         assert!(!g.observe(1_000, 100));
-        assert_eq!(g.threshold(), 254);
+        assert_eq!(g.threshold(), 222);
         // A 10 µs transfer in window 1 is flagged live.
         assert!(g.observe(1_100, 10_000));
         // A sub-threshold one is not.
@@ -600,7 +519,7 @@ mod tests {
 
     #[test]
     fn straggler_check_counts_into_metrics() {
-        let m = FabricMetrics::detached();
+        let m = FabricMetrics::new(&Registry::new());
         for i in 0..200u64 {
             m.record_straggler_check(i, 100);
         }
@@ -612,24 +531,23 @@ mod tests {
 
     #[test]
     fn gauge_shift_moves_by_delta_only() {
-        let g = telemetry::Gauge::standalone();
+        let g = Gauge::new();
         g.observe_set(10);
         gauge_shift(&g, 3, 7);
-        // Standalone gauges bypass the enabled() gate only via observe_*;
-        // gauge_shift goes through add/sub, so force telemetry on.
-        telemetry::set_enabled(true);
+        // gauge_shift goes through the gated add/sub, so force telemetry on.
+        mpicd_obs::telemetry::set_enabled(true);
         gauge_shift(&g, 3, 7);
         assert_eq!(g.get(), 14);
         gauge_shift(&g, 7, 2);
         assert_eq!(g.get(), 9);
         gauge_shift(&g, 5, 5);
         assert_eq!(g.get(), 9);
-        telemetry::set_enabled(false);
+        mpicd_obs::telemetry::set_enabled(false);
     }
 
     #[test]
     fn metrics_mirror_counts() {
-        let m = FabricMetrics::detached();
+        let m = FabricMetrics::new(&Registry::new());
         m.record_message(4096, true, 2, 3, 1500.9);
         assert_eq!(m.messages.get(), 1);
         assert_eq!(m.bytes.get(), 4096);
@@ -638,6 +556,6 @@ mod tests {
         assert_eq!(m.fragments.get(), 2);
         assert_eq!(m.regions.get(), 3);
         assert_eq!(m.wire_ns.get(), 1500);
-        assert_eq!(m.msg_size.summary().count, 1);
+        assert_eq!(m.msg_size.count(), 1);
     }
 }

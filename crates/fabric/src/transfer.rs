@@ -352,7 +352,7 @@ mod tests {
         reverse: bool,
         stage: &mut Vec<u8>,
     ) -> FabricResult<usize> {
-        let metrics = FabricMetrics::detached();
+        let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let w = Walk {
             frag,
             metrics: &metrics,

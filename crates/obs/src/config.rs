@@ -14,11 +14,10 @@
 //! | `MPICD_HEALTH_MS` | when set, write periodic health snapshots every N ms (invalid values use 1000) | off |
 //! | `MPICD_HEALTH_PATH` | health-snapshot JSONL path | `mpicd-health.jsonl` |
 //! | `MPICD_METRICS_JSON` | write the metrics snapshot as JSON at flush (a path, or `1` for `mpicd-metrics.json`) | off |
-//! | `MPICD_TELEMETRY` | enable the continuous telemetry registry (`1`/`true`/`on`) | off |
-//! | `MPICD_TELEMETRY_WINDOW_MS` | telemetry time-series window width (ms) | `1000` |
+//! | `MPICD_TELEMETRY` | enable gauges and sketches (`1`/`true`/`on`) | off |
 //! | `MPICD_TELEMETRY_PATH` | Prometheus-style exposition path written at flush | `mpicd-telemetry.prom` |
 //!
-//! Capacity and window knobs are validated at parse time: `0`, absurdly
+//! Capacity and cadence knobs are validated at parse time: `0`, absurdly
 //! large values, or unparseable input produce a stderr warning and fall
 //! back to the default (capacities above [`MAX_CAPACITY`] are clamped)
 //! instead of silently misbehaving.
@@ -37,17 +36,11 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 /// Default flight-recorder ring capacity (events, whole process).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 
-/// Default telemetry time-series window width (ms).
-pub const DEFAULT_TELEMETRY_WINDOW_MS: u64 = 1_000;
-
 /// Upper bound accepted for ring capacities (`MPICD_TRACE_CAP` /
 /// `MPICD_FLIGHT_CAP`): 64 Mi events. A flight ring alone costs ~88 bytes
 /// per event, so anything larger is a typo, not a tuning choice; larger
 /// requests are clamped here with a warning.
 pub const MAX_CAPACITY: usize = 1 << 26;
-
-/// Upper bound accepted for `MPICD_TELEMETRY_WINDOW_MS`: one day.
-pub const MAX_TELEMETRY_WINDOW_MS: u64 = 86_400_000;
 
 /// Default flight-recorder sampling rate: every transfer is recorded.
 pub const DEFAULT_FLIGHT_SAMPLE: u64 = 1;
@@ -167,11 +160,8 @@ pub struct ObsConfig {
     /// Metrics-snapshot JSON path written by [`crate::flush`]
     /// (`None` disables the file).
     pub metrics_file: Option<PathBuf>,
-    /// Whether the continuous telemetry registry is enabled.
+    /// Whether telemetry (gauges and sketches) is enabled.
     pub telemetry: bool,
-    /// Telemetry time-series window width in milliseconds. Applies to
-    /// instruments registered after installation.
-    pub telemetry_window_ms: u64,
     /// Prometheus-style exposition path written by [`crate::flush`]
     /// (`None` uses the default `mpicd-telemetry.prom`).
     pub telemetry_file: Option<PathBuf>,
@@ -191,7 +181,6 @@ impl Default for ObsConfig {
             health_file: None,
             metrics_file: None,
             telemetry: false,
-            telemetry_window_ms: DEFAULT_TELEMETRY_WINDOW_MS,
             telemetry_file: None,
         }
     }
@@ -248,11 +237,6 @@ impl ObsConfig {
         let telemetry = std::env::var("MPICD_TELEMETRY")
             .map(|v| env_flag(&v))
             .unwrap_or(false);
-        let telemetry_window_ms = env_bounded(
-            "MPICD_TELEMETRY_WINDOW_MS",
-            DEFAULT_TELEMETRY_WINDOW_MS,
-            MAX_TELEMETRY_WINDOW_MS,
-        );
         let telemetry_file = std::env::var("MPICD_TELEMETRY_PATH")
             .ok()
             .map(PathBuf::from);
@@ -268,7 +252,6 @@ impl ObsConfig {
             health_file,
             metrics_file,
             telemetry,
-            telemetry_window_ms,
             telemetry_file,
         }
     }
@@ -334,15 +317,9 @@ impl ObsConfig {
         self
     }
 
-    /// Builder: enable/disable the telemetry registry.
+    /// Builder: enable/disable telemetry (gauges and sketches).
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Builder: telemetry window width in milliseconds.
-    pub fn telemetry_window_ms(mut self, ms: u64) -> Self {
-        self.telemetry_window_ms = ms.max(1);
         self
     }
 
@@ -421,7 +398,6 @@ mod tests {
         assert_eq!(c.flight_path(), PathBuf::from("mpicd-flight.jsonl"));
         assert!(c.metrics_file.is_none());
         assert!(!c.telemetry);
-        assert_eq!(c.telemetry_window_ms, DEFAULT_TELEMETRY_WINDOW_MS);
         assert_eq!(c.telemetry_path(), PathBuf::from("mpicd-telemetry.prom"));
         assert_eq!(c.flight_sample, DEFAULT_FLIGHT_SAMPLE);
         assert_eq!(c.health_ms, 0, "health thread is off by default");
@@ -439,7 +415,6 @@ mod tests {
             .flight_capacity(32)
             .metrics_file("/tmp/m.json")
             .telemetry(true)
-            .telemetry_window_ms(250)
             .telemetry_file("/tmp/tele.prom")
             .flight_sample(16)
             .health_ms(500)
@@ -452,7 +427,6 @@ mod tests {
         assert_eq!(c.flight_capacity, 32);
         assert_eq!(c.metrics_file, Some(PathBuf::from("/tmp/m.json")));
         assert!(c.telemetry);
-        assert_eq!(c.telemetry_window_ms, 250);
         assert_eq!(c.telemetry_path(), PathBuf::from("/tmp/tele.prom"));
         assert_eq!(c.flight_sample, 16);
         assert_eq!(c.health_ms, 500);

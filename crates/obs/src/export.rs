@@ -1,18 +1,22 @@
-//! Exporters: Chrome trace-event JSON and a human-readable summary table.
+//! Exporters for humans and trace viewers: the summary table of a
+//! [`Registry`] and Chrome trace-event JSON for the span tracer. The
+//! machine formats of a registry (Prometheus text, one JSON object) live
+//! in [`crate::telemetry`].
 //!
 //! The Chrome format is the trace-event "JSON object format": an object
 //! with a `traceEvents` array of complete (`"ph":"X"`) events, loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>. Timestamps are
 //! microseconds (fractional, preserving ns resolution).
 
-use crate::metrics::{self, HistSummary};
+use crate::metrics::{self, Registry};
 use crate::trace::{self, Event};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Minimal JSON string escaping (names/categories are ASCII literals, but
-/// be correct anyway).
-fn escape(s: &str, out: &mut String) {
+/// `s` as the contents of a JSON string literal: quotes, backslashes and
+/// every control character escaped.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -26,6 +30,7 @@ fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out
 }
 
 /// Render `events` as Chrome trace-event JSON.
@@ -37,9 +42,9 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             out.push(',');
         }
         out.push_str("\n{\"name\":\"");
-        escape(e.name, &mut out);
+        out.push_str(&escape(e.name));
         out.push_str("\",\"cat\":\"");
-        escape(e.cat, &mut out);
+        out.push_str(&escape(e.cat));
         // ts/dur in microseconds with ns resolution kept as fraction.
         let _ = write!(
             out,
@@ -69,41 +74,50 @@ pub fn write_chrome_trace(path: &Path) -> std::io::Result<usize> {
     Ok(events.len())
 }
 
-fn render_hist_row(out: &mut String, name: &str, h: &HistSummary, unit: &str) {
-    let _ = writeln!(
-        out,
-        "  {name:<34} n={:<10} mean={:<12.1} p50={:<10} p99={:<10} max={} {unit}",
-        h.count,
-        h.mean(),
-        h.p50(),
-        h.p99(),
-        h.max,
-    );
+/// Unit suffix a summary row prints after a sketch named `name`.
+fn unit_of(name: &str) -> &'static str {
+    if name.ends_with("_ns") || name.contains("_ns_") {
+        "ns"
+    } else if name.contains("bytes") || name.contains("size") {
+        "B"
+    } else {
+        ""
+    }
 }
 
-/// Render a summary of `snapshot` for humans.
-pub fn summary_of(snapshot: &metrics::Snapshot) -> String {
-    let mut out = String::new();
-    out.push_str("== mpicd-obs metrics summary ==\n");
-    if !snapshot.counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, v) in &snapshot.counters {
-            let _ = writeln!(out, "  {name:<34} {v}");
+/// Render a summary of `reg` for humans: counters, gauges (level and
+/// high-water mark) and sketches (count, mean, p50, p99, max).
+pub fn summary_of(reg: &Registry) -> String {
+    let mut out = String::from("== mpicd-obs metrics summary ==\n");
+    reg.with(|m| {
+        if !m.counters.is_empty() {
+            out.push_str("counters:\n");
         }
-    }
-    if !snapshot.histograms.is_empty() {
-        out.push_str("histograms:\n");
-        for (name, h) in &snapshot.histograms {
-            let unit = if name.ends_with("_ns") || name.contains("_ns_") {
-                "ns"
-            } else if name.contains("bytes") || name.contains("size") {
-                "B"
-            } else {
-                ""
-            };
-            render_hist_row(&mut out, name, h, unit);
+        for (name, c) in &m.counters {
+            let _ = writeln!(out, "  {name:<34} {}", c.get());
         }
-    }
+        if !m.gauges.is_empty() {
+            out.push_str("gauges:\n");
+        }
+        for (name, g) in &m.gauges {
+            let _ = writeln!(out, "  {name:<34} {} (hwm {})", g.get(), g.high_water());
+        }
+        if !m.sketches.is_empty() {
+            out.push_str("sketches:\n");
+        }
+        for (name, s) in &m.sketches {
+            let mean = s.sum() as f64 / s.count().max(1) as f64;
+            let _ = writeln!(
+                out,
+                "  {name:<34} n={:<10} mean={mean:<12.1} p50={:<10} p99={:<10} max={} {}",
+                s.count(),
+                s.p50(),
+                s.p99(),
+                s.max(),
+                unit_of(name),
+            );
+        }
+    });
     let dropped = trace::dropped_events();
     if dropped > 0 {
         let _ = writeln!(out, "(trace ring buffers overwrote {dropped} events)");
@@ -117,55 +131,12 @@ pub fn summary_of(snapshot: &metrics::Snapshot) -> String {
 
 /// Summary of the process-global registry.
 pub fn summary() -> String {
-    summary_of(&metrics::global().snapshot())
-}
-
-/// Render a metrics [`metrics::Snapshot`] as a JSON object:
-/// `{"counters":{name:value,...},"histograms":{name:{count,mean,p50,p99,max},...}}`.
-pub fn metrics_json(snapshot: &metrics::Snapshot) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"counters\":{");
-    for (i, (name, v)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape(name, &mut out);
-        let _ = write!(out, "\":{v}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape(name, &mut out);
-        let _ = write!(
-            out,
-            "\":{{\"count\":{},\"mean\":{:.3},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            h.count,
-            h.mean(),
-            h.p50(),
-            h.p99(),
-            h.max,
-        );
-    }
-    out.push_str("}}\n");
-    out
-}
-
-/// Write the process-global metrics snapshot to `path` as JSON
-/// (the `MPICD_METRICS_JSON` artifact), replacing the file atomically
-/// (staged as `<path>.tmp`, then renamed).
-pub fn write_metrics_json(path: &Path) -> std::io::Result<()> {
-    let json = metrics_json(&metrics::global().snapshot());
-    crate::fsio::write_atomic(path, json.as_bytes())
+    summary_of(metrics::global())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
 
     fn ev(name: &'static str, start: u64, dur: u64, bytes: u64, tid: u64) -> Event {
         Event {
@@ -232,40 +203,46 @@ mod tests {
 
     #[test]
     fn chrome_json_escapes_names() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let e = escape("a\tb\nc\u{1}");
+        assert!(!e.bytes().any(|b| b < 0x20), "no raw control byte: {e:?}");
+        assert!(e.ends_with("\\u0001"));
+    }
+
+    /// A registry holding one instrument of each kind.
+    fn one_of_each() -> Registry {
+        let r = Registry::new();
+        r.counter("fabric.messages").add(7);
+        r.gauge("fabric.bounce_pool").observe_add(3);
+        r.sketch("fabric.msg_size").observe(4096);
+        r
     }
 
     #[test]
     fn metrics_json_shape() {
-        let r = Registry::new();
-        r.counter("fabric.messages").add(7);
-        r.histogram("fabric.msg_bytes").record(4096);
-        let json = metrics_json(&r.snapshot());
+        let json = crate::telemetry::render_json(&one_of_each());
         assert_balanced_json(&json);
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"fabric.messages\":7"));
-        assert!(json.contains("\"fabric.msg_bytes\":{\"count\":1,"));
-        assert!(json.contains("\"max\":4096"));
+        assert!(json.starts_with("{\"t_ns\":"));
+        assert!(json.contains(",\"counters\":{\"fabric.messages\":7}"));
+        assert!(json.contains("\"gauges\":{\"fabric.bounce_pool\":{\"value\":3,\"hwm\":3}}"));
+        assert!(json
+            .contains("\"sketches\":{\"fabric.msg_size\":{\"count\":1,\"sum\":4096,\"p50\":4096,"));
     }
 
     #[test]
     fn metrics_json_empty_registry() {
-        let json = metrics_json(&Registry::new().snapshot());
+        let json = crate::telemetry::render_json(&Registry::new());
         assert_balanced_json(&json);
-        assert_eq!(json.trim(), "{\"counters\":{},\"histograms\":{}}");
+        assert!(json.ends_with(",\"counters\":{},\"gauges\":{},\"sketches\":{}}"));
     }
 
     #[test]
     fn summary_renders_counters_and_hists() {
-        let r = Registry::new();
-        r.counter("fabric.messages").add(7);
-        r.histogram("fabric.pack_frag_ns").record(1000);
-        let s = summary_of(&r.snapshot());
+        let s = summary_of(&one_of_each());
         assert!(s.contains("fabric.messages"));
-        assert!(s.contains('7'));
-        assert!(s.contains("fabric.pack_frag_ns"));
-        assert!(s.contains("p99"));
+        assert!(s.contains("fabric.bounce_pool"));
+        assert!(s.contains("(hwm 3)"));
+        assert!(s.contains("fabric.msg_size"));
+        assert!(s.contains("p99=4096"));
     }
 }

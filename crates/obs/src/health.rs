@@ -6,10 +6,9 @@
 //! with [`crate::ObsConfig::health_ms`]) starts one detached background
 //! thread that every `N` milliseconds:
 //!
-//! * appends one health-snapshot line — the
-//!   [`crate::telemetry::render_health_json`] JSON object capturing every
-//!   registered gauge (value + high-water mark), series (totals + last
-//!   complete window) and sketch (count/sum/p50/p99/max) — to an
+//! * appends one health-snapshot line — the [`crate::telemetry::render_json`]
+//!   object of the global registry: every counter, gauge (value +
+//!   high-water mark) and sketch (count/sum/p50/p99/max) — to an
 //!   in-memory log and rewrites the whole JSONL file atomically
 //!   (`MPICD_HEALTH_PATH`, default `mpicd-health.jsonl`);
 //! * rewrites the Prometheus exposition (`MPICD_TELEMETRY_PATH`) so a
@@ -58,7 +57,7 @@ pub fn running() -> bool {
 /// a final snapshot (e.g. at the end of a soak's steady-state window).
 pub fn tick() {
     let cfg = crate::config::current();
-    let line = crate::telemetry::render_health_json();
+    let line = crate::telemetry::render_json(crate::metrics::global());
     let mut log = log().lock();
     if log.lines.len() >= MAX_SNAPSHOTS {
         log.lines.remove(0);
@@ -139,7 +138,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines.len() >= 2, "one line per tick: {}", lines.len());
         for l in lines {
-            assert!(l.starts_with("{\"kind\":\"health\","), "line shape: {l}");
+            assert!(l.starts_with("{\"t_ns\":"), "line shape: {l}");
             assert!(l.ends_with('}'));
         }
         let _ = std::fs::remove_dir_all(&dir);

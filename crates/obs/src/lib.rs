@@ -23,22 +23,21 @@
 //! * [`causal`] — per-rank Lamport clocks and the causal context header
 //!   that travels with each transfer, turning multi-rank flight dumps
 //!   into a cross-rank happens-before DAG (`mpicd-inspect critical-path`).
-//! * [`telemetry`] — continuous telemetry: windowed time-series counters,
-//!   streaming p50/p99 quantile sketches and level gauges (with
-//!   high-water marks) with Prometheus-style text exposition
-//!   (`MPICD_TELEMETRY=1`), at the same disabled-mode one-relaxed-load
-//!   cost discipline as the flight recorder.
+//! * [`metrics`] — the one registry: named [`Counter`]s (always on),
+//!   [`Gauge`]s (level plus high-water mark) and [`Sketch`]es (the one
+//!   histogram type: log-linear, answering p50/p99). Counters are plain
+//!   relaxed atomics, the same cost class as the fabric's `FabricStats`.
+//! * [`telemetry`] — gauges and sketches, their `MPICD_TELEMETRY` gate
+//!   (one relaxed load when off, like the flight recorder), and the
+//!   registry's live renderers: Prometheus text exposition and one JSON
+//!   object per snapshot.
 //! * [`health`] — a background thread (`MPICD_HEALTH_MS=N`) that writes
-//!   periodic health-snapshot JSONL (every registered gauge/series/
+//!   periodic health-snapshot JSONL (every registered counter, gauge and
 //!   sketch) and refreshes the Prometheus exposition while the process
 //!   runs, instead of waiting for the exit-time [`flush`]. All
 //!   observability files are replaced atomically (tmp + rename), so
 //!   concurrent scrapers never see torn output.
-//! * [`metrics`] — a process-global registry of named [`Counter`]s and
-//!   log2-bucketed [`Histogram`]s with p50/p99/max summaries. Counters are
-//!   plain relaxed atomics and stay on even when tracing is off (they are
-//!   the same cost class as the fabric's existing `FabricStats`).
-//! * [`export`] — a human-readable summary table and Chrome trace-event
+//! * [`export`] — the registry's summary table and Chrome trace-event
 //!   JSON (loadable in `chrome://tracing` / Perfetto).
 //! * [`rng`] — a tiny seeded xorshift64* PRNG, shared by tests and
 //!   benchmarks now that the workspace carries no external dependencies.
@@ -80,8 +79,9 @@ pub mod time;
 pub mod trace;
 
 pub use config::ObsConfig;
-pub use metrics::{global, Counter, Histogram, Registry, Snapshot};
+pub use metrics::{global, Counter, Registry, Snapshot};
 pub use rng::XorShift64Star;
+pub use telemetry::{Gauge, Sketch};
 pub use time::now_ns;
 pub use trace::{enabled, set_enabled, SpanGuard};
 
@@ -110,8 +110,8 @@ macro_rules! span {
 /// Flush observability output:
 ///
 /// * when a metrics JSON path is configured (`MPICD_METRICS_JSON`), write
-///   the metrics snapshot there — counters are always on, so this works
-///   even with tracing disabled;
+///   the metrics JSON there — counters are always on, so this works even
+///   with tracing disabled;
 /// * when the flight recorder is enabled (`MPICD_FLIGHT=1` or
 ///   [`flight::set_enabled`]), dump the flight ring as JSON lines (path
 ///   from [`ObsConfig`], default `mpicd-flight.jsonl`);
@@ -132,8 +132,8 @@ pub fn flush() -> Option<std::path::PathBuf> {
         health::tick();
     }
     if let Some(mpath) = &cfg.metrics_file {
-        match export::write_metrics_json(mpath) {
-            Ok(()) => eprintln!("[mpicd-obs] wrote metrics snapshot to {}", mpath.display()),
+        match telemetry::write_json(mpath) {
+            Ok(()) => eprintln!("[mpicd-obs] wrote metrics JSON to {}", mpath.display()),
             Err(e) => eprintln!("[mpicd-obs] failed to write {}: {e}", mpath.display()),
         }
     }

@@ -1,22 +1,29 @@
-//! Metrics registry: named counters and log2-bucketed histograms.
+//! The metrics registry: the one [`Registry`] of named counters, gauges
+//! and sketches.
 //!
-//! Counters are relaxed atomic adds — the same cost class as the fabric's
-//! traffic counters, so they stay on even when span tracing is off.
-//! Histograms bucket by `floor(log2(v)) + 1` (bucket 0 holds exact zeros),
-//! giving 65 buckets that cover the full `u64` range; summaries report
-//! count/sum/mean, exact max, and p50/p99 as bucket upper bounds.
+//! * [`Counter`] — a monotonically increasing relaxed atomic. Always on:
+//!   the same cost class as the fabric's `FabricStats`.
+//! * [`Gauge`] — an instantaneous level with a high-water mark, for
+//!   bounded resources (freelists, queue depths, slab occupancy).
+//! * [`Sketch`] — the one histogram type: a streaming histogram of `u64`
+//!   samples in log-linear buckets, answering p50/p99 at any moment
+//!   without storing samples.
+//!
+//! Gauges and sketches live in [`crate::telemetry`], which gates their
+//! mutators on `MPICD_TELEMETRY`. Each name belongs to one kind:
+//! registering a name as a second kind panics.
 //!
 //! Callers obtain `Arc` handles once (at construction time) and hold them
-//! on hot paths; the registry's internal map lock is only taken at
-//! lookup/snapshot time.
+//! on hot paths; the registry's lock is only taken at lookup and render
+//! time. [`crate::telemetry::render_prometheus`] and
+//! [`crate::telemetry::render_json`] render a registry for scrapers and
+//! the health stream, [`crate::export::summary_of`] for humans.
 
 use crate::sync::Mutex;
+use crate::telemetry::{Gauge, Sketch};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Number of histogram buckets: zeros + one per log2 magnitude of `u64`.
-pub const HIST_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -46,165 +53,32 @@ impl Counter {
     }
 }
 
-/// Bucket index for value `v`: 0 for 0, else `floor(log2(v)) + 1`.
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
+/// The instruments of a [`Registry`], one map per kind.
+#[derive(Debug, Default)]
+pub(crate) struct Instruments {
+    pub(crate) counters: BTreeMap<&'static str, Arc<Counter>>,
+    pub(crate) gauges: BTreeMap<&'static str, Arc<Gauge>>,
+    pub(crate) sketches: BTreeMap<&'static str, Arc<Sketch>>,
 }
 
-/// Inclusive upper bound of bucket `i` (0 for bucket 0, `2^i - 1` above,
-/// saturating at `u64::MAX`).
-pub fn bucket_upper_bound(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        64.. => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
-
-/// A log2-bucketed histogram of `u64` samples (latencies in ns, sizes in
-/// bytes). Thread-safe; all updates are relaxed atomics.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub const fn new() -> Self {
-        Self {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Copy out the current state.
-    pub fn summary(&self) -> HistSummary {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        HistSummary {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets,
+impl Instruments {
+    /// Panic if `name` is registered as a kind other than `kind`.
+    fn claim(&self, name: &str, kind: &str) {
+        let taken = [
+            ("counter", self.counters.contains_key(name)),
+            ("gauge", self.gauges.contains_key(name)),
+            ("sketch", self.sketches.contains_key(name)),
+        ];
+        if let Some((other, _)) = taken.iter().find(|&&(k, has)| has && k != kind) {
+            panic!("metric {name:?} is already a {other}, not a {kind}");
         }
     }
 }
 
-/// A copied-out histogram state with derived statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples (wraps only past `u64::MAX` total).
-    pub sum: u64,
-    /// Largest sample seen (exact, not bucketed).
-    pub max: u64,
-    /// Per-bucket sample counts (see [`bucket_index`]).
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for HistSummary {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-}
-
-impl HistSummary {
-    /// Mean sample value (0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Quantile `q` in `[0, 1]`, reported as the inclusive upper bound of
-    /// the bucket containing it (0 for an empty histogram). The bucketed
-    /// value can overestimate by at most 2× — the standard log2-histogram
-    /// trade-off.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cumulative += b;
-            if cumulative >= rank {
-                // Never report beyond the exact max.
-                return bucket_upper_bound(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median (see [`Self::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile (see [`Self::quantile`]).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Samples recorded since `earlier` (per-bucket saturating difference;
-    /// `max` keeps this summary's value as an upper bound for the window).
-    pub fn since(&self, earlier: &HistSummary) -> HistSummary {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (b, (s, e)) in buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&earlier.buckets))
-        {
-            *b = s.saturating_sub(*e);
-        }
-        HistSummary {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-            buckets,
-        }
-    }
-}
-
-/// A named collection of counters and histograms.
+/// A named collection of counters, gauges and sketches.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    instruments: Mutex<Instruments>,
 }
 
 impl Registry {
@@ -213,42 +87,45 @@ impl Registry {
         Self::default()
     }
 
-    /// Get or create the counter named `name`. Hold the returned handle on
-    /// hot paths instead of re-looking it up.
+    /// Get or create the counter named `name` (dotted lowercase, e.g.
+    /// `"fabric.messages"`). Hold the returned handle on hot paths.
+    /// Panics if `name` is already a gauge or sketch.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .entry(name)
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        let mut m = self.instruments.lock();
+        m.claim(name, "counter");
+        Arc::clone(m.counters.entry(name).or_default())
     }
 
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .entry(name)
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+    /// Get or create the gauge named `name`. Panics if `name` is already
+    /// a counter or sketch.
+    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
+        let mut m = self.instruments.lock();
+        m.claim(name, "gauge");
+        Arc::clone(m.gauges.entry(name).or_default())
     }
 
-    /// Copy out every metric.
+    /// Get or create the sketch named `name`. Panics if `name` is already
+    /// a counter or gauge.
+    pub fn sketch(&self, name: &'static str) -> Arc<Sketch> {
+        let mut m = self.instruments.lock();
+        m.claim(name, "sketch");
+        Arc::clone(m.sketches.entry(name).or_default())
+    }
+
+    /// Run `f` over every registered instrument, with the registry locked.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&Instruments) -> R) -> R {
+        f(&self.instruments.lock())
+    }
+
+    /// Copy out every counter value.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.summary()))
-                .collect(),
+            counters: self.with(|m| {
+                m.counters
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.get()))
+                    .collect()
+            }),
         }
     }
 }
@@ -259,13 +136,11 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// A copied-out view of a [`Registry`] at one point in time.
+/// The counter values of a [`Registry`] at one point in time.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistSummary>,
 }
 
 impl Snapshot {
@@ -274,45 +149,26 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Summary of histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistSummary> {
-        self.histograms.get(name)
-    }
-
-    /// Activity since `earlier` (saturating per metric; metrics absent
+    /// Activity since `earlier` (saturating per counter; counters absent
     /// from `earlier` are treated as starting at zero).
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
             .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0)),
-                )
-            })
+            .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, v)| {
-                let diff = match earlier.histograms.get(k) {
-                    Some(e) => v.since(e),
-                    None => v.clone(),
-                };
-                (k.clone(), diff)
-            })
-            .collect();
-        Snapshot {
-            counters,
-            histograms,
-        }
+        Snapshot { counters }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{quantile_from_counts, sketch_bucket, SKETCH_BUCKETS};
+
+    // The telemetry gate is process-wide; unit tests use the ungated
+    // `observe` path. Gated behaviour lives in the crate's integration
+    // tests (own processes).
 
     #[test]
     fn counter_accumulates() {
@@ -324,98 +180,112 @@ mod tests {
 
     #[test]
     fn bucket_index_edges() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
+        let s = Registry::new().sketch("h");
+        for v in [0u64, 15, 16, 19, 20, 1 << 20, u64::MAX] {
+            s.observe(v);
+        }
+        let counts = s.bucket_counts();
+        assert_eq!(counts.len(), SKETCH_BUCKETS);
+        for (v, i) in [(0u64, 0), (15, 15), (16, 16), (19, 16), (20, 17)] {
+            assert_eq!(sketch_bucket(v), i, "bucket of {v}");
+            assert!(counts[i] >= 1, "{v} counted in bucket {i}");
+        }
+        assert_eq!(counts[SKETCH_BUCKETS - 1], 1, "u64::MAX in the top bucket");
     }
 
     #[test]
     fn bucket_bounds_bracket_their_values() {
-        for v in [1u64, 2, 3, 7, 8, 1000, 1 << 40, u64::MAX] {
-            let i = bucket_index(v);
-            assert!(v <= bucket_upper_bound(i));
-            if i > 1 {
-                assert!(v > bucket_upper_bound(i - 1));
-            }
+        for v in [1u64, 7, 16, 100, 1000, 1 << 40, u64::MAX] {
+            let s = Sketch::new();
+            s.observe(v);
+            // The bucket bound, before clamping to the exact max.
+            let bound = quantile_from_counts(&s.bucket_counts(), 0.5);
+            assert!(bound >= v, "bound {bound} covers {v}");
+            assert!(bound as f64 <= v as f64 * 1.25 + 1.0, "≤ 25% above {v}");
         }
     }
 
     #[test]
     fn histogram_edge_values() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(u64::MAX);
-        let s = h.summary();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.buckets[0], 1, "zero lands in bucket 0");
-        assert_eq!(s.buckets[1], 1, "one lands in bucket 1");
-        assert_eq!(s.buckets[64], 1, "u64::MAX lands in the top bucket");
+        let s = Registry::new().sketch("h");
+        s.observe(0);
+        s.observe(1);
+        s.observe(u64::MAX);
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.max(), u64::MAX);
+        assert_eq!(s.p50(), 1, "zero and one land in exact buckets");
+        assert_eq!(s.quantile(1.0), u64::MAX);
         // 0 + 1 + MAX wraps; sum is still the wrapped total of the adds.
-        assert_eq!(s.sum, u64::MAX.wrapping_add(1));
+        assert_eq!(s.sum(), u64::MAX.wrapping_add(1));
     }
 
     #[test]
     fn quantiles_on_known_distribution() {
-        let h = Histogram::new();
+        let s = Sketch::new();
         for _ in 0..99 {
-            h.record(10); // bucket 4, upper bound 15
+            s.observe(100); // bucket [96, 112)
         }
-        h.record(1 << 20); // one outlier
-        let s = h.summary();
-        assert_eq!(s.p50(), 15, "median reported as bucket upper bound");
-        assert_eq!(s.p99(), 15, "99th within the bulk");
+        s.observe(1 << 20); // one outlier
+        assert_eq!(s.p50(), 111, "median reported as bucket upper bound");
+        assert_eq!(s.p99(), 111, "99th within the bulk");
         assert_eq!(s.quantile(1.0), 1 << 20);
-        assert_eq!(s.max, 1 << 20);
+        assert_eq!(s.max(), 1 << 20);
     }
 
     #[test]
     fn quantile_of_empty_is_zero() {
-        let s = Histogram::new().summary();
+        let s = Sketch::new();
+        assert_eq!((s.count(), s.sum(), s.max()), (0, 0, 0));
         assert_eq!(s.p50(), 0);
         assert_eq!(s.p99(), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
     fn quantile_never_exceeds_exact_max() {
-        let h = Histogram::new();
-        h.record(9); // bucket 4 has upper bound 15
-        let s = h.summary();
-        assert_eq!(s.p99(), 9, "clamped to exact max");
+        let s = Sketch::new();
+        s.observe(100); // bucket [96, 112) has upper bound 111
+        assert_eq!(s.p99(), 100, "clamped to exact max");
     }
 
     #[test]
     fn summary_since_subtracts() {
-        let h = Histogram::new();
-        h.record(5);
-        let a = h.summary();
-        h.record(5);
-        h.record(100);
-        let d = h.summary().since(&a);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 105);
-        assert_eq!(d.buckets[bucket_index(5)], 1);
-        assert_eq!(d.buckets[bucket_index(100)], 1);
+        // A window's distribution is the difference of two bucket-count
+        // snapshots.
+        let s = Sketch::new();
+        s.observe(5);
+        let a = s.bucket_counts();
+        s.observe(5);
+        s.observe(100);
+        let d: Vec<u64> = s
+            .bucket_counts()
+            .iter()
+            .zip(&a)
+            .map(|(n, e)| n - e)
+            .collect();
+        assert_eq!(d.iter().sum::<u64>(), 2);
+        assert_eq!(d[sketch_bucket(5)], 1);
+        assert_eq!(d[sketch_bucket(100)], 1);
+        assert_eq!(quantile_from_counts(&d, 1.0), 111);
     }
 
     #[test]
     fn registry_returns_same_instance() {
         let r = Registry::new();
         let a = r.counter("x");
-        let b = r.counter("x");
-        a.add(3);
-        assert_eq!(b.get(), 3);
-        let h1 = r.histogram("h");
-        let h2 = r.histogram("h");
-        h1.record(7);
-        assert_eq!(h2.summary().count, 1);
+        r.counter("x").add(3);
+        assert_eq!(a.get(), 3);
+        assert!(Arc::ptr_eq(&r.gauge("g"), &r.gauge("g")));
+        let h1 = r.sketch("h");
+        r.sketch("h").observe(7);
+        assert_eq!(h1.count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already a counter")]
+    fn one_name_cannot_be_two_kinds() {
+        let r = Registry::new();
+        r.counter("fabric.stragglers");
+        r.sketch("fabric.stragglers");
     }
 
     #[test]
@@ -425,11 +295,9 @@ mod tests {
         let early = r.snapshot();
         r.counter("a").add(5);
         r.counter("b").add(2);
-        r.histogram("h").record(8);
         let d = r.snapshot().since(&early);
         assert_eq!(d.counter("a"), 5);
-        assert_eq!(d.counter("b"), 2, "metric absent earlier counts fully");
-        assert_eq!(d.histogram("h").unwrap().count, 1);
+        assert_eq!(d.counter("b"), 2, "counter absent earlier counts fully");
         assert_eq!(d.counter("missing"), 0);
     }
 }

@@ -1,53 +1,36 @@
-//! Continuous telemetry: windowed time-series counters and streaming
-//! p50/p99 quantile sketches with a Prometheus-style text exposition.
+//! Telemetry: the gated instruments of the metrics registry, the
+//! `MPICD_TELEMETRY` gate, the sketch bucket space, and the live
+//! exposition formats.
 //!
-//! The span tracer and flight recorder are *post-mortem* tools: they
-//! record, the run ends, an analyzer replays the dump. Soak runs and
-//! scale-out experiments need the opposite — cheap, always-on series that
-//! can be scraped while the process lives. This module provides exactly
-//! two primitives:
+//! * [`Gauge`] — an instantaneous level with a high-water mark.
+//! * [`Sketch`] — the one histogram type: log-linear buckets (exact below
+//!   16, then 4 sub-buckets per power of two, ≤ 25% relative error) plus
+//!   count/sum/max, answering p50/p99 at any moment without storing
+//!   samples.
 //!
-//! * [`Series`] — a windowed time-series counter. Each add lands in the
-//!   wall-clock window of width `MPICD_TELEMETRY_WINDOW_MS` (default
-//!   1000 ms); the last [`WINDOWS`] windows are retained in a fixed ring,
-//!   alongside cumulative totals.
-//! * [`Sketch`] — a streaming quantile sketch over `u64` samples:
-//!   log-linear buckets (exact below 16, then 4 sub-buckets per octave,
-//!   ≤ 25% relative error) plus count/sum/max, answering p50/p99 at any
-//!   moment without storing samples.
-//! * [`Gauge`] — an instantaneous level with a high-water mark: bounded
-//!   resources (freelists, queue depths, slab occupancy) report their
-//!   current value via set/add/sub, and the exposition carries both the
-//!   live level and the highest level ever observed.
+//! Both are registered through [`crate::metrics::Registry`]. Disabled
+//! (the default), [`Gauge::set`]/[`Gauge::add`]/[`Gauge::sub`] and
+//! [`Sketch::record`] are one relaxed atomic load — the same discipline
+//! as [`crate::flight`]; their `observe*` twins record regardless.
+//! [`quantile_from_counts`] reads a quantile back from bucket counts, so a
+//! consumer can difference two [`Sketch::bucket_counts`] snapshots and
+//! ask for the quantile of just that window.
 //!
-//! **Cost model.** Disabled (the default), [`Series::add`],
-//! [`Sketch::record`] and the gauge mutators are one relaxed atomic load
-//! — the same discipline
-//! as [`crate::flight`]. Enabled, they are a handful of relaxed atomic
-//! RMWs on pre-allocated slots: registration ([`series`]/[`sketch`])
-//! allocates once behind a lock, the hot path never allocates and never
-//! locks. Handles are `Arc`s; cache them, don't re-look them up per
-//! event.
-//!
-//! [`crate::flush`] renders every registered instrument in Prometheus
-//! text-exposition format to `MPICD_TELEMETRY_PATH` (default
-//! `mpicd-telemetry.prom`) when telemetry is enabled
-//! (`MPICD_TELEMETRY=1` or [`set_enabled`]).
+//! [`render_prometheus`] (the `MPICD_TELEMETRY_PATH` exposition written by
+//! [`crate::flush`] and the health thread) and [`render_json`] (one
+//! health-stream line, and the `MPICD_METRICS_JSON` file) render a whole
+//! registry: counters, gauges and sketches.
 
+use crate::metrics::{self, Registry};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Mutex;
 use crate::time::now_ns;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Once, OnceLock};
+use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::Once;
 
-/// Windows retained by a [`Series`] ring (current plus history).
-pub const WINDOWS: usize = 8;
-
-/// Quantile-sketch bucket count: 16 exact values, then 4 sub-buckets per
-/// octave up to `u64::MAX`.
+/// Sketch bucket count: 16 exact values, then 4 sub-buckets per octave up
+/// to `u64::MAX`.
 pub const SKETCH_BUCKETS: usize = 256;
-
-// ---- enable flag ------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
@@ -90,135 +73,10 @@ pub fn clock() -> u64 {
     }
 }
 
-// ---- windowed counter -------------------------------------------------------
-
-struct Window {
-    /// Wall-clock window index this slot currently holds, or `u64::MAX`
-    /// when never written.
-    epoch: AtomicU64,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// A windowed time-series counter with cumulative totals.
-///
-/// Adds are attributed to the wall-clock window `now_ns / window_ns`;
-/// the ring keeps the [`WINDOWS`] most recent windows. Window turnover is
-/// advisory: an add racing a turnover may land in either neighbouring
-/// window (never lost from the cumulative totals). Obtain instances via
-/// [`series`].
-pub struct Series {
-    window_ns: u64,
-    windows: [Window; WINDOWS],
-    total_count: AtomicU64,
-    total_sum: AtomicU64,
-}
-
-impl std::fmt::Debug for Series {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (count, sum) = self.totals();
-        f.debug_struct("Series")
-            .field("window_ns", &self.window_ns)
-            .field("count", &count)
-            .field("sum", &sum)
-            .finish()
-    }
-}
-
-impl Series {
-    /// A standalone series not registered anywhere (unit tests, detached
-    /// metrics); `window_ns` is the window width in nanoseconds.
-    pub fn standalone(window_ns: u64) -> Self {
-        Self::new(window_ns)
-    }
-
-    fn new(window_ns: u64) -> Self {
-        Self {
-            window_ns: window_ns.max(1),
-            windows: std::array::from_fn(|_| Window {
-                epoch: AtomicU64::new(u64::MAX),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }),
-            total_count: AtomicU64::new(0),
-            total_sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Add `v` to the current window. One relaxed atomic load when
-    /// telemetry is disabled.
-    #[inline]
-    pub fn add(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.observe(v);
-    }
-
-    /// Ungated [`Self::add`] — records regardless of the enable flag.
-    /// The enabled-path implementation, and the seam unit tests use.
-    pub fn observe(&self, v: u64) {
-        let epoch = now_ns() / self.window_ns;
-        let w = &self.windows[(epoch % WINDOWS as u64) as usize];
-        let cur = w.epoch.load(Ordering::Relaxed);
-        if cur != epoch
-            && w.epoch
-                .compare_exchange(cur, epoch, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            // This thread turned the window over; reset its accumulators.
-            w.count.store(0, Ordering::Relaxed);
-            w.sum.store(0, Ordering::Relaxed);
-        }
-        w.count.fetch_add(1, Ordering::Relaxed);
-        w.sum.fetch_add(v, Ordering::Relaxed);
-        self.total_count.fetch_add(1, Ordering::Relaxed);
-        self.total_sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Cumulative `(count, sum)` since process start.
-    pub fn totals(&self) -> (u64, u64) {
-        (
-            self.total_count.load(Ordering::Relaxed),
-            self.total_sum.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(count, sum)` of the most recent *complete* window, i.e. the
-    /// window before the one `now` falls in — `(0, 0)` if it recorded
-    /// nothing.
-    pub fn last_window(&self) -> (u64, u64) {
-        let epoch = (now_ns() / self.window_ns).wrapping_sub(1);
-        self.window(epoch)
-    }
-
-    /// `(count, sum)` of the window currently being filled.
-    pub fn current_window(&self) -> (u64, u64) {
-        self.window(now_ns() / self.window_ns)
-    }
-
-    fn window(&self, epoch: u64) -> (u64, u64) {
-        let w = &self.windows[(epoch % WINDOWS as u64) as usize];
-        if w.epoch.load(Ordering::Acquire) != epoch {
-            return (0, 0);
-        }
-        (
-            w.count.load(Ordering::Relaxed),
-            w.sum.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The configured window width in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-}
-
-// ---- streaming quantile sketch ----------------------------------------------
-
 /// Bucket index for sample `v`: exact below 16, then 4 log-linear
-/// sub-buckets per power of two (≤ 25% relative error on the bound).
-fn sketch_bucket(v: u64) -> usize {
+/// sub-buckets per power of two.
+#[inline]
+pub fn sketch_bucket(v: u64) -> usize {
     if v < 16 {
         return v as usize;
     }
@@ -240,122 +98,10 @@ fn sketch_bound(i: usize) -> u64 {
     bound.min(u64::MAX as u128) as u64
 }
 
-/// A streaming p50/p99 quantile sketch over `u64` samples.
-///
-/// Fixed [`SKETCH_BUCKETS`] log-linear buckets plus count/sum/max; no
-/// per-sample allocation, wait-free recording. Quantiles come back as the
-/// bucket's inclusive upper bound (≤ 25% above the true value), clamped
-/// to the exact observed maximum. Obtain instances via [`sketch`].
-pub struct Sketch {
-    buckets: Box<[AtomicU64; SKETCH_BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl std::fmt::Debug for Sketch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sketch")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .field("max", &self.max())
-            .finish()
-    }
-}
-
-impl Sketch {
-    /// A standalone sketch not registered anywhere (unit tests, detached
-    /// metrics).
-    pub fn standalone() -> Self {
-        Self::new()
-    }
-
-    fn new() -> Self {
-        Self {
-            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record a sample. One relaxed atomic load when telemetry is
-    /// disabled.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.observe(v);
-    }
-
-    /// Ungated [`Self::record`] — records regardless of the enable flag.
-    pub fn observe(&self, v: u64) {
-        self.buckets[sketch_bucket(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest sample observed (exact).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound clamped
-    /// to the exact max; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return sketch_bound(i).min(self.max());
-            }
-        }
-        self.max()
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Snapshot of the raw bucket counters (cumulative). Two snapshots
-    /// taken a window apart can be differenced and fed to
-    /// [`quantile_from_counts`] to answer *windowed* quantiles — the live
-    /// p50/p99 a soak harness reports per reporting interval.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// The `q`-quantile of a bucket-count vector in [`Sketch`] bucket space
-/// (e.g. the element-wise difference of two [`Sketch::bucket_counts`]
-/// snapshots). Returns the bucket's inclusive upper bound; 0 when the
-/// counts are empty.
+/// The `q`-quantile (`0.0 ..= 1.0`) of a bucket-count vector in
+/// [`sketch_bucket`] space (e.g. the element-wise difference of two
+/// [`Sketch::bucket_counts`] snapshots). Returns the
+/// bucket's inclusive upper bound; 0 when the counts are empty.
 pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -372,87 +118,70 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
     sketch_bound(SKETCH_BUCKETS - 1)
 }
 
-// ---- gauge ------------------------------------------------------------------
-
 /// An instantaneous level with a high-water mark.
 ///
-/// Gauges track bounded resources — freelist occupancy, queue depth, slab
-/// live counts — where the *current* value and the *highest value ever
-/// reached* both matter: the former for zero-growth assertions, the
-/// latter for capacity sizing. Values are non-negative; [`Gauge::sub`]
-/// saturates at 0 rather than wrapping. Obtain instances via [`gauge`].
+/// The *current* value serves zero-growth assertions, the *highest value
+/// ever reached* serves capacity sizing. Values are non-negative;
+/// [`Gauge::sub`] saturates at 0 rather than wrapping.
+#[derive(Debug)]
 pub struct Gauge {
     value: AtomicU64,
     hwm: AtomicU64,
 }
 
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gauge")
-            .field("value", &self.get())
-            .field("hwm", &self.high_water())
-            .finish()
+impl Default for Gauge {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl Gauge {
-    /// A standalone gauge not registered anywhere (unit tests, detached
-    /// metrics).
-    pub fn standalone() -> Self {
-        Self::new()
-    }
-
-    fn new() -> Self {
+    /// New gauge at zero.
+    pub fn new() -> Self {
         Self {
             value: AtomicU64::new(0),
             hwm: AtomicU64::new(0),
         }
     }
 
-    /// Set the level to `v`. One relaxed atomic load when telemetry is
-    /// disabled.
+    /// Set the level to `v`. One relaxed load when telemetry is off.
     #[inline]
     pub fn set(&self, v: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.observe_set(v);
         }
-        self.observe_set(v);
     }
 
-    /// Raise the level by `v`. One relaxed atomic load when telemetry is
-    /// disabled.
+    /// Raise the level by `v`. One relaxed load when telemetry is off.
     #[inline]
     pub fn add(&self, v: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.observe_add(v);
         }
-        self.observe_add(v);
     }
 
-    /// Lower the level by `v` (saturating at 0). One relaxed atomic load
-    /// when telemetry is disabled.
+    /// Lower the level by `v` (saturating at 0). One relaxed load when
+    /// telemetry is off.
     #[inline]
     pub fn sub(&self, v: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.observe_sub(v);
         }
-        self.observe_sub(v);
     }
 
-    /// Ungated [`Self::set`] — applies regardless of the enable flag.
+    /// Ungated [`Self::set`].
     pub fn observe_set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
         self.hwm.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Ungated [`Self::add`] — applies regardless of the enable flag.
+    /// Ungated [`Self::add`].
     pub fn observe_add(&self, v: u64) {
         let now = self.value.fetch_add(v, Ordering::Relaxed).wrapping_add(v);
         self.hwm.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Ungated [`Self::sub`] — applies regardless of the enable flag,
-    /// saturating at 0.
+    /// Ungated [`Self::sub`], saturating at 0.
     pub fn observe_sub(&self, v: u64) {
         let _ = self
             .value
@@ -472,221 +201,192 @@ impl Gauge {
     }
 }
 
-// ---- registry ---------------------------------------------------------------
-
-enum Instrument {
-    Series(Arc<Series>),
-    Sketch(Arc<Sketch>),
-    Gauge(Arc<Gauge>),
+/// A streaming histogram of `u64` samples (latencies in ns, sizes in
+/// bytes): [`SKETCH_BUCKETS`] log-linear buckets plus count/sum/max. No
+/// per-sample allocation, wait-free recording. Quantiles come back as the
+/// bucket's inclusive upper bound (≤ 25% above the true value), clamped
+/// to the exact observed maximum.
+#[derive(Debug)]
+pub struct Sketch {
+    buckets: Box<[AtomicU64; SKETCH_BUCKETS]>,
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Self::Series(_) => "series",
-            Self::Sketch(_) => "sketch",
-            Self::Gauge(_) => "gauge",
+impl Default for Sketch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sketch {
+    /// New empty sketch.
+    pub fn new() -> Self {
+        Self {
+            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
-}
 
-struct Registry {
-    instruments: Mutex<BTreeMap<&'static str, Instrument>>,
-    window_ns: u64,
-}
+    /// Record a sample. One relaxed load when telemetry is off.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        if enabled() {
+            self.observe(v);
+        }
+    }
 
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| Registry {
-        instruments: Mutex::new(BTreeMap::new()),
-        window_ns: crate::config::current()
-            .telemetry_window_ms
-            .saturating_mul(1_000_000)
-            .max(1),
-    })
-}
+    /// Ungated [`Self::record`].
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        self.buckets[sketch_bucket(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
 
-/// The windowed counter registered under `name` (dotted lowercase, e.g.
-/// `"fabric.messages"`), creating it on first use. Registration takes a
-/// lock; cache the handle. Panics if `name` is already a different kind.
-pub fn series(name: &'static str) -> Arc<Series> {
-    let reg = registry();
-    let mut map = reg.instruments.lock();
-    match map
-        .entry(name)
-        .or_insert_with(|| Instrument::Series(Arc::new(Series::new(reg.window_ns))))
-    {
-        Instrument::Series(s) => Arc::clone(s),
-        other => panic!("telemetry name {name:?} is already a {}", other.kind()),
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of all samples (wraps only past `u64::MAX` total).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Largest sample observed (exact).
+    pub fn max(&self) -> u64 {
+        self.max.load(Ordering::Relaxed)
+    }
+
+    /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound clamped
+    /// to the exact max; 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        quantile_from_counts(&self.bucket_counts(), q).min(self.max())
+    }
+
+    /// Median estimate.
+    pub fn p50(&self) -> u64 {
+        self.quantile(0.50)
+    }
+
+    /// 99th-percentile estimate.
+    pub fn p99(&self) -> u64 {
+        self.quantile(0.99)
+    }
+
+    /// Snapshot of the raw bucket counters (cumulative). Two snapshots
+    /// taken a window apart can be differenced and fed to
+    /// [`quantile_from_counts`] to answer *windowed* quantiles.
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 }
-
-/// The quantile sketch registered under `name` (dotted lowercase, e.g.
-/// `"fabric.wire_ns"`), creating it on first use. Registration takes a
-/// lock; cache the handle. Panics if `name` is already a different kind.
-pub fn sketch(name: &'static str) -> Arc<Sketch> {
-    let reg = registry();
-    let mut map = reg.instruments.lock();
-    match map
-        .entry(name)
-        .or_insert_with(|| Instrument::Sketch(Arc::new(Sketch::new())))
-    {
-        Instrument::Sketch(s) => Arc::clone(s),
-        other => panic!("telemetry name {name:?} is already a {}", other.kind()),
-    }
-}
-
-/// The gauge registered under `name` (dotted lowercase, e.g.
-/// `"fabric.bounce_pool"`), creating it on first use. Registration takes
-/// a lock; cache the handle. Panics if `name` is already a different
-/// kind.
-pub fn gauge(name: &'static str) -> Arc<Gauge> {
-    let reg = registry();
-    let mut map = reg.instruments.lock();
-    match map
-        .entry(name)
-        .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new())))
-    {
-        Instrument::Gauge(g) => Arc::clone(g),
-        other => panic!("telemetry name {name:?} is already a {}", other.kind()),
-    }
-}
-
-// ---- Prometheus exposition --------------------------------------------------
 
 /// `fabric.wire_ns` → `mpicd_fabric_wire_ns` (metric-name charset).
 fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 6);
-    out.push_str("mpicd_");
-    for c in name.chars() {
-        out.push(match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '_' => c,
-            _ => '_',
+    let sanitized: String = name
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    format!("mpicd_{sanitized}")
+}
+
+/// Render every instrument of `reg` in Prometheus text-exposition format:
+/// counters as `<name>_total` counters, gauges as a live level plus a
+/// `<name>_hwm` high-water mark, sketches as `summary` metrics (p50/p99
+/// quantiles, sum, count) plus a `<name>_max` gauge.
+pub fn render_prometheus(reg: &Registry) -> String {
+    reg.with(|m| {
+        let mut out = String::from("# mpicd metrics exposition\n");
+        for (name, c) in &m.counters {
+            let p = prom_name(name);
+            let _ = writeln!(out, "# TYPE {p}_total counter\n{p}_total {}", c.get());
+        }
+        for (name, g) in &m.gauges {
+            let p = prom_name(name);
+            let _ = writeln!(out, "# TYPE {p} gauge\n{p} {}", g.get());
+            let _ = writeln!(out, "# TYPE {p}_hwm gauge\n{p}_hwm {}", g.high_water());
+        }
+        for (name, s) in &m.sketches {
+            let p = prom_name(name);
+            let _ = writeln!(out, "# TYPE {p} summary");
+            let _ = writeln!(out, "{p}{{quantile=\"0.5\"}} {}", s.p50());
+            let _ = writeln!(out, "{p}{{quantile=\"0.99\"}} {}", s.p99());
+            let _ = writeln!(out, "{p}_sum {}\n{p}_count {}", s.sum(), s.count());
+            let _ = writeln!(out, "# TYPE {p}_max gauge\n{p}_max {}", s.max());
+        }
+        out
+    })
+}
+
+/// Render every instrument of `reg` as one JSON object (no trailing
+/// newline): `{"t_ns":…,"counters":{name:v},"gauges":{name:{"value","hwm"}},
+/// "sketches":{name:{"count","sum","p50","p99","max"}}}`. This is a line
+/// of the health-snapshot stream read back by `mpicd-inspect health`, and
+/// the `MPICD_METRICS_JSON` file.
+pub fn render_json(reg: &Registry) -> String {
+    fn section<T>(
+        out: &mut String,
+        key: &str,
+        items: &std::collections::BTreeMap<&'static str, T>,
+        value: impl Fn(&mut String, &T),
+    ) {
+        let _ = write!(out, ",\"{key}\":{{");
+        for (i, (name, item)) in items.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}\"{}\":", crate::export::escape(name));
+            value(out, item);
+        }
+        out.push('}');
+    }
+    reg.with(|m| {
+        let mut out = format!("{{\"t_ns\":{}", now_ns());
+        section(&mut out, "counters", &m.counters, |o, c| {
+            let _ = write!(o, "{}", c.get());
         });
-    }
-    out
+        section(&mut out, "gauges", &m.gauges, |o, g| {
+            let _ = write!(o, "{{\"value\":{},\"hwm\":{}}}", g.get(), g.high_water());
+        });
+        section(&mut out, "sketches", &m.sketches, |o, s| {
+            let _ = write!(
+                o,
+                "{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                s.count(),
+                s.sum(),
+                s.p50(),
+                s.p99(),
+                s.max()
+            );
+        });
+        out.push('}');
+        out
+    })
 }
 
-/// Render every registered instrument in Prometheus text-exposition
-/// format. Sketches render as `summary` metrics (p50/p99 quantiles, sum,
-/// count, max gauge); series render as `counter` totals plus a
-/// `_window` gauge pair (count/sum of the last complete window); gauges
-/// render as a `gauge` pair (live level plus `_hwm` high-water mark).
-pub fn render_prometheus() -> String {
-    let reg = registry();
-    let map = reg.instruments.lock();
-    let mut out = String::with_capacity(256 + map.len() * 256);
-    out.push_str(&format!(
-        "# mpicd telemetry exposition (window_ms={})\n",
-        reg.window_ns / 1_000_000
-    ));
-    for (name, inst) in map.iter() {
-        let p = prom_name(name);
-        match inst {
-            Instrument::Sketch(s) => {
-                out.push_str(&format!("# TYPE {p} summary\n"));
-                out.push_str(&format!("{p}{{quantile=\"0.5\"}} {}\n", s.p50()));
-                out.push_str(&format!("{p}{{quantile=\"0.99\"}} {}\n", s.p99()));
-                out.push_str(&format!("{p}_sum {}\n", s.sum()));
-                out.push_str(&format!("{p}_count {}\n", s.count()));
-                out.push_str(&format!("# TYPE {p}_max gauge\n{p}_max {}\n", s.max()));
-            }
-            Instrument::Series(s) => {
-                let (count, sum) = s.totals();
-                let (wc, ws) = s.last_window();
-                out.push_str(&format!("# TYPE {p}_total counter\n{p}_total {count}\n"));
-                out.push_str(&format!("# TYPE {p}_sum counter\n{p}_sum {sum}\n"));
-                out.push_str(&format!("# TYPE {p}_window gauge\n"));
-                out.push_str(&format!("{p}_window{{stat=\"count\"}} {wc}\n"));
-                out.push_str(&format!("{p}_window{{stat=\"sum\"}} {ws}\n"));
-            }
-            Instrument::Gauge(g) => {
-                out.push_str(&format!("# TYPE {p} gauge\n{p} {}\n", g.get()));
-                out.push_str(&format!(
-                    "# TYPE {p}_hwm gauge\n{p}_hwm {}\n",
-                    g.high_water()
-                ));
-            }
-        }
-    }
-    out
+/// Write [`render_prometheus`] of the process-global registry to `path`
+/// atomically, so a concurrent scraper never sees a torn exposition.
+pub fn write_prometheus(path: &Path) -> std::io::Result<()> {
+    crate::fsio::write_atomic(path, render_prometheus(metrics::global()).as_bytes())
 }
 
-/// Render every registered instrument as one health-snapshot JSON object
-/// (no trailing newline): the line format of the `MPICD_HEALTH_MS`
-/// snapshot stream read back by `mpicd-inspect health`.
-pub fn render_health_json() -> String {
-    use std::fmt::Write as _;
-    let reg = registry();
-    let map = reg.instruments.lock();
-    let mut gauges = String::new();
-    let mut series_out = String::new();
-    let mut sketches = String::new();
-    for (name, inst) in map.iter() {
-        match inst {
-            Instrument::Gauge(g) => {
-                if !gauges.is_empty() {
-                    gauges.push(',');
-                }
-                let _ = write!(
-                    gauges,
-                    "\"{name}\":{{\"value\":{},\"hwm\":{}}}",
-                    g.get(),
-                    g.high_water()
-                );
-            }
-            Instrument::Series(s) => {
-                if !series_out.is_empty() {
-                    series_out.push(',');
-                }
-                let (count, sum) = s.totals();
-                let (wc, ws) = s.last_window();
-                let _ = write!(
-                    series_out,
-                    "\"{name}\":{{\"count\":{count},\"sum\":{sum},\
-                     \"window_count\":{wc},\"window_sum\":{ws}}}"
-                );
-            }
-            Instrument::Sketch(s) => {
-                if !sketches.is_empty() {
-                    sketches.push(',');
-                }
-                let _ = write!(
-                    sketches,
-                    "\"{name}\":{{\"count\":{},\"sum\":{},\"p50\":{},\
-                     \"p99\":{},\"max\":{}}}",
-                    s.count(),
-                    s.sum(),
-                    s.p50(),
-                    s.p99(),
-                    s.max()
-                );
-            }
-        }
-    }
-    format!(
-        "{{\"kind\":\"health\",\"t_ns\":{},\"window_ms\":{},\
-         \"gauges\":{{{gauges}}},\"series\":{{{series_out}}},\
-         \"sketches\":{{{sketches}}}}}",
-        now_ns(),
-        reg.window_ns / 1_000_000,
-    )
-}
-
-/// Write [`render_prometheus`] to `path` atomically (staged as
-/// `<path>.tmp`, then renamed — a concurrent scraper never sees a torn
-/// exposition).
-pub fn write_prometheus(path: &std::path::Path) -> std::io::Result<()> {
-    crate::fsio::write_atomic(path, render_prometheus().as_bytes())
+/// Write [`render_json`] of the process-global registry to `path` (the
+/// `MPICD_METRICS_JSON` file), replacing it atomically.
+pub fn write_json(path: &Path) -> std::io::Result<()> {
+    let json = render_json(metrics::global()) + "\n";
+    crate::fsio::write_atomic(path, json.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The enable flag is process-wide; unit tests exercise the ungated
-    // `observe` paths and pure bucket math. Gated end-to-end behaviour
-    // lives in the crate's integration tests (own processes).
 
     #[test]
     fn bucket_math_brackets_every_octave() {
@@ -737,62 +437,28 @@ mod tests {
     }
 
     #[test]
-    fn series_accumulates_and_windows() {
-        // A huge window keeps every add in the current window.
-        let s = Series::new(u64::MAX);
-        s.observe(5);
-        s.observe(7);
-        assert_eq!(s.totals(), (2, 12));
-        assert_eq!(s.current_window(), (2, 12));
-        assert_eq!(s.last_window(), (0, 0), "no previous window yet");
-    }
-
-    #[test]
-    fn series_turns_windows_over() {
-        // A 1ns window: consecutive adds land in different windows, but
-        // the cumulative totals never lose an add.
-        let s = Series::new(1);
-        for _ in 0..50 {
-            s.observe(1);
+    fn windowed_quantiles_from_bucket_deltas() {
+        let s = Sketch::new();
+        for v in 1..=100u64 {
+            s.observe(v * 10);
         }
-        assert_eq!(s.totals(), (50, 50));
-        let (cur_count, _) = s.current_window();
-        assert!(cur_count <= 50);
-    }
-
-    #[test]
-    fn prom_name_sanitizes() {
-        assert_eq!(prom_name("fabric.wire_ns"), "mpicd_fabric_wire_ns");
-        assert_eq!(prom_name("coll.op-rate"), "mpicd_coll_op_rate");
-    }
-
-    #[test]
-    fn exposition_contains_registered_instruments() {
-        sketch("test.expo_sketch").observe(42);
-        series("test.expo_series").observe(7);
-        let text = render_prometheus();
-        assert!(text.contains("# TYPE mpicd_test_expo_sketch summary"));
-        assert!(text.contains("mpicd_test_expo_sketch{quantile=\"0.99\"}"));
-        assert!(text.contains("mpicd_test_expo_series_total 1"));
-        assert!(text.contains("mpicd_test_expo_series_sum 7"));
-    }
-
-    #[test]
-    fn registry_returns_same_instance() {
-        let a = sketch("test.same_sketch");
-        let b = sketch("test.same_sketch");
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = series("test.same_series");
-        let d = series("test.same_series");
-        assert!(Arc::ptr_eq(&c, &d));
-        let e = gauge("test.same_gauge");
-        let f = gauge("test.same_gauge");
-        assert!(Arc::ptr_eq(&e, &f));
+        let before = s.bucket_counts();
+        for _ in 0..900 {
+            s.observe(50); // a second batch at a much lower latency
+        }
+        let after = s.bucket_counts();
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        let p50 = quantile_from_counts(&delta, 0.50);
+        assert!(p50 <= 64, "window delta is dominated by the 50s: {p50}");
+        let full_p50 = quantile_from_counts(&after, 0.50);
+        assert!(full_p50 <= 64);
+        assert_eq!(quantile_from_counts(&[], 0.5), 0);
+        assert_eq!(quantile_from_counts(&[0, 0, 0], 0.99), 0);
     }
 
     #[test]
     fn gauge_tracks_level_and_high_water() {
-        let g = Gauge::standalone();
+        let g = Gauge::new();
         g.observe_add(5);
         g.observe_add(3);
         assert_eq!(g.get(), 8);
@@ -810,36 +476,52 @@ mod tests {
     }
 
     #[test]
-    fn gauge_renders_in_exposition_and_health_json() {
-        let g = gauge("test.expo_gauge");
-        g.observe_add(7);
-        g.observe_sub(3);
-        let text = render_prometheus();
-        assert!(text.contains("# TYPE mpicd_test_expo_gauge gauge"));
-        assert!(text.contains("mpicd_test_expo_gauge 4\n"));
-        assert!(text.contains("mpicd_test_expo_gauge_hwm 7\n"));
-        let health = render_health_json();
-        assert!(health.starts_with("{\"kind\":\"health\","));
-        assert!(health.contains("\"test.expo_gauge\":{\"value\":4,\"hwm\":7}"));
+    fn registry_returns_same_instance() {
+        // Gauges and sketches are get-or-create by name in the one
+        // registry, like counters.
+        let r = Registry::new();
+        let a = r.sketch("test.same_sketch");
+        assert!(std::sync::Arc::ptr_eq(&a, &r.sketch("test.same_sketch")));
+        let g = r.gauge("test.same_gauge");
+        assert!(std::sync::Arc::ptr_eq(&g, &r.gauge("test.same_gauge")));
     }
 
     #[test]
-    fn windowed_quantiles_from_bucket_deltas() {
-        let s = Sketch::standalone();
-        for v in 1..=100u64 {
-            s.observe(v * 10);
-        }
-        let before = s.bucket_counts();
-        for _ in 0..900 {
-            s.observe(50); // a second batch at a much lower latency
-        }
-        let after = s.bucket_counts();
-        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-        let p50 = quantile_from_counts(&delta, 0.50);
-        assert!(p50 <= 64, "window delta is dominated by the 50s: {p50}");
-        let full_p50 = quantile_from_counts(&after, 0.50);
-        assert!(full_p50 <= 64);
-        assert_eq!(quantile_from_counts(&[], 0.5), 0);
-        assert_eq!(quantile_from_counts(&[0, 0, 0], 0.99), 0);
+    fn prom_name_sanitizes() {
+        assert_eq!(prom_name("fabric.wire_ns"), "mpicd_fabric_wire_ns");
+        assert_eq!(prom_name("coll.op-rate"), "mpicd_coll_op_rate");
+    }
+
+    /// A registry holding one instrument of each kind.
+    fn one_of_each() -> Registry {
+        let r = Registry::new();
+        r.counter("fabric.messages").add(7);
+        r.gauge("test.expo_gauge").observe_add(7);
+        r.gauge("test.expo_gauge").observe_sub(3);
+        r.sketch("fabric.msg_size").observe(4096);
+        r
+    }
+
+    #[test]
+    fn exposition_contains_registered_instruments() {
+        let text = render_prometheus(&one_of_each());
+        assert!(text.contains("# TYPE mpicd_fabric_messages_total counter\n"));
+        assert!(text.contains("mpicd_fabric_messages_total 7\n"));
+        assert!(text.contains("# TYPE mpicd_test_expo_gauge gauge\n"));
+        assert!(text.contains("# TYPE mpicd_fabric_msg_size summary\n"));
+        assert!(text.contains("mpicd_fabric_msg_size{quantile=\"0.99\"} 4096\n"));
+        assert!(text.contains("mpicd_fabric_msg_size_sum 4096\n"));
+        assert!(text.contains("mpicd_fabric_msg_size_count 1\n"));
+    }
+
+    #[test]
+    fn gauge_renders_in_exposition_and_health_json() {
+        let r = one_of_each();
+        let text = render_prometheus(&r);
+        assert!(text.contains("mpicd_test_expo_gauge 4\n"));
+        assert!(text.contains("mpicd_test_expo_gauge_hwm 7\n"));
+        let health = render_json(&r);
+        assert!(health.starts_with("{\"t_ns\":"));
+        assert!(health.contains("\"gauges\":{\"test.expo_gauge\":{\"value\":4,\"hwm\":7}}"));
     }
 }

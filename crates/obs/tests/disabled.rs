@@ -63,15 +63,22 @@ fn disabled_telemetry_records_nothing() {
     assert!(!telemetry::enabled(), "telemetry must default to off");
     assert_eq!(telemetry::clock(), 0, "clock never read when disabled");
 
-    let sk = telemetry::sketch("disabled.sketch");
-    let se = telemetry::series("disabled.series");
+    let reg = mpicd_obs::Registry::new();
+    let sk = reg.sketch("disabled.sketch");
+    let g = reg.gauge("disabled.gauge");
     for v in [1u64, 1000, 1_000_000] {
         sk.record(v);
-        se.add(v);
+        g.add(v);
+        g.set(v);
     }
+    g.sub(1);
     assert_eq!(sk.count(), 0, "disabled sketch records nothing");
     assert_eq!(sk.p99(), 0);
-    assert_eq!(se.totals(), (0, 0), "disabled series accumulates nothing");
+    assert_eq!(
+        (g.get(), g.high_water()),
+        (0, 0),
+        "disabled gauge stays put"
+    );
 }
 
 #[test]
@@ -88,9 +95,8 @@ fn disabled_causal_capture_never_ticks() {
 fn summary_of_empty_registry_is_zeroed() {
     let reg = mpicd_obs::Registry::new();
     reg.counter("untouched");
-    let snap = reg.snapshot();
-    assert_eq!(snap.counter("untouched"), 0);
-    let text = mpicd_obs::export::summary_of(&snap);
+    assert_eq!(reg.snapshot().counter("untouched"), 0);
+    let text = mpicd_obs::export::summary_of(&reg);
     assert!(text.contains("untouched"));
     assert!(text.contains('0'));
 }

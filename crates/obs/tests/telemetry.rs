@@ -1,20 +1,17 @@
-//! Telemetry-registry behaviour with telemetry enabled. Runs in its own
-//! process (the enable flag is process-global and `disabled.rs` asserts
-//! the default-off state).
+//! Gauges and sketches with telemetry enabled. Runs in its own process
+//! (the enable flag is process-global and `disabled.rs` asserts the
+//! default-off state).
 
-use mpicd_obs::{telemetry, ObsConfig};
+use mpicd_obs::{global, telemetry, ObsConfig};
 
 #[test]
 fn telemetry_end_to_end() {
-    ObsConfig::default()
-        .telemetry(true)
-        .telemetry_window_ms(1_000)
-        .install();
+    ObsConfig::default().telemetry(true).install();
     assert!(telemetry::enabled());
     assert!(telemetry::clock() > 0, "clock reads while enabled");
 
     // Sketch: gated recording works and quantiles come back sane.
-    let lat = telemetry::sketch("test.lat_ns");
+    let lat = global().sketch("test.lat_ns");
     for v in 1..=100u64 {
         lat.record(v * 1_000);
     }
@@ -24,17 +21,15 @@ fn telemetry_end_to_end() {
     assert!((45_000..=65_000).contains(&p50), "p50 ≈ 50k, got {p50}");
     assert!(lat.p99() >= p50, "quantiles are monotone");
 
-    // Series: adds accumulate into totals and the current window.
-    let msgs = telemetry::series("test.msgs");
-    for _ in 0..10 {
-        msgs.add(64);
-    }
-    assert_eq!(msgs.totals(), (10, 640));
-    let (wc, ws) = msgs.current_window();
-    assert_eq!((wc, ws), (10, 640), "1s window holds the whole burst");
+    // Gauge: gated mutators move the level and the high-water mark.
+    let depth = global().gauge("test.depth");
+    depth.add(5);
+    depth.sub(2);
+    assert_eq!((depth.get(), depth.high_water()), (3, 5));
 
-    // Exposition covers both instruments; flush writes it to the
+    // Counters ride along in the same exposition; flush writes it to the
     // configured path.
+    global().counter("test.msgs").add(10);
     let path = std::env::temp_dir().join(format!("mpicd-tele-test-{}.prom", std::process::id()));
     ObsConfig::default()
         .telemetry(true)
@@ -46,14 +41,15 @@ fn telemetry_end_to_end() {
     assert!(text.contains("# TYPE mpicd_test_lat_ns summary"));
     assert!(text.contains("mpicd_test_lat_ns{quantile=\"0.5\"}"));
     assert!(text.contains("mpicd_test_lat_ns_count 100"));
+    assert!(text.contains("mpicd_test_depth 3\n"));
+    assert!(text.contains("mpicd_test_depth_hwm 5\n"));
     assert!(text.contains("mpicd_test_msgs_total 10"));
-    assert!(text.contains("mpicd_test_msgs_sum 640"));
 
     // Toggling off restores the disabled discipline.
     telemetry::set_enabled(false);
     lat.record(1);
-    msgs.add(1);
+    depth.add(100);
     assert_eq!(lat.count(), 100, "no recording once disabled");
-    assert_eq!(msgs.totals(), (10, 640));
+    assert_eq!(depth.get(), 3, "no gauge movement once disabled");
     assert_eq!(telemetry::clock(), 0);
 }
