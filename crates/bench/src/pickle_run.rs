@@ -5,11 +5,17 @@
 //! [`crate::harness::threaded_bandwidth`] measures around them.
 
 use crate::harness::{threaded_bandwidth, Config, Sample};
-use mpicd::World;
+use mpicd::{Communicator, World};
 use mpicd_pickle::{
     recv_pickle_basic, recv_pickle_oob, recv_pickle_oob_cdt, send_pickle_basic, send_pickle_oob,
-    send_pickle_oob_cdt, PyObject,
+    send_pickle_oob_cdt, PickleResult, PyObject,
 };
+use std::sync::Mutex;
+
+/// A strategy's blocking send.
+type SendFn = fn(&Communicator, &PyObject, usize, i32) -> PickleResult<()>;
+/// A strategy's blocking receive.
+type RecvFn = fn(&Communicator, i32, i32) -> PickleResult<PyObject>;
 
 /// A named §V-B strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,73 +45,79 @@ impl Strategy {
     pub fn all() -> [Strategy; 4] {
         [Self::Roofline, Self::Basic, Self::Oob, Self::OobCdt]
     }
+
+    /// The pickle strategy's send and receive (`None` for the roofline).
+    fn ops(self) -> Option<(SendFn, RecvFn)> {
+        match self {
+            Self::Roofline => None,
+            Self::Basic => Some((send_pickle_basic, recv_pickle_basic)),
+            Self::Oob => Some((send_pickle_oob, recv_pickle_oob)),
+            Self::OobCdt => Some((send_pickle_oob_cdt, recv_pickle_oob_cdt)),
+        }
+    }
 }
 
 /// Run the pingpong for `strategy` over `obj` and report bandwidth (MB/s).
 /// The payload accounted is the object's buffer bytes, both directions.
+///
+/// Before timing, one untimed round trip checks that the echoed object
+/// equals `obj`; the roofline's echo is checked after timing, against its
+/// payload. Panics on a mismatch.
 pub fn run(world: &World, strategy: Strategy, obj: &PyObject, cfg: Config) -> Sample {
     let (c0, c1) = world.pair();
     let bytes = obj.buffer_bytes();
+    let label = strategy.label();
 
-    match strategy {
-        Strategy::Roofline => {
-            let payload = vec![0x3Cu8; bytes];
-            threaded_bandwidth(
-                world.fabric(),
-                cfg,
-                2 * bytes,
-                || {
-                    c0.send(&payload, 1, 0).expect("roofline send");
-                    let mut echo = vec![0u8; bytes];
-                    c0.recv(&mut echo, 1, 1).expect("roofline recv");
-                },
-                || {
-                    let mut buf = vec![0u8; bytes];
-                    c1.recv(&mut buf, 0, 0).expect("roofline recv");
-                    c1.send(&buf, 0, 1).expect("roofline send");
-                },
-            )
-        }
-        Strategy::Basic => threaded_bandwidth(
+    let Some((send, recv)) = strategy.ops() else {
+        // Every buffer is allocated once, outside the timed closures.
+        let payload = vec![0x3Cu8; bytes];
+        let echo = Mutex::new(vec![0u8; bytes]);
+        let buf = Mutex::new(vec![0u8; bytes]);
+        let sample = threaded_bandwidth(
             world.fabric(),
             cfg,
             2 * bytes,
             || {
-                send_pickle_basic(&c0, obj, 1, 0).expect("basic send");
-                let _echo = recv_pickle_basic(&c0, 1, 1).expect("basic recv");
+                c0.send(&payload, 1, 0).expect("roofline send");
+                let mut echo = echo.lock().unwrap();
+                c0.recv(&mut *echo, 1, 1).expect("roofline recv");
             },
             || {
-                let echo = recv_pickle_basic(&c1, 0, 0).expect("basic recv");
-                send_pickle_basic(&c1, &echo, 0, 1).expect("basic send");
+                let mut buf = buf.lock().unwrap();
+                c1.recv(&mut *buf, 0, 0).expect("roofline recv");
+                c1.send(&*buf, 0, 1).expect("roofline send");
             },
-        ),
-        Strategy::Oob => threaded_bandwidth(
-            world.fabric(),
-            cfg,
-            2 * bytes,
-            || {
-                send_pickle_oob(&c0, obj, 1, 0).expect("oob send");
-                let _echo = recv_pickle_oob(&c0, 1, 1).expect("oob recv");
-            },
-            || {
-                let echo = recv_pickle_oob(&c1, 0, 0).expect("oob recv");
-                send_pickle_oob(&c1, &echo, 0, 1).expect("oob send");
-            },
-        ),
-        Strategy::OobCdt => threaded_bandwidth(
-            world.fabric(),
-            cfg,
-            2 * bytes,
-            || {
-                send_pickle_oob_cdt(&c0, obj, 1, 0).expect("oob-cdt send");
-                let _echo = recv_pickle_oob_cdt(&c0, 1, 1).expect("oob-cdt recv");
-            },
-            || {
-                let echo = recv_pickle_oob_cdt(&c1, 0, 0).expect("oob-cdt recv");
-                send_pickle_oob_cdt(&c1, &echo, 0, 1).expect("oob-cdt send");
-            },
-        ),
-    }
+        );
+        assert!(*echo.lock().unwrap() == payload, "{label}: echo differs");
+        return sample;
+    };
+
+    let echo = std::thread::scope(|s| {
+        s.spawn(|| {
+            let got = recv(&c1, 0, 0).expect("echo check recv");
+            send(&c1, &got, 0, 1).expect("echo check send");
+        });
+        send(&c0, obj, 1, 0).expect("echo check send");
+        recv(&c0, 1, 1).expect("echo check recv")
+    });
+    assert!(
+        echo == *obj,
+        "{label}: echoed object differs from the sent one"
+    );
+
+    threaded_bandwidth(
+        world.fabric(),
+        cfg,
+        2 * bytes,
+        || {
+            send(&c0, obj, 1, 0).expect("pickle send");
+            let _echo = recv(&c0, 1, 1).expect("pickle recv");
+        },
+        || {
+            let echo = recv(&c1, 0, 0).expect("pickle recv");
+            send(&c1, &echo, 0, 1).expect("pickle send");
+        },
+    )
 }
 
 #[cfg(test)]

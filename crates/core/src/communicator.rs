@@ -18,9 +18,7 @@
 #![allow(unsafe_code)]
 
 use crate::buffer::{Buffer, BufferMut, RecvView, SendView};
-use crate::datatype::{
-    recv_regions_to_iov, send_regions_to_iov, CustomPack, CustomUnpack, PackAdapter,
-};
+use crate::datatype::{CustomPack, CustomUnpack, PackAdapter, RecvRegion};
 use crate::error::{Error, Result};
 use mpicd_datatype::engine::{DatatypePacker, DatatypeUnpacker};
 use mpicd_datatype::Committed;
@@ -335,6 +333,96 @@ impl Communicator {
         Ok(req.wait()?.into())
     }
 
+    // ---- fresh receives ------------------------------------------------------
+    //
+    // A fresh receive allocates its destination with `Vec::with_capacity`
+    // and posts the spare capacity, so no byte is written before the
+    // message lands: one write per received byte. The length is set only
+    // after the request completes with exactly the expected byte count;
+    // anything else returns `Error::LengthMismatch` and exposes nothing.
+
+    /// Receive a matched message (`MPI_Mrecv`) into a fresh vector of its
+    /// exact size.
+    pub fn mrecv_vec(&self, msg: MatchedMessage) -> Result<Vec<u8>> {
+        let len = msg.msg.bytes();
+        let _sp = mpicd_obs::span!("comm.mrecv", "core", len);
+        let (mut buf, entry) = fresh_region(len);
+        // SAFETY: `entry` covers `buf`'s spare capacity, which nothing else
+        // touches until the wait below returns; the descriptor is fresh, so
+        // the fabric writes it only through raw copies.
+        let req = unsafe {
+            self.ep
+                .post_mrecv(RecvDesc::Contig(entry).fresh(), msg.msg)?
+        };
+        let st: Status = req.wait()?.into();
+        // SAFETY: the request completed having written `st.bytes` bytes
+        // from the start of the spare capacity.
+        unsafe { set_len_exact(&mut buf, len, st.bytes)? };
+        Ok(buf)
+    }
+
+    /// Receive a message of exactly `len` bytes into a fresh vector. A
+    /// shorter message is an [`Error::LengthMismatch`]; a longer one is
+    /// truncated as for [`Self::recv`].
+    pub fn recv_vec(&self, len: usize, source: i32, tag: Tag) -> Result<(Vec<u8>, Status)> {
+        let _sp = mpicd_obs::span!("comm.recv", "core", len);
+        let (mut buf, entry) = fresh_region(len);
+        // SAFETY: as in `mrecv_vec`.
+        let req = unsafe {
+            self.ep
+                .post_recv(RecvDesc::Contig(entry).fresh(), source, tag)?
+        };
+        let st: Status = req.wait()?.into();
+        // SAFETY: as in `mrecv_vec`.
+        unsafe { set_len_exact(&mut buf, len, st.bytes)? };
+        Ok((buf, st))
+    }
+
+    /// Receive through `ctx`, which unpacks the packed stream, into one
+    /// fresh vector per entry of `lens` for the regions after it. `ctx`
+    /// must expose no regions of its own, and the message must carry
+    /// exactly `ctx.packed_size()` plus the sum of `lens` bytes. Runs
+    /// `finish()` after completion.
+    pub fn recv_custom_fresh(
+        &self,
+        ctx: &mut (dyn CustomUnpack + '_),
+        lens: &[usize],
+        source: i32,
+        tag: Tag,
+    ) -> Result<(Vec<Vec<u8>>, Status)> {
+        let _sp = mpicd_obs::span!("comm.recv_custom", "core");
+        let packed_size = ctx.packed_size()?;
+        if !ctx.regions()?.is_empty() {
+            return Err(Error::Unsupported("fresh receive into context regions"));
+        }
+        let expected = lens
+            .iter()
+            .try_fold(packed_size, |total, &len| total.checked_add(len))
+            .ok_or(Error::InvalidHeader("fresh receive lengths overflow"))?;
+        let (mut bufs, regions): (Vec<Vec<u8>>, _) =
+            lens.iter().map(|&len| fresh_region(len)).unzip();
+        // SAFETY: `ctx` and `bufs` outlive the wait below and are not
+        // touched before it; each region covers one vector's spare
+        // capacity, and the descriptor is fresh.
+        let req = unsafe { self.post_generic_recv(ctx, packed_size, regions, true, source, tag)? };
+        let env = req.wait()?;
+        if env.bytes != expected {
+            return Err(Error::LengthMismatch {
+                expected,
+                got: env.bytes,
+            });
+        }
+        for (b, &len) in bufs.iter_mut().zip(lens) {
+            // SAFETY: the full-length transfer wrote every region whole.
+            unsafe { b.set_len(len) };
+        }
+        if let Err(e) = ctx.finish() {
+            flight_finish_error(&req);
+            return Err(e);
+        }
+        Ok((bufs, env.into()))
+    }
+
     /// Combined send + receive (`MPI_Sendrecv`): posts both nonblocking,
     /// then waits — deadlock-free regardless of peer ordering, the idiom
     /// halo-exchange codes rely on.
@@ -478,7 +566,6 @@ impl Communicator {
         let regions = ctx.regions()?;
         let inorder = ctx.inorder();
         let sig = ctx.type_signature();
-        let iov = send_regions_to_iov(&regions);
         let packer: Box<dyn FragmentPacker + 'a> = Box::new(PackAdapter(ctx));
         // SAFETY: lifetime extension justified by this function's contract.
         let packer: Box<dyn FragmentPacker + 'static> = std::mem::transmute(packer);
@@ -486,7 +573,7 @@ impl Communicator {
             SendDesc::Generic {
                 packer,
                 packed_size,
-                regions: iov,
+                regions,
                 inorder,
             },
             dest,
@@ -509,21 +596,37 @@ impl Communicator {
     ) -> Result<Request> {
         let packed_size = ctx.packed_size()?;
         let regions = ctx.regions()?;
+        // SAFETY: forwarded from this function's contract.
+        unsafe { self.post_generic_recv(ctx, packed_size, regions, false, source, tag) }
+    }
+
+    /// Post `ctx` as the unpacker of a generic receive into `regions`,
+    /// marked fresh when `fresh` is set.
+    ///
+    /// # Safety
+    /// `ctx` and every region must outlive the request, and neither may be
+    /// accessed until it completes.
+    unsafe fn post_generic_recv(
+        &self,
+        ctx: &mut (dyn CustomUnpack + '_),
+        packed_size: usize,
+        regions: Vec<RecvRegion>,
+        fresh: bool,
+        source: i32,
+        tag: Tag,
+    ) -> Result<Request> {
         let sig = ctx.type_signature();
-        let iov = recv_regions_to_iov(&regions);
         let ptr: *mut (dyn CustomUnpack + '_) = ctx;
         // SAFETY: lifetime extension justified by this function's contract.
-        let ptr: *mut (dyn CustomUnpack + 'static) = std::mem::transmute(ptr);
-        Ok(self.ep.post_recv_sig(
-            RecvDesc::Generic {
-                unpacker: Box::new(UnpackPtr(ptr)),
-                packed_size,
-                regions: iov,
-            },
-            source,
-            tag,
-            sig,
-        )?)
+        let ptr: *mut (dyn CustomUnpack + 'static) = unsafe { std::mem::transmute(ptr) };
+        let desc = RecvDesc::Generic {
+            unpacker: Box::new(UnpackPtr(ptr)),
+            packed_size,
+            regions,
+        };
+        let desc = if fresh { desc.fresh() } else { desc };
+        // SAFETY: forwarded from this function's contract.
+        Ok(unsafe { self.ep.post_recv_sig(desc, source, tag, sig)? })
     }
 
     /// Post a nonblocking derived-datatype send without a scope (used by
@@ -615,8 +718,35 @@ impl Communicator {
     }
 }
 
+/// An empty vector of capacity `len`, and its spare capacity as a receive
+/// region (moving the vector leaves the region valid).
+fn fresh_region(len: usize) -> (Vec<u8>, RecvRegion) {
+    let mut buf = Vec::with_capacity(len);
+    let region = RecvRegion {
+        ptr: buf.spare_capacity_mut().as_mut_ptr().cast(),
+        len,
+    };
+    (buf, region)
+}
+
+/// Expose the `len` received bytes of a fresh `buf`, or report a transfer
+/// that delivered `got` bytes instead.
+///
+/// # Safety
+/// A completed receive must have written `got` bytes from the start of
+/// `buf`'s spare capacity.
+unsafe fn set_len_exact(buf: &mut Vec<u8>, len: usize, got: usize) -> Result<()> {
+    if got != len {
+        return Err(Error::LengthMismatch { expected: len, got });
+    }
+    // SAFETY: `len == got` bytes were initialized by the receive, and the
+    // capacity was allocated for `len`.
+    unsafe { buf.set_len(len) };
+    Ok(())
+}
+
 /// A message claimed by a matched probe, consumable only via
-/// [`Communicator::mrecv`].
+/// [`Communicator::mrecv`] or [`Communicator::mrecv_vec`].
 #[derive(Debug)]
 pub struct MatchedMessage {
     msg: mpicd_fabric::fabric::Message,
@@ -890,6 +1020,7 @@ impl Drop for Scope<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::RandomAccessPacker;
     use mpicd_datatype::Datatype;
 
     #[test]
@@ -1042,6 +1173,126 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Packs byte `i` of its stream as `i as u8`, asserting first that the
+    /// destination it was handed is all zeros.
+    struct ZeroCheckingPack(usize);
+
+    impl RandomAccessPacker for ZeroCheckingPack {
+        fn pack_at(&self, offset: usize, dst: &mut [u8]) -> std::result::Result<usize, i32> {
+            assert!(dst.iter().all(|&b| b == 0), "pack callback saw a dirty dst");
+            let n = dst.len().min(self.0 - offset);
+            for (i, b) in dst[..n].iter_mut().enumerate() {
+                *b = (offset + i) as u8;
+            }
+            Ok(n)
+        }
+    }
+
+    impl CustomPack for ZeroCheckingPack {
+        fn packed_size(&self) -> Result<usize> {
+            Ok(self.0)
+        }
+        fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize> {
+            self.pack_at(offset, dst).map_err(Error::Serialization)
+        }
+        fn inorder(&self) -> bool {
+            false
+        }
+        fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
+            Some(self)
+        }
+    }
+
+    /// A receive context with an empty packed stream, eligible for the
+    /// worker pool.
+    struct NoStream;
+
+    impl mpicd_fabric::RandomAccessUnpacker for NoStream {
+        fn unpack_at(&self, _offset: usize, _src: &[u8]) -> std::result::Result<(), i32> {
+            Ok(())
+        }
+    }
+
+    impl CustomUnpack for NoStream {
+        fn packed_size(&self) -> Result<usize> {
+            Ok(0)
+        }
+        fn unpack(&mut self, _offset: usize, _src: &[u8]) -> Result<()> {
+            Ok(())
+        }
+        fn random_access(&self) -> Option<&dyn mpicd_fabric::RandomAccessUnpacker> {
+            Some(self)
+        }
+    }
+
+    fn world_with_threads(threads: usize) -> World {
+        World::with_model_and_pipeline(
+            2,
+            WireModel::default(),
+            mpicd_fabric::PipelineConfig::with_threads(threads),
+        )
+    }
+
+    #[test]
+    fn pack_callbacks_see_zeroed_fresh_destinations() {
+        let len = 5 * WireModel::default().frag_size + 123;
+        let want: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        for threads in [1, 2] {
+            let world = world_with_threads(threads);
+            let (c0, c1) = world.pair();
+            let lens = [len / 3, len - len / 3];
+            let (contig, regions) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    c0.send_custom(Box::new(ZeroCheckingPack(len)), 1, 0)
+                        .unwrap();
+                    c0.send_custom(Box::new(ZeroCheckingPack(len)), 1, 1)
+                        .unwrap();
+                });
+                let (contig, st) = c1.recv_vec(len, 0, 0).unwrap();
+                assert_eq!(st.bytes, len);
+                let (regions, _) = c1.recv_custom_fresh(&mut NoStream, &lens, 0, 1).unwrap();
+                (contig, regions)
+            });
+            assert_eq!(contig, want, "threads {threads}");
+            assert_eq!(regions.concat(), want, "threads {threads}");
+            assert_eq!(regions[0].len(), lens[0]);
+            let pooled = world.fabric().stats().pipelined;
+            assert_eq!(pooled, if threads > 1 { 2 } else { 0 }, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn short_messages_into_fresh_buffers_are_length_mismatches() {
+        let world = World::new(2);
+        let (c0, c1) = world.pair();
+        let short = vec![5u8; 8];
+        c0.scope(|s| s.isend(&short, 1, 0)).unwrap();
+        assert_eq!(
+            c1.recv_vec(16, 0, 0).unwrap_err(),
+            Error::LengthMismatch {
+                expected: 16,
+                got: 8
+            }
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| c0.send_custom(Box::new(ZeroCheckingPack(8)), 1, 1).unwrap());
+            let err = c1
+                .recv_custom_fresh(&mut NoStream, &[4, 12], 0, 1)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                Error::LengthMismatch {
+                    expected: 16,
+                    got: 8
+                }
+            );
+        });
+        // A matched probe's fresh receive takes the message's exact size.
+        c0.scope(|s| s.isend(&short, 1, 2)).unwrap();
+        let (_, msg) = c1.mprobe(0, 2);
+        assert_eq!(c1.mrecv_vec(msg).unwrap(), short);
     }
 
     #[test]

@@ -8,73 +8,19 @@
 //! (constructed by [`Buffer::send_view`](crate::Buffer::send_view), dropped
 //! when the operation completes).
 
-// Audited unsafe: datatype access to caller-owned memory; every unsafe block carries a SAFETY note.
-#![allow(unsafe_code)]
-
 use crate::error::Result;
-use mpicd_fabric::{FragmentPacker, IovEntry, IovEntryMut};
+use mpicd_fabric::FragmentPacker;
 pub use mpicd_fabric::{RandomAccessPacker, RandomAccessUnpacker};
 
-/// A contiguous memory region exposed for zero-copy sending
-/// (one entry of `regionfn`'s output arrays).
-#[derive(Debug, Clone, Copy)]
-pub struct SendRegion {
-    /// Base address. Must stay valid and unmodified until the operation
-    /// completes.
-    pub ptr: *const u8,
-    /// Length in bytes.
-    pub len: usize,
-}
+/// A contiguous memory region exposed for zero-copy sending (one entry of
+/// `regionfn`'s output arrays). It must stay valid and unmodified until the
+/// operation completes. This is the fabric's own scatter/gather entry, so
+/// posting a context's regions copies nothing.
+pub use mpicd_fabric::IovEntry as SendRegion;
 
-unsafe impl Send for SendRegion {}
-
-impl SendRegion {
-    /// Expose a slice as a region.
-    pub fn from_slice(s: &[u8]) -> Self {
-        Self {
-            ptr: s.as_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// Expose a typed slice as a region of raw bytes.
-    pub fn from_typed<T: Copy>(s: &[T]) -> Self {
-        Self {
-            ptr: s.as_ptr().cast(),
-            len: std::mem::size_of_val(s),
-        }
-    }
-}
-
-/// A contiguous memory region exposed for zero-copy receiving.
-#[derive(Debug, Clone, Copy)]
-pub struct RecvRegion {
-    /// Base address. Must stay valid and exclusively available until the
-    /// operation completes.
-    pub ptr: *mut u8,
-    /// Length in bytes.
-    pub len: usize,
-}
-
-unsafe impl Send for RecvRegion {}
-
-impl RecvRegion {
-    /// Expose a mutable slice as a region.
-    pub fn from_slice(s: &mut [u8]) -> Self {
-        Self {
-            ptr: s.as_mut_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// Expose a typed mutable slice as a region of raw bytes.
-    pub fn from_typed<T: Copy>(s: &mut [T]) -> Self {
-        Self {
-            ptr: s.as_mut_ptr().cast(),
-            len: std::mem::size_of_val(s),
-        }
-    }
-}
+/// A contiguous memory region exposed for zero-copy receiving. It must stay
+/// valid and exclusively available until the operation completes.
+pub use mpicd_fabric::IovEntryMut as RecvRegion;
 
 /// Send-side custom serialization context (pack state).
 ///
@@ -239,26 +185,6 @@ impl FragmentPacker for PackAdapter<'_> {
     fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
         self.0.random_access()
     }
-}
-
-pub(crate) fn send_regions_to_iov(regions: &[SendRegion]) -> Vec<IovEntry> {
-    regions
-        .iter()
-        .map(|r| IovEntry {
-            ptr: r.ptr,
-            len: r.len,
-        })
-        .collect()
-}
-
-pub(crate) fn recv_regions_to_iov(regions: &[RecvRegion]) -> Vec<IovEntryMut> {
-    regions
-        .iter()
-        .map(|r| IovEntryMut {
-            ptr: r.ptr,
-            len: r.len,
-        })
-        .collect()
 }
 
 /// Convenience `CustomPack` for a borrowed byte slice plus a pre-packed

@@ -821,6 +821,11 @@ pub struct Message {
 }
 
 impl Message {
+    /// Payload bytes of the message.
+    pub fn bytes(&self) -> usize {
+        self.pending.as_ref().map_or(0, |p| p.total)
+    }
+
     fn take(mut self) -> PendingSend {
         self.pending.take().expect("message not yet consumed")
     }
@@ -851,6 +856,26 @@ impl std::fmt::Debug for Message {
             Some(p) => write!(f, "Message(from {} tag {} {} B)", p.source, p.tag, p.total),
             None => write!(f, "Message(consumed)"),
         }
+    }
+}
+
+/// A receive descriptor as the byte stream the transfer engine writes to.
+fn recv_stream(desc: &mut RecvDesc) -> Stream<'_, &mut dyn FragmentUnpacker, IovEntryMut> {
+    match desc {
+        RecvDesc::Fresh(d) => recv_stream(d),
+        RecvDesc::Contig(e) => Stream {
+            cb: None,
+            mem: std::slice::from_ref(e),
+        },
+        RecvDesc::Iov(v) => Stream { cb: None, mem: v },
+        RecvDesc::Generic {
+            unpacker,
+            packed_size,
+            regions,
+        } => Stream {
+            cb: Some((unpacker.as_mut() as &mut dyn FragmentUnpacker, *packed_size)),
+            mem: regions,
+        },
     }
 }
 
@@ -1036,24 +1061,14 @@ impl Inner {
                 ),
             };
             let mut src = Stream { cb, mem };
-            let (cb, mem) = match &mut recv {
-                RecvDesc::Contig(e) => (None, std::slice::from_ref(e)),
-                RecvDesc::Iov(v) => (None, &v[..]),
-                RecvDesc::Generic {
-                    unpacker,
-                    packed_size,
-                    regions,
-                } => (
-                    Some((unpacker.as_mut() as &mut dyn FragmentUnpacker, *packed_size)),
-                    &regions[..],
-                ),
-            };
-            let mut dst = Stream { cb, mem };
+            let fresh = matches!(recv, RecvDesc::Fresh(_));
+            let mut dst = recv_stream(&mut recv);
             let walk = Walk {
                 frag: self.model.frag_size.max(1),
                 metrics: &self.metrics,
                 fid: send_fid,
                 lc: mlc,
+                fresh,
             };
             let r = self.engine.run(
                 &walk,

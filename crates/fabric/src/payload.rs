@@ -39,6 +39,14 @@ impl IovEntry {
         }
     }
 
+    /// Describe a typed slice as a region of raw bytes.
+    pub fn from_typed<T: Copy>(s: &[T]) -> Self {
+        Self {
+            ptr: s.as_ptr().cast(),
+            len: std::mem::size_of_val(s),
+        }
+    }
+
     /// View the region as a slice.
     ///
     /// # Safety
@@ -73,6 +81,14 @@ impl IovEntryMut {
         Self {
             ptr: s.as_mut_ptr(),
             len: s.len(),
+        }
+    }
+
+    /// Describe a typed mutable slice as a region of raw bytes.
+    pub fn from_typed<T: Copy>(s: &mut [T]) -> Self {
+        Self {
+            ptr: s.as_mut_ptr().cast(),
+            len: std::mem::size_of_val(s),
         }
     }
 
@@ -263,12 +279,24 @@ pub enum RecvDesc {
         /// Destinations for the directly-sent regions.
         regions: Vec<IovEntryMut>,
     },
+    /// The wrapped descriptor's memory regions are *fresh*: allocated but
+    /// never initialized. The engine writes them only through raw copies,
+    /// and zero-fills a fresh range before a pack callback is handed it,
+    /// so no callback ever sees uninitialized bytes. Only this variant
+    /// pays for that fill.
+    Fresh(Box<RecvDesc>),
 }
 
 impl RecvDesc {
+    /// Mark this descriptor's memory regions fresh (see [`Self::Fresh`]).
+    pub fn fresh(self) -> Self {
+        Self::Fresh(Box::new(self))
+    }
+
     /// Maximum payload bytes this descriptor can absorb.
     pub fn capacity(&self) -> usize {
         match self {
+            Self::Fresh(d) => d.capacity(),
             Self::Contig(e) => e.len,
             Self::Iov(v) => v.iter().map(|e| e.len).sum(),
             Self::Generic {
@@ -282,6 +310,7 @@ impl RecvDesc {
     /// Number of scatter entries as seen by the wire.
     pub fn region_count(&self) -> usize {
         match self {
+            Self::Fresh(d) => d.region_count(),
             Self::Contig(_) => 1,
             Self::Iov(v) => v.len().max(1),
             Self::Generic { regions, .. } => 1 + regions.len(),
@@ -292,6 +321,7 @@ impl RecvDesc {
 impl fmt::Debug for RecvDesc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Self::Fresh(d) => write!(f, "RecvDesc::Fresh({d:?})"),
             Self::Contig(e) => write!(f, "RecvDesc::Contig({} B)", e.len),
             Self::Iov(v) => write!(f, "RecvDesc::Iov({} entries)", v.len()),
             Self::Generic {
@@ -336,6 +366,8 @@ mod tests {
         let d = RecvDesc::Contig(IovEntryMut::from_slice(&mut a));
         assert_eq!(d.capacity(), 64);
         assert_eq!(d.region_count(), 1);
+        let f = d.fresh();
+        assert_eq!((f.capacity(), f.region_count()), (64, 1));
     }
 
     #[test]

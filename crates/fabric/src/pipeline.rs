@@ -649,6 +649,7 @@ mod tests {
             metrics: &metrics,
             fid: 0,
             lc: 0,
+            fresh: false,
         };
         let src_at = layout.src_cb.unwrap_or(0);
         let src_mem: Vec<IovEntry> = regions(src_at, &layout.src_mem)
@@ -751,6 +752,7 @@ mod tests {
             metrics: &metrics,
             fid: 0,
             lc: 0,
+            fresh: false,
         };
         let mut out = vec![0u8; src.len()];
         let dst_mem = [IovEntryMut::from_slice(&mut out)];
@@ -900,6 +902,7 @@ mod tests {
             metrics: &metrics,
             fid: 0,
             lc: 0,
+            fresh: false,
         };
         assert_eq!(run_pooled(&pool, &w, src, dst, 64), Ok(64));
         let want: Vec<u8> = (0..64u8).collect();

@@ -154,6 +154,9 @@ pub(crate) struct Walk<'a> {
     /// The transfer's merged Lamport clock, stamped on every fragment event
     /// so the causal-DAG analyzer can order fragments inside the transfer.
     pub(crate) lc: u64,
+    /// The destination's memory regions are fresh (uninitialized): a range
+    /// is zero-filled before a pack callback is handed it.
+    pub(crate) fresh: bool,
 }
 
 /// A segment cursor: the index of a segment and the stream offset where it
@@ -216,6 +219,16 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
             .min(w.frag - pos % w.frag);
         let dseg = dst.seg(da.seg);
         let bytes: &[u8] = match (src.seg(sa.seg), &dseg) {
+            (Seg::Mem(s), Seg::Mem(d)) => {
+                // SAFETY: post contracts keep the source region live and
+                // unmutated, and the destination region live, exclusive and
+                // disjoint from it; `n` stays inside both, and concurrent
+                // fragments write disjoint ranges. A raw copy forms no
+                // reference over the destination, which may be fresh.
+                unsafe { std::ptr::copy_nonoverlapping(s.ptr.add(s_off), d.ptr.add(d_off), n) };
+                pos += n;
+                continue;
+            }
             // SAFETY: post contracts keep the source region live and
             // unmutated for the operation; `n` stays inside it.
             (Seg::Mem(s), Seg::Cb(_)) if !staged => unsafe {
@@ -223,11 +236,19 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
             },
             (sseg, dref) => {
                 let sink: &mut [u8] = match dref {
-                    // SAFETY: post contracts keep the destination region
-                    // live, exclusive and disjoint from the source; `n`
-                    // stays inside it, and concurrent fragments write
-                    // disjoint ranges.
-                    Seg::Mem(d) => unsafe { std::slice::from_raw_parts_mut(d.ptr.add(d_off), n) },
+                    // Reached only with a packer source.
+                    Seg::Mem(d) => {
+                        // SAFETY: as for the memory-to-memory copy; a fresh
+                        // range is zero-filled first, so the packer is
+                        // never handed uninitialized bytes.
+                        unsafe {
+                            let at = d.ptr.add(d_off);
+                            if w.fresh {
+                                std::ptr::write_bytes(at, 0, n);
+                            }
+                            std::slice::from_raw_parts_mut(at, n)
+                        }
+                    }
                     Seg::Cb(_) if staged => &mut stage[d_off..d_off + n],
                     Seg::Cb(_) => {
                         if stage.len() < n {
@@ -358,6 +379,7 @@ mod tests {
             metrics: &metrics,
             fid: 0,
             lc: 0,
+            fresh: false,
         };
         run_inline(&w, &mut src, &mut dst, reverse, stage)
     }

@@ -239,3 +239,75 @@ fn large_contig_rendezvous_is_pipelined() {
     assert_eq!(fabric.stats().pipelined, 1);
     assert_eq!(fabric.stats().rendezvous, 1);
 }
+
+/// Offset-addressed packer that asserts every destination it is handed is
+/// zeroed before writing its bytes.
+struct ZeroCheckingPacker(Vec<u8>);
+
+impl FragmentPacker for ZeroCheckingPacker {
+    fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+        self.pack_at(offset, dst)
+    }
+    fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
+        Some(self)
+    }
+}
+
+impl RandomAccessPacker for ZeroCheckingPacker {
+    fn pack_at(&self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+        if dst.iter().any(|&b| b != 0) {
+            return Err(99);
+        }
+        let n = dst.len().min(self.0.len() - offset);
+        dst[..n].copy_from_slice(&self.0[offset..offset + n]);
+        Ok(n)
+    }
+}
+
+#[test]
+fn fresh_destinations_are_zeroed_before_a_packer_sees_them() {
+    // Garbage stands in for uninitialized memory: a fresh descriptor must
+    // never hand it to a pack callback, inline or from the pool.
+    let payload: Vec<u8> = (0..24 * 1024).map(|i| (i % 239) as u8).collect();
+    for threads in [1, 2] {
+        let fabric = Fabric::with_model_and_pipeline(
+            2,
+            small_frag_model(),
+            PipelineConfig::with_threads(threads),
+        );
+        let a = fabric.endpoint(0).unwrap();
+        let b = fabric.endpoint(1).unwrap();
+        let mut contig = vec![0xA5u8; payload.len()];
+        let (mut r0, mut r1) = (vec![0x5Au8; 10_000], vec![0x5Au8; payload.len() - 10_000]);
+        let descs = [
+            RecvDesc::Contig(IovEntryMut::from_slice(&mut contig)),
+            RecvDesc::Iov(vec![
+                IovEntryMut::from_slice(&mut r0),
+                IovEntryMut::from_slice(&mut r1),
+            ]),
+        ];
+        for desc in descs {
+            // SAFETY: every buffer outlives the waits below.
+            let recv = unsafe { b.post_recv(desc.fresh(), 0, 1).unwrap() };
+            let send = unsafe {
+                a.post_send(
+                    SendDesc::Generic {
+                        packer: Box::new(ZeroCheckingPacker(payload.clone())),
+                        packed_size: payload.len(),
+                        regions: Vec::new(),
+                        inorder: false,
+                    },
+                    1,
+                    1,
+                )
+                .unwrap()
+            };
+            send.wait().unwrap();
+            recv.wait().unwrap();
+        }
+        assert_eq!(contig, payload, "threads {threads}");
+        assert_eq!([r0, r1].concat(), payload, "threads {threads}");
+        let pooled = if threads > 1 { 2 } else { 0 };
+        assert_eq!(fabric.stats().pipelined, pooled, "threads {threads}");
+    }
+}

@@ -53,8 +53,29 @@ impl OobBuffer {
     }
 }
 
-struct Writer {
-    out: Vec<u8>,
+/// Where the [`Writer`] puts its bytes: a stream, or a counter that sizes
+/// the stream without writing it.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts the bytes a [`Writer`] would produce.
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+struct Writer<S> {
+    out: S,
     oob: Option<Vec<OobBuffer>>,
     /// Memo: buffer identity (Arc data pointer) → out-of-band index, so an
     /// array storage shared within the object graph ships exactly once
@@ -62,19 +83,23 @@ struct Writer {
     memo: std::collections::HashMap<*const u8, u32>,
 }
 
-impl Writer {
+impl<S: Sink> Writer<S> {
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.out.put(&[b]);
     }
 
     fn array_header(&mut self, a: &NdArray) {
-        self.out.extend_from_slice(ARRAY_PREAMBLE);
-        self.out.extend_from_slice(DTYPE_PREAMBLE);
+        self.out.put(ARRAY_PREAMBLE);
+        self.out.put(DTYPE_PREAMBLE);
         let descr = a.dtype.descr().as_bytes();
-        self.out.push(descr.len() as u8);
-        self.out.extend_from_slice(descr);
-        self.out.push(b'C'); // C (row-major) order, the only one we model
-        self.out.push(a.shape.len() as u8);
+        self.byte(descr.len() as u8);
+        self.out.put(descr);
+        self.byte(b'C'); // C (row-major) order, the only one we model
+        self.byte(a.shape.len() as u8);
         for d in &a.shape {
             self.u64(*d as u64);
         }
@@ -83,39 +108,39 @@ impl Writer {
 
     fn value(&mut self, obj: &PyObject) {
         match obj {
-            PyObject::None => self.out.push(TAG_NONE),
-            PyObject::Bool(true) => self.out.push(TAG_TRUE),
-            PyObject::Bool(false) => self.out.push(TAG_FALSE),
+            PyObject::None => self.byte(TAG_NONE),
+            PyObject::Bool(true) => self.byte(TAG_TRUE),
+            PyObject::Bool(false) => self.byte(TAG_FALSE),
             PyObject::Int(v) => {
-                self.out.push(TAG_INT);
-                self.out.extend_from_slice(&v.to_le_bytes());
+                self.byte(TAG_INT);
+                self.out.put(&v.to_le_bytes());
             }
             PyObject::Float(v) => {
-                self.out.push(TAG_FLOAT);
-                self.out.extend_from_slice(&v.to_le_bytes());
+                self.byte(TAG_FLOAT);
+                self.out.put(&v.to_le_bytes());
             }
             PyObject::Str(s) => {
-                self.out.push(TAG_STR);
+                self.byte(TAG_STR);
                 self.u64(s.len() as u64);
-                self.out.extend_from_slice(s.as_bytes());
+                self.out.put(s.as_bytes());
             }
             PyObject::Bytes(b) => {
-                self.out.push(TAG_BYTES);
+                self.byte(TAG_BYTES);
                 self.u64(b.len() as u64);
-                self.out.extend_from_slice(b);
+                self.out.put(b);
             }
             PyObject::List(v) => {
-                self.out.push(TAG_LIST);
+                self.byte(TAG_LIST);
                 self.u64(v.len() as u64);
                 v.iter().for_each(|x| self.value(x));
             }
             PyObject::Tuple(v) => {
-                self.out.push(TAG_TUPLE);
+                self.byte(TAG_TUPLE);
                 self.u64(v.len() as u64);
                 v.iter().for_each(|x| self.value(x));
             }
             PyObject::Dict(kv) => {
-                self.out.push(TAG_DICT);
+                self.byte(TAG_DICT);
                 self.u64(kv.len() as u64);
                 for (k, v) in kv {
                     self.value(k);
@@ -125,14 +150,14 @@ impl Writer {
             PyObject::Array(a) => {
                 if self.oob.is_none() {
                     // In-band: header + raw buffer copied into the stream.
-                    self.out.push(TAG_ARRAY_INBAND);
+                    self.byte(TAG_ARRAY_INBAND);
                     self.array_header(a);
-                    self.out.extend_from_slice(&a.data);
+                    self.out.put(&a.data);
                 } else {
                     // Out-of-band: header + buffer index; storage is shared,
                     // not copied (PEP 574). Identical storage reuses its
                     // earlier index (memoization).
-                    self.out.push(TAG_ARRAY_OOB);
+                    self.byte(TAG_ARRAY_OOB);
                     self.array_header(a);
                     let key = a.data.as_ptr();
                     let idx = match self.memo.get(&key) {
@@ -145,37 +170,46 @@ impl Writer {
                             idx
                         }
                     };
-                    self.out.extend_from_slice(&idx.to_le_bytes());
+                    self.out.put(&idx.to_le_bytes());
                 }
             }
         }
     }
 }
 
+/// Run the one [`Writer`] over `obj` into `out`; with `oob` set, array
+/// storage comes back as out-of-band buffers instead of stream bytes.
+fn write<S: Sink>(obj: &PyObject, oob: bool, out: S) -> (S, Vec<OobBuffer>) {
+    let mut w = Writer {
+        out,
+        oob: oob.then(Vec::new),
+        memo: std::collections::HashMap::new(),
+    };
+    w.value(obj);
+    (w.out, w.oob.unwrap_or_default())
+}
+
+/// Write `obj` into one allocation of exactly its stream length: a
+/// counting pass sizes the stream, then the writer fills it.
+fn write_presized(obj: &PyObject, oob: bool) -> (Vec<u8>, Vec<OobBuffer>) {
+    let (Count(len), _) = write(obj, oob, Count(0));
+    let (out, bufs) = write(obj, oob, Vec::with_capacity(len));
+    debug_assert_eq!(out.len(), len, "counting pass sized the stream");
+    (out, bufs)
+}
+
 /// Serialize fully in-band ("basic pickle"): one stream containing every
 /// buffer. For large objects this allocates (and fills) a buffer as large
 /// as the object itself — the memory-doubling cost the paper highlights.
 pub fn dumps(obj: &PyObject) -> Vec<u8> {
-    let mut w = Writer {
-        out: Vec::new(),
-        oob: None,
-        memo: std::collections::HashMap::new(),
-    };
-    w.value(obj);
-    w.out
+    write_presized(obj, false).0
 }
 
 /// Serialize with protocol-5 out-of-band buffers: the returned stream holds
 /// only metadata headers; array storage comes back as zero-copy
 /// [`OobBuffer`]s in graph order.
 pub fn dumps_oob(obj: &PyObject) -> (Vec<u8>, Vec<OobBuffer>) {
-    let mut w = Writer {
-        out: Vec::new(),
-        oob: Some(Vec::new()),
-        memo: std::collections::HashMap::new(),
-    };
-    w.value(obj);
-    (w.out, w.oob.unwrap_or_default())
+    write_presized(obj, true)
 }
 
 #[cfg(test)]
@@ -250,6 +284,36 @@ mod tests {
             assert_eq!(a.data.as_slice(), arr.data.as_slice());
         } else {
             panic!("list expected");
+        }
+    }
+
+    #[test]
+    fn presized_streams_match_the_growing_writer_exactly() {
+        let arr = NdArray::f64_1d(1000, 9);
+        let shared = PyObject::List(vec![
+            PyObject::Array(arr.clone()),
+            PyObject::Str("between".into()),
+            PyObject::Array(arr),
+        ]);
+        let objects = [
+            crate::workload::single_array(160 * 1024),
+            crate::workload::complex_object(720 * 1024),
+            shared,
+        ];
+        for obj in &objects {
+            let grown = write(obj, false, Vec::new()).0;
+            let stream = dumps(obj);
+            assert_eq!(stream, grown);
+            assert_eq!(stream.capacity(), stream.len());
+
+            let (grown, grown_bufs) = write(obj, true, Vec::new());
+            let (stream, bufs) = dumps_oob(obj);
+            assert_eq!(stream, grown);
+            assert_eq!(stream.capacity(), stream.len());
+            assert_eq!(bufs.len(), grown_bufs.len());
+            for (b, g) in bufs.iter().zip(&grown_bufs) {
+                assert!(Arc::ptr_eq(&b.0, &g.0), "same shared storage");
+            }
         }
     }
 

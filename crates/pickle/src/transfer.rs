@@ -16,7 +16,7 @@ use crate::de::{loads, loads_oob};
 use crate::error::{PickleError, PickleResult};
 use crate::object::PyObject;
 use crate::ser::{dumps, dumps_oob, OobBuffer};
-use mpicd::datatype::{CustomPack, CustomUnpack, RecvRegion, SendRegion};
+use mpicd::datatype::{CustomPack, CustomUnpack, SendRegion};
 use mpicd::{Communicator, Result as MpiResult};
 
 /// Encode the out-of-band shape header: stream length + buffer lengths.
@@ -37,15 +37,20 @@ fn decode_lengths(bytes: &[u8]) -> PickleResult<(usize, Vec<usize>)> {
     }
     let stream_len = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
     let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    if bytes.len() != 16 + 8 * n {
+    if bytes.len() - 16 != n.saturating_mul(8) {
         return Err(PickleError::Protocol("lengths header size mismatch"));
     }
-    let lens = (0..n)
+    let lens: Vec<usize> = (0..n)
         .map(|i| {
             let at = 16 + 8 * i;
             u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
         })
         .collect();
+    // The receive allocates these lengths and sums them with the stream's.
+    lens.iter()
+        .try_fold(stream_len, |total, &len| total.checked_add(len))
+        .filter(|&total| total <= isize::MAX as usize)
+        .ok_or(PickleError::Protocol("lengths header overflows"))?;
     Ok((stream_len, lens))
 }
 
@@ -65,11 +70,10 @@ pub fn send_pickle_basic(
 
 /// `pickle-basic` receive: matched-probe for the size (mpi4py's
 /// `MPI_Mprobe` pattern — race-free under threads), allocate, receive,
-/// load.
+/// load. The stream lands in a fresh, unzeroed allocation.
 pub fn recv_pickle_basic(comm: &Communicator, source: i32, tag: i32) -> PickleResult<PyObject> {
-    let (st, msg) = comm.mprobe(source, tag);
-    let mut buf = vec![0u8; st.bytes];
-    comm.mrecv(&mut buf, msg)?;
+    let (_, msg) = comm.mprobe(source, tag);
+    let buf = comm.mrecv_vec(msg)?;
     loads(&buf)
 }
 
@@ -93,22 +97,31 @@ pub fn send_pickle_oob(
     Ok(())
 }
 
-/// `pickle-oob` receive.
+/// `pickle-oob` receive. Each buffer lands in a fresh allocation of the
+/// length the header announced; a shorter buffer message is a
+/// [`PickleError::BufferLength`].
 pub fn recv_pickle_oob(comm: &Communicator, source: i32, tag: i32) -> PickleResult<PyObject> {
     let (st, msg) = comm.mprobe(source, tag);
-    let mut stream = vec![0u8; st.bytes];
-    comm.mrecv(&mut stream, msg)?;
-    let (st2, msg2) = comm.mprobe(st.source as i32, st.tag);
-    let mut lens_msg = vec![0u8; st2.bytes];
-    comm.mrecv(&mut lens_msg, msg2)?;
+    let stream = comm.mrecv_vec(msg)?;
+    let (_, msg2) = comm.mprobe(st.source as i32, st.tag);
+    let lens_msg = comm.mrecv_vec(msg2)?;
     let (stream_len, lens) = decode_lengths(&lens_msg)?;
     if stream_len != stream.len() {
         return Err(PickleError::Protocol("stream length disagrees with header"));
     }
     let mut bufs = Vec::with_capacity(lens.len());
-    for len in lens {
-        let mut b = vec![0u8; len]; // receive-side allocation per buffer
-        comm.recv(&mut b, st.source as i32, st.tag)?;
+    for (index, len) in lens.into_iter().enumerate() {
+        // Receive-side allocation per buffer.
+        let (b, _) = comm
+            .recv_vec(len, st.source as i32, st.tag)
+            .map_err(|e| match e {
+                mpicd::Error::LengthMismatch { expected, got } => PickleError::BufferLength {
+                    index,
+                    expected,
+                    got,
+                },
+                e => e.into(),
+            })?;
         bufs.push(b);
     }
     loads_oob(&stream, bufs)
@@ -151,11 +164,10 @@ impl CustomPack for PickleCdtPack<'_> {
     }
 }
 
-/// Receive context: header stream lands in a scratch vec, regions land
-/// directly in the preallocated buffers.
+/// Receive context: the header stream lands in a scratch vec; the buffers
+/// are the fresh regions the communicator supplies.
 struct PickleCdtUnpack<'a> {
-    stream: &'a mut Vec<u8>,
-    bufs: &'a mut [Vec<u8>],
+    stream: &'a mut [u8],
 }
 
 impl CustomUnpack for PickleCdtUnpack<'_> {
@@ -170,14 +182,29 @@ impl CustomUnpack for PickleCdtUnpack<'_> {
         self.stream[offset..offset + src.len()].copy_from_slice(src);
         Ok(())
     }
+}
 
-    fn regions(&mut self) -> MpiResult<Vec<RecvRegion>> {
-        Ok(self
-            .bufs
-            .iter_mut()
-            .map(|b| RecvRegion::from_slice(b.as_mut_slice()))
-            .collect())
+/// Name the first piece a custom message of `got` bytes left short: the
+/// header stream, or out-of-band buffer `index`.
+fn short_piece(stream_len: usize, lens: &[usize], got: usize) -> PickleError {
+    if got < stream_len {
+        return PickleError::Truncated {
+            at: got,
+            needed: stream_len - got,
+        };
     }
+    let mut start = stream_len;
+    for (index, &len) in lens.iter().enumerate() {
+        if got < start + len {
+            return PickleError::BufferLength {
+                index,
+                expected: len,
+                got: got - start,
+            };
+        }
+        start += len;
+    }
+    PickleError::Protocol("custom message disagrees with lengths header")
 }
 
 /// `pickle-oob-cdt` send: lengths message, then one custom-datatype
@@ -202,21 +229,23 @@ pub fn send_pickle_oob_cdt(
     Ok(())
 }
 
-/// `pickle-oob-cdt` receive.
+/// `pickle-oob-cdt` receive. The buffers land in fresh allocations, one
+/// region each; a message shorter than the lengths header announced is a
+/// typed error naming the short piece.
 pub fn recv_pickle_oob_cdt(comm: &Communicator, source: i32, tag: i32) -> PickleResult<PyObject> {
     let (st, msg) = comm.mprobe(source, tag);
-    let mut lens_msg = vec![0u8; st.bytes];
-    comm.mrecv(&mut lens_msg, msg)?;
+    let lens_msg = comm.mrecv_vec(msg)?;
     let (stream_len, lens) = decode_lengths(&lens_msg)?;
     let mut stream = vec![0u8; stream_len];
-    let mut bufs: Vec<Vec<u8>> = lens.iter().map(|l| vec![0u8; *l]).collect();
-    {
-        let mut ctx = PickleCdtUnpack {
-            stream: &mut stream,
-            bufs: &mut bufs,
-        };
-        comm.recv_custom(&mut ctx, st.source as i32, st.tag)?;
-    }
+    let mut ctx = PickleCdtUnpack {
+        stream: &mut stream,
+    };
+    let (bufs, _) = comm
+        .recv_custom_fresh(&mut ctx, &lens, st.source as i32, st.tag)
+        .map_err(|e| match e {
+            mpicd::Error::LengthMismatch { got, .. } => short_piece(stream_len, &lens, got),
+            e => e.into(),
+        })?;
     loads_oob(&stream, bufs)
 }
 
@@ -303,11 +332,86 @@ mod tests {
         }
     }
 
+    /// A 16-byte array whose sender ships only 8 payload bytes.
+    fn lying_exchange(
+        send: impl FnOnce(&Communicator, &[u8], &[u8]) + Send,
+        recv: impl FnOnce(&Communicator) -> PickleResult<PyObject> + Send,
+    ) -> PickleResult<PyObject> {
+        let obj = PyObject::Array(crate::object::NdArray::f64_1d(2, 7));
+        let (stream, bufs) = dumps_oob(&obj);
+        let lens = encode_lengths(stream.len(), &bufs);
+        let world = World::new(2);
+        let (c0, c1) = world.pair();
+        std::thread::scope(|s| {
+            s.spawn(move || send(&c0, &stream, &lens));
+            s.spawn(move || recv(&c1)).join().unwrap()
+        })
+    }
+
+    const SHORT: PickleError = PickleError::BufferLength {
+        index: 0,
+        expected: 16,
+        got: 8,
+    };
+
+    #[test]
+    fn oob_rejects_a_short_buffer_message() {
+        let got = lying_exchange(
+            |c, stream, lens| {
+                c.send(stream, 1, 0).unwrap();
+                c.send(lens, 1, 0).unwrap();
+                c.send(&[1u8; 8][..], 1, 0).unwrap();
+            },
+            |c| recv_pickle_oob(c, 0, 0),
+        );
+        assert_eq!(got, Err(SHORT));
+    }
+
+    #[test]
+    fn oob_cdt_rejects_a_short_buffer_region() {
+        let got = lying_exchange(
+            |c, stream, lens| {
+                c.send(lens, 1, 0).unwrap();
+                let short = [1u8; 8];
+                let ctx = mpicd::datatype::HeaderAndRegion::new(stream.to_vec(), &short);
+                c.send_custom(Box::new(ctx), 1, 0).unwrap();
+            },
+            |c| recv_pickle_oob_cdt(c, 0, 0),
+        );
+        assert_eq!(got, Err(SHORT));
+    }
+
+    #[test]
+    fn short_piece_names_the_stream_or_the_buffer() {
+        assert_eq!(
+            short_piece(10, &[4, 6], 7),
+            PickleError::Truncated { at: 7, needed: 3 }
+        );
+        assert_eq!(
+            short_piece(10, &[4, 6], 16),
+            PickleError::BufferLength {
+                index: 1,
+                expected: 6,
+                got: 2
+            }
+        );
+    }
+
     #[test]
     fn lengths_header_roundtrip() {
         let bufs: Vec<OobBuffer> = vec![];
         let enc = encode_lengths(7, &bufs);
         assert_eq!(decode_lengths(&enc).unwrap(), (7, vec![]));
         assert!(decode_lengths(&enc[..8]).is_err());
+        let mut wrapping = enc.clone();
+        wrapping[8..16].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(decode_lengths(&wrapping).is_err(), "8 × count wraps to 0");
+        let mut huge = enc.clone();
+        huge[8] = 1;
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decode_lengths(&huge),
+            Err(PickleError::Protocol("lengths header overflows"))
+        );
     }
 }
