@@ -2,18 +2,19 @@
 //!
 //! Reads one or more JSONL dumps written by the flight recorder
 //! (`MPICD_FLIGHT=1`, `MPICD_FLIGHT_PATH=...`), reconstructs per-transfer
-//! timelines, and reports on them. Multiple dumps (one per process) are
-//! merged into a single cross-rank view before analysis.
+//! timelines from their transfer records, and reports on them. Multiple
+//! dumps (one per process) are merged into a single cross-rank view
+//! before analysis.
 //!
 //! ```text
-//! mpicd-inspect [report] <dump.jsonl>... [--top N] [--straggler-factor F] [--json]
+//! mpicd-inspect [report] <dump.jsonl>... [--top N] [--json]
 //! mpicd-inspect critical-path <dump.jsonl>... [--json]
 //! mpicd-inspect health <health.jsonl> [--flight dump.jsonl]... [--json]
 //! ```
 //!
 //! * **report** (default): latency attribution (wait / pack / wire /
 //!   unpack / copy), per-method percentiles, the slowest transfers, and
-//!   straggler flags.
+//!   the transfers the fabric's online straggler gate flagged.
 //! * **critical-path**: builds the cross-rank happens-before DAG from the
 //!   merged timelines, walks the binding-constraint chain from the last
 //!   event back to the origin, and prints the longest weighted path with
@@ -28,19 +29,18 @@
 //!   object on stdout.
 //!
 //! Exit codes: 0 = healthy dump, 1 = usage or I/O error, 2 = the input
-//! parsed but contains malformed timelines or health lines (CI treats
-//! this as a failure).
+//! parsed but contains bad lines (corrupt, inconsistent, or from an
+//! older dump format), malformed timelines or bad health lines (CI
+//! treats this as a failure).
 
 use mpicd_bench::critical::{critical_path, render_critical, render_critical_json};
-use mpicd_bench::flight::{
-    analyze, merge_dumps, read_dump, render_json, render_report, Analysis, ReportOptions,
-};
+use mpicd_bench::flight::{analyze, merge_dumps, read_dump, render_json, render_report, Analysis};
 use mpicd_bench::healthview::{read_health, render_health, render_health_json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: mpicd-inspect [report|critical-path] <dump.jsonl>... \
-                     [--top N] [--straggler-factor F] [--json]\n       \
+                     [--top N] [--json]\n       \
                      mpicd-inspect health <health.jsonl> [--flight dump.jsonl]... [--json]";
 
 enum Mode {
@@ -68,7 +68,7 @@ fn main() -> ExitCode {
     };
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut flight_paths: Vec<PathBuf> = Vec::new();
-    let mut opts = ReportOptions::default();
+    let mut top = 10;
     let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -78,12 +78,8 @@ fn main() -> ExitCode {
             }
             "--json" => json = true,
             "--top" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.top = n,
+                Some(n) => top = n,
                 None => return usage_error("--top needs an integer"),
-            },
-            "--straggler-factor" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(f) if f > 1.0 => opts.straggler_factor = f,
-                _ => return usage_error("--straggler-factor needs a number > 1"),
             },
             "--flight" => match (matches!(mode, Mode::Health), args.next()) {
                 (true, Some(p)) => flight_paths.push(PathBuf::from(p)),
@@ -124,7 +120,7 @@ fn main() -> ExitCode {
             if json {
                 print!("{}", render_json(&analysis, &source));
             } else {
-                print!("{}", render_report(&analysis, &opts, &source));
+                print!("{}", render_report(&analysis, top, &source));
             }
         }
         Mode::CriticalPath => {

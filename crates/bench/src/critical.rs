@@ -10,13 +10,16 @@
 //!   the receiver rank).
 //! * **Dependency edges** are the transfer's internal happens-before
 //!   constraints: both posts precede the match (`wait`), the match
-//!   precedes the terminal (`active`). The match edge is the cross-rank
-//!   arc — the same arc the Lamport `parent` field stamps on the wire.
+//!   precedes the terminal (`active`). The send-post → match edge is the
+//!   cross-rank arc.
 //! * **Program-order edges** chain each rank's nodes in time order
 //!   (`idle` when nothing else explains the gap), plus a virtual origin at
 //!   the earliest timestamp. Every node is therefore reachable, and the
 //!   path weight from origin to the latest node is the measured makespan
-//!   *by construction* — the per-edge weights are timestamp deltas.
+//!   *by construction* — the per-edge weights are timestamp deltas. A
+//!   rank is keyed by (dump, rank), the dump being `id >>
+//!   MERGE_ID_SHIFT`: merged dumps come from different processes, whose
+//!   rank numbers and clock epochs are their own.
 //!
 //! The **critical path** is recovered by walking backward from the latest
 //! node, at every step following the predecessor that was the *binding
@@ -35,7 +38,7 @@
 //! ([`mpicd::collective_tag_name`]): each group gets its own sub-DAG and
 //! critical path, exposing the spine of the bcast tree or the reduce fan-in.
 
-use crate::flight::{Analysis, Timeline};
+use crate::flight::{Analysis, Timeline, MERGE_ID_SHIFT};
 use mpicd_obs::export::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,6 +73,8 @@ impl NodeKind {
 #[derive(Debug, Clone, Copy)]
 struct Node {
     kind: NodeKind,
+    /// Dump the event came from (0 unless dumps were merged).
+    dump: u64,
     /// Rank the event executed on (-1 for the origin).
     rank: i64,
     t_ns: u64,
@@ -115,6 +120,8 @@ pub struct PathStep {
     pub ns: u64,
     /// Rank blamed for the step (where its head event executed).
     pub rank: i64,
+    /// Dump of that rank (0 unless dumps were merged).
+    pub dump: u64,
     /// Send-side id of the transfer involved (0 for idle/origin steps).
     pub id: u64,
     /// `tail_kind->head_kind` label, e.g. `post_send->match`.
@@ -191,8 +198,8 @@ pub struct CriticalReport {
     pub steps: Vec<PathStep>,
     /// Phase decomposition of the path (sums to `makespan_ns` exactly).
     pub phases: PathPhases,
-    /// ns of critical-path time blamed on each rank.
-    pub blame: BTreeMap<i64, u64>,
+    /// ns of critical-path time blamed on each (dump, rank).
+    pub blame: BTreeMap<(u64, i64), u64>,
     /// Per-transfer slack, ascending (critical transfers first).
     pub slack: Vec<TransferSlack>,
     /// Connected components of the DAG ignoring the virtual origin — 1
@@ -215,14 +222,17 @@ fn build_dag(tls: &[&Timeline]) -> (Vec<Node>, Vec<Edge>) {
     let origin_t = tls.iter().map(|t| t.first_post_ns()).min().unwrap_or(0);
     nodes.push(Node {
         kind: NodeKind::Origin,
+        dump: 0,
         rank: -1,
         t_ns: origin_t,
         tl: usize::MAX,
     });
     for (i, t) in tls.iter().enumerate() {
+        let dump = t.id >> MERGE_ID_SHIFT;
         let ps = nodes.len();
         nodes.push(Node {
             kind: NodeKind::PostSend,
+            dump,
             rank: t.src,
             t_ns: t.post_send_ns,
             tl: i,
@@ -230,6 +240,7 @@ fn build_dag(tls: &[&Timeline]) -> (Vec<Node>, Vec<Edge>) {
         let pr = t.post_recv_ns.map(|r| {
             nodes.push(Node {
                 kind: NodeKind::PostRecv,
+                dump,
                 rank: t.dst,
                 t_ns: r,
                 tl: i,
@@ -239,6 +250,7 @@ fn build_dag(tls: &[&Timeline]) -> (Vec<Node>, Vec<Edge>) {
         let m = nodes.len();
         nodes.push(Node {
             kind: NodeKind::Match,
+            dump,
             rank: t.dst,
             t_ns: t.match_ns,
             tl: i,
@@ -246,6 +258,7 @@ fn build_dag(tls: &[&Timeline]) -> (Vec<Node>, Vec<Edge>) {
         let e = nodes.len();
         nodes.push(Node {
             kind: NodeKind::End,
+            dump,
             rank: t.dst,
             t_ns: t.end_ns,
             tl: i,
@@ -268,10 +281,11 @@ fn build_dag(tls: &[&Timeline]) -> (Vec<Node>, Vec<Edge>) {
             kind: EdgeKind::Active,
         });
     }
-    // Program order per rank + origin fan-out to each rank's first node.
-    let mut by_rank: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+    // Program order per (dump, rank) + origin fan-out to each rank's
+    // first node.
+    let mut by_rank: BTreeMap<(u64, i64), Vec<usize>> = BTreeMap::new();
     for (i, n) in nodes.iter().enumerate().skip(1) {
-        by_rank.entry(n.rank).or_default().push(i);
+        by_rank.entry((n.dump, n.rank)).or_default().push(i);
     }
     for chain in by_rank.values_mut() {
         chain.sort_by_key(|&i| (nodes[i].t_ns, i));
@@ -324,13 +338,14 @@ fn backward_walk(nodes: &[Node], edges: &[Edge], tls: &[&Timeline]) -> Vec<PathS
             kind: e.kind.as_str(),
             ns: head.t_ns.saturating_sub(tail.t_ns),
             rank: head.rank,
+            dump: head.dump,
             id: if head.tl == usize::MAX || e.kind == EdgeKind::Idle {
                 0
             } else {
                 tls[head.tl].id
             },
             label: format!("{}->{}", tail.kind.as_str(), head.kind.as_str()),
-            cross_rank: tail.rank != head.rank && tail.rank >= 0,
+            cross_rank: (tail.dump, tail.rank) != (head.dump, head.rank) && tail.rank >= 0,
         });
         cur = e.from;
     }
@@ -340,12 +355,12 @@ fn backward_walk(nodes: &[Node], edges: &[Edge], tls: &[&Timeline]) -> Vec<PathS
 
 /// Phase decomposition + blame of a path. Active edges are split with the
 /// owning timeline's pack/unpack attribution, scaled to the edge weight.
-fn decompose(steps: &[PathStep], tls: &[&Timeline]) -> (PathPhases, BTreeMap<i64, u64>) {
+fn decompose(steps: &[PathStep], tls: &[&Timeline]) -> (PathPhases, BTreeMap<(u64, i64), u64>) {
     let by_id: BTreeMap<u64, &Timeline> = tls.iter().map(|t| (t.id, *t)).collect();
     let mut p = PathPhases::default();
-    let mut blame: BTreeMap<i64, u64> = BTreeMap::new();
+    let mut blame: BTreeMap<(u64, i64), u64> = BTreeMap::new();
     for s in steps {
-        *blame.entry(s.rank).or_default() += s.ns;
+        *blame.entry((s.dump, s.rank)).or_default() += s.ns;
         match s.kind {
             "wait" => p.wait += s.ns,
             "idle" => p.idle += s.ns,
@@ -551,16 +566,16 @@ pub fn render_critical(a: &Analysis, r: &CriticalReport, source: &str) -> String
         r.cross_rank_steps
     );
     let _ = writeln!(out, "\nper-rank blame:");
-    for (rank, ns) in &r.blame {
+    for (&(dump, rank), ns) in &r.blame {
         let pctg = if r.makespan_ns > 0 {
             *ns as f64 * 100.0 / r.makespan_ns as f64
         } else {
             0.0
         };
-        let label = if *rank < 0 {
-            "(origin)".to_string()
-        } else {
-            format!("rank {rank}")
+        let label = match (dump, rank) {
+            (_, r) if r < 0 => "(origin)".to_string(),
+            (0, r) => format!("rank {r}"),
+            (d, r) => format!("dump {d} rank {r}"),
         };
         let _ = writeln!(out, "  {label:>10}: {:>10} ({pctg:5.1}%)", fmt_ns(*ns));
     }
@@ -627,11 +642,12 @@ fn steps_json(out: &mut String, steps: &[PathStep]) {
         }
         let _ = write!(
             out,
-            "{{\"kind\":\"{}\",\"ns\":{},\"rank\":{},\"id\":{},\"label\":\"{}\",\
-             \"cross_rank\":{}}}",
+            "{{\"kind\":\"{}\",\"ns\":{},\"rank\":{},\"dump\":{},\"id\":{},\
+             \"label\":\"{}\",\"cross_rank\":{}}}",
             s.kind,
             s.ns,
             s.rank,
+            s.dump,
             s.id,
             escape(&s.label),
             s.cross_rank
@@ -669,11 +685,16 @@ pub fn render_critical_json(a: &Analysis, r: &CriticalReport, source: &str) -> S
         p.total()
     );
     out.push_str("\"blame\":{");
-    for (i, (rank, ns)) in r.blame.iter().enumerate() {
+    // Keys: the rank, prefixed with its dump (`"2:0"`) when dumps were
+    // merged.
+    for (i, ((dump, rank), ns)) in r.blame.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{rank}\":{ns}");
+        let _ = match dump {
+            0 => write!(out, "\"{rank}\":{ns}"),
+            d => write!(out, "\"{d}:{rank}\":{ns}"),
+        };
     }
     out.push_str("},\"path\":");
     steps_json(&mut out, &r.steps);
@@ -708,23 +729,19 @@ pub fn render_critical_json(a: &Analysis, r: &CriticalReport, source: &str) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::{analyze, parse_dump};
+    use crate::flight::tests::Rec;
+    use crate::flight::{analyze, merge_dumps, parse_dump};
 
-    #[allow(clippy::too_many_arguments)] // mirrors the dump schema field-for-field
-    fn line(
-        kind: &str,
-        id: u64,
-        t: u64,
-        src: i64,
-        dst: i64,
-        tag: i64,
-        dur: u64,
-        aux: u64,
-    ) -> String {
-        format!(
-            "{{\"kind\":\"{kind}\",\"id\":{id},\"t_ns\":{t},\"dur_ns\":{dur},\"src\":{src},\
-             \"dst\":{dst},\"tag\":{tag},\"bytes\":64,\"method\":\"eager\",\"aux\":{aux}}}"
-        )
+    /// A transfer `src -> dst` on `tag`: send id `id`, receive post
+    /// `recv_id` (0 = unrecorded), stamps [post_send, post_recv, match, end].
+    fn line(id: u64, recv_id: u64, t: [u64; 4], src: i64, dst: i64, tag: i64) -> String {
+        Rec {
+            src,
+            dst,
+            tag,
+            ..Rec::new(id, recv_id, t)
+        }
+        .line()
     }
 
     /// A two-hop relay: 0 -> 1 (id 1, recv 2), then 1 -> 2 (id 3, recv 4).
@@ -732,14 +749,8 @@ mod tests {
     /// critical path must cross rank 0 -> 1 -> 2.
     fn relay() -> String {
         [
-            line("post_recv", 2, 100, 0, 1, 7, 0, 0),
-            line("post_send", 1, 200, 0, 1, 7, 0, 0),
-            line("match", 1, 300, 0, 1, 7, 0, 2),
-            line("complete", 1, 600, 0, 1, 7, 0, 0),
-            line("post_recv", 4, 150, 1, 2, 7, 0, 0),
-            line("post_send", 3, 700, 1, 2, 7, 0, 0),
-            line("match", 3, 800, 1, 2, 7, 0, 4),
-            line("complete", 3, 1000, 1, 2, 7, 0, 0),
+            line(1, 2, [200, 100, 300, 600], 0, 1, 7),
+            line(3, 4, [700, 150, 800, 1000], 1, 2, 7),
         ]
         .join("\n")
     }
@@ -770,12 +781,8 @@ mod tests {
     fn disjoint_pairs_are_two_components() {
         // 0->1 and 2->3 never interact.
         let text = [
-            line("post_send", 1, 100, 0, 1, 7, 0, 0),
-            line("match", 1, 200, 0, 1, 7, 0, 0),
-            line("complete", 1, 300, 0, 1, 7, 0, 0),
-            line("post_send", 3, 110, 2, 3, 7, 0, 0),
-            line("match", 3, 210, 2, 3, 7, 0, 0),
-            line("complete", 3, 400, 2, 3, 7, 0, 0),
+            line(1, 0, [100, 0, 200, 300], 0, 1, 7),
+            line(3, 0, [110, 0, 210, 400], 2, 3, 7),
         ]
         .join("\n");
         let a = analyze(&parse_dump(&text).unwrap());
@@ -786,18 +793,28 @@ mod tests {
     }
 
     #[test]
+    fn merged_dumps_keep_their_ranks_apart() {
+        // Both processes call their ranks 0 and 1 and start their clocks
+        // at their own epochs: merged, they are separate components.
+        let single = analyze(&parse_dump(&relay()).unwrap());
+        let dumps = vec![parse_dump(&relay()).unwrap(), parse_dump(&relay()).unwrap()];
+        let merged = analyze(&merge_dumps(dumps));
+        let (one, two) = (critical_path(&single), critical_path(&merged));
+        assert_eq!(two.components, 2 * one.components);
+        assert_eq!(two.makespan_ns, one.makespan_ns);
+        assert_eq!(two.phases.total(), two.makespan_ns);
+        assert!(two.blame.keys().all(|&(dump, rank)| rank < 0 || dump > 0));
+        let json = render_critical_json(&merged, &two, "merged");
+        assert!(json.contains("\"components\":2"), "{json}");
+    }
+
+    #[test]
     fn collective_tags_are_grouped() {
         let bcast_tag = i64::from(i32::MAX - 11);
         let text = [
-            line("post_send", 1, 100, 0, 1, bcast_tag, 0, 0),
-            line("match", 1, 200, 0, 1, bcast_tag, 0, 0),
-            line("complete", 1, 300, 0, 1, bcast_tag, 0, 0),
-            line("post_send", 3, 310, 1, 2, bcast_tag, 0, 0),
-            line("match", 3, 400, 1, 2, bcast_tag, 0, 0),
-            line("complete", 3, 500, 1, 2, bcast_tag, 0, 0),
-            line("post_send", 5, 120, 0, 2, 9, 0, 0),
-            line("match", 5, 130, 0, 2, 9, 0, 0),
-            line("complete", 5, 140, 0, 2, 9, 0, 0),
+            line(1, 0, [100, 0, 200, 300], 0, 1, bcast_tag),
+            line(3, 0, [310, 0, 400, 500], 1, 2, bcast_tag),
+            line(5, 0, [120, 0, 130, 140], 0, 2, 9),
         ]
         .join("\n");
         let a = analyze(&parse_dump(&text).unwrap());

@@ -1,39 +1,32 @@
 //! Offline analysis of flight-recorder dumps (the `mpicd-inspect` binary).
 //!
-//! Parses the JSONL dump written by [`mpicd_obs::flight::dump_jsonl`],
-//! reconstructs one timeline per matched transfer (joining the receive post
-//! through the match event's `aux` field), attributes end-to-end latency to
-//! phases — wait-for-match, pack, modeled wire, unpack, residual copy — and
-//! renders a report with per-method percentiles, the top-N slowest transfers
-//! with their critical path, and straggler flags.
+//! Parses the JSONL dump written by [`mpicd_obs::flight::dump_jsonl`]:
+//! one `transfer` line per matched transfer (its whole record), plus the
+//! post and error lines that show unmatched or failed posts. Each record
+//! becomes one [`Timeline`], attributed to phases — wait-for-match, pack,
+//! modeled wire, unpack, residual copy — and the report renders
+//! per-method percentiles, the top-N slowest transfers with their critical
+//! phase, and the transfers the fabric's online straggler gate flagged.
 //!
 //! Dump lines are read with the workspace's one JSON reader,
-//! [`crate::regress::parse_json`], and unsigned fields must be exact
-//! non-negative integers.
+//! [`crate::regress::parse_json`]; unsigned fields must be exact
+//! non-negative integers. A record is whole or the line is bad: a
+//! transfer line whose stamps break `post ≤ match ≤ end`, or whose
+//! callback time exceeds its lanes' active time, is reported by line
+//! number, as is any line of an older dump format.
 
-use crate::regress::parse_json;
-use crate::report::size_label;
+use crate::regress::{parse_json, Json};
 use mpicd_obs::export::escape;
 use mpicd_obs::flight::{EventKind, Method};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-// ---- parsing ----------------------------------------------------------------
+/// The dump format this reader accepts (the `version` of the
+/// `flight_meta` line).
+pub const DUMP_VERSION: u64 = 3;
 
-fn kind_from_str(s: &str) -> Option<EventKind> {
-    Some(match s {
-        "post_send" => EventKind::PostSend,
-        "post_recv" => EventKind::PostRecv,
-        "match" => EventKind::Match,
-        "frag_packed" => EventKind::FragPacked,
-        "frag_unpacked" => EventKind::FragUnpacked,
-        "wire_modeled" => EventKind::WireModeled,
-        "complete" => EventKind::Complete,
-        "error" => EventKind::Error,
-        _ => return None,
-    })
-}
+// ---- parsing ----------------------------------------------------------------
 
 fn method_from_str(s: &str) -> Option<Method> {
     Some(match s {
@@ -45,36 +38,27 @@ fn method_from_str(s: &str) -> Option<Method> {
     })
 }
 
-/// One parsed event line from a dump (field-for-field the JSONL object).
+/// One parsed post or error line.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
-    /// Lifecycle step.
+    /// `PostSend`, `PostRecv` or `Error`.
     pub kind: EventKind,
-    /// Send-side transfer id, or receive-post id for `post_recv` events.
+    /// Send id, receive-post id, or the id an error names.
     pub id: u64,
     /// Timestamp, ns since the process trace epoch.
     pub t_ns: u64,
-    /// Duration (fragment callbacks, modeled wire time); 0 otherwise.
-    pub dur_ns: u64,
     /// Sender rank (-1 for `ANY_SOURCE` receive posts).
     pub src: i64,
     /// Receiver rank.
     pub dst: i64,
     /// Message tag (wildcards are negative).
     pub tag: i64,
-    /// Payload bytes.
+    /// Payload bytes (receive capacity on receive posts).
     pub bytes: u64,
-    /// Transfer protocol, as decided at post/match time.
+    /// Transfer protocol, as decided at post time.
     pub method: Method,
-    /// Kind-specific extra (receive-post id on `match`, segment offset on
-    /// fragments, error code on `error`).
-    pub aux: u64,
-    /// Lamport clock of the recording rank at the event (0 = unstamped,
-    /// including every event of a v1 dump).
-    pub lc: u64,
-    /// Causal parent: the sender's clock carried in the transfer header
-    /// (receive-side events only; 0 = none).
-    pub parent: u64,
+    /// Error code on `error` lines.
+    pub code: u64,
 }
 
 /// The `flight_meta` header line of a dump.
@@ -82,32 +66,37 @@ pub struct Event {
 pub struct DumpMeta {
     /// Dump format version.
     pub version: u64,
-    /// Event count the writer claims for the body.
+    /// Line count the writer claims for the body.
     pub events: u64,
-    /// Events lost to ring overflow before the dump was taken.
+    /// Entries lost to ring overflow before the dump was taken.
     pub overflowed: u64,
-    /// Tracing-layer drops (spans/counters — context, not flight events).
+    /// Tracing-layer drops (spans/counters — context, not flight lines).
     pub trace_dropped: u64,
 }
 
-/// A parsed dump file: header metadata plus events in file order.
+/// A parsed dump file: header metadata, post/error events and transfer
+/// records, in file order.
 #[derive(Debug, Default)]
 pub struct Dump {
     /// Header metadata (`None` if the dump has no `flight_meta` line).
     pub meta: Option<DumpMeta>,
-    /// All events, in the writer's (timestamp, id) order.
+    /// Post and error lines.
     pub events: Vec<Event>,
-    /// Lines that failed to parse (corruption, a truncated tail from a
-    /// crashed writer). Carried into [`Analysis::malformed`] so the
-    /// exit-2 contract fires, without losing the readable remainder.
+    /// One timeline per `transfer` line.
+    pub transfers: Vec<Timeline>,
+    /// Lines that failed to parse or validate (corruption, a truncated
+    /// tail from a crashed writer, an older format). Carried into
+    /// [`Analysis::malformed`] so the exit-2 contract fires, without
+    /// losing the readable remainder.
     pub bad_lines: Vec<String>,
 }
 
-/// Parse dump text. Unparseable non-empty lines are recorded in
+/// Parse dump text. Bad non-empty lines are recorded in
 /// [`Dump::bad_lines`] — corruption is loud (the analyzer reports it and
 /// `mpicd-inspect` exits 2) but does not hide the readable remainder of a
-/// partially-written dump. Only a dump with corrupt lines and *no* valid
-/// events at all is rejected outright: that is not a flight dump.
+/// partially-written dump. Only a text with bad lines and neither a valid
+/// line nor a `flight_meta` header is rejected outright: that is not a
+/// flight dump.
 pub fn parse_dump(text: &str) -> Result<Dump, String> {
     let mut dump = Dump::default();
     for (lineno, line) in text.lines().enumerate() {
@@ -115,14 +104,25 @@ pub fn parse_dump(text: &str) -> Result<Dump, String> {
             continue;
         }
         match parse_line(line, lineno + 1) {
-            Ok(Line::Meta(meta)) => dump.meta = Some(meta),
+            Ok(Line::Meta(meta)) => {
+                if meta.version != DUMP_VERSION {
+                    dump.bad_lines.push(format!(
+                        "line {}: dump version {}; this reader reads version {DUMP_VERSION}",
+                        lineno + 1,
+                        meta.version
+                    ));
+                }
+                dump.meta = Some(meta);
+            }
             Ok(Line::Event(e)) => dump.events.push(e),
+            Ok(Line::Transfer(t)) => dump.transfers.push(t),
             Err(reason) => dump.bad_lines.push(reason),
         }
     }
-    if dump.events.is_empty() && dump.meta.is_none() && !dump.bad_lines.is_empty() {
+    let valid = dump.meta.is_some() || !dump.events.is_empty() || !dump.transfers.is_empty();
+    if !valid && !dump.bad_lines.is_empty() {
         return Err(format!(
-            "no valid flight events ({}; first: {})",
+            "no valid flight lines ({}; first: {})",
             match dump.bad_lines.len() {
                 1 => "1 unreadable line".to_string(),
                 n => format!("{n} unreadable lines"),
@@ -136,6 +136,7 @@ pub fn parse_dump(text: &str) -> Result<Dump, String> {
 enum Line {
     Meta(DumpMeta),
     Event(Event),
+    Transfer(Timeline),
 }
 
 fn parse_line(line: &str, lineno: usize) -> Result<Line, String> {
@@ -145,47 +146,110 @@ fn parse_line(line: &str, lineno: usize) -> Result<Line, String> {
             .ok_or_else(|| format!("line {lineno}: missing \"{key}\""))
     };
     let bad = |key: &str, what: &str| format!("line {lineno}: \"{key}\" is not {what}");
-    // Unsigned fields must be exact non-negative integers; an absent
-    // optional one reads 0 (v1 dumps carry no causal fields).
     let uint = |key: &str| {
         get(key)?
             .as_u64()
             .ok_or_else(|| bad(key, "a non-negative integer"))
     };
-    let opt_uint = |key: &str| obj.get(key).map_or(Ok(0), |_| uint(key));
     // src/dst/tag are signed (wildcards are negative).
     let int = |key: &str| get(key)?.as_i64().ok_or_else(|| bad(key, "an integer"));
+    let method = || {
+        get("method")?
+            .as_str()
+            .and_then(method_from_str)
+            .ok_or_else(|| format!("line {lineno}: bad \"method\""))
+    };
     let kind = get("kind")?
         .as_str()
         .ok_or_else(|| bad("kind", "a string"))?;
-    if kind == "flight_meta" {
-        return Ok(Line::Meta(DumpMeta {
-            version: opt_uint("version")?,
-            events: opt_uint("events")?,
-            overflowed: opt_uint("overflowed")?,
-            trace_dropped: opt_uint("trace_dropped")?,
-        }));
-    }
-    let kind =
-        kind_from_str(kind).ok_or_else(|| format!("line {lineno}: unknown kind \"{kind}\""))?;
-    let method = get("method")?
-        .as_str()
-        .and_then(method_from_str)
-        .ok_or_else(|| format!("line {lineno}: bad \"method\""))?;
+    let kind = match kind {
+        "flight_meta" => {
+            return Ok(Line::Meta(DumpMeta {
+                version: uint("version")?,
+                events: uint("events")?,
+                overflowed: uint("overflowed")?,
+                trace_dropped: uint("trace_dropped")?,
+            }))
+        }
+        "transfer" => return parse_transfer(&obj, lineno, &uint, &int, method()?),
+        "post_send" => EventKind::PostSend,
+        "post_recv" => EventKind::PostRecv,
+        "error" => EventKind::Error,
+        "match" | "frag_packed" | "frag_unpacked" | "wire_modeled" | "complete" => {
+            return Err(format!(
+                "line {lineno}: \"{kind}\" lines are from a version 1/2 dump"
+            ))
+        }
+        _ => return Err(format!("line {lineno}: unknown kind \"{kind}\"")),
+    };
     Ok(Line::Event(Event {
         kind,
         id: uint("id")?,
         t_ns: uint("t_ns")?,
-        dur_ns: uint("dur_ns")?,
+        src: int("src")?,
+        dst: int("dst")?,
+        tag: int("tag")?,
+        bytes: uint("bytes")?,
+        method: method()?,
+        code: uint("code")?,
+    }))
+}
+
+/// Read one `transfer` line into a [`Timeline`] and hold it to the
+/// record's invariants.
+fn parse_transfer(
+    obj: &Json,
+    lineno: usize,
+    uint: &dyn Fn(&str) -> Result<u64, String>,
+    int: &dyn Fn(&str) -> Result<i64, String>,
+    method: Method,
+) -> Result<Line, String> {
+    let recv_id = uint("recv_id")?;
+    let post_recv_ns = uint("post_recv_ns")?;
+    let error = uint("error")?;
+    let t = Timeline {
+        id: uint("id")?,
+        recv_id,
         src: int("src")?,
         dst: int("dst")?,
         tag: int("tag")?,
         bytes: uint("bytes")?,
         method,
-        aux: uint("aux")?,
-        lc: opt_uint("lc")?,
-        parent: opt_uint("parent")?,
-    }))
+        post_send_ns: uint("post_send_ns")?,
+        post_recv_ns: (recv_id != 0).then_some(post_recv_ns),
+        match_ns: uint("match_ns")?,
+        end_ns: uint("end_ns")?,
+        error: (error != 0).then_some(error),
+        pack_calls: uint("pack_calls")?,
+        unpack_calls: uint("unpack_calls")?,
+        pack_ns: uint("pack_ns")?,
+        unpack_ns: uint("unpack_ns")?,
+        lanes: uint("lanes")?,
+        wire_ns: uint("wire_ns")?,
+        straggler: match obj.get("straggler") {
+            Some(Json::Bool(b)) => *b,
+            _ => return Err(format!("line {lineno}: \"straggler\" is not a boolean")),
+        },
+    };
+    if t.post_send_ns > t.match_ns
+        || t.post_recv_ns.is_some_and(|r| r > t.match_ns)
+        || t.match_ns > t.end_ns
+    {
+        return Err(format!(
+            "line {lineno}: transfer {} breaks post <= match <= end",
+            t.id
+        ));
+    }
+    let active = t.end_ns - t.match_ns;
+    if t.pack_ns.saturating_add(t.unpack_ns) > t.lanes.saturating_mul(active) {
+        return Err(format!(
+            "line {lineno}: transfer {}: pack + unpack {} ns exceeds {} lane(s) x {active} ns active",
+            t.id,
+            t.pack_ns.saturating_add(t.unpack_ns),
+            t.lanes
+        ));
+    }
+    Ok(Line::Transfer(t))
 }
 
 /// Read and parse a dump file.
@@ -196,16 +260,16 @@ pub fn read_dump(path: &Path) -> Result<Dump, String> {
 
 /// Id-namespace shift used when merging multiple dumps: dump `i`'s ids
 /// become `(i + 1) << 48 | id`, so per-process sequential ids from
-/// different processes never collide.
+/// different processes never collide. `id >> MERGE_ID_SHIFT` is therefore
+/// the dump a merged id came from (0 for an unmerged dump).
 pub const MERGE_ID_SHIFT: u32 = 48;
 
 /// Merge per-process dumps (e.g. one JSONL file per rank) into one.
 ///
-/// Transfer ids are process-local sequence numbers, so each dump's ids are
-/// remapped into a disjoint namespace (see [`MERGE_ID_SHIFT`]). The only
-/// cross-referencing `aux` field — the receive-post id on `match` events —
-/// is remapped with them; fragment offsets and error codes are untouched.
-/// Header metadata is summed (version = max). A single dump passes through
+/// Transfer ids are process-local sequence numbers, so each dump's ids —
+/// send ids, receive-post ids and the `recv_id` a record joins — are
+/// remapped into a disjoint namespace (see [`MERGE_ID_SHIFT`]). Header
+/// metadata is summed (version = max). A single dump passes through
 /// unmodified.
 pub fn merge_dumps(dumps: Vec<Dump>) -> Dump {
     if dumps.len() <= 1 {
@@ -222,28 +286,28 @@ pub fn merge_dumps(dumps: Vec<Dump>) -> Dump {
             acc.overflowed += m.overflowed;
             acc.trace_dropped += m.trace_dropped;
         }
-        for mut e in d.events {
-            e.id |= ns;
-            if e.kind == EventKind::Match && e.aux != 0 {
-                e.aux |= ns;
-            }
-            out.events.push(e);
-        }
+        out.events
+            .extend(d.events.into_iter().map(|e| Event { id: e.id | ns, ..e }));
+        out.transfers
+            .extend(d.transfers.into_iter().map(|t| Timeline {
+                id: t.id | ns,
+                recv_id: if t.recv_id == 0 { 0 } else { t.recv_id | ns },
+                ..t
+            }));
         out.bad_lines
             .extend(d.bad_lines.into_iter().map(|b| format!("dump {i}: {b}")));
     }
     out.meta = meta;
-    out.events.sort_by_key(|e| (e.t_ns, e.id));
     out
 }
 
-// ---- timeline reconstruction -------------------------------------------------
+// ---- timelines ---------------------------------------------------------------
 
 /// Per-phase latency attribution for one transfer, in nanoseconds.
 ///
-/// `wait + pack + unpack + copy == e2e` exactly on the serial engine (copy
-/// is the residual); `wire` is simulated time that overlaps the others and
-/// is reported alongside, not summed.
+/// `wait + pack + unpack + copy == e2e` exactly when the callbacks ran on
+/// one lane (copy is the residual); `wire` is simulated time that overlaps
+/// the others and is reported alongside, not summed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Phases {
     /// First post → match: time spent waiting for the partner to arrive.
@@ -257,17 +321,16 @@ pub struct Phases {
     /// Active time outside the pack/unpack callbacks: staging memcpys,
     /// matching bookkeeping, pipeline scheduling.
     pub copy: u64,
-    /// First post → terminal event.
+    /// First post → end.
     pub e2e: u64,
 }
 
-/// One reconstructed transfer timeline, keyed by the send-side id.
+/// One transfer's timeline: its record, as read from the dump.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// Send-side transfer id (the canonical one).
+    /// Send-side transfer id.
     pub id: u64,
-    /// Receive-post id joined via the match event's `aux` (0 when the
-    /// recorder was off at receive-post time).
+    /// Receive-post id (0 when the recorder was off at receive-post time).
     pub recv_id: u64,
     /// Sender rank.
     pub src: i64,
@@ -281,25 +344,29 @@ pub struct Timeline {
     pub method: Method,
     /// Send-post timestamp.
     pub post_send_ns: u64,
-    /// Receive-post timestamp, when the join succeeded.
+    /// Receive-post timestamp, when the receive post was recorded.
     pub post_recv_ns: Option<u64>,
     /// Match timestamp.
     pub match_ns: u64,
-    /// Terminal timestamp (complete, or the error event).
+    /// End timestamp (completion or the error exit).
     pub end_ns: u64,
     /// Error code when the transfer failed (fabric `flight_code`, or 100
-    /// for a core-layer finish failure).
+    /// for a core-layer finish failure on its receive post).
     pub error: Option<u64>,
-    /// Pack fragments observed.
-    pub frags_packed: usize,
-    /// Unpack fragments observed.
-    pub frags_unpacked: usize,
+    /// Pack-callback invocations.
+    pub pack_calls: u64,
+    /// Unpack-callback invocations.
+    pub unpack_calls: u64,
     /// Σ pack-callback durations.
     pub pack_ns: u64,
     /// Σ unpack-callback durations.
     pub unpack_ns: u64,
+    /// Threads that ran the fragments.
+    pub lanes: u64,
     /// Modeled wire duration.
     pub wire_ns: u64,
+    /// The fabric's online straggler gate flagged the transfer.
+    pub straggler: bool,
 }
 
 impl Timeline {
@@ -342,14 +409,14 @@ impl Timeline {
     }
 }
 
-/// The result of reconstructing every timeline in a dump.
+/// The timelines of a dump, sorted by outcome, and its unmatched posts.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Dump header, passed through for the report.
     pub meta: Option<DumpMeta>,
-    /// Matched transfers that reached `complete` cleanly.
+    /// Transfers that completed.
     pub completed: Vec<Timeline>,
-    /// Matched transfers that ended in (or were followed by) an error.
+    /// Transfers that failed, or whose receive's `finish` failed after.
     pub errored: Vec<Timeline>,
     /// Sends posted but never matched in this dump — normal at shutdown,
     /// not a defect.
@@ -358,246 +425,59 @@ pub struct Analysis {
     pub pending_recvs: usize,
     /// Unmatched posts that ended in an error event (cancel / shutdown).
     pub failed_posts: usize,
-    /// Timelines that could not be reconstructed because the ring
-    /// overflowed and dropped their early events (only counted when the
-    /// header reports overflow; otherwise these are malformed).
-    pub truncated: usize,
-    /// Timeline defects, one human-readable reason each. Empty on a
-    /// healthy dump — `mpicd-inspect` exits nonzero otherwise.
+    /// Dump defects, one human-readable reason each. Empty on a healthy
+    /// dump — `mpicd-inspect` exits nonzero otherwise.
     pub malformed: Vec<String>,
 }
 
-/// Reconstruct and validate every timeline in a dump.
+/// Sort every record of a dump by outcome and count the posts no record
+/// joined.
 pub fn analyze(dump: &Dump) -> Analysis {
     let mut a = Analysis {
         meta: dump.meta,
+        malformed: dump.bad_lines.clone(),
         ..Analysis::default()
     };
-    // Unreadable dump lines are malformed input by definition.
-    a.malformed.extend(dump.bad_lines.iter().cloned());
-    // With a reported ring overflow, incomplete timelines are expected
-    // (their early events were dropped) and counted as truncated instead
-    // of malformed. Internal inconsistencies stay malformed regardless.
-    let lossy = dump.meta.is_some_and(|m| m.overflowed > 0);
-
-    let mut by_id: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();
-    for e in &dump.events {
-        by_id.entry(e.id).or_default().push(e);
-    }
-    // recv-post id → send id, from each match event's aux.
-    let mut joined: BTreeMap<u64, u64> = BTreeMap::new();
-    // core-layer finish failures land on the *receive* request's id.
-    let mut recv_errors: BTreeMap<u64, u64> = BTreeMap::new();
-    for e in &dump.events {
-        if e.kind == EventKind::Match && e.aux != 0 {
-            joined.insert(e.aux, e.id);
-        }
-    }
-    for (&id, evs) in &by_id {
-        if joined.contains_key(&id) {
-            if let Some(err) = evs.iter().find(|e| e.kind == EventKind::Error) {
-                recv_errors.insert(id, err.aux);
-            }
-        }
-    }
-
-    for (&id, evs) in &by_id {
-        let count = |k: EventKind| evs.iter().filter(|e| e.kind == k).count();
-        let first = |k: EventKind| evs.iter().find(|e| e.kind == k);
-        let n_match = count(EventKind::Match);
-
-        if n_match == 0 {
-            if joined.contains_key(&id) {
-                // A receive post consumed by some transfer's match event;
-                // its timestamp is read from here when that timeline is
-                // built. Anything beyond post + finish-error is a defect.
-                if count(EventKind::PostRecv) != 1 {
-                    a.malformed.push(format!(
-                        "id {id}: joined receive post has {} post_recv events",
-                        count(EventKind::PostRecv)
-                    ));
-                } else if evs
-                    .iter()
-                    .any(|e| !matches!(e.kind, EventKind::PostRecv | EventKind::Error))
-                {
-                    a.malformed
-                        .push(format!("id {id}: unexpected events on a receive post"));
-                }
-            } else if count(EventKind::PostRecv) > 0 || count(EventKind::PostSend) > 0 {
-                if count(EventKind::Error) > 0 {
-                    a.failed_posts += 1;
-                } else if count(EventKind::PostRecv) > 0 {
-                    a.pending_recvs += 1;
-                } else {
-                    a.pending_sends += 1;
-                }
-            } else if lossy {
-                a.truncated += 1;
-            } else {
-                a.malformed.push(format!(
-                    "id {id}: orphan events with no post or match ({} events)",
-                    evs.len()
-                ));
-            }
-            continue;
-        }
-
-        // Matched transfer: the id is the send-side id.
-        if n_match > 1 {
-            a.malformed.push(format!("id {id}: {n_match} match events"));
-            continue;
-        }
-        let m = first(EventKind::Match).unwrap();
-        let post = first(EventKind::PostSend);
-        if post.is_none() && !lossy {
+    // Error lines name an unmatched post (cancel, shutdown) or, for a core
+    // finish failure, a matched transfer's receive post.
+    let errors: BTreeMap<u64, u64> = dump
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Error)
+        .map(|e| (e.id, e.code))
+        .collect();
+    // Every id some record names; each may be named once.
+    let mut joined = BTreeSet::new();
+    for t in &dump.transfers {
+        if !joined.insert(t.id) || (t.recv_id != 0 && !joined.insert(t.recv_id)) {
             a.malformed
-                .push(format!("id {id}: matched transfer has no post_send"));
+                .push(format!("id {}: an id joined by two transfer records", t.id));
             continue;
         }
-        if count(EventKind::PostSend) > 1 {
-            a.malformed.push(format!("id {id}: duplicate post_send"));
-            continue;
-        }
-        if count(EventKind::PostRecv) > 0 {
-            a.malformed
-                .push(format!("id {id}: id used as both send and receive post"));
-            continue;
-        }
-        let complete = first(EventKind::Complete);
-        if count(EventKind::Complete) > 1 {
-            a.malformed.push(format!("id {id}: duplicate complete"));
-            continue;
-        }
-        if count(EventKind::WireModeled) > 1 {
-            a.malformed.push(format!("id {id}: duplicate wire_modeled"));
-            continue;
-        }
-        let error = first(EventKind::Error);
-        let end = match (complete, error) {
-            (Some(c), _) => c,
-            (None, Some(e)) => e,
-            (None, None) => {
-                if lossy {
-                    a.truncated += 1;
-                } else {
-                    a.malformed.push(format!(
-                        "id {id}: matched transfer has no complete or error"
-                    ));
-                }
-                continue;
-            }
-        };
-
-        // Join the receive post via the match event's aux.
-        let recv_id = m.aux;
-        let recv_post = if recv_id == 0 {
-            None
-        } else {
-            match by_id
-                .get(&recv_id)
-                .and_then(|r| r.iter().find(|e| e.kind == EventKind::PostRecv))
-            {
-                Some(p) => Some(p.t_ns),
-                None => {
-                    if lossy {
-                        None
-                    } else {
-                        a.malformed.push(format!(
-                            "id {id}: match references missing receive post {recv_id}"
-                        ));
-                        continue;
-                    }
-                }
-            }
-        };
-
-        let mut t = Timeline {
-            id,
-            recv_id,
-            src: m.src,
-            dst: m.dst,
-            tag: m.tag,
-            bytes: m.bytes,
-            method: m.method,
-            post_send_ns: post.map_or(m.t_ns, |p| p.t_ns),
-            post_recv_ns: recv_post,
-            match_ns: m.t_ns,
-            end_ns: end.t_ns,
-            error: error
-                .map(|e| e.aux)
-                .or_else(|| recv_errors.get(&recv_id).copied()),
-            frags_packed: 0,
-            frags_unpacked: 0,
-            pack_ns: 0,
-            unpack_ns: 0,
-            wire_ns: first(EventKind::WireModeled).map_or(0, |w| w.dur_ns),
-        };
-
-        // Ordering invariants: posts precede the match, the terminal event
-        // follows it, and every fragment lies inside [match, terminal].
-        let mut bad = false;
-        if post.is_some_and(|p| p.t_ns > t.match_ns) || recv_post.is_some_and(|r| r > t.match_ns) {
-            a.malformed
-                .push(format!("id {id}: post after match (clock went backwards?)"));
-            bad = true;
-        }
-        if t.end_ns < t.match_ns {
-            a.malformed
-                .push(format!("id {id}: terminal event before match"));
-            bad = true;
-        }
-        for e in evs {
-            match e.kind {
-                EventKind::FragPacked => {
-                    t.frags_packed += 1;
-                    t.pack_ns += e.dur_ns;
-                }
-                EventKind::FragUnpacked => {
-                    t.frags_unpacked += 1;
-                    t.unpack_ns += e.dur_ns;
-                }
-                _ => continue,
-            }
-            if e.t_ns < t.match_ns || e.t_ns > t.end_ns {
-                a.malformed.push(format!(
-                    "id {id}: fragment at {} outside [{}, {}]",
-                    e.t_ns, t.match_ns, t.end_ns
-                ));
-                bad = true;
-            }
-        }
-        if bad {
-            continue;
-        }
+        let mut t = t.clone();
+        t.error = t
+            .error
+            .or_else(|| errors.get(&t.id).copied())
+            .or_else(|| errors.get(&t.recv_id).copied());
         if t.error.is_some() {
             a.errored.push(t);
         } else {
             a.completed.push(t);
         }
     }
+    for e in dump.events.iter().filter(|e| !joined.contains(&e.id)) {
+        match e.kind {
+            EventKind::Error => a.failed_posts += 1,
+            // A post that later failed is counted by its error line.
+            _ if errors.contains_key(&e.id) => {}
+            EventKind::PostRecv => a.pending_recvs += 1,
+            _ => a.pending_sends += 1,
+        }
+    }
     a
 }
 
 // ---- report ------------------------------------------------------------------
-
-/// Rendering knobs for [`render_report`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReportOptions {
-    /// How many of the slowest transfers to list individually.
-    pub top: usize,
-    /// Straggler threshold: flag transfers slower than this multiple of
-    /// their (method, size-class) median end-to-end time.
-    pub straggler_factor: f64,
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        Self {
-            top: 10,
-            straggler_factor: 4.0,
-        }
-    }
-}
 
 /// Nearest-rank percentile over a sorted slice (0 on empty input).
 fn pct(sorted: &[u64], p: f64) -> u64 {
@@ -619,15 +499,9 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Size class of a payload: log2 bucket, so 1KiB and 1.5KiB compare while
-/// 1KiB and 1MiB do not.
-fn size_class(bytes: u64) -> u32 {
-    bytes.max(1).ilog2()
-}
-
-/// Render the human report. Contains the literal line
-/// `malformed timelines: N` — CI greps for the `0` case.
-pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String {
+/// Render the human report, listing the `top` slowest transfers. Contains
+/// the literal line `malformed timelines: N` — CI greps for the `0` case.
+pub fn render_report(a: &Analysis, top: usize, source: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "flight recorder report — {source}");
     if let Some(m) = a.meta {
@@ -639,24 +513,23 @@ pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String
         if m.overflowed > 0 {
             let _ = writeln!(
                 out,
-                "WARNING: flight ring overflowed — {} events lost; timelines may be \
-                 truncated. Raise MPICD_FLIGHT_CAP.",
+                "WARNING: flight ring overflowed — {} entries lost; older transfers \
+                 and posts are missing. Raise MPICD_FLIGHT_CAP.",
                 m.overflowed
             );
         }
     } else {
-        let _ = writeln!(out, "events: no flight_meta header (legacy dump?)");
+        let _ = writeln!(out, "events: no flight_meta header");
     }
     let _ = writeln!(
         out,
         "transfers: {} completed, {} errored, {} pending sends, {} pending recvs, \
-         {} failed posts, {} truncated",
+         {} failed posts",
         a.completed.len(),
         a.errored.len(),
         a.pending_sends,
         a.pending_recvs,
         a.failed_posts,
-        a.truncated
     );
     let _ = writeln!(out, "malformed timelines: {}", a.malformed.len());
     for reason in a.malformed.iter().take(20) {
@@ -718,21 +591,21 @@ pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String
         }
     }
 
-    // Top-N slowest, with the per-phase breakdown and critical path.
+    // Top-N slowest, with the per-phase breakdown and critical phase.
     let mut by_e2e: Vec<&Timeline> = a.completed.iter().collect();
     by_e2e.sort_by_key(|t| std::cmp::Reverse(t.phases().e2e));
-    if !by_e2e.is_empty() && opts.top > 0 {
+    if !by_e2e.is_empty() && top > 0 {
         let _ = writeln!(
             out,
             "\ntop {} slowest transfers (by e2e):",
-            opts.top.min(by_e2e.len())
+            top.min(by_e2e.len())
         );
-        for (i, t) in by_e2e.iter().take(opts.top).enumerate() {
+        for (i, t) in by_e2e.iter().take(top).enumerate() {
             let p = t.phases();
             let _ = writeln!(
                 out,
                 "  #{} id {} {}->{} tag {} {}B {}: e2e {} = wait {} + pack {} + unpack {} \
-                 + copy {} (wire {}, {}p/{}u frags)  critical: {}",
+                 + copy {} (wire {}, {}p/{}u calls)  critical: {}",
                 i + 1,
                 t.id,
                 t.src,
@@ -746,60 +619,37 @@ pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String
                 fmt_ns(p.unpack),
                 fmt_ns(p.copy),
                 fmt_ns(p.wire),
-                t.frags_packed,
-                t.frags_unpacked,
+                t.pack_calls,
+                t.unpack_calls,
                 t.critical_phase()
             );
         }
     }
 
-    // Stragglers: e2e far above the median of their (method, size-class)
-    // peers, only in classes with enough samples to trust the median.
-    let mut classes: BTreeMap<(u8, u32), Vec<u64>> = BTreeMap::new();
-    for t in &a.completed {
-        classes
-            .entry((t.method as u8, size_class(t.bytes)))
-            .or_default()
-            .push(t.phases().e2e);
+    // Stragglers: the transfers the fabric's online gate flagged as they
+    // completed (active time above 2x the previous window's p99).
+    let _ = writeln!(out, "\nstragglers (flagged by the online gate):");
+    let flagged: Vec<&&Timeline> = by_e2e.iter().filter(|t| t.straggler).collect();
+    for t in flagged.iter().take(20) {
+        let _ = writeln!(
+            out,
+            "  id {} {} {}B: e2e {}, active {}, critical: {}",
+            t.id,
+            t.method.as_str(),
+            t.bytes,
+            fmt_ns(t.phases().e2e),
+            fmt_ns(t.end_ns - t.match_ns),
+            t.critical_phase()
+        );
     }
-    for vals in classes.values_mut() {
-        vals.sort_unstable();
-    }
-    let _ = writeln!(
-        out,
-        "\nstragglers (> {:.1}x class median e2e, classes with >= 8 samples):",
-        opts.straggler_factor
-    );
-    let mut stragglers = 0usize;
-    for t in &by_e2e {
-        let class = (t.method as u8, size_class(t.bytes));
-        let vals = &classes[&class];
-        if vals.len() < 8 {
-            continue;
+    match flagged.len() {
+        0 => {
+            let _ = writeln!(out, "  (none)");
         }
-        let median = pct(vals, 0.50);
-        let e2e = t.phases().e2e;
-        if median > 0 && e2e as f64 > opts.straggler_factor * median as f64 {
-            stragglers += 1;
-            if stragglers <= 20 {
-                let _ = writeln!(
-                    out,
-                    "  id {} {} {}-class: e2e {} vs median {} ({:.1}x), critical: {}",
-                    t.id,
-                    t.method.as_str(),
-                    size_label(1usize << class.1),
-                    fmt_ns(e2e),
-                    fmt_ns(median),
-                    e2e as f64 / median as f64,
-                    t.critical_phase()
-                );
-            }
+        n if n > 20 => {
+            let _ = writeln!(out, "  ... and {} more", n - 20);
         }
-    }
-    if stragglers == 0 {
-        let _ = writeln!(out, "  (none)");
-    } else if stragglers > 20 {
-        let _ = writeln!(out, "  ... and {} more", stragglers - 20);
+        _ => {}
     }
     out
 }
@@ -808,7 +658,7 @@ pub fn render_report(a: &Analysis, opts: &ReportOptions, source: &str) -> String
 
 /// Render the analysis as one machine-readable JSON object (the `--json`
 /// flag of `mpicd-inspect`): summary counts, malformed reasons, and every
-/// reconstructed timeline with its phase attribution.
+/// timeline with its phase attribution.
 pub fn render_json(a: &Analysis, source: &str) -> String {
     let mut out = String::new();
     out.push_str("{\"source\":\"");
@@ -827,13 +677,12 @@ pub fn render_json(a: &Analysis, source: &str) -> String {
     let _ = write!(
         out,
         ",\"summary\":{{\"completed\":{},\"errored\":{},\"pending_sends\":{},\
-         \"pending_recvs\":{},\"failed_posts\":{},\"truncated\":{},\"malformed\":{}}}",
+         \"pending_recvs\":{},\"failed_posts\":{},\"malformed\":{}}}",
         a.completed.len(),
         a.errored.len(),
         a.pending_sends,
         a.pending_recvs,
         a.failed_posts,
-        a.truncated,
         a.malformed.len()
     );
     out.push_str(",\"malformed\":[");
@@ -855,7 +704,8 @@ pub fn render_json(a: &Analysis, source: &str) -> String {
             out,
             "{{\"id\":{},\"recv_id\":{},\"src\":{},\"dst\":{},\"tag\":{},\"bytes\":{},\
              \"method\":\"{}\",\"post_send_ns\":{},\"post_recv_ns\":{},\"match_ns\":{},\
-             \"end_ns\":{},\"error\":{},\"frags_packed\":{},\"frags_unpacked\":{},\
+             \"end_ns\":{},\"error\":{},\"pack_calls\":{},\"unpack_calls\":{},\
+             \"lanes\":{},\"straggler\":{},\
              \"phases\":{{\"wait\":{},\"pack\":{},\"wire\":{},\"unpack\":{},\"copy\":{},\
              \"e2e\":{}}}}}",
             t.id,
@@ -870,8 +720,10 @@ pub fn render_json(a: &Analysis, source: &str) -> String {
             t.match_ns,
             t.end_ns,
             t.error.map_or("null".to_string(), |v| v.to_string()),
-            t.frags_packed,
-            t.frags_unpacked,
+            t.pack_calls,
+            t.unpack_calls,
+            t.lanes,
+            t.straggler,
             p.wait,
             p.pack,
             p.wire,
@@ -885,35 +737,92 @@ pub fn render_json(a: &Analysis, source: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn line(kind: &str, id: u64, t: u64, dur: u64, bytes: u64, method: &str, aux: u64) -> String {
+    /// A synthetic record; `line()` renders it as a dump line.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Rec {
+        pub id: u64,
+        pub recv_id: u64,
+        pub src: i64,
+        pub dst: i64,
+        pub tag: i64,
+        /// post_send, post_recv, match, end.
+        pub t: [u64; 4],
+        pub pack: u64,
+        pub unpack: u64,
+        pub error: u64,
+        pub straggler: bool,
+    }
+
+    impl Rec {
+        pub(crate) fn new(id: u64, recv_id: u64, t: [u64; 4]) -> Self {
+            Self {
+                id,
+                recv_id,
+                src: 0,
+                dst: 1,
+                tag: 7,
+                t,
+                pack: 0,
+                unpack: 0,
+                error: 0,
+                straggler: false,
+            }
+        }
+
+        pub(crate) fn line(&self) -> String {
+            format!(
+                "{{\"kind\":\"transfer\",\"id\":{},\"recv_id\":{},\"src\":{},\"dst\":{},\
+                 \"tag\":{},\"bytes\":64,\"method\":\"pipelined\",\"regions\":1,\
+                 \"post_send_ns\":{},\"post_recv_ns\":{},\"match_ns\":{},\"end_ns\":{},\
+                 \"pack_ns\":{},\"pack_calls\":1,\"unpack_ns\":{},\"unpack_calls\":1,\
+                 \"lanes\":1,\"wire_ns\":900,\"error\":{},\"straggler\":{}}}",
+                self.id,
+                self.recv_id,
+                self.src,
+                self.dst,
+                self.tag,
+                self.t[0],
+                self.t[1],
+                self.t[2],
+                self.t[3],
+                self.pack,
+                self.unpack,
+                self.error,
+                self.straggler
+            )
+        }
+    }
+
+    fn event(kind: &str, id: u64, t: u64, code: u64) -> String {
         format!(
-            "{{\"kind\":\"{kind}\",\"id\":{id},\"t_ns\":{t},\"dur_ns\":{dur},\"src\":0,\
-             \"dst\":1,\"tag\":7,\"bytes\":{bytes},\"method\":\"{method}\",\"aux\":{aux}}}"
+            "{{\"kind\":\"{kind}\",\"id\":{id},\"t_ns\":{t},\"src\":0,\"dst\":1,\"tag\":7,\
+             \"bytes\":8,\"method\":\"eager\",\"code\":{code}}}"
         )
     }
 
-    fn meta(events: u64, overflowed: u64) -> String {
+    fn meta(version: u64, events: u64) -> String {
         format!(
-            "{{\"kind\":\"flight_meta\",\"version\":1,\"events\":{events},\
-             \"overflowed\":{overflowed},\"trace_dropped\":0}}"
+            "{{\"kind\":\"flight_meta\",\"version\":{version},\"events\":{events},\
+             \"overflowed\":0,\"trace_dropped\":0,\"sample\":1}}"
         )
     }
 
-    /// One healthy pipelined transfer: posts at 100/200, match at 300,
-    /// one pack frag and one unpack frag, complete at 1000.
+    /// One healthy pipelined transfer: posts at 200/100, match at 300,
+    /// 50 ns packing and 80 ns unpacking, end at 1000.
     fn healthy() -> String {
         [
-            meta(7, 0),
-            line("post_recv", 2, 100, 0, 64, "unknown", 0),
-            line("post_send", 1, 200, 0, 64, "pipelined", 0),
-            line("match", 1, 300, 0, 64, "pipelined", 2),
-            line("frag_packed", 1, 400, 50, 64, "unknown", 0),
-            line("frag_unpacked", 1, 500, 80, 64, "unknown", 0),
-            line("wire_modeled", 1, 300, 900, 64, "unknown", 0),
-            line("complete", 1, 1000, 0, 64, "pipelined", 0),
+            meta(3, 3),
+            event("post_recv", 2, 100, 0),
+            event("post_send", 1, 200, 0),
+            Rec {
+                pack: 50,
+                unpack: 80,
+                ..Rec::new(1, 2, [200, 100, 300, 1000])
+            }
+            .line(),
         ]
         .join("\n")
     }
@@ -921,12 +830,13 @@ mod tests {
     #[test]
     fn parses_and_reconstructs_a_healthy_transfer() {
         let dump = parse_dump(&healthy()).unwrap();
-        assert_eq!(dump.meta.unwrap().events, 7);
-        assert_eq!(dump.events.len(), 7);
+        assert_eq!(dump.meta.unwrap().events, 3);
+        assert_eq!((dump.events.len(), dump.transfers.len()), (2, 1));
 
         let a = analyze(&dump);
         assert!(a.malformed.is_empty(), "{:?}", a.malformed);
         assert_eq!(a.completed.len(), 1);
+        assert_eq!((a.pending_sends, a.pending_recvs), (0, 0), "posts joined");
         let t = &a.completed[0];
         assert_eq!((t.id, t.recv_id), (1, 2));
         assert_eq!(t.post_recv_ns, Some(100));
@@ -945,10 +855,10 @@ mod tests {
     #[test]
     fn pending_and_failed_posts_are_not_malformed() {
         let text = [
-            line("post_send", 1, 10, 0, 8, "eager", 0),
-            line("post_recv", 2, 20, 0, 8, "unknown", 0),
-            line("post_send", 3, 30, 0, 8, "eager", 0),
-            line("error", 3, 40, 0, 8, "unknown", 9),
+            event("post_send", 1, 10, 0),
+            event("post_recv", 2, 20, 0),
+            event("post_send", 3, 30, 0),
+            event("error", 3, 40, 9),
         ]
         .join("\n");
         let a = analyze(&parse_dump(&text).unwrap());
@@ -960,68 +870,80 @@ mod tests {
     }
 
     #[test]
-    fn missing_terminal_and_orphans_are_malformed() {
+    fn retired_lines_and_doubly_joined_ids_are_malformed() {
+        // A v2 dump: its header, and every kind only v1/v2 wrote.
+        let mut lines = vec![meta(2, 5)];
+        for kind in [
+            "match",
+            "frag_packed",
+            "frag_unpacked",
+            "wire_modeled",
+            "complete",
+        ] {
+            lines.push(event(kind, 1, 10, 0));
+        }
+        let d = parse_dump(&lines.join("\n")).unwrap();
+        assert_eq!(d.bad_lines.len(), 6, "{:?}", d.bad_lines);
+        assert!(d.bad_lines[0].starts_with("line 1: dump version 2"));
+        assert!(d.bad_lines[1].starts_with("line 2: \"match\" lines are from"));
+        // Two records naming one receive post.
         let text = [
-            line("post_send", 1, 10, 0, 8, "eager", 0),
-            line("match", 1, 20, 0, 8, "eager", 0),
-            line("frag_packed", 9, 30, 5, 8, "unknown", 0),
+            Rec::new(1, 9, [1, 1, 2, 3]).line(),
+            Rec::new(3, 9, [1, 1, 2, 3]).line(),
         ]
         .join("\n");
         let a = analyze(&parse_dump(&text).unwrap());
-        assert_eq!(a.malformed.len(), 2, "{:?}", a.malformed);
-        assert!(a.malformed.iter().any(|m| m.contains("no complete")));
-        assert!(a.malformed.iter().any(|m| m.contains("orphan")));
-        let report = render_report(&a, &ReportOptions::default(), "test");
-        assert!(report.contains("malformed timelines: 2"));
-    }
-
-    #[test]
-    fn overflow_downgrades_missing_events_to_truncated() {
-        let text = [
-            meta(2, 100),
-            line("match", 1, 20, 0, 8, "eager", 0),
-            line("complete", 1, 30, 0, 8, "eager", 0),
-            line("frag_packed", 9, 30, 5, 8, "unknown", 0),
-        ]
-        .join("\n");
-        let a = analyze(&parse_dump(&text).unwrap());
-        assert!(a.malformed.is_empty(), "{:?}", a.malformed);
-        // The matched transfer survives (post time falls back to match
-        // time); the orphan fragment is counted as truncated.
-        assert_eq!(a.completed.len(), 1);
-        assert_eq!(a.truncated, 1);
-        let report = render_report(&a, &ReportOptions::default(), "test");
-        assert!(report.contains("WARNING"));
-        assert!(report.contains("malformed timelines: 0"));
+        assert_eq!(a.malformed.len(), 1, "{:?}", a.malformed);
+        let report = render_report(&a, 10, "test");
+        assert!(report.contains("malformed timelines: 1"));
     }
 
     #[test]
     fn ordering_violations_are_malformed() {
-        let text = [
-            line("post_send", 1, 50, 0, 8, "eager", 0),
-            line("match", 1, 20, 0, 8, "eager", 0),
-            line("complete", 1, 30, 0, 8, "eager", 0),
-        ]
-        .join("\n");
-        let a = analyze(&parse_dump(&text).unwrap());
-        assert!(a.malformed.iter().any(|m| m.contains("post after match")));
-        assert!(a.completed.is_empty());
+        let dump = |line: String| parse_dump(&format!("{}\n{line}", meta(3, 1))).unwrap();
+        for t in [[50, 10, 20, 30], [10, 50, 20, 30], [10, 10, 40, 30]] {
+            let d = dump(Rec::new(1, 2, t).line());
+            assert!(d.transfers.is_empty(), "{t:?}");
+            assert!(
+                d.bad_lines[0].contains("breaks post <= match <= end"),
+                "{:?}",
+                d.bad_lines
+            );
+        }
+        // Callback time beyond one lane's active window.
+        let over = Rec {
+            pack: 6,
+            unpack: 5,
+            ..Rec::new(1, 2, [0, 0, 10, 20])
+        };
+        let d = dump(over.line());
+        assert!(d.bad_lines[0].contains("exceeds 1 lane(s) x 10 ns active"));
+        // Two lanes (the worker pool) may overlap their callbacks.
+        let d = dump(over.line().replace("\"lanes\":1", "\"lanes\":2"));
+        assert!(d.bad_lines.is_empty(), "{:?}", d.bad_lines);
     }
 
     #[test]
     fn finish_errors_on_the_recv_id_mark_the_transfer_errored() {
         let text = [
-            line("post_recv", 2, 10, 0, 8, "unknown", 0),
-            line("post_send", 1, 20, 0, 8, "eager", 0),
-            line("match", 1, 30, 0, 8, "eager", 2),
-            line("complete", 1, 40, 0, 8, "eager", 0),
-            line("error", 2, 50, 0, 8, "unknown", 100),
+            event("post_recv", 2, 10, 0),
+            event("post_send", 1, 20, 0),
+            Rec::new(1, 2, [20, 10, 30, 40]).line(),
+            event("error", 2, 50, 100),
         ]
         .join("\n");
         let a = analyze(&parse_dump(&text).unwrap());
         assert!(a.malformed.is_empty(), "{:?}", a.malformed);
         assert_eq!(a.errored.len(), 1);
         assert_eq!(a.errored[0].error, Some(100));
+        assert_eq!(a.failed_posts, 0, "the error joined the transfer");
+        // A record carrying its own error code is errored too.
+        let failed = Rec {
+            error: 3,
+            ..Rec::new(1, 2, [20, 10, 30, 40])
+        };
+        let a = analyze(&parse_dump(&failed.line()).unwrap());
+        assert_eq!(a.errored[0].error, Some(3));
     }
 
     #[test]
@@ -1029,68 +951,68 @@ mod tests {
         assert!(parse_dump("{\"kind\":\"post_send\"").is_err());
         assert!(parse_dump("{\"kind\":\"warp_drive\",\"id\":1}").is_err());
         assert!(parse_dump("not json at all").is_err());
-        assert!(parse_dump("").unwrap().events.is_empty());
+        assert!(parse_dump("").unwrap().transfers.is_empty());
+        // A record with a field missing is a bad line, not a partial record.
+        let partial = Rec::new(1, 2, [1, 1, 2, 3])
+            .line()
+            .replace("\"end_ns\":3,", "");
+        assert!(parse_dump(&partial).is_err());
     }
 
     #[test]
     fn report_lists_slowest_and_stragglers() {
-        let mut lines = vec![meta(0, 0)];
-        // 9 fast eager transfers and 1 straggler in the same size class.
+        let mut lines = vec![meta(3, 10)];
+        // Ten eager-sized transfers; the slow one carries the gate's flag.
         for i in 0..10u64 {
             let base = i * 1000;
             let dur = if i == 9 { 500 } else { 10 };
-            lines.push(line("post_send", i + 1, base, 0, 100, "eager", 0));
-            lines.push(line("match", i + 1, base + 5, 0, 100, "eager", 0));
-            lines.push(line("complete", i + 1, base + 5 + dur, 0, 100, "eager", 0));
+            lines.push(
+                Rec {
+                    straggler: i == 9,
+                    ..Rec::new(i + 1, 0, [base, 0, base + 5, base + 5 + dur])
+                }
+                .line(),
+            );
         }
         let a = analyze(&parse_dump(&lines.join("\n")).unwrap());
         assert_eq!(a.completed.len(), 10);
-        let report = render_report(
-            &a,
-            &ReportOptions {
-                top: 3,
-                straggler_factor: 4.0,
-            },
-            "synthetic",
-        );
+        let report = render_report(&a, 3, "synthetic");
         assert!(report.contains("top 3 slowest"));
         assert!(report.contains("id 10"), "{report}");
-        assert!(report.contains("stragglers"));
+        let stragglers = report
+            .split("stragglers (flagged by the online gate):")
+            .nth(1);
+        let stragglers = stragglers.expect("straggler section");
         assert!(
-            report.contains("33.7x") || !report.contains("(none)"),
+            stragglers.contains("  id 10 pipelined 64B: e2e 505ns"),
             "{report}"
+        );
+        assert_eq!(
+            stragglers.matches("  id ").count(),
+            1,
+            "only the flagged one"
         );
         assert!(report.contains("malformed timelines: 0"));
     }
 
     #[test]
-    fn causal_fields_parse_and_default() {
-        let text = "{\"kind\":\"match\",\"id\":1,\"t_ns\":5,\"dur_ns\":0,\"src\":0,\"dst\":1,\
-                    \"tag\":7,\"bytes\":8,\"method\":\"eager\",\"aux\":2,\"lc\":9,\"parent\":4}";
-        let d = parse_dump(text).unwrap();
-        assert_eq!((d.events[0].lc, d.events[0].parent), (9, 4));
-        // v1 dumps (no causal fields) stay readable with lc = parent = 0.
-        let d1 = parse_dump(&healthy()).unwrap();
-        assert!(d1.events.iter().all(|e| e.lc == 0 && e.parent == 0));
-    }
-
-    #[test]
-    fn merge_namespaces_ids_and_remaps_match_aux() {
+    fn merge_namespaces_ids_and_remaps_recv_ids() {
         let d1 = parse_dump(&healthy()).unwrap();
         let d2 = parse_dump(&healthy()).unwrap();
         let merged = merge_dumps(vec![d1, d2]);
-        assert_eq!(merged.meta.unwrap().events, 14, "meta counters summed");
+        assert_eq!(merged.meta.unwrap().events, 6, "meta counters summed");
         let a = analyze(&merged);
         assert!(a.malformed.is_empty(), "{:?}", a.malformed);
         assert_eq!(a.completed.len(), 2);
+        assert_eq!((a.pending_sends, a.pending_recvs), (0, 0), "posts joined");
         let ids: Vec<u64> = a.completed.iter().map(|t| t.id).collect();
         assert!(ids.contains(&((1u64 << MERGE_ID_SHIFT) | 1)));
         assert!(ids.contains(&((2u64 << MERGE_ID_SHIFT) | 1)));
         // The recv-post join survived the remap in both namespaces.
-        assert!(a
-            .completed
-            .iter()
-            .all(|t| t.recv_id & ((1 << MERGE_ID_SHIFT) - 1) == 2));
+        for t in &a.completed {
+            assert_eq!(t.recv_id >> MERGE_ID_SHIFT, t.id >> MERGE_ID_SHIFT);
+            assert_eq!(t.recv_id & ((1 << MERGE_ID_SHIFT) - 1), 2);
+        }
     }
 
     #[test]
@@ -1102,6 +1024,8 @@ mod tests {
         assert!(j.contains("\"malformed\":0"));
         assert!(j.contains("\"e2e\":900"));
         assert!(j.contains("\"post_recv_ns\":100"));
+        assert!(j.contains("\"straggler\":false"));
+        assert!(parse_json(&j).is_ok());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * [`phase`] — per-phase breakdown (pack/unpack CPU, wire, copies)
 //!   snapshotted from the `mpicd-obs` registry per measured cell.
 //! * [`flight`] — flight-recorder dump analysis behind the
-//!   `mpicd-inspect` binary: timeline reconstruction, per-transfer
-//!   latency attribution, and the straggler report.
-//! * [`critical`] — cross-rank happens-before DAG over the reconstructed
+//!   `mpicd-inspect` binary: one timeline per transfer record,
+//!   per-transfer latency attribution, and the straggler report.
+//! * [`critical`] — cross-rank happens-before DAG over the transfer
 //!   timelines and the critical-path / slack / per-rank-blame report
 //!   (`mpicd-inspect critical-path`).
 //! * [`regress`] — `BENCH_*.json` parsing and the p50/p99 regression

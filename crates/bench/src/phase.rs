@@ -3,9 +3,10 @@
 //! and extra copy traffic, attributed per message.
 //!
 //! Wire time, message counts, and copy bytes are always recorded by the
-//! fabric. The pack/unpack CPU columns come from `span_acc` timers and
-//! only advance while tracing is enabled (`MPICD_TRACE=1`); without it
-//! they read 0 and the table says so.
+//! fabric. The pack/unpack CPU columns come from the callback times in
+//! each transfer's record, which are stamped only while tracing, the
+//! flight recorder or telemetry is on (`MPICD_TRACE`, `MPICD_FLIGHT`,
+//! `MPICD_TELEMETRY`); without them they read 0 and the table says so.
 
 use mpicd_obs::{Counter, Registry};
 use std::sync::Arc;
@@ -13,9 +14,9 @@ use std::sync::Arc;
 /// Delta of the fabric phase counters over some measured region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Phases {
-    /// CPU nanoseconds spent in pack callbacks (tracing only).
+    /// CPU nanoseconds spent in pack callbacks (stamped transfers only).
     pub pack_ns: u64,
-    /// CPU nanoseconds spent in unpack callbacks (tracing only).
+    /// CPU nanoseconds spent in unpack callbacks (stamped transfers only).
     pub unpack_ns: u64,
     /// Modeled wire nanoseconds.
     pub wire_ns: u64,
@@ -122,7 +123,7 @@ impl PhaseTable {
     }
 
     /// Render per-message phase columns. Pack/unpack CPU columns are only
-    /// populated under `MPICD_TRACE=1`.
+    /// populated while transfers are stamped (see the module docs).
     pub fn render(&self) -> String {
         let mut w = "cell".len();
         for (l, _) in &self.rows {
@@ -130,8 +131,14 @@ impl PhaseTable {
         }
         let mut out = String::new();
         out.push_str(&format!("# {} (per message)\n", self.title));
-        if !mpicd_obs::enabled() {
-            out.push_str("# note: pack/unpack CPU timers need MPICD_TRACE=1; showing 0\n");
+        if !(mpicd_obs::enabled()
+            || mpicd_obs::flight::enabled()
+            || mpicd_obs::telemetry::enabled())
+        {
+            out.push_str(
+                "# note: pack/unpack CPU timers need MPICD_TRACE, MPICD_FLIGHT or \
+                 MPICD_TELEMETRY; showing 0\n",
+            );
         }
         out.push_str(&format!(
             "{:<w$}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}\n",

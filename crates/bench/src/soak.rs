@@ -20,8 +20,8 @@
 //!   or slab entry fails the run;
 //! * the sampled flight recorder (`MPICD_FLIGHT=1 MPICD_FLIGHT_SAMPLE=N`),
 //!   whose dump is re-analyzed in-process at the end: every sampled
-//!   timeline must reconstruct cleanly (sampling records whole timelines
-//!   or nothing, so "malformed" means a recorder defect, not bad luck).
+//!   record must read back cleanly (a record is whole or absent, so
+//!   "malformed" means a recorder defect, not bad luck).
 //!
 //! The warmup baseline is taken at a *fixed point*: after the timed warmup
 //! the harness runs short quiesced bursts until two consecutive gauge

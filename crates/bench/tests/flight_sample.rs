@@ -1,7 +1,7 @@
 //! Sampled-recorder soundness: with `MPICD_FLIGHT_SAMPLE=N` the flight
-//! recorder keeps every Nth transfer end to end and drops the rest
-//! entirely, so a sampled dump must *always* analyze clean — whole
-//! timelines or nothing, never a partial one. Runs in its own process
+//! recorder keeps every Nth post and the record of every transfer whose
+//! send was kept, and drops the rest entirely, so a sampled dump must
+//! *always* analyze clean. Runs in its own process
 //! (the recorder and its sample tick are process-global) as one
 //! sequential test sweeping seeded workloads across sample rates.
 
@@ -52,7 +52,7 @@ fn sampled_dumps_are_always_well_formed() {
 
         // The one property sampling must never break: zero malformed
         // timelines, at any rate. Unsampled transfers are wholly absent
-        // (id 0 is never recorded), so nothing partial can appear.
+        // (id 0 is never recorded), and a record is whole or absent.
         assert!(
             a.malformed.is_empty(),
             "rate {rate}: malformed sampled timelines: {:?}",
@@ -78,9 +78,7 @@ fn sampled_dumps_are_always_well_formed() {
                 "rate {rate} must drop most transfers ({sampled} of {transfers})"
             );
         }
-        // Every reconstructed timeline is complete: send post, match and
-        // completion all present (analyze() would flag them malformed
-        // otherwise, but pin the end-to-end shape explicitly too).
+        // Every record carries its send post, match and end stamps.
         for t in &a.completed {
             assert!(t.id != 0, "id 0 never reaches a dump");
             assert!(t.post_send_ns > 0 && t.match_ns > 0 && t.end_ns > 0);

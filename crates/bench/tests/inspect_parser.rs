@@ -12,31 +12,48 @@ use mpicd_obs::rng::XorShift64Star;
 use std::path::PathBuf;
 use std::process::Command;
 
-fn event_line(kind: &str, id: u64, t: u64, src: i64, dst: i64, aux: u64) -> String {
+fn event_line(kind: &str, id: u64, t: u64, src: i64, dst: i64, code: u64) -> String {
     format!(
-        "{{\"kind\":\"{kind}\",\"id\":{id},\"t_ns\":{t},\"dur_ns\":0,\"src\":{src},\
-         \"dst\":{dst},\"tag\":7,\"bytes\":256,\"method\":\"eager\",\"aux\":{aux}}}"
+        "{{\"kind\":\"{kind}\",\"id\":{id},\"t_ns\":{t},\"src\":{src},\"dst\":{dst},\
+         \"tag\":7,\"bytes\":256,\"method\":\"eager\",\"code\":{code}}}"
     )
 }
 
-/// One complete transfer: post_recv, post_send, match (joining the recv
-/// post via aux), complete.
+/// A transfer record line: posts at `t0 + 10` (send) and `t0` (receive),
+/// match at `t0 + 20`, end at `t0 + 50`, 5 ns packing, 6 ns unpacking.
+fn record_line(id: u64, recv_id: u64, t0: u64, src: i64, dst: i64) -> String {
+    format!(
+        "{{\"kind\":\"transfer\",\"id\":{id},\"recv_id\":{recv_id},\"src\":{src},\
+         \"dst\":{dst},\"tag\":7,\"bytes\":256,\"method\":\"eager\",\"regions\":1,\
+         \"post_send_ns\":{},\"post_recv_ns\":{t0},\"match_ns\":{},\"end_ns\":{},\
+         \"pack_ns\":5,\"pack_calls\":1,\"unpack_ns\":6,\"unpack_calls\":1,\"lanes\":1,\
+         \"wire_ns\":40,\"error\":0,\"straggler\":false}}",
+        t0 + 10,
+        t0 + 20,
+        t0 + 50
+    )
+}
+
+/// One complete transfer: post_recv, post_send, and its record (joining
+/// the receive post through `recv_id`).
 fn transfer(id: u64, recv_id: u64, t0: u64, src: i64, dst: i64) -> Vec<String> {
     vec![
         event_line("post_recv", recv_id, t0, src, dst, 0),
         event_line("post_send", id, t0 + 10, src, dst, 0),
-        event_line("match", id, t0 + 20, src, dst, recv_id),
-        event_line("complete", id, t0 + 50, src, dst, 0),
+        record_line(id, recv_id, t0, src, dst),
     ]
+}
+
+fn meta_line(version: u64, events: u64) -> String {
+    format!(
+        "{{\"kind\":\"flight_meta\",\"version\":{version},\"events\":{events},\
+         \"overflowed\":0,\"trace_dropped\":0,\"sample\":1}}"
+    )
 }
 
 /// A clean single-process dump with `n` transfers.
 fn clean_dump(n: u64) -> String {
-    let mut lines = vec![format!(
-        "{{\"kind\":\"flight_meta\",\"version\":2,\"events\":{},\"overflowed\":0,\
-         \"trace_dropped\":0}}",
-        n * 4
-    )];
+    let mut lines = vec![meta_line(3, n * 3)];
     for i in 0..n {
         lines.extend(transfer(2 * i + 1, 2 * i + 2, 100 * (i + 1), 0, 1));
     }
@@ -93,8 +110,9 @@ fn missing_file_and_usage_errors_exit_one() {
 
 #[test]
 fn semantically_malformed_dump_exits_two() {
-    // A match with no posts behind it: parses fine, reconstructs wrong.
-    let text = event_line("match", 1, 100, 0, 1, 2);
+    // Two records joining one receive post: every line parses, the joins
+    // are wrong.
+    let text = [record_line(1, 2, 100, 0, 1), record_line(3, 2, 200, 0, 1)].join("\n");
     let path = write_temp("orphan-match.jsonl", &text);
     let (code, stdout, _) = run_inspect(&[path.to_str().unwrap()]);
     let _ = std::fs::remove_file(&path);
@@ -116,16 +134,11 @@ fn corrupt_line_amid_valid_events_exits_two() {
 #[test]
 fn ids_above_2_pow_53_round_trip_exactly() {
     let id = (1u64 << 53) + 1;
-    let text = [
-        event_line("post_recv", id + 1, 100, 0, 1, 0),
-        event_line("post_send", id, 110, 0, 1, 0),
-        event_line("match", id, 120, 0, 1, id + 1),
-        event_line("complete", id, 150, 0, 1, 0),
-    ]
-    .join("\n");
+    let text = transfer(id, id + 1, 100, 0, 1).join("\n");
     let dump = parse_dump(&text).unwrap();
     assert!(dump.bad_lines.is_empty(), "{:?}", dump.bad_lines);
     assert_eq!(dump.events[1].id, id);
+    assert_eq!(dump.transfers[0].id, id);
     let a = analyze(&dump);
     assert!(a.malformed.is_empty(), "{:?}", a.malformed);
     assert_eq!(a.completed[0].id, id);
@@ -145,12 +158,92 @@ fn negative_unsigned_field_exits_two() {
     let bad = parse_dump(&text).unwrap().bad_lines;
     assert_eq!(bad.len(), 1);
     assert!(
-        bad[0].starts_with("line 10: \"id\" is not a non-negative integer"),
+        bad[0].starts_with("line 8: \"id\" is not a non-negative integer"),
         "{bad:?}"
     );
     // A fraction in an unsigned field is rejected the same way.
-    let frac = event_line("complete", 1, 5, 0, 1, 0).replace("\"bytes\":256", "\"bytes\":2.5");
+    let frac = record_line(1, 2, 5, 0, 1).replace("\"bytes\":256", "\"bytes\":2.5");
     assert!(parse_dump(&frac).is_err());
+}
+
+#[test]
+fn older_formats_and_broken_records_exit_two() {
+    let clean = clean_dump(1);
+    let cases = [
+        // A v2 dump, header and all.
+        (
+            [meta_line(2, 3)]
+                .into_iter()
+                .chain(clean.lines().skip(1).map(String::from))
+                .collect::<Vec<_>>()
+                .join("\n"),
+            "line 1: dump version 2; this reader reads version 3",
+        ),
+        // Every kind only version 1/2 dumps wrote.
+        (
+            format!("{clean}\n{}", event_line("match", 1, 120, 0, 1, 2)),
+            "line 5: \"match\" lines are from a version 1/2 dump",
+        ),
+        (
+            format!("{clean}\n{}", event_line("frag_packed", 1, 120, 0, 1, 0)),
+            "line 5: \"frag_packed\" lines are from a version 1/2 dump",
+        ),
+        (
+            format!("{clean}\n{}", event_line("frag_unpacked", 1, 120, 0, 1, 0)),
+            "line 5: \"frag_unpacked\" lines are from a version 1/2 dump",
+        ),
+        (
+            format!("{clean}\n{}", event_line("wire_modeled", 1, 120, 0, 1, 0)),
+            "line 5: \"wire_modeled\" lines are from a version 1/2 dump",
+        ),
+        (
+            format!("{clean}\n{}", event_line("complete", 1, 150, 0, 1, 0)),
+            "line 5: \"complete\" lines are from a version 1/2 dump",
+        ),
+        // A record whose end precedes its match.
+        (
+            format!(
+                "{clean}\n{}",
+                record_line(9, 10, 500, 0, 1).replace("\"end_ns\":550", "\"end_ns\":510")
+            ),
+            "line 5: transfer 9 breaks post <= match <= end",
+        ),
+        // A record whose callbacks outlast its active window.
+        (
+            format!(
+                "{clean}\n{}",
+                record_line(9, 10, 500, 0, 1).replace("\"pack_ns\":5,", "\"pack_ns\":25,")
+            ),
+            "line 5: transfer 9: pack + unpack 31 ns exceeds 1 lane(s) x 30 ns active",
+        ),
+    ];
+    for (i, (text, reason)) in cases.iter().enumerate() {
+        let path = write_temp(&format!("old-or-broken-{i}.jsonl"), text);
+        let (code, stdout, _) = run_inspect(&[path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(code, 2, "case {i}: {stdout}");
+        assert!(
+            stdout.contains(&format!("  ! {reason}")),
+            "case {i}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn report_lists_the_gate_flagged_record() {
+    let mut text = clean_dump(3);
+    text.push('\n');
+    text.push_str(&record_line(7, 8, 900, 0, 1).replace("false", "true"));
+    let path = write_temp("flagged.jsonl", &text);
+    let (code, stdout, _) = run_inspect(&[path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 0, "{stdout}");
+    let section = stdout
+        .split("stragglers (flagged by the online gate):")
+        .nth(1)
+        .expect("straggler section");
+    assert_eq!(section.matches("  id ").count(), 1, "{stdout}");
+    assert!(section.contains("  id 7 eager 256B"), "{stdout}");
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ use mpicd_datatype::{
     key64, marshal_with_header, signature64, structural_key, type_map, unmarshal_with_header,
     Datatype, Primitive,
 };
-use mpicd_obs::causal::CausalContext;
 use std::sync::Arc;
 
 /// Two-rank world with the typecheck mode pinned programmatically so the
@@ -157,11 +156,11 @@ fn marshalled_header_carries_signature_to_the_fabric() {
     // 0xC6 header frame, as the context path does for marshalled sends.
     let (ffi, fif) = acceptance_pair();
     let sig = signature64(&ffi);
-    let wire = marshal_with_header(&ffi, CausalContext::default(), sig);
+    let wire = marshal_with_header(&ffi, sig);
 
     // Receiver side: decode the frame; the key survives the round trip
     // and still matches the decoded type's own key.
-    let (decoded, _ctx, wire_sig) = unmarshal_with_header(&wire).unwrap();
+    let (decoded, wire_sig) = unmarshal_with_header(&wire).unwrap();
     assert_eq!(wire_sig, sig);
     assert_eq!(signature64(&decoded), sig);
 

@@ -53,9 +53,9 @@ impl From<mpicd_fabric::matching::Envelope> for Status {
 /// Tag reserved for [`Communicator::barrier`].
 const BARRIER_TAG: Tag = i32::MAX - 7;
 
-/// Flight-recorder `Error` aux code for a receive whose `finish()` hook
+/// Flight-recorder `Error` code for a receive whose `finish()` hook
 /// failed *after* the wire transfer completed. Kept above the
-/// `FabricError::flight_code` range (1–10) so analyzers can tell transport
+/// `FabricError::flight_code` range (1–12) so analyzers can tell transport
 /// failures from receiver-side deserialization failures.
 const FLIGHT_FINISH_FAILED: u64 = 100;
 
@@ -66,7 +66,7 @@ fn flight_finish_error(req: &Request) {
     if fid != 0 {
         mpicd_obs::flight::record(
             mpicd_obs::flight::FlightEvent::new(mpicd_obs::flight::EventKind::Error, fid)
-                .aux(FLIGHT_FINISH_FAILED),
+                .code(FLIGHT_FINISH_FAILED),
         );
     }
 }

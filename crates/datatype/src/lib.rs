@@ -40,10 +40,7 @@ pub use equivalence::{
     compatible, equivalent, key64, signature, signature64, structural_key, type_map, StructuralKey,
 };
 pub use error::{DatatypeError, DatatypeResult};
-pub use marshal::{
-    marshal, marshal_with_context, marshal_with_header, unmarshal, unmarshal_with_context,
-    unmarshal_with_header,
-};
+pub use marshal::{marshal, marshal_with_header, unmarshal, unmarshal_with_header};
 pub use plan::{Kernel, PackPlan, PlanOp};
 pub use primitive::Primitive;
 pub use typ::Datatype;

@@ -10,7 +10,6 @@
 use crate::error::{DatatypeError, DatatypeResult};
 use crate::primitive::Primitive;
 use crate::typ::Datatype;
-use mpicd_obs::causal::{CausalContext, CONTEXT_BYTES};
 
 const TAG_PREDEFINED: u8 = 0;
 const TAG_CONTIGUOUS: u8 = 1;
@@ -52,59 +51,23 @@ pub fn marshal(t: &Datatype) -> Vec<u8> {
     out
 }
 
-/// Leading byte of a context-framed marshalled datatype. Constructor tags
-/// occupy 0..=7, so a framed buffer can never be confused with the plain
-/// [`marshal`] encoding.
-pub const CONTEXT_MAGIC: u8 = 0xC5;
-
-/// Serialize a datatype description together with the sender's causal
-/// context (flight id + Lamport clock + origin rank).
-///
-/// This is the cross-process "transfer header": a receiver that unmarshals
-/// the description also learns which transfer shipped it and the sender's
-/// logical clock at post time, so receive-side flight events can record
-/// their causal parent. Costs [`CONTEXT_BYTES`] + 1 bytes over [`marshal`].
-pub fn marshal_with_context(t: &Datatype, ctx: CausalContext) -> Vec<u8> {
-    let _sp = mpicd_obs::span!("dt.marshal", "datatype");
-    let mut out = Vec::with_capacity(1 + CONTEXT_BYTES);
-    out.push(CONTEXT_MAGIC);
-    out.extend_from_slice(&ctx.encode());
-    encode(t, &mut out);
-    out
-}
-
-/// Reconstruct a datatype description plus the causal context framed by
-/// [`marshal_with_context`].
-///
-/// A plain [`marshal`] buffer (no frame) is accepted and yields the
-/// default (empty) context, so readers interoperate with senders that do
-/// not stamp causal headers. A signature frame ([`SIG_MAGIC`]) is
-/// accepted and skipped; use [`unmarshal_with_header`] to read it.
-pub fn unmarshal_with_context(bytes: &[u8]) -> DatatypeResult<(Datatype, CausalContext)> {
-    let (t, ctx, _sig) = unmarshal_with_header(bytes)?;
-    Ok((t, ctx))
-}
-
 /// Leading byte of a structural-signature frame: [`SIG_MAGIC`] followed by
 /// the sender's 64-bit structural signature
-/// ([`crate::equivalence::signature64`]) in little-endian order. Like
-/// [`CONTEXT_MAGIC`], the value sits outside the constructor-tag range
-/// 0..=7 so framed and plain buffers are unambiguous.
+/// ([`crate::equivalence::signature64`]) in little-endian order. The value
+/// sits outside the constructor-tag range 0..=7, so framed and plain
+/// buffers are unambiguous.
 pub const SIG_MAGIC: u8 = 0xC6;
 
-/// Serialize the full transfer header for a marshalled send: causal
-/// context frame (`0xC5`), structural signature frame (`0xC6`), then the
-/// datatype description.
+/// Serialize the transfer header for a marshalled send: the structural
+/// signature frame (`0xC6`), then the datatype description.
 ///
 /// A zero `sig` means "unchecked" (the raw-byte sentinel) and suppresses
-/// the signature frame. The receive side recovers all three parts with
+/// the frame. The receive side recovers both parts with
 /// [`unmarshal_with_header`] and hands the signature to the fabric's
 /// `MPICD_TYPECHECK` comparison before unpacking any payload.
-pub fn marshal_with_header(t: &Datatype, ctx: CausalContext, sig: u64) -> Vec<u8> {
+pub fn marshal_with_header(t: &Datatype, sig: u64) -> Vec<u8> {
     let _sp = mpicd_obs::span!("dt.marshal", "datatype");
-    let mut out = Vec::with_capacity(2 + CONTEXT_BYTES + 8);
-    out.push(CONTEXT_MAGIC);
-    out.extend_from_slice(&ctx.encode());
+    let mut out = Vec::with_capacity(9);
     if sig != 0 {
         out.push(SIG_MAGIC);
         out.extend_from_slice(&sig.to_le_bytes());
@@ -113,21 +76,15 @@ pub fn marshal_with_header(t: &Datatype, ctx: CausalContext, sig: u64) -> Vec<u8
     out
 }
 
-/// Reconstruct a datatype description plus the optional causal-context and
-/// structural-signature frames written by [`marshal_with_header`].
+/// Reconstruct a datatype description plus the optional structural
+/// signature frame written by [`marshal_with_header`].
 ///
-/// Both frames are optional and ordered (`0xC5` before `0xC6`); absent
-/// frames yield the default context and signature `0` ("unchecked"), so
-/// plain [`marshal`] buffers and [`marshal_with_context`] buffers decode
-/// unchanged.
-pub fn unmarshal_with_header(bytes: &[u8]) -> DatatypeResult<(Datatype, CausalContext, u64)> {
+/// An absent frame yields signature `0` ("unchecked"), so plain
+/// [`marshal`] buffers decode unchanged. Any other leading byte outside
+/// the constructor tags is an unknown tag — including the retired `0xC5`
+/// causal-context frame.
+pub fn unmarshal_with_header(bytes: &[u8]) -> DatatypeResult<(Datatype, u64)> {
     let mut rest = bytes;
-    let mut ctx = CausalContext::default();
-    if rest.first() == Some(&CONTEXT_MAGIC) {
-        ctx = CausalContext::decode(&rest[1..])
-            .ok_or(DatatypeError::InvalidArgument("truncated causal context"))?;
-        rest = &rest[1 + CONTEXT_BYTES..];
-    }
     let mut sig = 0u64;
     if rest.first() == Some(&SIG_MAGIC) {
         if rest.len() < 1 + 8 {
@@ -136,7 +93,7 @@ pub fn unmarshal_with_header(bytes: &[u8]) -> DatatypeResult<(Datatype, CausalCo
         sig = u64::from_le_bytes(rest[1..9].try_into().unwrap());
         rest = &rest[9..];
     }
-    Ok((unmarshal(rest)?, ctx, sig))
+    Ok((unmarshal(rest)?, sig))
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -381,8 +338,8 @@ mod tests {
     #[test]
     fn trailing_garbage_detected() {
         // Pin the *typed* error, not just `is_err()`: extra bytes after a
-        // well-formed description must never be silently ignored, on any
-        // of the three decode entry points.
+        // well-formed description must never be silently ignored, on
+        // either decode entry point.
         let mut bytes = marshal(&Datatype::of::<i32>());
         bytes.push(0);
         let expect = |r: DatatypeResult<()>| {
@@ -397,10 +354,9 @@ mod tests {
             );
         };
         expect(unmarshal(&bytes).map(|_| ()));
-        expect(unmarshal_with_context(&bytes).map(|_| ()));
         expect(unmarshal_with_header(&bytes).map(|_| ()));
         // Same for a framed buffer with garbage after the description.
-        let mut framed = marshal_with_header(&Datatype::of::<i32>(), CausalContext::default(), 7);
+        let mut framed = marshal_with_header(&Datatype::of::<i32>(), 7);
         framed.push(0xAB);
         expect(unmarshal_with_header(&framed).map(|_| ()));
     }
@@ -412,80 +368,47 @@ mod tests {
     }
 
     #[test]
-    fn context_frame_roundtrips() {
-        let t = sample();
-        let ctx = CausalContext {
-            fid: 0xdead_beef,
-            lc: 42,
-            origin: 3,
-        };
-        let bytes = marshal_with_context(&t, ctx);
-        assert_eq!(bytes[0], CONTEXT_MAGIC);
-        assert_eq!(bytes.len(), marshal(&t).len() + 1 + CONTEXT_BYTES);
-        let (back, rctx) = unmarshal_with_context(&bytes).unwrap();
-        assert!(equivalent(&t, &back));
-        assert_eq!(rctx, ctx);
-    }
-
-    #[test]
-    fn plain_buffer_yields_empty_context() {
-        let t = sample();
-        let (back, ctx) = unmarshal_with_context(&marshal(&t)).unwrap();
-        assert!(equivalent(&t, &back));
-        assert_eq!(ctx, CausalContext::default());
-        // The magic byte can never collide with a constructor tag.
-        assert!(marshal(&t)[0] < CONTEXT_MAGIC);
-    }
-
-    #[test]
-    fn truncated_context_frame_detected() {
-        let bytes = marshal_with_context(&sample(), CausalContext::default());
-        for cut in 1..=CONTEXT_BYTES {
-            assert!(unmarshal_with_context(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
     fn header_frame_roundtrips() {
         let t = sample();
-        let ctx = CausalContext {
-            fid: 7,
-            lc: 9,
-            origin: 1,
-        };
         let sig = crate::equivalence::signature64(&t);
-        let bytes = marshal_with_header(&t, ctx, sig);
-        assert_eq!(bytes[0], CONTEXT_MAGIC);
-        assert_eq!(bytes[1 + CONTEXT_BYTES], SIG_MAGIC);
-        let (back, rctx, rsig) = unmarshal_with_header(&bytes).unwrap();
+        let bytes = marshal_with_header(&t, sig);
+        assert_eq!(bytes[0], SIG_MAGIC);
+        assert_eq!(bytes.len(), marshal(&t).len() + 9);
+        let (back, rsig) = unmarshal_with_header(&bytes).unwrap();
         assert!(equivalent(&t, &back));
-        assert_eq!(rctx, ctx);
         assert_eq!(rsig, sig);
-        // The legacy entry point skips the signature frame.
-        let (back2, rctx2) = unmarshal_with_context(&bytes).unwrap();
-        assert!(equivalent(&t, &back2));
-        assert_eq!(rctx2, ctx);
+        // The magic byte can never collide with a constructor tag.
+        assert!(marshal(&t)[0] < SIG_MAGIC);
     }
 
     #[test]
     fn zero_signature_suppresses_the_frame() {
         let t = sample();
-        let bytes = marshal_with_header(&t, CausalContext::default(), 0);
-        assert_eq!(bytes.len(), marshal(&t).len() + 1 + CONTEXT_BYTES);
-        let (_, _, sig) = unmarshal_with_header(&bytes).unwrap();
+        let bytes = marshal_with_header(&t, 0);
+        assert_eq!(bytes, marshal(&t));
+        let (_, sig) = unmarshal_with_header(&bytes).unwrap();
         assert_eq!(sig, 0, "absent frame decodes as the unchecked sentinel");
-        // Plain and context-framed buffers also yield signature 0.
-        let (_, _, sig) = unmarshal_with_header(&marshal(&t)).unwrap();
-        assert_eq!(sig, 0);
     }
 
     #[test]
     fn truncated_signature_frame_detected() {
-        let bytes = marshal_with_header(&sample(), CausalContext::default(), 0x1234);
-        let frame_end = 1 + CONTEXT_BYTES + 9;
-        for cut in 1 + CONTEXT_BYTES..frame_end {
+        let bytes = marshal_with_header(&sample(), 0x1234);
+        for cut in 1..9 {
             assert!(unmarshal_with_header(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn retired_context_frame_is_a_typed_error() {
+        // A buffer framed the old way (0xC5, a 20-byte causal context,
+        // then the description) is rejected, never half-read.
+        let mut old = vec![0xC5];
+        old.extend_from_slice(&[0u8; 20]);
+        old.extend_from_slice(&marshal(&sample()));
+        assert_eq!(
+            unmarshal_with_header(&old).map(|_| ()),
+            Err(DatatypeError::InvalidArgument("unknown datatype tag"))
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@ use crate::pipeline::Engine;
 use crate::request::{ReqState, Request};
 use crate::stats::{gauge_shift, FabricMetrics, FabricStats, StatsView};
 use crate::transfer::{Stream, Walk};
-use mpicd_obs::causal;
-use mpicd_obs::flight::{self, EventKind, FlightEvent, Method};
+use mpicd_obs::flight::{self, EventKind, FlightEvent, Method, TransferRecord};
 use mpicd_obs::sync::{Condvar, Mutex};
 use mpicd_obs::telemetry;
 use std::sync::{Arc, OnceLock};
@@ -42,9 +41,8 @@ struct PendingSend {
     total: usize,
     /// Flight-recorder transfer id allocated at post time (0 = off).
     fid: u64,
-    /// Sender's Lamport clock at post time — the causal header that travels
-    /// with the transfer so the receive side can merge clocks at match.
-    lc: u64,
+    /// The post event's stamp, for the transfer's record (0 = off).
+    post_ns: u64,
     /// Sender's 64-bit structural type signature (0 = unchecked raw bytes).
     /// Travels with the in-process transfer the way the `0xC6` marshal
     /// frame travels with out-of-band datatype descriptions.
@@ -68,6 +66,8 @@ struct PostedRecv {
     req: Arc<ReqState>,
     /// Flight-recorder id of the receive post (0 = off).
     fid: u64,
+    /// The post event's stamp, for the transfer's record (0 = off).
+    post_ns: u64,
     /// Structural signature of the datatype the receive was posted with
     /// (0 = unchecked raw bytes).
     sig: u64,
@@ -250,7 +250,7 @@ impl Drop for Inner {
                     if !req.is_done() && p.fid != 0 {
                         flight::record(
                             FlightEvent::new(EventKind::Error, p.fid)
-                                .aux(FabricError::ShutDown.flight_code()),
+                                .code(FabricError::ShutDown.flight_code()),
                         );
                     }
                     req.complete(Err(FabricError::ShutDown));
@@ -262,7 +262,7 @@ impl Drop for Inner {
                 if !r.req.is_done() && r.fid != 0 {
                     flight::record(
                         FlightEvent::new(EventKind::Error, r.fid)
-                            .aux(FabricError::ShutDown.flight_code()),
+                            .code(FabricError::ShutDown.flight_code()),
                     );
                 }
                 r.req.complete(Err(FabricError::ShutDown));
@@ -374,17 +374,11 @@ impl Endpoint {
             });
         }
         let total = desc.total_bytes();
-        // Flight: allocate the send-side transfer id (the canonical id every
-        // lifecycle event of this transfer is keyed by), tick this rank's
-        // Lamport clock, and log the post. The clock value is the causal
-        // header that travels with the transfer.
+        // Flight: allocate the send-side transfer id (the id the transfer's
+        // record is keyed by) and log the post; its stamp rides with the
+        // send into the record.
         let fid = flight::next_id();
-        let lc = if fid != 0 {
-            causal::tick(self.rank as i32)
-        } else {
-            0
-        };
-        if fid != 0 {
+        let post_ns = if fid != 0 {
             let method = match &desc {
                 SendDesc::Contig(_) if self.inner.model.is_rendezvous(total) => Method::Rendezvous,
                 SendDesc::Contig(_) => Method::Eager,
@@ -395,10 +389,11 @@ impl Endpoint {
                     .ranks(self.rank as i32, dest as i32)
                     .tag(tag)
                     .bytes(total as u64)
-                    .method(method)
-                    .lc(lc),
-            );
-        }
+                    .method(method),
+            )
+        } else {
+            0
+        };
         let mut state = self.inner.state.lock();
 
         // Try to match the earliest eligible posted receive: O(1) through
@@ -419,9 +414,7 @@ impl Endpoint {
                 SendSide::Direct(desc),
                 recv.desc,
                 &mut state,
-                fid,
-                recv.fid,
-                lc,
+                posts(fid, post_ns, recv.fid, recv.post_ns),
                 sig,
                 recv.sig,
             );
@@ -471,7 +464,7 @@ impl Endpoint {
                         tag,
                         total,
                         fid,
-                        lc,
+                        post_ns,
                         sig,
                         kind: PendKind::Eager { data: bounce },
                     },
@@ -499,7 +492,7 @@ impl Endpoint {
                         tag,
                         total,
                         fid,
-                        lc,
+                        post_ns,
                         sig,
                         kind: PendKind::Deferred {
                             desc,
@@ -543,18 +536,19 @@ impl Endpoint {
         sig: u64,
     ) -> FabricResult<Request> {
         let sel = Selector::new(source, tag);
-        // Flight: the receive post gets its own id; the match event on the
-        // send-side id carries this id in `aux`, joining the two timelines.
+        // Flight: the receive post gets its own id; the transfer's record
+        // carries it as `recv_id`, joining the two.
         let rfid = flight::next_id();
-        if rfid != 0 {
+        let rpost_ns = if rfid != 0 {
             flight::record(
                 FlightEvent::new(EventKind::PostRecv, rfid)
                     .ranks(source, self.rank as i32)
                     .tag(tag)
-                    .bytes(desc.capacity() as u64)
-                    .lc(causal::tick(self.rank as i32)),
-            );
-        }
+                    .bytes(desc.capacity() as u64),
+            )
+        } else {
+            0
+        };
         let mut state = self.inner.state.lock();
 
         // Try to match the earliest unexpected send, lazily draining
@@ -578,9 +572,7 @@ impl Endpoint {
                 send_side,
                 desc,
                 &mut state,
-                pending.fid,
-                rfid,
-                pending.lc,
+                posts(pending.fid, pending.post_ns, rfid, rpost_ns),
                 pending.sig,
                 sig,
             );
@@ -611,6 +603,7 @@ impl Endpoint {
                 desc,
                 req: Arc::clone(&req),
                 fid: rfid,
+                post_ns: rpost_ns,
                 sig,
             },
         );
@@ -749,7 +742,7 @@ impl Endpoint {
         // Flight: the matched receive is posted here, so the PostRecv event
         // is logged here (the probe that detached the message has no buffer).
         let rfid = flight::next_id();
-        if rfid != 0 {
+        let rpost_ns = if rfid != 0 {
             flight::record(
                 FlightEvent::new(EventKind::PostRecv, rfid)
                     .ranks(
@@ -757,10 +750,11 @@ impl Endpoint {
                         self.rank as i32,
                     )
                     .tag(msg.pending.as_ref().map_or(0, |p| p.tag))
-                    .bytes(desc.capacity() as u64)
-                    .lc(causal::tick(self.rank as i32)),
-            );
-        }
+                    .bytes(desc.capacity() as u64),
+            )
+        } else {
+            0
+        };
         let mut state = self.inner.state.lock();
         let pending = msg.take();
         let (send_side, send_req) = match pending.kind {
@@ -774,9 +768,7 @@ impl Endpoint {
             send_side,
             desc,
             &mut state,
-            pending.fid,
-            rfid,
-            pending.lc,
+            posts(pending.fid, pending.post_ns, rfid, rpost_ns),
             pending.sig,
             sig,
         );
@@ -842,7 +834,7 @@ impl Drop for Message {
             if !req.is_done() && *fid != 0 {
                 flight::record(
                     FlightEvent::new(EventKind::Error, *fid)
-                        .aux(FabricError::Cancelled.flight_code()),
+                        .code(FabricError::Cancelled.flight_code()),
                 );
             }
             req.complete(Err(FabricError::Cancelled));
@@ -913,11 +905,14 @@ impl Inner {
         }
     }
 
-    /// Execute a matched transfer. Called with the match lock held; user
-    /// callbacks therefore must not re-enter the fabric (documented on the
-    /// post functions), the same rule UCX imposes inside progress callbacks.
+    /// Execute a matched transfer and publish its record — on completion
+    /// and on every error exit alike. Called with the match lock held;
+    /// user callbacks therefore must not re-enter the fabric (documented on
+    /// the post functions), the same rule UCX imposes inside progress
+    /// callbacks. `rec` arrives holding what the two posts supply (see
+    /// [`posts`]).
     // One argument per matched-transfer ingredient; a params struct
-    // would be built and destructured at the single call site.
+    // would be built and destructured at each call site.
     #[allow(clippy::too_many_arguments)]
     fn run_matched_transfer(
         &self,
@@ -927,9 +922,7 @@ impl Inner {
         mut send: SendSide,
         mut recv: RecvDesc,
         state: &mut MatchState,
-        send_fid: u64,
-        recv_fid: u64,
-        send_lc: u64,
+        mut rec: TransferRecord,
         send_sig: u64,
         recv_sig: u64,
     ) -> FabricResult<Envelope> {
@@ -941,107 +934,65 @@ impl Inner {
                 (t, desc.region_count(), rndv)
             }
         };
-
-        // Flight: every lifecycle event of the matched transfer is keyed by
-        // the send-side id; the match event's `aux` carries the receive-post
-        // id so an analyzer can join both timelines.
-        let method = match &send {
+        rec.src = source as i32;
+        rec.dst = dest as i32;
+        rec.tag = tag;
+        rec.bytes = total as u64;
+        rec.method = match &send {
             SendSide::Bounce { .. } => Method::Eager,
             SendSide::Direct(SendDesc::Contig(_)) if rendezvous => Method::Rendezvous,
             SendSide::Direct(SendDesc::Contig(_)) => Method::Eager,
             SendSide::Direct(_) => Method::Pipelined,
         };
-        let flight_on = send_fid != 0 && flight::enabled();
-        // Causal merge: the receive rank observes the sender's clock carried
-        // in the transfer header. The Match event is the cross-rank
-        // happens-before edge — `parent` names the sender-side clock value.
-        let mlc = if flight_on {
-            causal::observe(dest as i32, send_lc)
-        } else {
-            0
-        };
+        rec.regions = send_regions.max(recv.region_count()) as u64;
+        // The record's stamps are read by the trace, the flight ring and
+        // telemetry; with all three off the transfer reads no clock.
+        let stamped =
+            mpicd_obs::enabled() || (rec.id != 0 && flight::enabled()) || telemetry::enabled();
+        let now = || if stamped { mpicd_obs::now_ns() } else { 0 };
+        rec.match_ns = now();
+        let fresh = matches!(recv, RecvDesc::Fresh(_));
+        let walk = Walk::new(self.model.frag_size.max(1), &self.metrics, fresh, stamped);
 
-        // The synthetic wire span starts at match time; its duration is the
-        // modeled wire time, recorded below once the transfer size is final.
-        let match_start_ns = if mpicd_obs::enabled() || flight_on || telemetry::enabled() {
-            mpicd_obs::now_ns()
-        } else {
-            0
-        };
-        if flight_on {
-            flight::record(
-                FlightEvent::new(EventKind::Match, send_fid)
-                    .at(match_start_ns)
-                    .ranks(source as i32, dest as i32)
-                    .tag(tag)
-                    .bytes(total as u64)
-                    .method(method)
-                    .aux(recv_fid)
-                    .lc(mlc)
-                    .parent(send_lc),
-            );
-        }
-        // Every error exit funnels through here so a failing transfer always
-        // leaves a terminal Error event (and, when armed, a black-box dump).
-        let fail = |e: FabricError| {
-            if flight_on {
-                flight::record(
-                    FlightEvent::new(EventKind::Error, send_fid)
-                        .ranks(source as i32, dest as i32)
-                        .tag(tag)
-                        .bytes(total as u64)
-                        .method(method)
-                        .aux(e.flight_code())
-                        .lc(causal::tick(dest as i32))
-                        .parent(send_lc),
-                );
-            }
-            e
-        };
-
-        // Cross-rank signature check: both sides declared a structural
-        // signature (0 = unchecked raw bytes) and they disagree, so the
-        // receiver would unpack the sender's bytes through the wrong type
-        // map. Checked before the capacity test — a type error is
-        // semantically prior to a length error.
-        if send_sig != 0 && recv_sig != 0 && send_sig != recv_sig {
-            match self.typecheck {
-                TypecheckMode::Off => {}
-                TypecheckMode::Warn => {
-                    self.stats.record_type_mismatch();
-                    self.metrics.type_mismatch.inc();
-                    eprintln!(
-                        "mpicd: datatype signature mismatch {source}->{dest} tag {tag}: \
-                         sender {send_sig:#018x}, receiver {recv_sig:#018x} \
-                         (MPICD_TYPECHECK=warn; proceeding)"
-                    );
-                }
-                TypecheckMode::Enforce => {
-                    self.stats.record_type_mismatch();
-                    self.metrics.type_mismatch.inc();
-                    return Err(fail(FabricError::TypeMismatch {
-                        sent: send_sig,
-                        expected: recv_sig,
-                    }));
+        let outcome: FabricResult<()> = 'run: {
+            // Cross-rank signature check: both sides declared a structural
+            // signature (0 = unchecked raw bytes) and they disagree, so the
+            // receiver would unpack the sender's bytes through the wrong
+            // type map. Checked before the capacity test — a type error is
+            // semantically prior to a length error.
+            if send_sig != 0 && recv_sig != 0 && send_sig != recv_sig {
+                match self.typecheck {
+                    TypecheckMode::Off => {}
+                    TypecheckMode::Warn => {
+                        self.stats.record_type_mismatch();
+                        self.metrics.type_mismatch.inc();
+                        eprintln!(
+                            "mpicd: datatype signature mismatch {source}->{dest} tag {tag}: \
+                             sender {send_sig:#018x}, receiver {recv_sig:#018x} \
+                             (MPICD_TYPECHECK=warn; proceeding)"
+                        );
+                    }
+                    TypecheckMode::Enforce => {
+                        self.stats.record_type_mismatch();
+                        self.metrics.type_mismatch.inc();
+                        break 'run Err(FabricError::TypeMismatch {
+                            sent: send_sig,
+                            expected: recv_sig,
+                        });
+                    }
                 }
             }
-        }
-
-        if total > recv.capacity() {
-            return Err(fail(FabricError::Truncated {
-                received: total,
-                capacity: recv.capacity(),
-            }));
-        }
-
-        let inorder = match &send {
-            SendSide::Direct(SendDesc::Generic { inorder, .. }) => *inorder,
-            _ => false,
-        };
-        let regions = send_regions.max(recv.region_count());
-
-        // Describe both sides as byte streams and move the bytes.
-        let result = {
+            if total > recv.capacity() {
+                break 'run Err(FabricError::Truncated {
+                    received: total,
+                    capacity: recv.capacity(),
+                });
+            }
+            let inorder = match &send {
+                SendSide::Direct(SendDesc::Generic { inorder, .. }) => *inorder,
+                _ => false,
+            };
+            // Describe both sides as byte streams and move the bytes.
             let bounce;
             let (cb, mem) = match &mut send {
                 SendSide::Bounce { data } => {
@@ -1061,91 +1012,104 @@ impl Inner {
                 ),
             };
             let mut src = Stream { cb, mem };
-            let fresh = matches!(recv, RecvDesc::Fresh(_));
             let mut dst = recv_stream(&mut recv);
-            let walk = Walk {
-                frag: self.model.frag_size.max(1),
-                metrics: &self.metrics,
-                fid: send_fid,
-                lc: mlc,
-                fresh,
-            };
-            let r = self.engine.run(
-                &walk,
-                &self.stats,
-                &mut src,
-                &mut dst,
-                inorder,
-                self.model.out_of_order_fragments,
-                &mut state.stage,
-            );
-            // Recycle the bounce buffer.
-            if let SendSide::Bounce { data } = send {
-                if state.bounce_pool.len() < bounce_pool_cap() {
-                    state.bounce_pool.push(data);
-                    self.metrics
-                        .g_bounce_pool
-                        .set(state.bounce_pool.len() as u64);
-                }
+            self.engine
+                .run(
+                    &walk,
+                    &self.stats,
+                    &mut src,
+                    &mut dst,
+                    inorder,
+                    self.model.out_of_order_fragments,
+                    &mut state.stage,
+                )
+                .map(|moved| debug_assert_eq!(moved, total, "stream moved every byte"))
+        };
+        // Recycle the bounce buffer.
+        if let SendSide::Bounce { data } = send {
+            if state.bounce_pool.len() < bounce_pool_cap() {
+                state.bounce_pool.push(data);
+                self.metrics
+                    .g_bounce_pool
+                    .set(state.bounce_pool.len() as u64);
             }
-            r
-        }
-        .map_err(&fail)?;
-        debug_assert_eq!(result, total, "stream moved every byte");
-
-        // Wire accounting: one message.
-        let frags = self.model.fragments(total);
-        let wire_ns = self.model.message_time_ns(total, regions, rendezvous);
-        self.ledger.add_ns(wire_ns);
-        self.stats.record_message(total, rendezvous, frags, regions);
-        self.metrics
-            .record_message(total, rendezvous, frags, regions, wire_ns);
-        // Synthetic span: the wire is modeled, not executed, so its duration
-        // is the modeled time anchored at the moment the match ran.
-        mpicd_obs::trace::record(
-            "wire",
-            "fabric",
-            match_start_ns,
-            wire_ns as u64,
-            total as u64,
-        );
-        if flight_on {
-            flight::record(
-                FlightEvent::new(EventKind::WireModeled, send_fid)
-                    .at(match_start_ns)
-                    .dur(wire_ns as u64)
-                    .ranks(source as i32, dest as i32)
-                    .tag(tag)
-                    .bytes(total as u64)
-                    .method(method)
-                    .lc(mlc)
-                    .parent(send_lc),
-            );
-            flight::record(
-                FlightEvent::new(EventKind::Complete, send_fid)
-                    .ranks(source as i32, dest as i32)
-                    .tag(tag)
-                    .bytes(total as u64)
-                    .method(method)
-                    .lc(causal::tick(dest as i32))
-                    .parent(send_lc),
-            );
-        }
-        // Continuous telemetry: match-to-complete wall time of the transfer,
-        // fed through the online straggler gate so a transfer beyond the
-        // previous window's p99-derived threshold is counted as it happens.
-        if match_start_ns != 0 {
-            let end_ns = mpicd_obs::now_ns();
-            let active_ns = end_ns.saturating_sub(match_start_ns);
-            self.metrics.tele_active_ns.record(active_ns);
-            self.metrics.record_straggler_check(end_ns, active_ns);
         }
 
-        Ok(Envelope {
+        rec.end_ns = now();
+        rec.pack_ns = walk.pack.ns.into_inner();
+        rec.pack_calls = walk.pack.calls.into_inner();
+        rec.unpack_ns = walk.unpack.ns.into_inner();
+        rec.unpack_calls = walk.unpack.calls.into_inner();
+        rec.lanes = walk.lanes.into_inner();
+        match &outcome {
+            Ok(()) => {
+                rec.wire_ns = self
+                    .model
+                    .message_time_ns(total, rec.regions as usize, rendezvous);
+                // The online gate: a transfer beyond the previous window's
+                // p99-derived threshold is flagged (and counted) as it
+                // completes.
+                rec.straggler = stamped
+                    && self
+                        .metrics
+                        .record_straggler_check(rec.end_ns, rec.active_ns());
+            }
+            Err(e) => rec.error = e.flight_code(),
+        }
+        self.publish(&rec);
+        outcome.map(|()| Envelope {
             source,
             tag,
             bytes: total,
         })
+    }
+
+    /// Write one transfer's record to every sink: the traffic counters
+    /// (per fabric and in the registry), the wire ledger, the synthetic
+    /// `wire` span, the telemetry sketches, and the flight ring (the
+    /// straggler gate already ran: its verdict is in the record). A failed
+    /// transfer delivered no message, so it reaches only the callback-time
+    /// counters and the flight ring.
+    fn publish(&self, rec: &TransferRecord) {
+        if rec.pack_calls + rec.unpack_calls > 0 {
+            self.metrics.pack_ns.add(rec.pack_ns);
+            self.metrics.unpack_ns.add(rec.unpack_ns);
+        }
+        if rec.error == 0 {
+            let (bytes, regions) = (rec.bytes as usize, rec.regions as usize);
+            let rendezvous = rec.method == Method::Rendezvous;
+            let frags = self.model.fragments(bytes);
+            self.ledger.add_ns(rec.wire_ns);
+            self.stats.record_message(bytes, rendezvous, frags, regions);
+            self.metrics
+                .record_message(bytes, rendezvous, frags, regions, rec.wire_ns);
+            // The wire is modeled, not executed: its span is the modeled
+            // time anchored at the match stamp.
+            mpicd_obs::trace::record(
+                "wire",
+                "fabric",
+                rec.match_ns,
+                rec.wire_ns as u64,
+                rec.bytes,
+            );
+            self.metrics.tele_active_ns.record(rec.active_ns());
+        }
+        // Unrecorded transfers (id 0) skip the call, as the posts do.
+        if rec.id != 0 {
+            flight::record_transfer(rec);
+        }
+    }
+}
+
+/// A transfer's record as its two posts seed it: their flight ids and
+/// post stamps.
+fn posts(send_id: u64, send_ns: u64, recv_id: u64, recv_ns: u64) -> TransferRecord {
+    TransferRecord {
+        id: send_id,
+        recv_id,
+        post_send_ns: send_ns,
+        post_recv_ns: recv_ns,
+        ..TransferRecord::default()
     }
 }
 

@@ -31,6 +31,7 @@ use crate::payload::{
 };
 use crate::stats::{FabricMetrics, FabricStats};
 use crate::transfer::{move_range, run_inline, At, Stream, Walk};
+use mpicd_obs::sync::atomic::Ordering;
 use mpicd_obs::sync::{Condvar, Mutex};
 use mpicd_obs::trace::span_acc;
 use mpicd_obs::Gauge;
@@ -377,6 +378,9 @@ fn run_pooled(
     let _sp = span_acc("pipeline", "fabric", total as u64, &w.metrics.pipeline_ns);
     w.metrics.pipeline_transfers.inc();
     w.metrics.pipeline_frags.add(frags as u64);
+    // Every worker may run fragments, and so may the posting thread.
+    w.lanes
+        .store(pool.workers.len() as u64 + 1, Ordering::Relaxed);
 
     let job = JobShared {
         walk: w,
@@ -644,13 +648,7 @@ mod tests {
         let mut out = vec![0u8; total];
         let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let stats = FabricStats::default();
-        let w = Walk {
-            frag: layout.frag,
-            metrics: &metrics,
-            fid: 0,
-            lc: 0,
-            fresh: false,
-        };
+        let w = Walk::new(layout.frag, &metrics, false, false);
         let src_at = layout.src_cb.unwrap_or(0);
         let src_mem: Vec<IovEntry> = regions(src_at, &layout.src_mem)
             .iter()
@@ -747,13 +745,7 @@ mod tests {
     ) -> (Vec<u8>, FabricResult<usize>, bool) {
         let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let stats = FabricStats::default();
-        let w = Walk {
-            frag,
-            metrics: &metrics,
-            fid: 0,
-            lc: 0,
-            fresh: false,
-        };
+        let w = Walk::new(frag, &metrics, false, false);
         let mut out = vec![0u8; src.len()];
         let dst_mem = [IovEntryMut::from_slice(&mut out)];
         let mut dst = Stream {
@@ -897,13 +889,7 @@ mod tests {
             cb: None::<(&dyn RandomAccessUnpacker, usize)>,
             mem: &dst_mem,
         };
-        let w = Walk {
-            frag: 32,
-            metrics: &metrics,
-            fid: 0,
-            lc: 0,
-            fresh: false,
-        };
+        let w = Walk::new(32, &metrics, false, false);
         assert_eq!(run_pooled(&pool, &w, src, dst, 64), Ok(64));
         let want: Vec<u8> = (0..64u8).collect();
         assert_eq!(out, want);

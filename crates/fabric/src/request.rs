@@ -93,7 +93,7 @@ impl Request {
 
     /// The flight-recorder transfer id of this operation, or 0 when the
     /// recorder was disabled at post time. Use it to correlate a request
-    /// with its lifecycle events in a flight dump.
+    /// with its post event and transfer record in a flight dump.
     pub fn flight_id(&self) -> u64 {
         self.flight_id
     }

@@ -7,7 +7,7 @@
 //!
 //! [`FabricStats`] keeps the per-fabric counters the public API exposes;
 //! the crate-private `FabricMetrics` mirrors the same traffic into an
-//! `mpicd-obs` registry (plus phase-time counters fed by spans) so the
+//! `mpicd-obs` registry (plus callback-time counters) so the
 //! benchmark harness can read the process-global registry without holding
 //! a fabric handle.
 
@@ -250,9 +250,11 @@ impl StatsView {
 /// Created once per [`Fabric`](crate::Fabric) from the process-global
 /// registry, so all fabrics share the same entries (get-or-create by name).
 ///
-/// The `*_ns` phase counters are fed by `span_acc` guards and therefore
-/// only advance while tracing is enabled; the traffic counters and the
-/// modeled `wire_ns` are always on (same cost class as [`FabricStats`]).
+/// The callback-time counters are fed from each transfer's record and
+/// advance only while transfers are stamped (tracing, flight or telemetry
+/// on); `pipeline_ns` is fed by a `span_acc` guard (tracing only). The
+/// traffic counters and the modeled `wire_ns` are always on (same cost
+/// class as [`FabricStats`]).
 #[derive(Debug, Clone)]
 pub(crate) struct FabricMetrics {
     pub messages: Arc<Counter>,
@@ -264,9 +266,9 @@ pub(crate) struct FabricMetrics {
     pub unexpected: Arc<Counter>,
     /// Modeled wire time (always on).
     pub wire_ns: Arc<Counter>,
-    /// Wall time spent inside pack callbacks (tracing only).
+    /// Wall time spent inside pack callbacks (stamped transfers only).
     pub pack_ns: Arc<Counter>,
-    /// Wall time spent inside unpack callbacks (tracing only).
+    /// Wall time spent inside unpack callbacks (stamped transfers only).
     pub unpack_ns: Arc<Counter>,
     /// Bytes copied into eager bounce buffers (the copy the custom path avoids).
     pub copy_bytes: Arc<Counter>,
@@ -280,7 +282,7 @@ pub(crate) struct FabricMetrics {
     /// Threads of each worker pool, posting thread included (once per pool).
     pub pipeline_threads: Arc<Counter>,
     /// Wall time of pooled transfers, submit to completion
-    /// (tracing only, fed by a `span_acc` guard like `pack_ns`).
+    /// (tracing only, fed by a `span_acc` guard).
     pub pipeline_ns: Arc<Counter>,
     /// Pairings found through the exact-match hash path (always on).
     pub match_exact: Arc<Counter>,
@@ -395,10 +397,13 @@ impl FabricMetrics {
 
     /// Feed one completed transfer's active time through the straggler
     /// gate, counting it live if it exceeds the windowed p99 threshold.
-    pub(crate) fn record_straggler_check(&self, now_ns: u64, active_ns: u64) {
-        if self.straggler_gate.observe(now_ns, active_ns) {
+    /// Returns the verdict, which the transfer's record carries.
+    pub(crate) fn record_straggler_check(&self, now_ns: u64, active_ns: u64) -> bool {
+        let flagged = self.straggler_gate.observe(now_ns, active_ns);
+        if flagged {
             self.stragglers.inc();
         }
+        flagged
     }
 }
 

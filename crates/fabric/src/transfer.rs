@@ -25,8 +25,7 @@ use crate::payload::{
     RandomAccessUnpacker,
 };
 use crate::stats::FabricMetrics;
-use mpicd_obs::flight::{self, EventKind};
-use mpicd_obs::trace::span_acc;
+use mpicd_obs::sync::atomic::{AtomicU64, Ordering};
 
 /// How the engine reaches a pack callback.
 pub(crate) trait PackFn {
@@ -141,22 +140,72 @@ impl<'a, C, M: Region> Stream<'a, C, M> {
     }
 }
 
-/// Per-transfer constants of the fragment walk.
+/// Σ time (ns) and count of one kind of callback in a transfer. Relaxed
+/// adds: plain statistics, read once the walk is over — the pool's
+/// completion handshake (a mutex) orders every worker's adds before that.
+#[derive(Default)]
+pub(crate) struct CallbackSums {
+    pub(crate) ns: AtomicU64,
+    pub(crate) calls: AtomicU64,
+}
+
+/// Per-transfer state of the fragment walk: its constants, and the
+/// callback sums the transfer's record is built from.
 pub(crate) struct Walk<'a> {
     /// Fragment size: no callback invocation or memcpy crosses a multiple
     /// of it, so partial-pack semantics are exercised exactly as on a
     /// fragmenting transport.
     pub(crate) frag: usize,
     pub(crate) metrics: &'a FabricMetrics,
-    /// Send-side flight-recorder transfer id (0 = no recording); fragment
-    /// callbacks emit `FragPacked`/`FragUnpacked` events against it.
-    pub(crate) fid: u64,
-    /// The transfer's merged Lamport clock, stamped on every fragment event
-    /// so the causal-DAG analyzer can order fragments inside the transfer.
-    pub(crate) lc: u64,
     /// The destination's memory regions are fresh (uninitialized): a range
     /// is zero-filled before a pack callback is handed it.
     pub(crate) fresh: bool,
+    /// Take one stamp pair per pack/unpack callback (tracing, flight or
+    /// telemetry on). Off, a callback is timed by nothing.
+    pub(crate) stamped: bool,
+    /// Pack-callback time and invocations, over every thread that ran a
+    /// fragment.
+    pub(crate) pack: CallbackSums,
+    /// Unpack-callback time and invocations, likewise.
+    pub(crate) unpack: CallbackSums,
+    /// Threads that ran the fragments (1 unless the worker pool did).
+    pub(crate) lanes: AtomicU64,
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(frag: usize, metrics: &'a FabricMetrics, fresh: bool, stamped: bool) -> Self {
+        Self {
+            frag,
+            metrics,
+            fresh,
+            stamped,
+            pack: Default::default(),
+            unpack: Default::default(),
+            lanes: AtomicU64::new(1),
+        }
+    }
+
+    /// Run one pack (`unpack == false`) or unpack callback over `bytes`
+    /// bytes. A stamped walk adds the call's time to the transfer's sums
+    /// and, under tracing, emits a `pack`/`unpack` span from the same two
+    /// stamps.
+    fn call<T>(&self, unpack: bool, bytes: usize, f: impl FnOnce() -> T) -> T {
+        if !self.stamped {
+            return f();
+        }
+        let t0 = mpicd_obs::now_ns();
+        let r = f();
+        let dur = mpicd_obs::now_ns().saturating_sub(t0);
+        let (name, sums) = if unpack {
+            ("unpack", &self.unpack)
+        } else {
+            ("pack", &self.pack)
+        };
+        sums.ns.fetch_add(dur, Ordering::Relaxed);
+        sums.calls.fetch_add(1, Ordering::Relaxed);
+        mpicd_obs::trace::record(name, "fabric", t0, dur, bytes as u64);
+        r
+    }
 }
 
 /// A segment cursor: the index of a segment and the stream offset where it
@@ -263,37 +312,24 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
                         std::ptr::copy_nonoverlapping(s.ptr.add(s_off), sink.as_mut_ptr(), n);
                     },
                     Seg::Cb(packer) => {
-                        let t0 = flight::clock(w.fid);
                         let mut filled = 0;
                         while filled < n {
                             let at = s_off + filled;
                             let room = n - filled;
-                            let used = {
-                                let _sp =
-                                    span_acc("pack", "fabric", room as u64, &w.metrics.pack_ns);
-                                packer.pack(at, &mut sink[filled..])
-                            }
-                            .map_err(|c| (pos + filled, FabricError::PackFailed(c)))?;
+                            let used = w
+                                .call(false, room, || packer.pack(at, &mut sink[filled..]))
+                                .map_err(|c| (pos + filled, FabricError::PackFailed(c)))?;
                             filled += checked_used(used, room, at, s_len - at)
                                 .map_err(|e| (pos + filled, e))?;
                         }
-                        let (n, s_off) = (n as u64, s_off as u64);
-                        flight::record_frag(EventKind::FragPacked, w.fid, t0, n, s_off, w.lc);
                     }
                 }
                 sink
             }
         };
         if let (Seg::Cb(unpacker), false) = (dseg, staged) {
-            let t0 = flight::clock(w.fid);
-            {
-                let _sp = span_acc("unpack", "fabric", n as u64, &w.metrics.unpack_ns);
-                unpacker
-                    .unpack(d_off, bytes)
-                    .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
-            }
-            let (n, d_off) = (n as u64, d_off as u64);
-            flight::record_frag(EventKind::FragUnpacked, w.fid, t0, n, d_off, w.lc);
+            w.call(true, n, || unpacker.unpack(d_off, bytes))
+                .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
         }
         pos += n;
     }
@@ -339,15 +375,8 @@ pub(crate) fn run_inline(
             let mut hi = staged;
             while hi > 0 {
                 let lo = (hi - 1) / w.frag * w.frag;
-                let t0 = flight::clock(w.fid);
-                {
-                    let _sp = span_acc("unpack", "fabric", (hi - lo) as u64, &w.metrics.unpack_ns);
-                    unpacker
-                        .unpack(lo, &stage[lo..hi])
-                        .map_err(FabricError::UnpackFailed)?;
-                }
-                let (n, off) = ((hi - lo) as u64, lo as u64);
-                flight::record_frag(EventKind::FragUnpacked, w.fid, t0, n, off, w.lc);
+                w.call(true, hi - lo, || unpacker.unpack(lo, &stage[lo..hi]))
+                    .map_err(FabricError::UnpackFailed)?;
                 hi = lo;
             }
             Ok(())
@@ -374,13 +403,7 @@ mod tests {
         stage: &mut Vec<u8>,
     ) -> FabricResult<usize> {
         let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
-        let w = Walk {
-            frag,
-            metrics: &metrics,
-            fid: 0,
-            lc: 0,
-            fresh: false,
-        };
+        let w = Walk::new(frag, &metrics, false, false);
         run_inline(&w, &mut src, &mut dst, reverse, stage)
     }
 

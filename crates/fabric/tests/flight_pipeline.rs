@@ -1,20 +1,22 @@
-//! Flight-recorder well-formedness under the fragment engine:
-//! for every transfer the recorder must emit exactly one
-//! post → match → fragments → complete sequence in timestamp order, with
-//! fragment bytes summing to the payload and no orphan ids — at 1, 2 and
-//! 4 pipeline threads.
+//! Flight-recorder well-formedness under the fragment engine: every
+//! matched transfer leaves one post per side and exactly one transfer
+//! record, whose stamps are ordered, whose callback counts equal the
+//! callbacks the packer and unpacker saw, and whose callback time fits
+//! its lanes — at 1, 2 and 4 pipeline threads.
 //!
 //! The recorder state is process-global, so this is one sequential test;
-//! every assertion filters events by the ids of the requests it posted.
+//! every assertion filters by the ids of the requests it posted.
 
 use mpicd_fabric::{
     Fabric, FragmentPacker, FragmentUnpacker, PipelineConfig, RandomAccessPacker,
     RandomAccessUnpacker, RecvDesc, SendDesc, WireModel,
 };
 use mpicd_obs::flight::{self, EventKind, Method};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Offset-addressed packer over an owned byte vector.
-struct VecPacker(Vec<u8>);
+/// Offset-addressed packer over an owned byte vector, counting its calls.
+struct VecPacker(Vec<u8>, Arc<AtomicU64>);
 
 impl FragmentPacker for VecPacker {
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
@@ -27,14 +29,16 @@ impl FragmentPacker for VecPacker {
 
 impl RandomAccessPacker for VecPacker {
     fn pack_at(&self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
+        self.1.fetch_add(1, Ordering::Relaxed);
         let n = dst.len().min(self.0.len() - offset);
         dst[..n].copy_from_slice(&self.0[offset..offset + n]);
         Ok(n)
     }
 }
 
-/// Offset-addressed unpacker scattering into a caller-owned buffer.
-struct PtrUnpacker(*mut u8);
+/// Offset-addressed unpacker scattering into a caller-owned buffer,
+/// counting its calls.
+struct PtrUnpacker(*mut u8, Arc<AtomicU64>);
 
 unsafe impl Send for PtrUnpacker {}
 // SAFETY: the parallel engine hands concurrent calls disjoint ranges.
@@ -51,6 +55,7 @@ impl FragmentUnpacker for PtrUnpacker {
 
 impl RandomAccessUnpacker for PtrUnpacker {
     fn unpack_at(&self, offset: usize, src: &[u8]) -> Result<(), i32> {
+        self.1.fetch_add(1, Ordering::Relaxed);
         // SAFETY: in-bounds by construction; ranges are disjoint.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.0.add(offset), src.len());
@@ -73,17 +78,27 @@ fn payload(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// One generic→generic transfer; returns (send id, recv id, bytes moved).
-fn roundtrip(fabric: &Fabric, tag: i32, seed: u64, len: usize) -> (u64, u64, u64) {
+/// What one round trip posted and how often its callbacks ran.
+struct Posted {
+    send_id: u64,
+    recv_id: u64,
+    bytes: u64,
+    packs: u64,
+    unpacks: u64,
+}
+
+/// One generic→generic transfer.
+fn roundtrip(fabric: &Fabric, tag: i32, seed: u64, len: usize) -> Posted {
     let a = fabric.endpoint(0).unwrap();
     let b = fabric.endpoint(1).unwrap();
     let data = payload(seed, len);
     let mut out = vec![0u8; len];
+    let (packs, unpacks) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     // SAFETY: both buffers outlive the waits below.
     let recv = unsafe {
         b.post_recv(
             RecvDesc::Generic {
-                unpacker: Box::new(PtrUnpacker(out.as_mut_ptr())),
+                unpacker: Box::new(PtrUnpacker(out.as_mut_ptr(), Arc::clone(&unpacks))),
                 packed_size: len,
                 regions: Vec::new(),
             },
@@ -95,7 +110,7 @@ fn roundtrip(fabric: &Fabric, tag: i32, seed: u64, len: usize) -> (u64, u64, u64
     let send = unsafe {
         a.post_send(
             SendDesc::Generic {
-                packer: Box::new(VecPacker(data.clone())),
+                packer: Box::new(VecPacker(data.clone(), Arc::clone(&packs))),
                 packed_size: len,
                 regions: Vec::new(),
                 inorder: false,
@@ -105,11 +120,17 @@ fn roundtrip(fabric: &Fabric, tag: i32, seed: u64, len: usize) -> (u64, u64, u64
         )
         .unwrap()
     };
-    let (sfid, rfid) = (send.flight_id(), recv.flight_id());
+    let (send_id, recv_id) = (send.flight_id(), recv.flight_id());
     send.wait().unwrap();
     recv.wait().unwrap();
     assert_eq!(out, data, "payload intact (seed {seed})");
-    (sfid, rfid, len as u64)
+    Posted {
+        send_id,
+        recv_id,
+        bytes: len as u64,
+        packs: packs.load(Ordering::Relaxed),
+        unpacks: unpacks.load(Ordering::Relaxed),
+    }
 }
 
 #[test]
@@ -124,9 +145,9 @@ fn pipeline_event_sequences_are_well_formed() {
             small_frag_model(),
             PipelineConfig::with_threads(threads),
         );
-        let mut ids = Vec::new();
+        let mut posted = Vec::new();
         for (i, seed) in (0..4u64).enumerate() {
-            ids.push(roundtrip(
+            posted.push(roundtrip(
                 &fabric,
                 10 + i as i32,
                 seed + 7 * threads as u64,
@@ -142,71 +163,54 @@ fn pipeline_event_sequences_are_well_formed() {
         );
 
         let events = flight::events();
-        for &(sfid, rfid, bytes) in &ids {
+        let records = flight::transfers();
+        for p in &posted {
+            let (sfid, rfid) = (p.send_id, p.recv_id);
             assert!(sfid != 0 && rfid != 0, "recorder was on at post time");
-            let of_send: Vec<_> = events.iter().filter(|e| e.id == sfid).collect();
-            let of_recv: Vec<_> = events.iter().filter(|e| e.id == rfid).collect();
-            let count = |k: EventKind| of_send.iter().filter(|e| e.kind == k).count();
-
-            // Exactly one of each lifecycle event, and no errors.
-            assert_eq!(count(EventKind::PostSend), 1, "{threads}t id {sfid}");
-            assert_eq!(count(EventKind::Match), 1, "{threads}t id {sfid}");
-            assert_eq!(count(EventKind::WireModeled), 1, "{threads}t id {sfid}");
-            assert_eq!(count(EventKind::Complete), 1, "{threads}t id {sfid}");
-            assert_eq!(count(EventKind::Error), 0, "{threads}t id {sfid}");
-            assert_eq!(
-                of_recv
+            // One post per side, no error event, and exactly one record.
+            let posts = |id: u64, kind: EventKind| {
+                events
                     .iter()
-                    .filter(|e| e.kind == EventKind::PostRecv)
-                    .count(),
-                1,
-                "{threads}t recv id {rfid}"
-            );
-            assert_eq!(of_recv.len(), 1, "recv id carries only its post");
+                    .filter(|e| e.id == id)
+                    .inspect(|e| assert_eq!(e.kind, kind, "{threads}t id {id}"))
+                    .count()
+            };
+            assert_eq!(posts(sfid, EventKind::PostSend), 1, "{threads}t id {sfid}");
+            assert_eq!(posts(rfid, EventKind::PostRecv), 1, "{threads}t id {rfid}");
+            let of_send: Vec<_> = records.iter().filter(|r| r.id == sfid).collect();
+            assert_eq!(of_send.len(), 1, "{threads}t: one record per send id");
+            let r = of_send[0];
 
-            // The match joins the two timelines and records the protocol.
-            let m = of_send.iter().find(|e| e.kind == EventKind::Match).unwrap();
-            assert_eq!(m.aux, rfid, "match.aux joins the receive post");
-            assert_eq!(m.method, Method::Pipelined);
-            assert_eq!(m.bytes, bytes);
-            assert_eq!((m.src, m.dst), (0, 1));
+            // The record joins the receive post and names the protocol.
+            assert_eq!(r.recv_id, rfid, "recv_id joins the receive post");
+            assert_eq!(r.method, Method::Pipelined);
+            assert_eq!((r.bytes, r.error, r.src, r.dst), (p.bytes, 0, 0, 1));
 
-            // Timestamp ordering: post ≤ match ≤ every fragment ≤ complete.
-            let post = of_send
-                .iter()
-                .find(|e| e.kind == EventKind::PostSend)
-                .unwrap();
-            let done = of_send
-                .iter()
-                .find(|e| e.kind == EventKind::Complete)
-                .unwrap();
-            let rpost = &of_recv[0];
-            assert!(post.t_ns <= m.t_ns && rpost.t_ns <= m.t_ns);
-            assert!(m.t_ns <= done.t_ns);
+            // Callback counts are the callbacks the user code saw: one
+            // pack and one unpack per fragment here.
+            assert_eq!((r.pack_calls, r.unpack_calls), (p.packs, p.unpacks));
+            assert_eq!((r.pack_calls, r.unpack_calls), (16, 16), "{threads}t");
+            assert!(r.pack_ns > 0 && r.unpack_ns > 0, "callbacks were timed");
 
-            // Fragments cover the payload exactly, on both sides, and lie
-            // inside the match→complete window even when worker threads
-            // raced to record them.
-            for kind in [EventKind::FragPacked, EventKind::FragUnpacked] {
-                let frags: Vec<_> = of_send.iter().filter(|e| e.kind == kind).collect();
-                assert_eq!(frags.len(), 16, "{threads}t {kind:?} count");
-                assert_eq!(frags.iter().map(|e| e.bytes).sum::<u64>(), bytes);
-                let mut offs: Vec<u64> = frags.iter().map(|e| e.aux).collect();
-                offs.sort_unstable();
-                assert_eq!(offs, (0..16).map(|i| i * 4096).collect::<Vec<_>>());
-                for f in &frags {
-                    assert!(f.t_ns >= m.t_ns && f.t_ns <= done.t_ns, "frag in window");
-                }
-            }
+            // Stamps: posts ≤ match ≤ end, and the callback time of every
+            // lane fits the active window, even when workers raced.
+            assert!(r.post_send_ns <= r.match_ns && r.post_recv_ns <= r.match_ns);
+            assert!(r.match_ns <= r.end_ns);
+            assert_eq!(r.lanes, if threads > 1 { threads as u64 } else { 1 });
+            assert!(r.pack_ns + r.unpack_ns <= r.lanes * r.active_ns());
         }
 
-        all_ids.extend(ids.iter().flat_map(|&(s, r, _)| [s, r]));
+        all_ids.extend(posted.iter().flat_map(|p| [p.send_id, p.recv_id]));
     }
 
-    // No orphan ids: this is the only test in the binary, so every event
+    // No orphan ids: this is the only test in the binary, so every entry
     // in the ring must belong to a request posted above.
-    for e in flight::events() {
-        assert!(all_ids.contains(&e.id), "orphan event id {}", e.id);
+    for id in flight::events()
+        .iter()
+        .map(|e| e.id)
+        .chain(flight::transfers().iter().map(|r| r.id))
+    {
+        assert!(all_ids.contains(&id), "orphan id {id}");
     }
     flight::set_enabled(false);
 }

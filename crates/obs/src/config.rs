@@ -9,8 +9,8 @@
 //! | `MPICD_TRACE_CAP` | per-thread ring-buffer capacity (events) | `65536` |
 //! | `MPICD_FLIGHT` | enable the per-transfer flight recorder, with dump-on-error and a panic-hook dump | off |
 //! | `MPICD_FLIGHT_PATH` | flight-recorder JSONL dump path | `mpicd-flight.jsonl` |
-//! | `MPICD_FLIGHT_CAP` | flight ring capacity (events, process-global) | `65536` |
-//! | `MPICD_FLIGHT_SAMPLE` | record every Nth transfer end-to-end (whole timelines; 1 = all) | `1` |
+//! | `MPICD_FLIGHT_CAP` | flight ring capacity (entries, process-global) | `65536` |
+//! | `MPICD_FLIGHT_SAMPLE` | give every Nth post an id: a sampled send keeps its post and its whole record (1 = all) | `1` |
 //! | `MPICD_HEALTH_MS` | when set, write periodic health snapshots every N ms (invalid values use 1000) | off |
 //! | `MPICD_HEALTH_PATH` | health-snapshot JSONL path | `mpicd-health.jsonl` |
 //! | `MPICD_METRICS_JSON` | write the metrics snapshot as JSON at flush (a path, or `1` for `mpicd-metrics.json`) | off |
@@ -33,11 +33,11 @@ use std::sync::OnceLock;
 /// Default per-thread ring-buffer capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// Default flight-recorder ring capacity (events, whole process).
+/// Default flight-recorder ring capacity (entries, whole process).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 
 /// Upper bound accepted for ring capacities (`MPICD_TRACE_CAP` /
-/// `MPICD_FLIGHT_CAP`): 64 Mi events. A flight ring alone costs ~88 bytes
+/// `MPICD_FLIGHT_CAP`): 64 Mi events. A flight ring alone costs ~152 bytes
 /// per event, so anything larger is a typo, not a tuning choice; larger
 /// requests are clamped here with a warning.
 pub const MAX_CAPACITY: usize = 1 << 26;

@@ -1,22 +1,25 @@
-//! Per-transfer flight recorder: a lock-free bounded ring of structured
-//! lifecycle events.
+//! Per-transfer flight recorder: a lock-free bounded ring of posts and
+//! transfer records.
 //!
 //! The span tracer answers "where did this *process* spend time"; the
 //! flight recorder answers "what happened to this *transfer*". Every
-//! send/recv posted through the fabric gets a process-unique transfer id,
-//! and the fabric emits one [`FlightEvent`] per lifecycle step —
-//! post, match, each packed/unpacked fragment, the modeled wire time, and
-//! completion or error — into a single process-global ring. A crashed or
-//! slow run leaves a black box behind: the ring can be dumped as JSON
-//! lines ([`dump_jsonl`]) and replayed by the `mpicd-inspect` analyzer to
-//! reconstruct each transfer's timeline and attribute its latency to
-//! wait-for-match / pack / wire / unpack.
+//! send/recv posted through the fabric gets a process-unique id and one
+//! post event; every matched transfer leaves exactly one
+//! [`TransferRecord`] (ids, ranks, tag, bytes, method, post/match/end
+//! stamps, callback sums, modeled wire time, error code, straggler
+//! verdict) — the same record every other fabric sink is written from.
+//! Posts that never match stay visible as bare post events (a hang), and
+//! unmatched posts that fail leave an [`EventKind::Error`] event. A crashed
+//! or slow run leaves a black box behind: the ring can be dumped as JSON
+//! lines ([`dump_jsonl`]) and read by the `mpicd-inspect` analyzer, which
+//! turns each record into a timeline attributed to wait-for-match / pack /
+//! wire / unpack.
 //!
 //! **Cost model.** Disabled (the default), every entry point is one
 //! relaxed atomic load — the same discipline as [`crate::span!`]; no
 //! clock read, no allocation, no id allocation ([`next_id`] returns 0 and
 //! every recording call short-circuits on id 0). Enabled, recording an
-//! event is a clock read plus a handful of atomic stores into a
+//! entry is at most a clock read plus a handful of atomic stores into a
 //! pre-allocated slot — no locks, no allocation, wait-free for writers.
 //!
 //! **Ring protocol.** Each slot holds a sequence word and the event
@@ -33,16 +36,18 @@
 //!
 //! Enabling via the `MPICD_FLIGHT` environment variable (as opposed to
 //! [`set_enabled`]) additionally arms *black-box* behaviour: recording an
-//! [`EventKind::Error`] event dumps the ring to the configured path, and a
-//! panic-hook dump is installed so aborts leave a readable trace.
+//! [`EventKind::Error`] event or a failed [`TransferRecord`] dumps the ring
+//! to the configured path, and a panic-hook dump is installed so aborts
+//! leave a readable trace.
 
 use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use crate::time::now_ns;
 use std::path::{Path, PathBuf};
 use std::sync::{Once, OnceLock};
 
-/// Payload words per ring slot (one encoded [`FlightEvent`]).
-const WORDS: usize = 10;
+/// Payload words per ring slot (one encoded entry; a [`TransferRecord`]
+/// fills them all).
+const WORDS: usize = 18;
 
 // ---- enable flag ------------------------------------------------------------
 
@@ -115,29 +120,21 @@ fn install_panic_hook() {
 
 // ---- event model ------------------------------------------------------------
 
-/// The lifecycle step a [`FlightEvent`] records.
+/// What a ring entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A send was posted (`id` is the canonical transfer id from here on).
+    /// A send was posted (`id` is the transfer's send id from here on).
     PostSend = 0,
     /// A receive was posted (`id` is the receive-post id; the transfer's
-    /// [`EventKind::Match`] event carries it in `aux` to join the two).
+    /// record carries it as `recv_id`). Unmatched posts are how a hang
+    /// shows up in a dump.
     PostRecv = 1,
-    /// Send and receive matched; `aux` holds the receive-post id.
-    Match = 2,
-    /// One pack-callback fragment; `dur_ns` is callback time, `aux` the
-    /// segment-local offset.
-    FragPacked = 3,
-    /// One unpack-callback fragment (same fields as [`Self::FragPacked`]).
-    FragUnpacked = 4,
-    /// The modeled wire time for the message: `t_ns` anchors at the match,
-    /// `dur_ns` is the modeled duration (simulated, not CPU time).
-    WireModeled = 5,
-    /// The transfer finished; end of its timeline.
-    Complete = 6,
-    /// The transfer failed; `aux` carries a stable error code.
-    Error = 7,
+    /// A matched transfer finished, well or badly: one [`TransferRecord`].
+    Transfer = 2,
+    /// An unmatched post failed (cancel, shutdown) or a receive's
+    /// post-transfer `finish` failed; `code` carries a stable error code.
+    Error = 3,
 }
 
 impl EventKind {
@@ -145,12 +142,8 @@ impl EventKind {
         Some(match v {
             0 => Self::PostSend,
             1 => Self::PostRecv,
-            2 => Self::Match,
-            3 => Self::FragPacked,
-            4 => Self::FragUnpacked,
-            5 => Self::WireModeled,
-            6 => Self::Complete,
-            7 => Self::Error,
+            2 => Self::Transfer,
+            3 => Self::Error,
             _ => return None,
         })
     }
@@ -160,21 +153,18 @@ impl EventKind {
         match self {
             Self::PostSend => "post_send",
             Self::PostRecv => "post_recv",
-            Self::Match => "match",
-            Self::FragPacked => "frag_packed",
-            Self::FragUnpacked => "frag_unpacked",
-            Self::WireModeled => "wire_modeled",
-            Self::Complete => "complete",
+            Self::Transfer => "transfer",
             Self::Error => "error",
         }
     }
 }
 
 /// The protocol a transfer used, as decided at post/match time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum Method {
     /// Not applicable / not yet decided (e.g. receive posts).
+    #[default]
     Unknown = 0,
     /// Eager protocol: bounce-buffer copy at post time.
     Eager = 1,
@@ -206,69 +196,50 @@ impl Method {
     }
 }
 
-/// One structured lifecycle event. Fixed-size, encodable into 10 atomic
-/// words (the ring's slot payload).
+/// One post or error event: [`EventKind::PostSend`],
+/// [`EventKind::PostRecv`] or [`EventKind::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Lifecycle step.
+    /// Post or error.
     pub kind: EventKind,
-    /// Process-unique transfer id (from [`next_id`]); never 0 in the ring.
+    /// Process-unique id (from [`next_id`]); never 0 in the ring.
     pub id: u64,
     /// Event timestamp, ns since the process trace epoch ([`now_ns`]).
     pub t_ns: u64,
-    /// Duration in ns where meaningful (fragments, modeled wire), else 0.
-    pub dur_ns: u64,
     /// Source rank (-1 for wildcard receive posts).
     pub src: i32,
     /// Destination rank.
     pub dst: i32,
     /// Message tag (may be the wildcard on receive posts).
     pub tag: i32,
-    /// Payload bytes this event covers.
+    /// Payload bytes (receive capacity on receive posts).
     pub bytes: u64,
     /// Transfer protocol.
     pub method: Method,
-    /// Kind-specific extra: receive-post id on `Match`, segment offset on
-    /// fragments, error code on `Error`.
-    pub aux: u64,
-    /// Lamport clock of the rank that executed this event (see
-    /// [`crate::causal`]); 0 when causal tracing did not stamp the event.
-    pub lc: u64,
-    /// Lamport clock of this event's causal parent — for receive-side
-    /// events (`match`/`wire_modeled`/`complete`) the send-side clock that
-    /// travelled in the transfer's causal header; 0 for root events.
-    pub parent: u64,
+    /// Error code on `Error` events, else 0.
+    pub code: u64,
 }
 
 impl FlightEvent {
-    /// A zeroed event of `kind` for transfer `id`; chain the builder
-    /// setters, then [`record`] it. `t_ns == 0` means "stamp at record".
+    /// A zeroed event of `kind` for id `id`; chain the builder setters,
+    /// then [`record`] it. `t_ns == 0` means "stamp at record".
     pub fn new(kind: EventKind, id: u64) -> Self {
         Self {
             kind,
             id,
             t_ns: 0,
-            dur_ns: 0,
             src: -1,
             dst: -1,
             tag: 0,
             bytes: 0,
             method: Method::Unknown,
-            aux: 0,
-            lc: 0,
-            parent: 0,
+            code: 0,
         }
     }
 
     /// Builder: explicit timestamp (ns since the trace epoch).
     pub fn at(mut self, t_ns: u64) -> Self {
         self.t_ns = t_ns;
-        self
-    }
-
-    /// Builder: duration.
-    pub fn dur(mut self, dur_ns: u64) -> Self {
-        self.dur_ns = dur_ns;
         self
     }
 
@@ -297,88 +268,250 @@ impl FlightEvent {
         self
     }
 
-    /// Builder: kind-specific extra word.
-    pub fn aux(mut self, aux: u64) -> Self {
-        self.aux = aux;
+    /// Builder: error code.
+    pub fn code(mut self, code: u64) -> Self {
+        self.code = code;
         self
-    }
-
-    /// Builder: Lamport clock of the executing rank.
-    pub fn lc(mut self, lc: u64) -> Self {
-        self.lc = lc;
-        self
-    }
-
-    /// Builder: Lamport clock of the causal parent event.
-    pub fn parent(mut self, parent: u64) -> Self {
-        self.parent = parent;
-        self
-    }
-
-    fn encode(&self) -> [u64; WORDS] {
-        [
-            self.id,
-            self.t_ns,
-            self.dur_ns,
-            self.bytes,
-            self.aux,
-            (self.kind as u64) | ((self.method as u64) << 8),
-            (self.src as u32 as u64) | ((self.dst as u32 as u64) << 32),
-            self.tag as i64 as u64,
-            self.lc,
-            self.parent,
-        ]
-    }
-
-    fn decode(w: &[u64; WORDS]) -> Option<Self> {
-        Some(Self {
-            id: w[0],
-            t_ns: w[1],
-            dur_ns: w[2],
-            bytes: w[3],
-            aux: w[4],
-            kind: EventKind::from_u8((w[5] & 0xff) as u8)?,
-            method: Method::from_u8(((w[5] >> 8) & 0xff) as u8)?,
-            src: w[6] as u32 as i32,
-            dst: (w[6] >> 32) as u32 as i32,
-            tag: (w[7] as i64) as i32,
-            lc: w[8],
-            parent: w[9],
-        })
     }
 
     /// Render as one JSON object (no trailing newline). All fields are
     /// numeric or fixed enum names, so no string escaping is needed.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"kind\":\"{}\",\"id\":{},\"t_ns\":{},\"dur_ns\":{},\"src\":{},\"dst\":{},\"tag\":{},\"bytes\":{},\"method\":\"{}\",\"aux\":{},\"lc\":{},\"parent\":{}}}",
+            "{{\"kind\":\"{}\",\"id\":{},\"t_ns\":{},\"src\":{},\"dst\":{},\"tag\":{},\"bytes\":{},\"method\":\"{}\",\"code\":{}}}",
             self.kind.as_str(),
             self.id,
             self.t_ns,
-            self.dur_ns,
             self.src,
             self.dst,
             self.tag,
             self.bytes,
             self.method.as_str(),
-            self.aux,
-            self.lc,
-            self.parent,
+            self.code,
         )
+    }
+}
+
+/// The one record of a matched transfer, built when it finishes (well or
+/// with an error). Every fabric sink — traffic counters, the wire ledger,
+/// the `wire` span, telemetry, the straggler gate and the flight ring — is
+/// written from it, so they cannot disagree.
+///
+/// Stamps are ns since the process trace epoch. The post stamps are 0
+/// when the recorder was off at that post; match, end and the callback
+/// sums are 0 when the transfer was not stamped (tracing, flight and
+/// telemetry all off). A stamped record satisfies
+/// `post_send_ns, post_recv_ns ≤ match_ns ≤ end_ns` and
+/// `pack_ns + unpack_ns ≤ lanes × (end_ns − match_ns)`: every callback ran
+/// between the match and end stamps, on one of `lanes` threads.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct TransferRecord {
+    /// Send-side flight id (0 = not recorded).
+    pub id: u64,
+    /// Receive-post flight id (0 = the recorder was off at that post).
+    pub recv_id: u64,
+    /// Sender rank.
+    pub src: i32,
+    /// Receiver rank.
+    pub dst: i32,
+    /// Message tag.
+    pub tag: i32,
+    /// Payload bytes.
+    pub bytes: u64,
+    /// Transfer protocol.
+    pub method: Method,
+    /// Scatter/gather entries moved (the larger side's count).
+    pub regions: u64,
+    /// Send-post stamp.
+    pub post_send_ns: u64,
+    /// Receive-post stamp.
+    pub post_recv_ns: u64,
+    /// Match stamp: the fragment walk starts here.
+    pub match_ns: u64,
+    /// End stamp: completion, or the error exit.
+    pub end_ns: u64,
+    /// Σ pack-callback time, over every thread that ran a fragment.
+    pub pack_ns: u64,
+    /// Pack-callback invocations.
+    pub pack_calls: u64,
+    /// Σ unpack-callback time, over every thread that ran a fragment.
+    pub unpack_ns: u64,
+    /// Unpack-callback invocations.
+    pub unpack_calls: u64,
+    /// Threads that ran the fragments: 1 inline, the pool size when the
+    /// worker pool ran them.
+    pub lanes: u64,
+    /// Modeled wire time (simulated, not CPU time); 0 on error.
+    pub wire_ns: f64,
+    /// Fabric error code, 0 when the transfer completed.
+    pub error: u64,
+    /// The online straggler gate flagged this transfer.
+    pub straggler: bool,
+}
+
+impl TransferRecord {
+    /// Match-to-end wall time.
+    pub fn active_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.match_ns)
+    }
+
+    /// Render as one JSON object (no trailing newline).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"kind\":\"transfer\",\"id\":{},\"recv_id\":{},\"src\":{},\"dst\":{},\"tag\":{},\"bytes\":{},\"method\":\"{}\",\"regions\":{},\"post_send_ns\":{},\"post_recv_ns\":{},\"match_ns\":{},\"end_ns\":{},\"pack_ns\":{},\"pack_calls\":{},\"unpack_ns\":{},\"unpack_calls\":{},\"lanes\":{},\"wire_ns\":{},\"error\":{},\"straggler\":{}}}",
+            self.id,
+            self.recv_id,
+            self.src,
+            self.dst,
+            self.tag,
+            self.bytes,
+            self.method.as_str(),
+            self.regions,
+            self.post_send_ns,
+            self.post_recv_ns,
+            self.match_ns,
+            self.end_ns,
+            self.pack_ns,
+            self.pack_calls,
+            self.unpack_ns,
+            self.unpack_calls,
+            self.lanes,
+            self.wire_ns as u64,
+            self.error,
+            self.straggler,
+        )
+    }
+}
+
+/// One decoded ring entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Event(FlightEvent),
+    Transfer(TransferRecord),
+}
+
+impl Entry {
+    /// Sort key of the dump: when the entry was written.
+    fn t_ns(&self) -> (u64, u64) {
+        match self {
+            Self::Event(e) => (e.t_ns, e.id),
+            Self::Transfer(r) => (r.end_ns, r.id),
+        }
+    }
+
+    fn to_json(self) -> String {
+        match self {
+            Self::Event(e) => e.to_json(),
+            Self::Transfer(r) => r.to_json(),
+        }
+    }
+
+    /// Words 0–4 are shared (id, kind/method/flags, ranks, tag, bytes);
+    /// the rest are kind-specific.
+    fn encode(&self) -> [u64; WORDS] {
+        let mut w = [0u64; WORDS];
+        let (id, kind, method, src, dst, tag, bytes) = match self {
+            Self::Event(e) => (e.id, e.kind, e.method, e.src, e.dst, e.tag, e.bytes),
+            Self::Transfer(r) => (
+                r.id,
+                EventKind::Transfer,
+                r.method,
+                r.src,
+                r.dst,
+                r.tag,
+                r.bytes,
+            ),
+        };
+        w[0] = id;
+        w[1] = kind as u64 | (method as u64) << 8;
+        w[2] = (src as u32 as u64) | ((dst as u32 as u64) << 32);
+        w[3] = tag as i64 as u64;
+        w[4] = bytes;
+        match self {
+            Self::Event(e) => {
+                w[5] = e.t_ns;
+                w[6] = e.code;
+            }
+            Self::Transfer(r) => {
+                w[1] |= u64::from(r.straggler) << 16;
+                w[5..WORDS].copy_from_slice(&[
+                    r.recv_id,
+                    r.regions,
+                    r.post_send_ns,
+                    r.post_recv_ns,
+                    r.match_ns,
+                    r.end_ns,
+                    r.pack_ns,
+                    r.pack_calls,
+                    r.unpack_ns,
+                    r.unpack_calls,
+                    r.lanes,
+                    r.wire_ns.to_bits(),
+                    r.error,
+                ]);
+            }
+        }
+        w
+    }
+
+    fn decode(w: &[u64; WORDS]) -> Option<Self> {
+        let kind = EventKind::from_u8((w[1] & 0xff) as u8)?;
+        let method = Method::from_u8(((w[1] >> 8) & 0xff) as u8)?;
+        let (src, dst) = (w[2] as u32 as i32, (w[2] >> 32) as u32 as i32);
+        let tag = (w[3] as i64) as i32;
+        if kind != EventKind::Transfer {
+            return Some(Self::Event(FlightEvent {
+                kind,
+                id: w[0],
+                t_ns: w[5],
+                src,
+                dst,
+                tag,
+                bytes: w[4],
+                method,
+                code: w[6],
+            }));
+        }
+        Some(Self::Transfer(TransferRecord {
+            id: w[0],
+            recv_id: w[5],
+            src,
+            dst,
+            tag,
+            bytes: w[4],
+            method,
+            regions: w[6],
+            post_send_ns: w[7],
+            post_recv_ns: w[8],
+            match_ns: w[9],
+            end_ns: w[10],
+            pack_ns: w[11],
+            pack_calls: w[12],
+            unpack_ns: w[13],
+            unpack_calls: w[14],
+            lanes: w[15],
+            wire_ns: f64::from_bits(w[16]),
+            error: w[17],
+            straggler: (w[1] >> 16) & 1 == 1,
+        }))
     }
 }
 
 // ---- the ring ---------------------------------------------------------------
 
-struct Slot {
+struct Slot<const W: usize> {
     /// `2·ticket+1` while a writer owns the slot, `2·ticket+2` once the
     /// payload for `ticket` is published, 0 when never written.
     seq: AtomicU64,
-    words: [AtomicU64; WORDS],
+    words: [AtomicU64; W],
 }
 
-struct Ring {
-    slots: Box<[Slot]>,
+/// The ring of `W`-word slots. The recorder's ring is `Ring<WORDS>`; the
+/// width is a parameter only so the model tests can check the protocol
+/// over a narrower payload (every word is stored and loaded alike, and
+/// the checker's weak-memory choices double with each word).
+struct Ring<const W: usize = WORDS> {
+    slots: Box<[Slot<W>]>,
     /// Next ticket; ticket `n` lives in slot `n % capacity`.
     head: AtomicU64,
     /// Events dropped because the claiming CAS lost (a writer was lapped
@@ -386,7 +519,7 @@ struct Ring {
     contended: AtomicU64,
 }
 
-impl Ring {
+impl<const W: usize> Ring<W> {
     fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         let slots = (0..cap)
@@ -402,7 +535,7 @@ impl Ring {
         }
     }
 
-    fn push(&self, words: [u64; WORDS]) {
+    fn push(&self, words: [u64; W]) {
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
         let cur = slot.seq.load(Ordering::Relaxed);
@@ -431,7 +564,7 @@ impl Ring {
     }
 
     /// Read the payload published for ticket `n`, if still intact.
-    fn read(&self, n: u64) -> Option<[u64; WORDS]> {
+    fn read(&self, n: u64) -> Option<[u64; W]> {
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
         let expect = n.wrapping_mul(2).wrapping_add(2);
         if slot.seq.load(Ordering::Acquire) != expect {
@@ -447,8 +580,19 @@ impl Ring {
         Some(words)
     }
 
-    /// Decode every intact event with ticket >= `mark`, oldest first.
-    fn snapshot_since(&self, mark: u64) -> Vec<FlightEvent> {
+    /// Entries overwritten by the bounded ring plus contention drops.
+    fn lost(&self) -> u64 {
+        let overwritten = self
+            .head
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.slots.len() as u64);
+        overwritten + self.contended.load(Ordering::Relaxed)
+    }
+}
+
+impl Ring {
+    /// Decode every intact entry with ticket >= `mark`, oldest first.
+    fn snapshot_since(&self, mark: u64) -> Vec<Entry> {
         let head = self.head.load(Ordering::Acquire);
         let lo = head
             .saturating_sub(self.slots.len() as u64)
@@ -456,17 +600,8 @@ impl Ring {
             .min(head);
         (lo..head)
             .filter_map(|n| self.read(n))
-            .filter_map(|w| FlightEvent::decode(&w))
+            .filter_map(|w| Entry::decode(&w))
             .collect()
-    }
-
-    /// Events overwritten by the bounded ring plus contention drops.
-    fn lost(&self) -> u64 {
-        let overwritten = self
-            .head
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.slots.len() as u64);
-        overwritten + self.contended.load(Ordering::Relaxed)
     }
 }
 
@@ -483,10 +618,10 @@ fn ring() -> &'static Ring {
 /// disabled hot path at one relaxed atomic load per call site).
 ///
 /// With sampling enabled (`MPICD_FLIGHT_SAMPLE=N` / [`set_sample`]),
-/// every `N`th transfer gets a real id and the rest get 0 — so sampled
-/// transfers record complete timelines while unsampled ones stay wholly
-/// absent, and the recorder can stay on under soak-level traffic. The
-/// disabled path is untouched: still the single relaxed load.
+/// every `N`th post gets a real id and the rest get 0 — so a sampled
+/// transfer keeps its post and its record while an unsampled one stays
+/// wholly absent, and the recorder can stay on under soak-level traffic.
+/// The disabled path is untouched: still the single relaxed load.
 pub fn next_id() -> u64 {
     if !enabled() {
         return 0;
@@ -503,70 +638,56 @@ pub fn next_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Timestamp helper for externally-timed events (fragments): returns
-/// [`now_ns`] when an event for `id` would be recorded, else 0 without
-/// touching the clock.
-#[inline]
-pub fn clock(id: u64) -> u64 {
-    if id != 0 && enabled() {
-        now_ns()
-    } else {
-        0
-    }
-}
-
-/// Record an event. No-op when the recorder is disabled or `ev.id == 0`.
-/// A zero `t_ns` is stamped with [`now_ns`] at record time. Recording an
+/// Record a post or error event and return its timestamp (0 when nothing
+/// was recorded: recorder disabled or `ev.id == 0`). A zero `t_ns` is
+/// stamped with [`now_ns`] at record time. Recording an
 /// [`EventKind::Error`] event while the recorder was armed by
 /// `MPICD_FLIGHT` dumps the ring (the black-box behaviour).
-pub fn record(mut ev: FlightEvent) {
+pub fn record(mut ev: FlightEvent) -> u64 {
+    debug_assert_ne!(ev.kind, EventKind::Transfer, "use record_transfer");
     if ev.id == 0 || !enabled() {
-        return;
+        return 0;
     }
     if ev.t_ns == 0 {
         ev.t_ns = now_ns();
     }
-    ring().push(ev.encode());
-    if ev.kind == EventKind::Error && AUTODUMP.load(Ordering::Relaxed) {
-        if let Some((path, n)) = dump_to_configured() {
-            eprintln!(
-                "[mpicd-obs] transfer {} failed (code {}): dumped {n} flight events to {}",
-                ev.id,
-                ev.aux,
-                path.display()
-            );
-        }
+    ring().push(Entry::Event(ev).encode());
+    if ev.kind == EventKind::Error {
+        autodump(ev.id, ev.code);
+    }
+    ev.t_ns
+}
+
+/// Record a transfer's record. No-op when disabled or `rec.id == 0`. A
+/// record with an error code dumps the ring when armed, as an
+/// [`EventKind::Error`] event does.
+pub fn record_transfer(rec: &TransferRecord) {
+    if rec.id == 0 || !enabled() {
+        return;
+    }
+    ring().push(Entry::Transfer(*rec).encode());
+    if rec.error != 0 {
+        autodump(rec.id, rec.error);
     }
 }
 
-/// Record one pack/unpack fragment with an externally-measured start
-/// (`start_ns` from [`clock`]) and the transfer's Lamport clock (`lc`,
-/// 0 when causal tracing is not stamping). No-op when disabled or
-/// `id == 0`.
-#[inline]
-pub fn record_frag(kind: EventKind, id: u64, start_ns: u64, bytes: u64, offset: u64, lc: u64) {
-    if id == 0 || !enabled() {
+/// The black box: dump the ring when `MPICD_FLIGHT` armed it.
+fn autodump(id: u64, code: u64) {
+    if !AUTODUMP.load(Ordering::Relaxed) {
         return;
     }
-    let now = now_ns();
-    let dur = if start_ns == 0 {
-        0
-    } else {
-        now.saturating_sub(start_ns)
-    };
-    record(
-        FlightEvent::new(kind, id)
-            .at(if start_ns == 0 { now } else { start_ns })
-            .dur(dur)
-            .bytes(bytes)
-            .aux(offset)
-            .lc(lc),
-    );
+    if let Some((path, n)) = dump_to_configured() {
+        eprintln!(
+            "[mpicd-obs] transfer {id} failed (code {code}): dumped {n} flight events to {}",
+            path.display()
+        );
+    }
 }
 
 // ---- reading & dumping ------------------------------------------------------
 
-/// Current ring position; pass to [`events_since`] to scope a window.
+/// Current ring position; pass to [`events_since`] / [`transfers_since`]
+/// to scope a window.
 pub fn mark() -> u64 {
     match RING.get() {
         Some(r) => r.head.load(Ordering::Acquire),
@@ -574,20 +695,46 @@ pub fn mark() -> u64 {
     }
 }
 
-/// Decode every intact event currently in the ring, oldest first.
-pub fn events() -> Vec<FlightEvent> {
-    events_since(0)
-}
-
-/// Decode events recorded at or after `mark` (from [`mark`]).
-pub fn events_since(mark: u64) -> Vec<FlightEvent> {
+fn entries_since(mark: u64) -> Vec<Entry> {
     match RING.get() {
         Some(r) => r.snapshot_since(mark),
         None => Vec::new(),
     }
 }
 
-/// Total events lost so far: overwritten by the bounded ring, plus the
+/// Post and error events currently in the ring, oldest first.
+pub fn events() -> Vec<FlightEvent> {
+    events_since(0)
+}
+
+/// Post and error events recorded at or after `mark` (from [`mark`]).
+pub fn events_since(mark: u64) -> Vec<FlightEvent> {
+    entries_since(mark)
+        .into_iter()
+        .filter_map(|e| match e {
+            Entry::Event(e) => Some(e),
+            Entry::Transfer(_) => None,
+        })
+        .collect()
+}
+
+/// Transfer records currently in the ring, oldest first.
+pub fn transfers() -> Vec<TransferRecord> {
+    transfers_since(0)
+}
+
+/// Transfer records written at or after `mark` (from [`mark`]).
+pub fn transfers_since(mark: u64) -> Vec<TransferRecord> {
+    entries_since(mark)
+        .into_iter()
+        .filter_map(|e| match e {
+            Entry::Transfer(r) => Some(r),
+            Entry::Event(_) => None,
+        })
+        .collect()
+}
+
+/// Total entries lost so far: overwritten by the bounded ring, plus the
 /// (vanishingly rare) contention drops. Surfaced by
 /// [`crate::export::summary_of`] and the dump's meta line so a truncated
 /// recording is never silently read as complete.
@@ -599,28 +746,29 @@ pub fn overflowed() -> u64 {
 }
 
 /// Write the ring to `path` as JSON lines: one `flight_meta` header line
-/// (event count, overflow count, trace-ring drops, sampling rate), then
-/// one line per event in timestamp order. The file is replaced atomically
-/// (staged as `<path>.tmp`, then renamed), so a reader racing the dump
-/// sees a previous complete dump or this one — never a torn file.
-/// Returns the number of events written.
+/// (format version 3, line count, overflow count, trace-ring drops,
+/// sampling rate), then one line per post, error or transfer in time
+/// order (a transfer sorts by its end stamp). The file is replaced
+/// atomically (staged as `<path>.tmp`, then renamed), so a reader racing
+/// the dump sees a previous complete dump or this one — never a torn
+/// file. Returns the number of entries written.
 pub fn dump_jsonl(path: &Path) -> std::io::Result<usize> {
-    let mut evs = events();
-    evs.sort_by_key(|e| (e.t_ns, e.id));
-    let mut out = String::with_capacity(128 + evs.len() * 128);
+    let mut entries = entries_since(0);
+    entries.sort_by_key(Entry::t_ns);
+    let mut out = String::with_capacity(128 + entries.len() * 256);
     out.push_str(&format!(
-        "{{\"kind\":\"flight_meta\",\"version\":2,\"events\":{},\"overflowed\":{},\"trace_dropped\":{},\"sample\":{}}}\n",
-        evs.len(),
+        "{{\"kind\":\"flight_meta\",\"version\":3,\"events\":{},\"overflowed\":{},\"trace_dropped\":{},\"sample\":{}}}\n",
+        entries.len(),
         overflowed(),
         crate::trace::dropped_events(),
         SAMPLE.load(Ordering::Relaxed),
     ));
-    for e in &evs {
+    for e in entries.iter().copied() {
         out.push_str(&e.to_json());
         out.push('\n');
     }
     crate::fsio::write_atomic(path, out.as_bytes())?;
-    Ok(evs.len())
+    Ok(entries.len())
 }
 
 /// Dump to the configured path (`MPICD_FLIGHT_PATH` or the default).
@@ -640,57 +788,69 @@ mod tests {
     // are safe under parallel test threads. Enabled end-to-end behaviour
     // lives in the crate's integration tests (own processes).
 
-    fn ev(kind: EventKind, id: u64) -> FlightEvent {
-        FlightEvent::new(kind, id)
-            .at(123_456)
-            .dur(789)
-            .ranks(0, 3)
-            .tag(-7)
-            .bytes(4096)
-            .method(Method::Pipelined)
-            .aux(99)
-            .lc(17)
-            .parent(11)
+    fn ev(kind: EventKind, id: u64) -> Entry {
+        Entry::Event(
+            FlightEvent::new(kind, id)
+                .at(123_456)
+                .ranks(0, 3)
+                .tag(-7)
+                .bytes(4096)
+                .method(Method::Pipelined)
+                .code(99),
+        )
+    }
+
+    fn rec(id: u64) -> TransferRecord {
+        TransferRecord {
+            id,
+            recv_id: id + 1,
+            src: -1,
+            dst: 5,
+            tag: -2,
+            bytes: 4096,
+            method: Method::Rendezvous,
+            regions: 3,
+            post_send_ns: 10,
+            post_recv_ns: 11,
+            match_ns: 20,
+            end_ns: 90,
+            pack_ns: 30,
+            pack_calls: 4,
+            unpack_ns: 25,
+            unpack_calls: 5,
+            lanes: 2,
+            wire_ns: 1234.5,
+            error: 7,
+            straggler: true,
+        }
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        for kind in [
-            EventKind::PostSend,
-            EventKind::PostRecv,
-            EventKind::Match,
-            EventKind::FragPacked,
-            EventKind::FragUnpacked,
-            EventKind::WireModeled,
-            EventKind::Complete,
-            EventKind::Error,
-        ] {
+        for kind in [EventKind::PostSend, EventKind::PostRecv, EventKind::Error] {
             let e = ev(kind, 42);
-            assert_eq!(FlightEvent::decode(&e.encode()), Some(e));
+            assert_eq!(Entry::decode(&e.encode()), Some(e));
         }
-        // Negative ranks and tags survive the packing.
-        let e = FlightEvent::new(EventKind::PostRecv, 1)
-            .ranks(-1, 5)
-            .tag(-2);
-        let d = FlightEvent::decode(&e.encode()).unwrap();
-        assert_eq!((d.src, d.dst, d.tag), (-1, 5, -2));
+        // Every record field, negative ranks and tags and the fractional
+        // modeled wire time included, survives the packing.
+        let r = Entry::Transfer(rec(9));
+        assert_eq!(Entry::decode(&r.encode()), Some(r));
     }
 
     #[test]
     fn decode_rejects_garbage_kind() {
-        let mut w = ev(EventKind::Match, 1).encode();
-        w[5] = 0xff; // invalid kind byte
-        assert_eq!(FlightEvent::decode(&w), None);
+        let mut w = ev(EventKind::PostSend, 1).encode();
+        w[1] = 0xff; // invalid kind byte
+        assert_eq!(Entry::decode(&w), None);
     }
 
     #[test]
     fn ring_keeps_most_recent_window() {
         let r = Ring::new(4);
         for i in 0..10u64 {
-            r.push(ev(EventKind::Complete, i + 1).encode());
+            r.push(ev(EventKind::PostSend, i + 1).encode());
         }
-        let evs = r.snapshot_since(0);
-        let ids: Vec<u64> = evs.iter().map(|e| e.id).collect();
+        let ids: Vec<u64> = r.snapshot_since(0).iter().map(|e| e.t_ns().1).collect();
         assert_eq!(ids, vec![7, 8, 9, 10], "oldest six were overwritten");
         assert_eq!(r.lost(), 6);
     }
@@ -700,15 +860,14 @@ mod tests {
         let r = Ring::new(16);
         r.push(ev(EventKind::PostSend, 1).encode());
         let mark = r.head.load(Ordering::Acquire);
-        r.push(ev(EventKind::Complete, 2).encode());
-        let evs = r.snapshot_since(mark);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].id, 2);
+        r.push(Entry::Transfer(rec(2)).encode());
+        let entries = r.snapshot_since(mark);
+        assert_eq!(entries, vec![Entry::Transfer(rec(2))]);
     }
 
     #[test]
     fn concurrent_pushes_never_tear() {
-        // Hammer a tiny ring from several threads; every event that
+        // Hammer a tiny ring from several threads; every entry that
         // survives must decode to one of the written payloads intact.
         let r = Ring::new(8);
         std::thread::scope(|s| {
@@ -717,32 +876,42 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..2_000u64 {
                         let id = t * 1_000_000 + i + 1;
-                        r.push(
-                            FlightEvent::new(EventKind::Complete, id)
-                                .at(id)
-                                .bytes(id)
-                                .aux(id)
-                                .encode(),
-                        );
+                        let entry = Entry::Transfer(TransferRecord {
+                            id,
+                            match_ns: id,
+                            end_ns: id,
+                            bytes: id,
+                            error: id,
+                            ..TransferRecord::default()
+                        });
+                        r.push(entry.encode());
                     }
                 });
             }
         });
         for e in r.snapshot_since(0) {
-            assert_eq!(e.t_ns, e.id, "payload words all from one event");
-            assert_eq!(e.bytes, e.id);
-            assert_eq!(e.aux, e.id);
+            let Entry::Transfer(t) = e else {
+                panic!("only records were written")
+            };
+            assert_eq!(t.end_ns, t.id, "payload words all from one record");
+            assert_eq!((t.match_ns, t.bytes, t.error), (t.id, t.id, t.id));
         }
     }
 
     #[test]
     fn json_line_shape() {
-        let s = ev(EventKind::FragPacked, 9).to_json();
-        assert!(s.starts_with("{\"kind\":\"frag_packed\",\"id\":9,"));
+        let s = ev(EventKind::PostSend, 9).to_json();
+        assert!(s.starts_with("{\"kind\":\"post_send\",\"id\":9,"));
         assert!(s.contains("\"tag\":-7"));
         assert!(s.contains("\"method\":\"pipelined\""));
-        assert!(s.contains("\"aux\":99"));
-        assert!(s.ends_with("\"lc\":17,\"parent\":11}"));
+        assert!(s.ends_with("\"code\":99}"));
+        let t = Entry::Transfer(rec(9)).to_json();
+        assert!(t.starts_with("{\"kind\":\"transfer\",\"id\":9,\"recv_id\":10,"));
+        assert!(
+            t.contains("\"wire_ns\":1234,"),
+            "modeled ns print whole: {t}"
+        );
+        assert!(t.ends_with("\"error\":7,\"straggler\":true}"));
     }
 }
 
@@ -758,7 +927,11 @@ mod model_tests {
 
     /// A distinguishable payload: word `i` holds `base + i`, so any mix of
     /// two payloads (a torn read) breaks the pattern.
-    fn pat(base: u64) -> [u64; WORDS] {
+    /// Payload width of the model rings: the recorder's ring before it
+    /// carried transfer records, which bounds the checker's exploration.
+    const W: usize = 10;
+
+    fn pat(base: u64) -> [u64; W] {
         std::array::from_fn(|i| base + i as u64)
     }
 
@@ -834,10 +1007,10 @@ mod model_tests {
         });
     }
 
-    /// `Ring::push` with the ISSUE-specified seeded mutation: the publishing
+    /// `Ring::push` with one seeded mutation: the publishing
     /// `seq` store downgraded from `Release` to `Relaxed`. Everything else is
     /// identical to the real implementation.
-    fn push_publish_relaxed(ring: &Ring, words: [u64; WORDS]) {
+    fn push_publish_relaxed(ring: &Ring<W>, words: [u64; W]) {
         let n = ring.head.fetch_add(1, Ordering::Relaxed);
         let slot = &ring.slots[(n % ring.slots.len() as u64) as usize];
         let cur = slot.seq.load(Ordering::Relaxed);

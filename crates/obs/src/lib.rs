@@ -14,15 +14,12 @@
 //!   [`config::ObsConfig::install`]), a span is a single relaxed atomic
 //!   load — no clock read, no allocation.
 //! * [`flight`] — the per-transfer flight recorder: a lock-free bounded
-//!   ring of structured lifecycle events (post/match/fragments/modeled
-//!   wire/complete/error), each tagged with a process-unique transfer id.
-//!   Off by default at the same one-relaxed-load cost discipline; enabled
-//!   with `MPICD_FLIGHT=1`, which also arms dump-on-error and a
-//!   panic-hook dump. Dumps are JSON lines readable by the
-//!   `mpicd-inspect` analyzer (in `crates/bench`).
-//! * [`causal`] — per-rank Lamport clocks and the causal context header
-//!   that travels with each transfer, turning multi-rank flight dumps
-//!   into a cross-rank happens-before DAG (`mpicd-inspect critical-path`).
+//!   ring of post events and one [`flight::TransferRecord`] per matched
+//!   transfer, each tagged with a process-unique id. Off by default at
+//!   the same one-relaxed-load cost discipline; enabled with
+//!   `MPICD_FLIGHT=1`, which also arms dump-on-error and a panic-hook
+//!   dump. Dumps are JSON lines readable by the `mpicd-inspect` analyzer
+//!   (in `crates/bench`).
 //! * [`metrics`] — the one registry: named [`Counter`]s (always on),
 //!   [`Gauge`]s (level plus high-water mark) and [`Sketch`]es (the one
 //!   histogram type: log-linear, answering p50/p99). Counters are plain
@@ -65,7 +62,6 @@
 //! obs::set_enabled(false);
 //! ```
 
-pub mod causal;
 pub mod config;
 pub mod export;
 pub mod flight;
@@ -156,8 +152,8 @@ pub fn flush() -> Option<std::path::PathBuf> {
         let lost = flight::overflowed();
         if lost > 0 {
             eprintln!(
-                "[mpicd-obs] WARNING: flight ring overwrote {lost} events; \
-                 dumped timelines may be incomplete (raise MPICD_FLIGHT_CAP)"
+                "[mpicd-obs] WARNING: flight ring overwrote {lost} entries; \
+                 older posts and transfers are missing (raise MPICD_FLIGHT_CAP)"
             );
         }
     }

@@ -62,8 +62,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Timestamp helper for externally-timed sections: [`now_ns`] when
-/// telemetry is on, else 0 without touching the clock (one relaxed load,
-/// mirroring [`crate::flight::clock`]).
+/// telemetry is on, else 0 without touching the clock (one relaxed load).
 #[inline]
 pub fn clock() -> u64 {
     if enabled() {

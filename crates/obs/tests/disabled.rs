@@ -2,7 +2,7 @@
 //! may enable tracing or the flight recorder) so the default-off state is
 //! actually observable.
 
-use mpicd_obs::{causal, flight, telemetry, trace};
+use mpicd_obs::{flight, telemetry, trace};
 
 #[test]
 fn disabled_spans_record_nothing() {
@@ -46,12 +46,16 @@ fn disabled_flush_is_noop() {
 fn disabled_flight_recorder_records_nothing() {
     assert!(!flight::enabled(), "flight recorder must default to off");
     assert_eq!(flight::next_id(), 0, "disabled ids are 0");
-    assert_eq!(flight::clock(7), 0, "clock never read when disabled");
 
-    flight::record(flight::FlightEvent::new(flight::EventKind::PostSend, 7).bytes(64));
-    flight::record_frag(flight::EventKind::FragPacked, 7, 1, 64, 0, 0);
+    let stamp = flight::record(flight::FlightEvent::new(flight::EventKind::PostSend, 7).bytes(64));
+    assert_eq!(stamp, 0, "clock never read when disabled");
+    flight::record_transfer(&flight::TransferRecord {
+        id: 7,
+        ..Default::default()
+    });
 
     assert!(flight::events().is_empty(), "no events when disabled");
+    assert!(flight::transfers().is_empty(), "no records when disabled");
     assert_eq!(flight::overflowed(), 0);
 }
 
@@ -79,16 +83,6 @@ fn disabled_telemetry_records_nothing() {
         (0, 0),
         "disabled gauge stays put"
     );
-}
-
-#[test]
-fn disabled_causal_capture_never_ticks() {
-    // A disabled flight recorder hands out id 0; capture must then be a
-    // pure zero-cost no-op that leaves the rank clock untouched.
-    let rank = 777; // owned by this test; no other test ticks it
-    let ctx = causal::CausalContext::capture(rank, flight::next_id());
-    assert_eq!(ctx, causal::CausalContext::default());
-    assert_eq!(causal::current(rank), 0, "no tick without a flight id");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! assertions. The ring and enable flag are process-global, so this is
 //! one sequential test.
 
-use mpicd_obs::flight::{self, EventKind, FlightEvent, Method};
+use mpicd_obs::flight::{self, EventKind, FlightEvent, Method, TransferRecord};
 use mpicd_obs::ObsConfig;
 
 #[test]
@@ -21,55 +21,52 @@ fn flight_ring_end_to_end() {
     let b = flight::next_id();
     assert!(a != 0 && b != 0 && a != b);
 
-    // Round-trip one fully-populated event through the ring.
+    // Round-trip one fully-populated event through the ring; `record`
+    // returns the stamp it used (the post stamp the fabric carries).
     let mark = flight::mark();
-    flight::record(
+    let stamped = flight::record(
         FlightEvent::new(EventKind::PostSend, a)
             .ranks(0, 1)
             .tag(-7)
             .bytes(4096)
             .method(Method::Rendezvous)
-            .aux(3),
+            .code(3),
     );
     let evs = flight::events_since(mark);
     assert_eq!(evs.len(), 1);
     let e = evs[0];
     assert_eq!(e.kind, EventKind::PostSend);
     assert_eq!((e.id, e.src, e.dst, e.tag), (a, 0, 1, -7));
-    assert_eq!((e.bytes, e.aux), (4096, 3));
+    assert_eq!((e.bytes, e.code), (4096, 3));
     assert_eq!(e.method, Method::Rendezvous);
     assert!(e.t_ns > 0, "zero timestamps are stamped at record time");
+    assert_eq!(stamped, e.t_ns);
 
-    // clock() + record_frag measure an externally-timed duration.
+    // A transfer record reads back whole, and apart from the events.
     let mark = flight::mark();
-    let t0 = flight::clock(a);
-    assert!(t0 > 0);
-    flight::record_frag(EventKind::FragPacked, a, t0, 512, 64, 9);
-    let evs = flight::events_since(mark);
-    assert_eq!(evs.len(), 1);
-    assert_eq!((evs[0].t_ns, evs[0].bytes, evs[0].aux), (t0, 512, 64));
-    assert_eq!(evs[0].lc, 9, "fragments carry the transfer's Lamport clock");
+    let rec = TransferRecord {
+        id: a,
+        recv_id: b,
+        match_ns: 5,
+        end_ns: 9,
+        pack_calls: 2,
+        lanes: 1,
+        wire_ns: 2.5,
+        ..TransferRecord::default()
+    };
+    flight::record_transfer(&rec);
+    assert_eq!(flight::transfers_since(mark), vec![rec]);
+    assert!(flight::events_since(mark).is_empty());
 
-    // Causal fields survive the ring.
-    let mark = flight::mark();
-    flight::record(
-        FlightEvent::new(EventKind::Match, a)
-            .ranks(0, 1)
-            .lc(21)
-            .parent(20),
-    );
-    let evs = flight::events_since(mark);
-    assert_eq!((evs[0].lc, evs[0].parent), (21, 20));
-
-    // Overflow: write far past capacity; old events are lost, counted,
+    // Overflow: write far past capacity; old entries are lost, counted,
     // and the ring never yields more than its capacity.
     let lost_before = flight::overflowed();
     for i in 0..200 {
-        flight::record(FlightEvent::new(EventKind::Complete, b).aux(i));
+        flight::record(FlightEvent::new(EventKind::PostRecv, b).bytes(i));
     }
     assert!(flight::overflowed() > lost_before, "overflow is counted");
-    let n_live = flight::events().len();
-    assert!(n_live <= 64, "ring is bounded ({n_live} events)");
+    let n_live = flight::events().len() + flight::transfers().len();
+    assert!(n_live <= 64, "ring is bounded ({n_live} entries)");
 
     // Dump: one meta header line plus one JSON line per intact event.
     let path = std::env::temp_dir().join(format!("mpicd-flight-test-{}.jsonl", std::process::id()));
@@ -78,7 +75,7 @@ fn flight_ring_end_to_end() {
     let _ = std::fs::remove_file(&path);
     let mut lines = text.lines();
     let meta = lines.next().unwrap();
-    assert!(meta.starts_with("{\"kind\":\"flight_meta\",\"version\":2,"));
+    assert!(meta.starts_with("{\"kind\":\"flight_meta\",\"version\":3,"));
     assert!(meta.contains(&format!("\"events\":{n}")));
     let body: Vec<&str> = lines.collect();
     assert_eq!(body.len(), n);
@@ -96,8 +93,12 @@ fn flight_ring_end_to_end() {
     // Toggling off makes ids 0 again and recording a no-op.
     flight::set_enabled(false);
     assert_eq!(flight::next_id(), 0);
-    assert_eq!(flight::clock(a), 0);
     let mark = flight::mark();
-    flight::record(FlightEvent::new(EventKind::Error, a).aux(1));
+    assert_eq!(
+        flight::record(FlightEvent::new(EventKind::Error, a).code(1)),
+        0
+    );
+    flight::record_transfer(&rec);
     assert!(flight::events_since(mark).is_empty());
+    assert!(flight::transfers_since(mark).is_empty());
 }
