@@ -3,7 +3,7 @@
 //! * [`NestPack`]/[`NestUnpack`] — packing through a [`LoopNest`], the
 //!   suspendable nested-loop traversal (the paper's coroutine experiment).
 //! * [`RunsPack`]/[`RunsUnpack`] — packing an explicit run list (LAMMPS's
-//!   irregular index gather).
+//!   irregular index gather) through [`RunList`].
 //! * [`RegionsPack`]/[`RegionsUnpack`] — no packing at all: every
 //!   contiguous run is exposed as a memory region (the "custom regions"
 //!   variant of Fig 10).
@@ -14,6 +14,7 @@
 use mpicd::datatype::{
     CustomPack, CustomUnpack, RandomAccessPacker, RandomAccessUnpacker, RecvRegion, SendRegion,
 };
+use mpicd::resumable::RunList;
 use mpicd::{Error, LoopNest, Result};
 use std::marker::PhantomData;
 
@@ -145,40 +146,20 @@ impl<'a> RunsPack<'a> {
         }
     }
 
-    fn total(&self) -> usize {
-        self.offsets.len() * self.run_len
+    fn runs(&self) -> RunList<'_> {
+        RunList::new(&self.offsets, self.run_len)
     }
 
     /// Stateless gather of `[offset, offset + dst)` of the packed stream.
     fn gather(&self, offset: usize, dst: &mut [u8]) -> usize {
-        if self.run_len == 0 {
-            return 0;
-        }
-        let total = self.total();
-        let mut at = offset;
-        let mut done = 0usize;
-        while at < total && done < dst.len() {
-            let run = at / self.run_len;
-            let within = at % self.run_len;
-            let n = (self.run_len - within).min(dst.len() - done);
-            // SAFETY: offsets validated against the slab in `new`.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.base.offset(self.offsets[run] + within as isize),
-                    dst.as_mut_ptr().add(done),
-                    n,
-                );
-            }
-            at += n;
-            done += n;
-        }
-        done
+        // SAFETY: offsets validated against the slab in `new`.
+        unsafe { self.runs().pack_segment(self.base, offset, dst) }
     }
 }
 
 impl CustomPack for RunsPack<'_> {
     fn packed_size(&self) -> Result<usize> {
-        Ok(self.total())
+        Ok(self.runs().packed_size())
     }
 
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize> {
@@ -228,39 +209,25 @@ impl<'a> RunsUnpack<'a> {
         }
     }
 
+    fn runs(&self) -> RunList<'_> {
+        RunList::new(&self.offsets, self.run_len)
+    }
+
     /// Stateless scatter of a packed-stream range into the run list.
     fn scatter(&self, offset: usize, src: &[u8]) -> Result<()> {
-        if self.run_len == 0 {
-            return Ok(());
-        }
-        let total = self.offsets.len() * self.run_len;
-        if offset + src.len() > total {
+        let total = self.runs().packed_size();
+        if offset.checked_add(src.len()).is_none_or(|end| end > total) {
             return Err(Error::InvalidHeader("run-list unpack overflow"));
         }
-        let mut at = offset;
-        let mut done = 0usize;
-        while done < src.len() {
-            let run = at / self.run_len;
-            let within = at % self.run_len;
-            let n = (self.run_len - within).min(src.len() - done);
-            // SAFETY: offsets validated in `new`; exclusive borrow.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr().add(done),
-                    self.base.offset(self.offsets[run] + within as isize),
-                    n,
-                );
-            }
-            at += n;
-            done += n;
-        }
+        // SAFETY: offsets validated in `new`; exclusive borrow.
+        unsafe { self.runs().unpack_segment(self.base, offset, src) };
         Ok(())
     }
 }
 
 impl CustomUnpack for RunsUnpack<'_> {
     fn packed_size(&self) -> Result<usize> {
-        Ok(self.offsets.len() * self.run_len)
+        Ok(self.runs().packed_size())
     }
 
     fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<()> {
@@ -278,16 +245,13 @@ impl RandomAccessUnpacker for RunsUnpack<'_> {
     }
 }
 
-/// Merge adjacent `(offset, len)` runs (fewer, larger regions).
-pub fn merge_runs(mut runs: Vec<(isize, usize)>) -> Vec<(isize, usize)> {
-    let mut out: Vec<(isize, usize)> = Vec::with_capacity(runs.len());
-    for (off, len) in runs.drain(..) {
-        match out.last_mut() {
-            Some((o, l)) if *o + *l as isize == off => *l += len,
-            _ => out.push((off, len)),
-        }
+/// Append the run `(off, len)` to `regions`, merged into the last region
+/// when the two are adjacent (fewer, larger regions).
+pub fn push_merged(regions: &mut Vec<(isize, usize)>, off: isize, len: usize) {
+    match regions.last_mut() {
+        Some((o, l)) if *o + *l as isize == off => *l += len,
+        _ => regions.push((off, len)),
     }
-    out
 }
 
 /// Region-only pack context: nothing is packed; every run is a region.
@@ -420,10 +384,11 @@ mod tests {
 
     #[test]
     fn merge_runs_collapses_adjacent() {
-        assert_eq!(
-            merge_runs(vec![(0, 4), (4, 4), (16, 8), (24, 8), (40, 4)]),
-            vec![(0, 8), (16, 16), (40, 4)]
-        );
+        let mut regions = Vec::new();
+        for (off, len) in [(0, 4), (4, 4), (16, 8), (24, 8), (40, 4)] {
+            push_merged(&mut regions, off, len);
+        }
+        assert_eq!(regions, vec![(0, 8), (16, 16), (40, 4)]);
     }
 
     #[test]
@@ -443,5 +408,57 @@ mod tests {
         let mut slab = vec![0u8; 16];
         let mut u = RegionsUnpack::new(vec![(0, 16)], &mut slab);
         assert!(u.unpack(0, &[1, 2]).is_err());
+    }
+
+    #[test]
+    fn runs_contexts_match_per_run_reference() {
+        use mpicd_obs::rng::XorShift64Star;
+        let mut rng = XorShift64Star::new(0x5EED_1A77);
+        for case in 0..200 {
+            let run_len = [1, 3, 4, 8, 12, 16, 24, 40][rng.range(0, 8)];
+            let slab = rng.bytes(512);
+            // Disjoint runs (LAMMPS-like gathers never alias), shuffled.
+            let slots = 512 / run_len;
+            let mut offsets: Vec<isize> = (0..slots.min(24))
+                .map(|i| (i * (slots / slots.min(24)) * run_len) as isize)
+                .collect();
+            for i in (1..offsets.len()).rev() {
+                offsets.swap(i, rng.range(0, i + 1));
+            }
+            offsets.truncate(rng.range(0, offsets.len() + 1));
+            let total = offsets.len() * run_len;
+            let byte = |p: usize| offsets[p / run_len] as usize + p % run_len;
+
+            let mut pack = RunsPack::new(offsets.clone(), run_len, &slab);
+            assert_eq!(pack.packed_size().unwrap(), total);
+            let stream: Vec<u8> = (0..total).map(|p| slab[byte(p)]).collect();
+            for _ in 0..8 {
+                let offset = rng.range(0, total + 2);
+                let mut dst = vec![0u8; rng.range(0, total + 2)];
+                let n = pack.pack(offset, &mut dst).unwrap();
+                let want = stream.get(offset..).unwrap_or(&[]);
+                let want = &want[..want.len().min(dst.len())];
+                assert_eq!(&dst[..n], want, "case {case}: pack at {offset}");
+            }
+
+            let incoming = rng.bytes(total);
+            let mut got = vec![0u8; 512];
+            let mut expect = got.clone();
+            for p in 0..total {
+                expect[byte(p)] = incoming[p];
+            }
+            {
+                let mut unpack = RunsUnpack::new(offsets.clone(), run_len, &mut got);
+                // Fragments last-first, as an out-of-order wire delivers them.
+                let mut cuts = vec![0, total];
+                cuts.extend((0..3).map(|_| rng.range(0, total + 1)));
+                cuts.sort_unstable();
+                for w in cuts.windows(2).rev() {
+                    unpack.unpack(w[0], &incoming[w[0]..w[1]]).unwrap();
+                }
+                assert!(unpack.unpack(total, &[0]).is_err(), "overflow rejected");
+            }
+            assert_eq!(got, expect, "case {case}: unpack");
+        }
     }
 }
