@@ -23,9 +23,10 @@
 //!   refill the back); both engines walk the same ordered view, so this
 //!   mix is the no-regression guard for wildcard-heavy workloads.
 //!
-//! Self-checks (best-of-runs, asserted as the table builds): the
-//! bucketed engine is ≥5× the linear one on the exact mix at depth
-//! ≥1024, and within 10% of it at depth 8 and on every wildcard row.
+//! Self-checks (best-of-runs, a cell remeasured once before it fails):
+//! the bucketed engine is ≥5× the linear one on the exact mix at depth
+//! ≥1024, and within 10% of it at depth 8 and on every wildcard row. A
+//! failed check fails the run after the table and its JSON are written.
 
 use mpicd_bench::harness::Sample;
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
@@ -149,6 +150,7 @@ fn main() {
         ],
     );
 
+    let mut failures = Vec::new();
     for mix in [Mix::Exact, Mix::HotTag, Mix::Wildcard] {
         for &depth in depths {
             // Best-of-runs for the self-checks (rates are higher-is-
@@ -165,17 +167,20 @@ fn main() {
                 let speedup_ok = !(mix == Mix::Exact && depth >= 1024) || ratio_best >= 5.0;
                 let floor_ok = !(depth <= 8 || mix == Mix::Wildcard) || ratio_best >= 0.9;
                 if (speedup_ok && floor_ok) || attempt > 0 {
-                    assert!(
-                        speedup_ok,
-                        "bucketed engine only {ratio_best:.2}× linear on exact mix at depth \
-                         {depth} (needs ≥5×, twice)"
-                    );
-                    assert!(
-                        floor_ok,
-                        "bucketed engine regressed to {ratio_best:.2}× linear on {} mix at depth \
-                         {depth} (floor 0.9×, twice)",
-                        mix.name()
-                    );
+                    // Recorded, and failed on once the table is out.
+                    if !speedup_ok {
+                        failures.push(format!(
+                            "bucketed engine only {ratio_best:.2}× linear on exact mix at depth \
+                             {depth} (needs ≥5×, twice)"
+                        ));
+                    }
+                    if !floor_ok {
+                        failures.push(format!(
+                            "bucketed engine regressed to {ratio_best:.2}× linear on {} mix at \
+                             depth {depth} (floor 0.9×, twice)",
+                            mix.name()
+                        ));
+                    }
                     break (linear, bucketed);
                 }
                 attempt += 1;
@@ -207,4 +212,5 @@ fn main() {
         println!("{name:<24} {}", snap.counter(name));
     }
     obs_finish();
+    assert!(failures.is_empty(), "{}", failures.join("; "));
 }

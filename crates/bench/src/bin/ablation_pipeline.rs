@@ -8,14 +8,17 @@
 //!
 //! * **serial** — `PipelineConfig::with_threads(1)`: every fragment runs
 //!   inline on the posting thread, no pool (`MPICD_PIPELINE_THREADS=1`);
-//! * **pipe×2 / pipe×4** — eligible transfers go to the worker pool with 2
-//!   and 4 threads, the posting thread included.
+//! * **pipe×2 / pipe×4** — 2 and 4 threads, the posting thread included:
+//!   the engine hands a transfer's fragments to the worker pool when their
+//!   measured cost is worth at least two pool jobs, and runs them inline
+//!   otherwise.
 //!
 //! The sweep crosses each pattern with {16 KiB, 64 KiB} fragment sizes.
 //! Byte identity against the pattern's reference checksum is asserted for
-//! every cell before anything is timed, and the `pipelined` transfer
-//! counter is checked so a silently-inline cell cannot masquerade as a
-//! pool measurement.
+//! every cell before anything is timed. Every cell's pooled share (the
+//! transfers the pool took, from the `pipelined` counter) is printed; the
+//! serial cells must have none, and in full mode the pool must take the
+//! fine-grained rows, whose pack cost per byte is what it parallelizes.
 
 use mpicd::fabric::{PipelineConfig, WireModel};
 use mpicd::{transfer_custom, World};
@@ -28,6 +31,10 @@ use std::time::Instant;
 /// Fragment sizes crossed with every pattern (the fabric default is 64 KiB;
 /// 16 KiB produces 4× as many fragments for the pool to chew on).
 const FRAG_SIZES: [usize; 2] = [16 * 1024, 64 * 1024];
+
+/// Patterns whose pack cost per byte the pool pays off on: in full mode
+/// it must take their transfers at 2 and 4 threads.
+const FINE_GRAINED: [&str; 5] = ["LAMMPS", "NAS_LU_y", "NAS_MG_x", "WRF_x_vec", "WRF_y_vec"];
 
 /// One full one-way custom-pack transfer of the pattern face.
 fn one_transfer(world: &World, sender: &dyn Pattern, receiver: &mut dyn Pattern) {
@@ -77,6 +84,8 @@ fn main() {
             .collect(),
     );
 
+    let mut shares = Vec::new();
+    let mut unpooled = Vec::new();
     for name in mpicd_ddtbench::BENCHMARKS {
         let sender = mpicd_ddtbench::make(name, target);
         let expect = sender.checksum();
@@ -105,13 +114,6 @@ fn main() {
                     expect,
                     "{name}/{frag}: {label} engine diverges"
                 );
-                let pipelined = world.fabric().stats().pipelined;
-                if cfg.threads == 1 {
-                    assert_eq!(pipelined, 0, "{name}/{frag}: serial config pipelined");
-                } else if sender.bytes() > frag {
-                    assert!(pipelined > 0, "{name}/{frag}: {label} ran inline");
-                }
-
                 cells.push(Some(throughput(
                     &world,
                     &*sender,
@@ -119,6 +121,15 @@ fn main() {
                     reps,
                     runs,
                 )));
+                let stats = world.fabric().stats();
+                let share = stats.pipelined as f64 / stats.messages.max(1) as f64;
+                let cell = format!("{name}/{} {label}", size_label(frag));
+                if cfg.threads == 1 {
+                    assert_eq!(stats.pipelined, 0, "{cell}: serial config pipelined");
+                } else if !quick_mode() && FINE_GRAINED.contains(&name) && share < 1.0 {
+                    unpooled.push(format!("{cell} ({share:.2})"));
+                }
+                shares.push((cell, share));
             }
             let speedup = Sample::point(
                 cells[2].as_ref().unwrap().mean / cells[0].as_ref().unwrap().mean,
@@ -131,6 +142,14 @@ fn main() {
 
     table.print();
     emit_json("ablation_pipeline", &table);
+    println!("# pooled share (transfers the worker pool took / transfers)");
+    for (cell, share) in &shares {
+        println!("{cell:<28} {share:.2}");
+    }
+    assert!(
+        unpooled.is_empty(),
+        "the pool left fine-grained transfers inline: {unpooled:?}"
+    );
 
     // Pipeline observability: how much work actually went parallel. The
     // `.ns` accumulator follows the span cost model and stays 0 unless

@@ -37,6 +37,31 @@ fn region(base: *mut c_void, len: MPI_Count) -> Result<(*mut u8, usize)> {
     Ok((base.cast(), len))
 }
 
+/// The regions a `regionfn` wrote back, each checked by [`region`], as
+/// `make(base, len)`. Their total must not exceed `isize::MAX` bytes, the
+/// most one allocation can span: a longer list is a lie that would
+/// overflow the operation's byte count, so it fails the operation with
+/// `MPI_ERR_ARG`.
+fn region_list<R>(
+    bases: Vec<*mut c_void>,
+    lens: Vec<MPI_Count>,
+    make: impl Fn(*mut u8, usize) -> R,
+) -> Result<Vec<R>> {
+    let mut total = 0usize;
+    bases
+        .into_iter()
+        .zip(lens)
+        .map(|(b, l)| {
+            let (ptr, len) = region(b, l)?;
+            total = total
+                .checked_add(len)
+                .filter(|&t| isize::try_from(t).is_ok())
+                .ok_or(Error::Serialization(MPI_ERR_ARG))?;
+            Ok(make(ptr, len))
+        })
+        .collect()
+}
+
 /// Send-side adapter: C callbacks → [`CustomPack`].
 pub struct CCustomPack {
     cb: CustomCallbacks,
@@ -124,17 +149,10 @@ impl CustomPack for CCustomPack {
                 "only MPI_BYTE regions are supported by this prototype",
             ));
         }
-        bases
-            .into_iter()
-            .zip(lens)
-            .map(|(b, l)| {
-                let (ptr, len) = region(b, l)?;
-                Ok(SendRegion {
-                    ptr: ptr.cast_const(),
-                    len,
-                })
-            })
-            .collect()
+        region_list(bases, lens, |ptr, len| SendRegion {
+            ptr: ptr.cast_const(),
+            len,
+        })
     }
 
     fn inorder(&self) -> bool {
@@ -236,14 +254,7 @@ impl CustomUnpack for CCustomUnpack {
                 "only MPI_BYTE regions are supported by this prototype",
             ));
         }
-        bases
-            .into_iter()
-            .zip(lens)
-            .map(|(b, l)| {
-                let (ptr, len) = region(b, l)?;
-                Ok(RecvRegion { ptr, len })
-            })
-            .collect()
+        region_list(bases, lens, |ptr, len| RecvRegion { ptr, len })
     }
 }
 

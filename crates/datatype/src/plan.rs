@@ -51,6 +51,7 @@
 use crate::equivalence::{structural_key, StructuralKey};
 use crate::typ::Datatype;
 use mpicd_obs::metrics::Counter;
+use mpicd_obs::prefetch;
 use mpicd_obs::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -599,23 +600,9 @@ fn strided_mem(op: &PlanOp) -> isize {
 
 // ---- copy kernels ----------------------------------------------------------
 
-/// Strides at or above this issue software prefetch in the wide-word
-/// kernels (short strides are already covered by hardware prefetchers).
-const PF_MIN_STRIDE: usize = 128;
-
-/// Prefetch distance, in blocks, for the wide-word kernels.
-const PF_AHEAD: isize = 16;
-
-/// Best-effort software prefetch of the cache line holding `p`.
-#[inline(always)]
-#[allow(unused_variables)]
-fn prefetch(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it never faults, any address is fine.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
-    };
-}
+/// Prefetch distance down a stride, in blocks (the shared rule of
+/// [`mpicd_obs::prefetch`]).
+const PF_AHEAD: isize = prefetch::AHEAD as isize;
 
 /// Direction-parametric byte copy between memory and the packed buffer.
 #[inline(always)]
@@ -702,13 +689,13 @@ unsafe fn strided_gather<const B: usize, const W: usize, const PACK: bool>(
     mut buf: *mut u8,
 ) {
     let lanes = W / B;
-    let pf = stride.unsigned_abs() >= PF_MIN_STRIDE;
+    let pf = stride.unsigned_abs() >= prefetch::MIN_STRIDE;
     for _ in 0..blocks / lanes {
         let mut word = [0u8; W];
         if PACK {
             for l in 0..lanes {
                 if pf {
-                    prefetch(mem.wrapping_offset(stride * PF_AHEAD));
+                    prefetch::line(mem.wrapping_offset(stride * PF_AHEAD));
                 }
                 std::ptr::copy_nonoverlapping(mem as *const u8, word.as_mut_ptr().add(l * B), B);
                 mem = mem.offset(stride);
@@ -718,7 +705,7 @@ unsafe fn strided_gather<const B: usize, const W: usize, const PACK: bool>(
             word = (buf as *const [u8; W]).read();
             for l in 0..lanes {
                 if pf {
-                    prefetch(mem.wrapping_offset(stride * PF_AHEAD));
+                    prefetch::line(mem.wrapping_offset(stride * PF_AHEAD));
                 }
                 std::ptr::copy_nonoverlapping(word.as_ptr().add(l * B), mem, B);
                 mem = mem.offset(stride);
@@ -743,10 +730,10 @@ unsafe fn strided_wide<const PACK: bool>(
     blocks: usize,
     mut buf: *mut u8,
 ) {
-    let pf = stride.unsigned_abs() >= PF_MIN_STRIDE;
+    let pf = stride.unsigned_abs() >= prefetch::MIN_STRIDE;
     for _ in 0..blocks {
         if pf {
-            prefetch(mem.wrapping_offset(stride * PF_AHEAD));
+            prefetch::line(mem.wrapping_offset(stride * PF_AHEAD));
         }
         copy_wide::<PACK>(mem, buf, block);
         mem = mem.offset(stride);
@@ -904,10 +891,10 @@ unsafe fn pair_part<const PACK: bool>(
     let full = (want - done) / pair_len;
     if full > 0 {
         let mut mem = mem0.offset(pi as isize * stride);
-        let pf = stride.unsigned_abs() >= PF_MIN_STRIDE;
+        let pf = stride.unsigned_abs() >= prefetch::MIN_STRIDE;
         for _ in 0..full {
             if pf {
-                prefetch(mem.wrapping_offset(stride * 8));
+                prefetch::line(mem.wrapping_offset(stride * 8));
             }
             copy_wide::<PACK>(mem, buf, block_a);
             copy_wide::<PACK>(mem.offset(delta), buf.add(block_a), block_b);
@@ -965,7 +952,7 @@ unsafe fn nest2_rows<const PACK: bool>(
             };
             let mut mem = mem0;
             for _ in 0..nrows {
-                prefetch(mem.wrapping_offset(row_stride));
+                prefetch::line(mem.wrapping_offset(row_stride));
                 f(mem, col_stride, cols, buf);
                 mem = mem.offset(row_stride);
                 buf = buf.add(row_len);
@@ -975,7 +962,7 @@ unsafe fn nest2_rows<const PACK: bool>(
         Kernel::Wide => {
             let mut mem = mem0;
             for _ in 0..nrows {
-                prefetch(mem.wrapping_offset(row_stride));
+                prefetch::line(mem.wrapping_offset(row_stride));
                 strided_wide::<PACK>(mem, col_stride, block, cols, buf);
                 mem = mem.offset(row_stride);
                 buf = buf.add(row_len);

@@ -1013,17 +1013,16 @@ impl Inner {
             };
             let mut src = Stream { cb, mem };
             let mut dst = recv_stream(&mut recv);
-            self.engine
-                .run(
-                    &walk,
-                    &self.stats,
-                    &mut src,
-                    &mut dst,
-                    inorder,
-                    self.model.out_of_order_fragments,
-                    &mut state.stage,
-                )
-                .map(|moved| debug_assert_eq!(moved, total, "stream moved every byte"))
+            self.engine.run(
+                &walk,
+                &self.stats,
+                &mut src,
+                &mut dst,
+                total,
+                inorder,
+                self.model.out_of_order_fragments,
+                &mut state.stage,
+            )
         };
         // Recycle the bounce buffer.
         if let SendSide::Bounce { data } = send {

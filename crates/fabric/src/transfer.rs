@@ -9,10 +9,10 @@
 //! offsets — the UCX generic-datatype contract of the paper (§IV). It is the
 //! only code that runs a memcpy, a pack or an unpack callback.
 //!
-//! Two drivers share it. [`run_inline`] walks every fragment in order on the
-//! posting thread; the worker pool in the `pipeline` module runs the
-//! fragments of eligible transfers concurrently. They differ only in how a
-//! callback segment is reached ([`PackFn`]/[`UnpackFn`]): through
+//! Two drivers share it. [`run_inline`] walks fragments in order on the
+//! posting thread; the worker pool in the `pipeline` module runs runs of
+//! consecutive fragments concurrently. They differ only in how a callback
+//! segment is reached ([`PackFn`]/[`UnpackFn`]): through
 //! `&mut dyn FragmentPacker` inline, through the shared random-access view
 //! from pool workers.
 
@@ -25,6 +25,7 @@ use crate::payload::{
     RandomAccessUnpacker,
 };
 use crate::stats::FabricMetrics;
+use mpicd_obs::prefetch;
 use mpicd_obs::sync::atomic::{AtomicU64, Ordering};
 
 /// How the engine reaches a pack callback.
@@ -43,9 +44,12 @@ impl PackFn for &mut dyn FragmentPacker {
     }
 }
 
-impl PackFn for &dyn RandomAccessPacker {
+/// From the pool: the random-access view, or `None` for a streaming
+/// callback, whose bytes the engine keeps off the pool.
+impl PackFn for Option<&dyn RandomAccessPacker> {
     fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize, i32> {
-        self.pack_at(offset, dst)
+        let view = self.expect("the pool never reaches a streaming callback");
+        view.pack_at(offset, dst)
     }
 }
 
@@ -55,9 +59,10 @@ impl UnpackFn for &mut dyn FragmentUnpacker {
     }
 }
 
-impl UnpackFn for &dyn RandomAccessUnpacker {
+impl UnpackFn for Option<&dyn RandomAccessUnpacker> {
     fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<(), i32> {
-        self.unpack_at(offset, src)
+        let view = self.expect("the pool never reaches a streaming callback");
+        view.unpack_at(offset, src)
     }
 }
 
@@ -87,12 +92,6 @@ pub(crate) struct Stream<'a, C, M> {
     pub(crate) mem: &'a [M],
 }
 
-/// A segment of a [`Stream`].
-enum Seg<'s, C, M> {
-    Cb(&'s mut C),
-    Mem(M),
-}
-
 impl<'a, C, M: Region> Stream<'a, C, M> {
     fn seg_len(&self, i: usize) -> usize {
         match &self.cb {
@@ -102,41 +101,29 @@ impl<'a, C, M: Region> Stream<'a, C, M> {
         }
     }
 
-    fn seg(&mut self, i: usize) -> Seg<'_, C, M> {
-        match &mut self.cb {
-            Some((cb, _)) if i == 0 => Seg::Cb(cb),
-            Some(_) => Seg::Mem(self.mem[i - 1]),
-            None => Seg::Mem(self.mem[i]),
+    /// Index in `mem` of segment `i`, or `None` for the callback segment.
+    fn mem_index(&self, i: usize) -> Option<usize> {
+        match self.cb {
+            Some(_) => i.checked_sub(1),
+            None => Some(i),
         }
     }
 
-    /// Total stream length in bytes.
-    pub(crate) fn len(&self) -> usize {
-        self.cb.as_ref().map_or(0, |(_, len)| *len) + self.mem.iter().map(M::bytes).sum::<usize>()
-    }
-
-    /// Stream offset where each segment starts; the last entry is `len()`.
-    pub(crate) fn prefix(&self) -> Vec<usize> {
-        let segs = usize::from(self.cb.is_some()) + self.mem.len();
-        let mut v = Vec::with_capacity(segs + 1);
-        v.push(0);
-        for i in 0..segs {
-            v.push(v[i] + self.seg_len(i));
+    /// Move `at` forward to the segment holding stream offset `pos`, which
+    /// must lie before the end of the stream.
+    pub(crate) fn seek(&self, at: &mut At, pos: usize) {
+        while at.start + self.seg_len(at.seg) <= pos {
+            at.start += self.seg_len(at.seg);
+            at.seg += 1;
         }
-        v
     }
 
-    /// The same stream with its callback reached through `view`, or `None`
-    /// when `view` declines it.
-    pub(crate) fn view<'s, D>(
-        &'s self,
-        view: impl FnOnce(&'s C) -> Option<D>,
-    ) -> Option<Stream<'a, D, M>> {
-        let cb = match &self.cb {
-            Some((c, len)) => Some((view(c)?, *len)),
-            None => None,
-        };
-        Some(Stream { cb, mem: self.mem })
+    /// The same stream with its callback reached through `view`.
+    pub(crate) fn view<'s, D>(&'s self, view: impl FnOnce(&'s C) -> D) -> Stream<'a, D, M> {
+        Stream {
+            cb: self.cb.as_ref().map(|(c, len)| (view(c), *len)),
+            mem: self.mem,
+        }
     }
 }
 
@@ -152,9 +139,9 @@ pub(crate) struct CallbackSums {
 /// Per-transfer state of the fragment walk: its constants, and the
 /// callback sums the transfer's record is built from.
 pub(crate) struct Walk<'a> {
-    /// Fragment size: no callback invocation or memcpy crosses a multiple
-    /// of it, so partial-pack semantics are exercised exactly as on a
-    /// fragmenting transport.
+    /// Fragment size: no callback invocation crosses a multiple of it, so
+    /// partial-pack semantics are exercised exactly as on a fragmenting
+    /// transport. Memory-to-memory copies ignore it.
     pub(crate) frag: usize,
     pub(crate) metrics: &'a FabricMetrics,
     /// The destination's memory regions are fresh (uninitialized): a range
@@ -229,14 +216,65 @@ fn checked_used(used: usize, room: usize, offset: usize, remaining: usize) -> Fa
     Ok(used)
 }
 
-/// Move stream bytes `[lo, hi)` from `src` into `dst`, starting from the
-/// cursors `sa`/`da` (at or before `lo`).
+/// Copy `left` bytes from source region `i` at byte `s_off` on, into
+/// destination region `j` at byte `d_off` on, across as many consecutive
+/// regions of either list as it takes, prefetching the region
+/// [`prefetch::AHEAD`] places on in each list. Returns where it stopped:
+/// `(i, s_off, j, d_off)`.
 ///
-/// A packer that partially fills its buffer is re-invoked at the advanced
-/// offset until the piece is full. Packer→unpacker pieces stage through
-/// `stage`. With `staged` set, bytes bound for the unpacker are not
+/// # Safety
+/// Both lists must hold `left` bytes from the start cursors, and the
+/// regions must satisfy the post contracts (see [`move_range`]).
+unsafe fn copy_regions(
+    src: &[IovEntry],
+    dst: &[IovEntryMut],
+    (mut i, mut s_off): (usize, usize),
+    (mut j, mut d_off): (usize, usize),
+    mut left: usize,
+) -> (usize, usize, usize, usize) {
+    loop {
+        let (s, d) = (src[i], dst[j]);
+        let n = (s.len - s_off).min(d.len - d_off).min(left);
+        let (from, to) = (s.ptr.add(s_off), d.ptr.add(d_off));
+        match n {
+            // One unaligned load and store, not a `memcpy` call: the
+            // 8-byte regions of strided faces (NAS_MG_x, one double each).
+            8 => to
+                .cast::<u64>()
+                .write_unaligned(from.cast::<u64>().read_unaligned()),
+            _ => std::ptr::copy_nonoverlapping(from, to, n),
+        }
+        left -= n;
+        s_off += n;
+        d_off += n;
+        if left == 0 {
+            return (i, s_off, j, d_off);
+        }
+        if s_off == s.len {
+            (i, s_off) = (i + 1, 0);
+            if let Some(r) = src.get(i + prefetch::AHEAD) {
+                prefetch::line(r.ptr);
+            }
+        }
+        if d_off == d.len {
+            (j, d_off) = (j + 1, 0);
+            if let Some(r) = dst.get(j + prefetch::AHEAD) {
+                prefetch::line(r.ptr);
+            }
+        }
+    }
+}
+
+/// Move stream bytes `[lo, hi)` from `src` into `dst`, starting from the
+/// cursors `sa`/`da` (at or before `lo`) and leaving them at the segments
+/// where the walk stopped.
+///
+/// Where both sides are memory, one loop copies across consecutive
+/// regions. A packer that partially fills its buffer is re-invoked at the
+/// advanced offset until the piece is full. Packer→unpacker pieces stage
+/// through `stage`. With `staged` set, bytes bound for the unpacker are not
 /// delivered: they land in `stage` at their packed offset, which the caller
-/// has sized to the unpacker's share of the stream. Errors carry the stream
+/// has sized to the unpacker's share of the range. Errors carry the stream
 /// position they occurred at; the walk stops at the first one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
@@ -245,73 +283,81 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
     dst: &mut Stream<'_, U, IovEntryMut>,
     lo: usize,
     hi: usize,
-    mut sa: At,
-    mut da: At,
+    sa: &mut At,
+    da: &mut At,
     stage: &mut Vec<u8>,
     staged: bool,
 ) -> Result<(), (usize, FabricError)> {
     let mut pos = lo;
     while pos < hi {
-        while sa.start + src.seg_len(sa.seg) <= pos {
-            sa.start += src.seg_len(sa.seg);
-            sa.seg += 1;
-        }
-        while da.start + dst.seg_len(da.seg) <= pos {
-            da.start += dst.seg_len(da.seg);
-            da.seg += 1;
-        }
+        src.seek(sa, pos);
+        dst.seek(da, pos);
         let (s_off, d_off) = (pos - sa.start, pos - da.start);
+        let (s_mem, d_mem) = (src.mem_index(sa.seg), dst.mem_index(da.seg));
+        if let (Some(i), Some(j)) = (s_mem, d_mem) {
+            // SAFETY: post contracts keep the source regions live and
+            // unmutated, and the destination regions live, exclusive and
+            // disjoint from them; both streams hold `hi - pos` more bytes,
+            // and concurrent ranges write disjoint bytes. A raw copy forms
+            // no reference over the destination, which may be fresh.
+            let (i2, s_off, j2, d_off) =
+                unsafe { copy_regions(src.mem, dst.mem, (i, s_off), (j, d_off), hi - pos) };
+            // Only memory follows memory, so the copy reached `hi`.
+            *sa = At {
+                seg: sa.seg + i2 - i,
+                start: hi - s_off,
+            };
+            *da = At {
+                seg: da.seg + j2 - j,
+                start: hi - d_off,
+            };
+            return Ok(());
+        }
         let s_len = src.seg_len(sa.seg);
         let n = (s_len - s_off)
             .min(dst.seg_len(da.seg) - d_off)
             .min(hi - pos)
             .min(w.frag - pos % w.frag);
-        let dseg = dst.seg(da.seg);
-        let bytes: &[u8] = match (src.seg(sa.seg), &dseg) {
-            (Seg::Mem(s), Seg::Mem(d)) => {
-                // SAFETY: post contracts keep the source region live and
-                // unmutated, and the destination region live, exclusive and
-                // disjoint from it; `n` stays inside both, and concurrent
-                // fragments write disjoint ranges. A raw copy forms no
-                // reference over the destination, which may be fresh.
-                unsafe { std::ptr::copy_nonoverlapping(s.ptr.add(s_off), d.ptr.add(d_off), n) };
-                pos += n;
-                continue;
-            }
+        let bytes: &[u8] = match (s_mem, &d_mem) {
             // SAFETY: post contracts keep the source region live and
             // unmutated for the operation; `n` stays inside it.
-            (Seg::Mem(s), Seg::Cb(_)) if !staged => unsafe {
-                std::slice::from_raw_parts(s.ptr.add(s_off), n)
+            (Some(i), None) if !staged => unsafe {
+                std::slice::from_raw_parts(src.mem[i].ptr.add(s_off), n)
             },
-            (sseg, dref) => {
-                let sink: &mut [u8] = match dref {
+            (s_mem, d_mem) => {
+                let sink: &mut [u8] = match d_mem {
                     // Reached only with a packer source.
-                    Seg::Mem(d) => {
+                    Some(j) => {
                         // SAFETY: as for the memory-to-memory copy; a fresh
                         // range is zero-filled first, so the packer is
                         // never handed uninitialized bytes.
                         unsafe {
-                            let at = d.ptr.add(d_off);
+                            let at = dst.mem[*j].ptr.add(d_off);
                             if w.fresh {
                                 std::ptr::write_bytes(at, 0, n);
                             }
                             std::slice::from_raw_parts_mut(at, n)
                         }
                     }
-                    Seg::Cb(_) if staged => &mut stage[d_off..d_off + n],
-                    Seg::Cb(_) => {
+                    None if staged => &mut stage[d_off..d_off + n],
+                    None => {
                         if stage.len() < n {
                             stage.resize(n, 0);
                         }
                         &mut stage[..n]
                     }
                 };
-                match sseg {
+                match s_mem {
                     // SAFETY: as above for the source region.
-                    Seg::Mem(s) => unsafe {
-                        std::ptr::copy_nonoverlapping(s.ptr.add(s_off), sink.as_mut_ptr(), n);
+                    Some(i) => unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            src.mem[i].ptr.add(s_off),
+                            sink.as_mut_ptr(),
+                            n,
+                        );
                     },
-                    Seg::Cb(packer) => {
+                    None => {
+                        let (packer, _) = src.cb.as_mut().expect("segment 0 is the callback");
                         let mut filled = 0;
                         while filled < n {
                             let at = s_off + filled;
@@ -327,7 +373,8 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
                 sink
             }
         };
-        if let (Seg::Cb(unpacker), false) = (dseg, staged) {
+        if let (None, false) = (d_mem, staged) {
+            let (unpacker, _) = dst.cb.as_mut().expect("segment 0 is the callback");
             w.call(true, n, || unpacker.unpack(d_off, bytes))
                 .map_err(|c| (pos, FabricError::UnpackFailed(c)))?;
         }
@@ -339,34 +386,34 @@ pub(crate) fn move_range<P: PackFn, U: UnpackFn>(
 /// Most staging bytes kept between transfers, in fragments.
 const STAGE_KEEP_FRAGS: usize = 64;
 
-/// Run every fragment of a transfer in order on the posting thread and
-/// return the bytes moved.
+/// Move stream bytes `[0, hi)` of a transfer in order on the posting
+/// thread, and return the (source, destination) cursors where it stopped.
 ///
 /// Packers see increasing offsets. With `reverse` set (an out-of-order wire
 /// model and a sender that did not demand `inorder`), the unpacker's bytes
-/// are staged and delivered one fragment per call, last fragment first,
-/// modeling a transport that completes fragments out of order; memory
-/// regions are position-addressed and unaffected. `stage` is reused across
-/// transfers.
+/// in the range are staged and delivered one fragment per call, last
+/// fragment first, modeling a transport that completes fragments out of
+/// order; memory regions are position-addressed and unaffected. `stage` is
+/// reused across transfers.
 pub(crate) fn run_inline(
     w: &Walk<'_>,
     src: &mut Stream<'_, &mut dyn FragmentPacker, IovEntry>,
     dst: &mut Stream<'_, &mut dyn FragmentUnpacker, IovEntryMut>,
+    hi: usize,
     reverse: bool,
     stage: &mut Vec<u8>,
-) -> FabricResult<usize> {
-    let total = src.len();
+) -> FabricResult<(At, At)> {
     // The unpacker's bytes are the stream prefix [0, staged).
     let staged = match &dst.cb {
-        Some((_, len)) if reverse => (*len).min(total),
+        Some((_, len)) if reverse => (*len).min(hi),
         _ => 0,
     };
     if staged > 0 {
         stage.clear();
         stage.resize(staged, 0);
     }
-    let (start, walk_staged) = (At::default(), staged > 0);
-    let r = move_range(w, src, dst, 0, total, start, start, stage, walk_staged)
+    let (mut sa, mut da) = (At::default(), At::default());
+    let r = move_range(w, src, dst, 0, hi, &mut sa, &mut da, stage, staged > 0)
         .map_err(|(_, e)| e)
         .and_then(|()| {
             let Some((unpacker, _)) = dst.cb.as_mut() else {
@@ -384,7 +431,7 @@ pub(crate) fn run_inline(
     if stage.capacity() > STAGE_KEEP_FRAGS * w.frag {
         *stage = Vec::new();
     }
-    r.map(|()| total)
+    r.map(|()| (sa, da))
 }
 
 #[cfg(test)]
@@ -404,7 +451,10 @@ mod tests {
     ) -> FabricResult<usize> {
         let metrics = FabricMetrics::new(&mpicd_obs::Registry::new());
         let w = Walk::new(frag, &metrics, false, false);
-        run_inline(&w, &mut src, &mut dst, reverse, stage)
+        let total = src.cb.as_ref().map_or(0, |(_, len)| *len)
+            + src.mem.iter().map(|e| e.len).sum::<usize>();
+        run_inline(&w, &mut src, &mut dst, total, reverse, stage)?;
+        Ok(total)
     }
 
     /// Unpacker writing into an owned buffer and logging call offsets.

@@ -36,6 +36,9 @@
 //!   concurrent scrapers never see torn output.
 //! * [`export`] — the registry's summary table and Chrome trace-event
 //!   JSON (loadable in `chrome://tracing` / Perfetto).
+//! * [`prefetch`] — the software-prefetch hint and the one rule (stride,
+//!   distance) the plan kernels, the run walker and the fragment engine
+//!   share.
 //! * [`rng`] — a tiny seeded xorshift64* PRNG, shared by tests and
 //!   benchmarks now that the workspace carries no external dependencies.
 //! * [`sync`] — poison-ignoring wrappers over `std::sync` primitives,
@@ -68,6 +71,7 @@ pub mod flight;
 mod fsio;
 pub mod health;
 pub mod metrics;
+pub mod prefetch;
 pub mod rng;
 pub mod sync;
 pub mod telemetry;
