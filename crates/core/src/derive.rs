@@ -155,6 +155,10 @@ impl RandomAccessPacker for TypedPack<'_> {
     fn pack_at(&self, offset: usize, dst: &mut [u8]) -> std::result::Result<usize, i32> {
         Ok(self.packer.pack_at(offset, dst))
     }
+
+    fn runs(&self) -> Option<usize> {
+        Some(self.packer.runs())
+    }
 }
 
 /// Receive context for a derived value: scatters through the committed
@@ -205,6 +209,10 @@ impl RandomAccessUnpacker for TypedUnpack<'_> {
     fn unpack_at(&self, offset: usize, src: &[u8]) -> std::result::Result<(), i32> {
         self.unpacker.unpack_at(offset, src);
         Ok(())
+    }
+
+    fn runs(&self) -> Option<usize> {
+        Some(self.unpacker.runs())
     }
 }
 

@@ -66,6 +66,11 @@ impl DatatypePacker {
                 .pack_segment(self.base, self.count, offset, dst)
         }
     }
+
+    /// Contiguous memory runs the packed stream gathers.
+    pub fn runs(&self) -> usize {
+        runs(&self.committed, self.count)
+    }
 }
 
 /// A resumable unpacker: scatters arbitrary byte ranges of an incoming
@@ -119,6 +124,21 @@ impl DatatypeUnpacker {
             self.committed
                 .unpack_segment(self.base, self.count, offset, src)
         }
+    }
+
+    /// Contiguous memory runs the packed stream scatters into.
+    pub fn runs(&self) -> usize {
+        runs(&self.committed, self.count)
+    }
+}
+
+/// Contiguous runs of `count` elements of `committed`: one for a dense
+/// type, else its merged blocks per element, `count` times.
+fn runs(committed: &Committed, count: usize) -> usize {
+    if committed.is_contiguous() {
+        1
+    } else {
+        committed.block_count().saturating_mul(count)
     }
 }
 

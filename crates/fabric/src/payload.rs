@@ -123,6 +123,14 @@ pub trait RandomAccessPacker: Sync {
     /// concurrently: the engine guarantees concurrent calls use disjoint
     /// offset ranges.
     fn pack_at(&self, offset: usize, dst: &mut [u8]) -> Result<usize, i32>;
+
+    /// How many contiguous memory runs the packed stream gathers, if the
+    /// packer knows: the fragment engine then models its cost like a
+    /// region list when deciding whether to pool it. `None` (the default)
+    /// leaves it opaque, charged one pool job per fragment.
+    fn runs(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Shared, offset-addressed view of an unpacker (see [`RandomAccessPacker`]).
@@ -136,6 +144,12 @@ pub trait RandomAccessUnpacker: Sync {
     /// packed stream. The engine guarantees concurrent calls use disjoint
     /// offset ranges.
     fn unpack_at(&self, offset: usize, src: &[u8]) -> Result<(), i32>;
+
+    /// How many contiguous memory runs the packed stream scatters into,
+    /// if known (see [`RandomAccessPacker::runs`]).
+    fn runs(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Application-side packer invoked fragment by fragment

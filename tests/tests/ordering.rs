@@ -3,12 +3,15 @@
 //! * MPI's non-overtaking guarantee across many interleaved tags,
 //! * the `inorder` flag (Listing 2): offset-addressed unpackers tolerate
 //!   out-of-order fragment delivery, in-order unpackers demand (and get)
-//!   monotonic offsets when the flag is set.
+//!   monotonic offsets when the flag is set,
+//! * an out-of-order wire reorders fragments whether they run inline or
+//!   on the fragment engine's worker pool.
 
-use mpicd::datatype::{CustomPack, CustomUnpack};
-use mpicd::fabric::WireModel;
+use mpicd::datatype::{CustomPack, CustomUnpack, RandomAccessPacker, RandomAccessUnpacker};
+use mpicd::fabric::{PipelineConfig, WireModel};
 use mpicd::{Result, World};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 #[test]
 fn non_overtaking_across_interleaved_tags() {
@@ -77,12 +80,16 @@ impl CustomPack for StreamPack {
     }
 }
 
-fn run_fragmented(inorder: bool, ooo_wire: bool) -> Vec<usize> {
-    let model = WireModel {
+fn fragmented_model(ooo_wire: bool) -> WireModel {
+    WireModel {
         frag_size: 256,
         out_of_order_fragments: ooo_wire,
         ..WireModel::default()
-    };
+    }
+}
+
+fn run_fragmented(inorder: bool, ooo_wire: bool) -> Vec<usize> {
+    let model = fragmented_model(ooo_wire);
     let world = World::with_model(2, model);
     let (a, b) = world.pair();
     let sctx = Box::new(StreamPack {
@@ -125,6 +132,84 @@ fn ooo_wire_reorders_when_allowed() {
 fn in_order_wire_is_monotonic_regardless() {
     let offsets = run_fragmented(false, false);
     assert!(offsets.windows(2).all(|w| w[0] < w[1]));
+}
+
+/// Offset-addressed packer over owned data: the pool may take its bytes.
+struct RandomPack(Vec<u8>);
+
+impl CustomPack for RandomPack {
+    fn packed_size(&self) -> Result<usize> {
+        Ok(self.0.len())
+    }
+    fn pack(&mut self, offset: usize, dst: &mut [u8]) -> Result<usize> {
+        Ok(self.pack_at(offset, dst).unwrap())
+    }
+    fn inorder(&self) -> bool {
+        false
+    }
+    fn random_access(&self) -> Option<&dyn RandomAccessPacker> {
+        Some(self)
+    }
+}
+
+impl RandomAccessPacker for RandomPack {
+    fn pack_at(&self, offset: usize, dst: &mut [u8]) -> std::result::Result<usize, i32> {
+        let n = dst.len().min(self.0.len() - offset);
+        dst[..n].copy_from_slice(&self.0[offset..offset + n]);
+        Ok(n)
+    }
+}
+
+/// Offset-recording unpacker with a random-access view.
+struct RandomRecorder {
+    expected: usize,
+    offsets: Mutex<Vec<usize>>,
+}
+
+impl CustomUnpack for RandomRecorder {
+    fn packed_size(&self) -> Result<usize> {
+        Ok(self.expected)
+    }
+    fn unpack(&mut self, offset: usize, src: &[u8]) -> Result<()> {
+        self.unpack_at(offset, src).unwrap();
+        Ok(())
+    }
+    fn random_access(&self) -> Option<&dyn RandomAccessUnpacker> {
+        Some(self)
+    }
+}
+
+impl RandomAccessUnpacker for RandomRecorder {
+    fn unpack_at(&self, offset: usize, _src: &[u8]) -> std::result::Result<(), i32> {
+        self.offsets.lock().unwrap().push(offset);
+        Ok(())
+    }
+}
+
+/// Eight fragments of random-access callbacks at two threads go to the
+/// worker pool. On an out-of-order wire it claims them last first, so
+/// one of the two lanes runs two of them in falling order whatever the
+/// schedule, and the unpacker never sees a monotonic sequence.
+#[test]
+fn ooo_wire_reorders_pooled_fragments() {
+    let world =
+        World::with_model_and_pipeline(2, fragmented_model(true), PipelineConfig::with_threads(2));
+    let (a, b) = world.pair();
+    let sctx = Box::new(RandomPack((0..2048u32).map(|i| i as u8).collect()));
+    let mut rctx = RandomRecorder {
+        expected: 2048,
+        offsets: Mutex::new(Vec::new()),
+    };
+    mpicd::transfer_custom(&a, &b, sctx, &mut rctx, 0).unwrap();
+    assert_eq!(world.fabric().stats().pipelined, 1, "the pool ran it");
+    let offsets = rctx.offsets.into_inner().unwrap();
+    assert!(
+        offsets.windows(2).any(|w| w[0] > w[1]),
+        "expected reordering: {offsets:?}"
+    );
+    let mut sorted = offsets.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, (0..8).map(|i| i * 256).collect::<Vec<_>>());
 }
 
 #[test]
