@@ -19,13 +19,21 @@
 //! The table reports pack throughput per engine plus the compiled/
 //! interpreted and compiled/convertor speedups, and a second table shows
 //! how far each plan canonicalizes the layout (merged blocks → plan ops).
-//! Byte-identity across all three engines is asserted on every pattern
-//! before anything is timed.
+//! A third table, printed only, times each pattern's first commit per
+//! engine: the commit layer's cost. Byte-identity across all three
+//! engines is asserted on every pattern before anything is timed.
 
 use mpicd_bench::harness::Sample;
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
 use mpicd_datatype::{Committed, Datatype};
 use std::time::Instant;
+
+/// `f()` and its wall time in µs.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Sample) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, Sample::point(t0.elapsed().as_secs_f64() * 1e6, 0.0))
+}
 
 /// Fragment size of the timed pack loop — the fabric's generic-payload
 /// default granularity.
@@ -107,11 +115,18 @@ fn main() {
         "count",
         vec!["merged blocks".into(), "plan ops".into()],
     );
+    let mut commit_us = Table::new(
+        "Cold commit time (one commit per engine)",
+        "pattern",
+        "µs",
+        vec!["commit".into(), "interpreted".into(), "convertor".into()],
+    );
 
     for (name, dt, count, base) in patterns(target) {
-        let convertor = dt.commit_convertor().expect("valid datatype");
-        let interpreted = dt.commit_interpreted().expect("valid datatype");
-        let compiled = dt.commit().expect("valid datatype");
+        let (convertor, conv_us) = timed(|| dt.commit_convertor().expect("valid datatype"));
+        let (interpreted, interp_us) = timed(|| dt.commit_interpreted().expect("valid datatype"));
+        let (compiled, comp_us) = timed(|| dt.commit().expect("valid datatype"));
+        commit_us.push(&name, vec![Some(comp_us), Some(interp_us), Some(conv_us)]);
         let base = &base[..];
         assert!(compiled.required_span(count).expect("span fits") <= base.len());
 
@@ -163,15 +178,14 @@ fn main() {
 
     tput.print();
     shape.print();
+    commit_us.print();
     emit_json("ablation_pack_plan", &tput);
     emit_json("ablation_pack_plan_shape", &shape);
 
-    // Plan observability: cache traffic and per-kernel byte attribution.
+    // Plan observability: per-kernel byte attribution.
     let snap = mpicd_obs::global().snapshot();
     println!("# plan counters");
     for name in [
-        "plan.cache.hits",
-        "plan.cache.misses",
         "plan.kernel.memcpy_bytes",
         "plan.kernel.fixed4_bytes",
         "plan.kernel.fixed16_bytes",

@@ -76,7 +76,7 @@ fn typed_exchange(
 #[test]
 fn enforce_rejects_mismatched_typed_pair() {
     let (ffi, fif) = acceptance_pair();
-    let (sent_sig, expected_sig) = (signature64(&ffi), signature64(&fif));
+    let (sent_sig, expected_sig) = (signature64(&ffi).unwrap(), signature64(&fif).unwrap());
     assert_ne!(sent_sig, expected_sig, "the pair must have distinct keys");
 
     let w = world(TypecheckMode::Enforce);
@@ -155,14 +155,14 @@ fn marshalled_header_carries_signature_to_the_fabric() {
     // Sender side: marshal the datatype with its structural key in the
     // 0xC6 header frame, as the context path does for marshalled sends.
     let (ffi, fif) = acceptance_pair();
-    let sig = signature64(&ffi);
+    let sig = signature64(&ffi).unwrap();
     let wire = marshal_with_header(&ffi, sig);
 
     // Receiver side: decode the frame; the key survives the round trip
     // and still matches the decoded type's own key.
     let (decoded, wire_sig) = unmarshal_with_header(&wire).unwrap();
     assert_eq!(wire_sig, sig);
-    assert_eq!(signature64(&decoded), sig);
+    assert_eq!(signature64(&decoded).unwrap(), sig);
 
     // Drive the decoded type into a mismatched posted receive under
     // enforce: the fabric rejects with exactly the marshalled key.
@@ -176,7 +176,7 @@ fn marshalled_header_carries_signature_to_the_fabric() {
     match err {
         FabricError::TypeMismatch { sent, expected } => {
             assert_eq!(sent, wire_sig, "fabric enforces the marshalled key");
-            assert_eq!(expected, signature64(&fif));
+            assert_eq!(expected, signature64(&fif).unwrap());
         }
         other => panic!("expected TypeMismatch, got {other:?}"),
     }
@@ -196,15 +196,19 @@ fn ddtbench_key_collisions_imply_identical_type_maps() {
     }
     let mut distinct = std::collections::HashSet::new();
     for (name, t) in &types {
-        let k = key64(&structural_key(t));
+        let k = key64(&structural_key(t).unwrap());
         assert_ne!(k, 0, "{name}: key64 never returns the unchecked sentinel");
-        assert_eq!(k, signature64(t), "{name}: signature64 is key64 of the key");
+        assert_eq!(
+            k,
+            signature64(t).unwrap(),
+            "{name}: signature64 is key64 of the key"
+        );
         distinct.insert(k);
     }
     assert!(distinct.len() > 1, "patterns must not all collide");
     for (i, (na, a)) in types.iter().enumerate() {
         for (nb, b) in &types[i + 1..] {
-            if key64(&structural_key(a)) == key64(&structural_key(b)) {
+            if key64(&structural_key(a).unwrap()) == key64(&structural_key(b).unwrap()) {
                 assert_eq!(
                     type_map(a),
                     type_map(b),

@@ -174,7 +174,8 @@ pub unsafe extern "C" fn MPI_Type_commit(datatype: *mut MPI_Datatype) -> c_int {
 
 /// `MPI_Get_count`: elements received, from a status and a datatype.
 /// Returns `MPI_ERR_TYPE` when the byte count is not a whole number of
-/// elements (MPI would set `MPI_UNDEFINED`).
+/// elements (MPI would set `MPI_UNDEFINED`), or when a derived type's
+/// layout overflows.
 ///
 /// # Safety
 /// `status` and `count` must be valid pointers.
@@ -193,7 +194,10 @@ pub unsafe extern "C" fn MPI_Get_count(
         MPI_DOUBLE | MPI_INT64_T => 8,
         _ => match crate::handles::lookup_type(datatype) {
             Ok(TypeEntry::Committed(c)) => c.size(),
-            Ok(TypeEntry::Derived(t)) => t.size(),
+            Ok(TypeEntry::Derived(t)) => match t.layout() {
+                Ok(l) => l.size,
+                Err(_) => return MPI_ERR_TYPE,
+            },
             _ => return MPI_ERR_TYPE,
         },
     };
@@ -227,7 +231,8 @@ pub unsafe extern "C" fn MPI_Type_free(datatype: *mut MPI_Datatype) -> c_int {
 ///
 /// Works on predefined handles, derived (uncommitted) types, and committed
 /// types. Custom-callback types have no declared type map and report `0`
-/// ("unchecked"), matching how their sends travel on the wire.
+/// ("unchecked"), matching how their sends travel on the wire. A derived
+/// type whose layout overflows has none: `MPI_ERR_TYPE`, as its commit.
 ///
 /// # Safety
 /// `signature` must be a valid pointer.
@@ -237,7 +242,11 @@ pub unsafe extern "C" fn MPIX_Type_signature(datatype: MPI_Datatype, signature: 
         return MPI_ERR_ARG;
     }
     if let Ok(t) = resolve_element_type(datatype) {
-        *signature = mpicd_datatype::signature64(&t);
+        // A layout that overflows has no signature.
+        let Ok(sig) = mpicd_datatype::signature64(&t) else {
+            return MPI_ERR_TYPE;
+        };
+        *signature = sig;
         return MPI_SUCCESS;
     }
     match crate::handles::lookup_type(datatype) {

@@ -1,19 +1,20 @@
 //! Committed (flattened, optimized) datatypes.
 //!
 //! `MPI_Type_commit` gives implementations a chance to build an optimized
-//! internal description. Ours flattens the type tree into a merged list of
-//! `(byte offset, byte length)` blocks in pack order, with a packed-offset
-//! prefix table that makes the pack engine *resumable*: any byte range of
-//! the packed stream can be produced independently, which is what pipelined
-//! fragment protocols need.
+//! internal description. Ours walks the type tree once, run by run (a
+//! block of a dense child is one run, whatever its primitive count), into
+//! a merged list of `(byte offset, byte length)` blocks in pack order,
+//! hashing the type's structural signature in the same walk. A
+//! packed-offset prefix table makes the pack engine *resumable*: any byte
+//! range of the packed stream can be produced independently, which is
+//! what pipelined fragment protocols need.
 
 // Audited unsafe: pack/unpack over caller-described memory; every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
 
 use crate::error::{DatatypeError, DatatypeResult};
-use crate::plan::{self, PackPlan};
-use crate::typ::Datatype;
-use std::sync::Arc;
+use crate::plan::PackPlan;
+use crate::typ::{Datatype, Grain, Layout};
 
 /// A committed datatype: flattened block list plus derived layout facts.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ pub struct Committed {
     convertor: bool,
     /// Compiled pack plan (see [`mod@crate::plan`]); `None` on the
     /// interpreted and convertor paths.
-    plan: Option<Arc<PackPlan>>,
+    plan: Option<PackPlan>,
     /// Stable 64-bit structural signature ([`crate::equivalence::key64`] of
     /// the type's structural key), computed once at commit time because the
     /// flattened form does not retain the type tree. Never zero.
@@ -44,13 +45,15 @@ pub struct Committed {
 }
 
 impl Committed {
-    /// Flatten and optimize `t`: adjacent typemap runs are merged, then
-    /// the block list is compiled into a strided-kernel pack plan (shared
-    /// through the process-wide plan registry; see [`mod@crate::plan`]).
+    /// Flatten and optimize `t`: adjacent runs are merged, then the block
+    /// list is compiled into a strided-kernel pack plan (see
+    /// [`mod@crate::plan`]).
     pub fn new(t: &Datatype) -> DatatypeResult<Self> {
-        let mut c = Self::build(t, true)?;
+        let layout = t.layout()?;
+        let _sp = mpicd_obs::span!("dt.commit", "datatype", layout.size);
+        let mut c = Self::build(t, &layout, Grain::Runs)?;
         if c.size > 0 {
-            c.plan = Some(plan::lookup_or_compile(t, &c.blocks, c.size, c.extent));
+            c.plan = Some(PackPlan::compile(&c.blocks, c.size, c.extent));
         }
         Ok(c)
     }
@@ -62,7 +65,9 @@ impl Committed {
     /// interpreted-vs-compiled ablation (`ablation_pack_plan`) and for
     /// byte-identity property tests.
     pub fn new_interpreted(t: &Datatype) -> DatatypeResult<Self> {
-        Self::build(t, true)
+        let layout = t.layout()?;
+        let _sp = mpicd_obs::span!("dt.commit_interpreted", "datatype", layout.size);
+        Self::build(t, &layout, Grain::Runs)
     }
 
     /// Flatten `t` the way a generalized convertor sees it: one block per
@@ -78,22 +83,34 @@ impl Committed {
     /// Open MPI type representation is not able to handle efficiently").
     /// Byte-for-byte output is identical to [`Self::new`].
     pub fn new_convertor(t: &Datatype) -> DatatypeResult<Self> {
-        let merged = Self::build(t, true)?;
-        if merged.is_contiguous() {
+        let layout = t.layout()?;
+        let _sp = mpicd_obs::span!("dt.commit_convertor", "datatype", layout.size);
+        let mut c = Self::build(t, &layout, Grain::Described)?;
+        // Contiguity, read from the described blocks: back to back from
+        // offset 0 up to the extent.
+        let back_to_back = c.blocks.iter().try_fold(0, |end, &(off, len)| {
+            (off == end).then_some(off + len as isize)
+        });
+        if c.size == c.extent && c.lb == 0 && back_to_back.is_some() {
             // Dense types collapse to a single memcpy in real engines too.
-            return Ok(merged);
+            let size = c.size;
+            c.blocks.truncate(1);
+            c.prefix.truncate(1);
+            c.blocks.iter_mut().for_each(|block| block.1 = size);
+        } else {
+            c.convertor = true;
         }
-        let mut c = Self::build(t, false)?;
-        c.convertor = true;
         Ok(c)
     }
 
-    fn build(t: &Datatype, merge: bool) -> DatatypeResult<Self> {
+    /// One walk of `t` at `grain`: the blocks (merged when memory-adjacent
+    /// at [`Grain::Runs`], one per described entry otherwise) and the
+    /// structural signature.
+    fn build(t: &Datatype, layout: &Layout, grain: Grain) -> DatatypeResult<Self> {
+        let merge = grain == Grain::Runs;
         let mut blocks: Vec<(isize, usize)> = Vec::new();
-        let mut push = |off: isize, len: usize| {
-            if len == 0 {
-                return;
-            }
+        let sig64 = crate::equivalence::digest(t, layout, grain, |p, off, n| {
+            let len = n * p.size();
             match blocks.last_mut() {
                 // Merge runs that are adjacent in both memory and pack order.
                 Some((last_off, last_len)) if merge && *last_off + *last_len as isize == off => {
@@ -101,40 +118,37 @@ impl Committed {
                 }
                 _ => blocks.push((off, len)),
             }
-        };
-        if merge {
-            t.walk(0, &mut push);
-        } else {
-            t.walk_blocks(0, &mut push);
-        }
+        })?;
         let mut prefix = Vec::with_capacity(blocks.len());
         let mut acc = 0usize;
         for (_, len) in &blocks {
             prefix.push(acc);
             acc += len;
         }
-        debug_assert_eq!(acc, t.size(), "flattened size matches MPI_Type_size");
-        let max_end = blocks
-            .iter()
-            .map(|(off, len)| off + *len as isize)
-            .max()
-            .unwrap_or(0);
+        debug_assert_eq!(acc, layout.size, "flattened size matches MPI_Type_size");
+        let max_end = blocks.iter().map(|(off, len)| off + *len as isize).max();
+        let min_off = blocks.iter().map(|(off, _)| *off).min();
+        // The distance between any two blocks must fit too.
+        max_end
+            .unwrap_or(0)
+            .checked_sub(min_off.unwrap_or(0))
+            .ok_or(DatatypeError::LayoutOverflow)?;
         Ok(Self {
             blocks,
             prefix,
             size: acc,
-            extent: t.extent(),
-            lb: t.lb(),
-            max_end,
+            extent: layout.extent(),
+            lb: layout.lb,
+            max_end: max_end.unwrap_or(0),
             convertor: false,
             plan: None,
-            sig64: crate::equivalence::signature64(t),
+            sig64,
         })
     }
 
     /// The compiled pack plan, when this commit went through the plan
     /// compiler (convertor and interpreted commits have none).
-    pub fn plan(&self) -> Option<&Arc<PackPlan>> {
+    pub fn plan(&self) -> Option<&PackPlan> {
         self.plan.as_ref()
     }
 
@@ -563,6 +577,50 @@ mod tests {
     }
 
     #[test]
+    fn dense_terabyte_commits_to_one_block_and_one_op() {
+        // 2^37 doubles: one run, so commit costs one step, not 2^37.
+        let t = Datatype::contiguous(1 << 37, dbl());
+        let c = t.commit().unwrap();
+        assert_eq!(c.blocks(), &[(0, 1 << 40)]);
+        assert!(c.is_contiguous());
+        let ops = c.plan().unwrap().ops();
+        assert_eq!(
+            ops,
+            &[crate::PlanOp::Contig {
+                mem: 0,
+                len: 1 << 40
+            }]
+        );
+        let conv = t.commit_convertor().unwrap();
+        assert_eq!(conv.blocks(), c.blocks());
+        assert_eq!(conv.signature64(), c.signature64());
+    }
+
+    #[test]
+    fn layout_overflow_fails_every_commit_path() {
+        let overflow = DatatypeError::LayoutOverflow;
+        for t in [
+            // A wrapped displacement: release once committed it at size 16.
+            Datatype::vector(2, 1, isize::MAX / 4, dbl()),
+            // An upper bound past isize::MAX.
+            Datatype::hvector(3, 1, isize::MAX / 2, dbl()),
+            // A size past usize::MAX: once a walk of 2^62 primitives.
+            Datatype::contiguous(usize::MAX / 4, dbl()),
+            // A displacement past isize::MAX below a resize that hides it.
+            Datatype::hindexed(
+                vec![(1, isize::MAX - 16)],
+                Datatype::resized(0, 8, Datatype::hindexed(vec![(1, 64)], dbl())),
+            ),
+        ] {
+            assert_eq!(t.commit().unwrap_err(), overflow, "{t:?}");
+            assert_eq!(t.commit_interpreted().unwrap_err(), overflow);
+            assert_eq!(t.commit_convertor().unwrap_err(), overflow);
+            assert_eq!(crate::signature64(&t), Err(overflow.clone()));
+            assert_eq!(crate::structural_key(&t), Err(overflow.clone()));
+        }
+    }
+
+    #[test]
     fn empty_type_packs_nothing() {
         let c = Datatype::contiguous(0, int()).commit().unwrap();
         assert_eq!(c.pack_slice(&[], 0).unwrap(), Vec::<u8>::new());
@@ -616,7 +674,7 @@ mod tests {
         assert_eq!(plan.signature64(), conv.signature64());
         assert_eq!(
             plan.signature64(),
-            crate::equivalence::signature64(&t),
+            crate::equivalence::signature64(&t).unwrap(),
             "commit stores the tree's digest verbatim"
         );
     }

@@ -44,6 +44,9 @@ pub enum DatatypeError {
     },
     /// A constructor was given inconsistent arguments.
     InvalidArgument(&'static str),
+    /// The type's size, bounds or a displacement does not fit `isize`
+    /// (see [`crate::Datatype::layout`]).
+    LayoutOverflow,
 }
 
 impl fmt::Display for DatatypeError {
@@ -70,6 +73,7 @@ impl fmt::Display for DatatypeError {
                 write!(f, "{count} elements exceed the address space")
             }
             Self::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
+            Self::LayoutOverflow => write!(f, "datatype layout overflows isize"),
         }
     }
 }

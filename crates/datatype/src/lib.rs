@@ -7,8 +7,10 @@
 //! from predefined types and displacements (MPI 4.1 §5.1), the standard
 //! constructors (`contiguous`, `vector`, `hvector`, `indexed`, `hindexed`,
 //! `indexed_block`, `struct`, `resized`), extent/lower-bound rules with
-//! alignment padding, and a commit step that flattens a type into an
-//! optimized block list used by a resumable pack/unpack engine.
+//! alignment padding, and a commit step that walks a type once, run by
+//! run (never primitive by primitive), into an optimized block list, a
+//! compiled pack plan and a structural signature, used by a resumable
+//! pack/unpack engine.
 //!
 //! It plays the role Open MPI's datatype engine (driven through RSMPI)
 //! plays in the paper's figures:
@@ -43,4 +45,4 @@ pub use error::{DatatypeError, DatatypeResult};
 pub use marshal::{marshal, marshal_with_header, unmarshal, unmarshal_with_header};
 pub use plan::{Kernel, PackPlan, PlanOp};
 pub use primitive::Primitive;
-pub use typ::Datatype;
+pub use typ::{Datatype, Layout};

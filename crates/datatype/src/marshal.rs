@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn header_frame_roundtrips() {
         let t = sample();
-        let sig = crate::equivalence::signature64(&t);
+        let sig = crate::equivalence::signature64(&t).unwrap();
         let bytes = marshal_with_header(&t, sig);
         assert_eq!(bytes[0], SIG_MAGIC);
         assert_eq!(bytes.len(), marshal(&t).len() + 9);

@@ -26,10 +26,6 @@
 //!    blocks, and a generic fallback for everything else. The choice is a
 //!    pure function of the op's shape, fixed when the plan is compiled,
 //!    so every process runs the same kernels.
-//! 3. **Cache** compiled plans in a process-wide registry keyed by the
-//!    structural type signature ([`crate::equivalence::structural_key`]),
-//!    so recommitting an equivalent type — benchmark harnesses and
-//!    long-running applications do this constantly — skips compilation.
 //!
 //! The executor keeps the engine's resumable contract: any byte range of
 //! the packed stream can be produced or consumed independently, so plans
@@ -38,22 +34,20 @@
 //! blocks of a segment go through the byte-accurate generic path, so a
 //! fragment boundary can fall anywhere — including mid-word.
 //!
-//! Observability: `plan.cache.hits` / `plan.cache.misses` count registry
-//! lookups and `plan.kernel.*_bytes` attribute every copied byte to the
-//! kernel that moved it (see `mpicd-obs` and `docs/PERFORMANCE.md`).
-//! `MPICD_PLAN_CACHE_CAP` bounds the registry (default 1024 plans); the
-//! plan-free merged-block engine stays reachable through
+//! Every commit compiles its own plan: compiling costs less than the
+//! commit's walk over the type's runs, so a registry of plans keyed by
+//! type would save nothing it does not spend on its key.
+//!
+//! Observability: `plan.kernel.*_bytes` attribute every copied byte to
+//! the kernel that moved it (see `mpicd-obs` and `docs/PERFORMANCE.md`).
+//! The plan-free merged-block engine stays reachable through
 //! [`crate::Datatype::commit_interpreted`].
 
 // Audited unsafe: compiled-plan kernels over raw memory; every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
 
-use crate::equivalence::{structural_key, StructuralKey};
-use crate::typ::Datatype;
 use mpicd_obs::metrics::Counter;
 use mpicd_obs::prefetch;
-use mpicd_obs::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Copy kernel of a plan op, selected when the plan is compiled.
@@ -245,7 +239,7 @@ impl PlanOp {
 /// Byte-for-byte, a plan's output is identical to the interpreted engine's
 /// (asserted by the workspace property tests); only the loop structure
 /// and copy kernels differ.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PackPlan {
     ops: Vec<PlanOp>,
     /// `prefix[i]` = packed bytes preceding op `i` within one element.
@@ -1102,8 +1096,6 @@ unsafe fn exec_op<const PACK: bool>(
 /// Cached `Arc<Counter>` handles so the hot path pays one relaxed atomic
 /// add per kernel per segment, not a registry lookup.
 struct PlanCounters {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
     kernel_bytes: [Arc<Counter>; KERNELS],
 }
 
@@ -1112,8 +1104,6 @@ fn counters() -> &'static PlanCounters {
     C.get_or_init(|| {
         let r = mpicd_obs::global();
         PlanCounters {
-            hits: r.counter("plan.cache.hits"),
-            misses: r.counter("plan.cache.misses"),
             kernel_bytes: [
                 r.counter("plan.kernel.memcpy_bytes"),
                 r.counter("plan.kernel.fixed4_bytes"),
@@ -1137,57 +1127,11 @@ fn flush_tally(tally: &[u64; KERNELS]) {
     }
 }
 
-// ---- process-wide plan cache -----------------------------------------------
-
-/// `MPICD_PLAN_CACHE_CAP`: max cached plans (insertions stop beyond it),
-/// read once and validated loudly (see `mpicd_obs::config`).
-fn cache_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        mpicd_obs::config::env_bounded("MPICD_PLAN_CACHE_CAP", 1024, 1 << 24) as usize
-    })
-}
-
-fn cache() -> &'static Mutex<HashMap<StructuralKey, Arc<PackPlan>>> {
-    static CACHE: OnceLock<Mutex<HashMap<StructuralKey, Arc<PackPlan>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Number of plans currently in the process-wide registry.
-pub fn cache_len() -> usize {
-    cache().lock().len()
-}
-
-/// Fetch the compiled plan for `t`, compiling and caching on first sight.
-///
-/// `blocks`/`size`/`extent` are the already-flattened facts from
-/// [`crate::Committed`] (so a cache miss does not re-walk the tree). Two
-/// structurally equivalent types — same type map, extent and lower bound,
-/// regardless of which constructors described them — share one plan.
-pub fn lookup_or_compile(
-    t: &Datatype,
-    blocks: &[(isize, usize)],
-    size: usize,
-    extent: usize,
-) -> Arc<PackPlan> {
-    let key = structural_key(t);
-    if let Some(plan) = cache().lock().get(&key) {
-        counters().hits.inc();
-        return Arc::clone(plan);
-    }
-    counters().misses.inc();
-    let plan = Arc::new(PackPlan::compile(blocks, size, extent));
-    let mut map = cache().lock();
-    if map.len() < cache_cap() {
-        map.insert(key, Arc::clone(&plan));
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::primitive::Primitive;
+    use crate::typ::Datatype;
 
     fn plan_of(t: &Datatype) -> PackPlan {
         let c = crate::Committed::new(t).unwrap();
@@ -1427,19 +1371,5 @@ mod tests {
             }
             assert_eq!(out, full, "cut={cut}");
         }
-    }
-
-    #[test]
-    fn cache_hits_on_equivalent_types() {
-        // contiguous(4, int) and vector(2,2,2, int) share a type map.
-        let a = Datatype::contiguous(4, Datatype::Predefined(Primitive::Int32));
-        let b = Datatype::vector(2, 2, 2, Datatype::Predefined(Primitive::Int32));
-        let ca = crate::Committed::new(&a).unwrap();
-        let before = mpicd_obs::global().snapshot().counter("plan.cache.hits");
-        let pa = lookup_or_compile(&a, ca.blocks(), ca.size(), ca.extent());
-        let pb = lookup_or_compile(&b, ca.blocks(), ca.size(), ca.extent());
-        let after = mpicd_obs::global().snapshot().counter("plan.cache.hits");
-        assert!(Arc::ptr_eq(&pa, &pb), "equivalent types share one plan");
-        assert!(after > before, "second lookup hit the cache");
     }
 }

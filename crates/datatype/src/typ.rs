@@ -162,321 +162,270 @@ impl Datatype {
 
     // ---- layout queries ---------------------------------------------------
 
-    /// Number of data bytes (`MPI_Type_size`).
-    pub fn size(&self) -> usize {
-        match self {
-            Self::Predefined(p) => p.size(),
-            Self::Contiguous { count, child } => count * child.size(),
-            Self::Vector {
-                count,
-                blocklength,
-                child,
-                ..
-            }
-            | Self::Hvector {
-                count,
-                blocklength,
-                child,
-                ..
-            } => count * blocklength * child.size(),
-            Self::Indexed { blocks, child } | Self::Hindexed { blocks, child } => {
-                blocks.iter().map(|(bl, _)| bl * child.size()).sum()
-            }
-            Self::Struct { fields } => fields.iter().map(|(bl, _, t)| bl * t.size()).sum(),
-            Self::Resized { child, .. } => child.size(),
-        }
-    }
-
-    /// Maximum alignment of any constituent primitive (the struct epsilon).
-    pub fn alignment(&self) -> usize {
-        match self {
-            Self::Predefined(p) => p.alignment(),
-            Self::Contiguous { child, .. }
-            | Self::Vector { child, .. }
-            | Self::Hvector { child, .. }
-            | Self::Indexed { child, .. }
-            | Self::Hindexed { child, .. }
-            | Self::Resized { child, .. } => child.alignment(),
-            Self::Struct { fields } => fields
-                .iter()
-                .map(|(_, _, t)| t.alignment())
-                .max()
-                .unwrap_or(1),
-        }
-    }
-
-    /// `(lb, ub)` — lower and upper bound in bytes, before resizing.
+    /// Size, bounds and alignment, checked over the whole tree: every
+    /// node's size, bounds and extent must fit `isize`, or the type is
+    /// rejected with [`DatatypeError::LayoutOverflow`] (commit reports
+    /// it; [`Self::size`], [`Self::extent`] and [`Self::lb`] panic with
+    /// it). The cost is that of the type's description, not of its type
+    /// map: an `(h)vector`'s hull is that of its first and last blocks.
     ///
     /// For `Struct`, the upper bound is padded to the type's alignment (the
     /// MPI "epsilon"), matching what a C compiler does for the
     /// corresponding struct — this is what makes `struct-simple` have
     /// extent 24 with a trailing gap-free layout of 20 data bytes.
-    pub fn bounds(&self) -> (isize, isize) {
-        match self {
-            Self::Predefined(p) => (0, p.size() as isize),
+    pub fn layout(&self) -> DatatypeResult<Layout> {
+        let mut h = None;
+        let (size, align) = match self {
+            Self::Predefined(p) => {
+                h = Some((0, p.size() as isize));
+                (p.size(), p.alignment())
+            }
             Self::Contiguous { count, child } => {
-                let (lb, _) = child.bounds();
-                let ext = child.extent() as isize;
-                if *count == 0 {
-                    (0, 0)
-                } else {
-                    (lb, lb + ext * *count as isize)
-                }
+                let c = child.layout()?;
+                hull(&mut h, &c, 0, *count)?;
+                (times(*count, c.size)?, c.align)
             }
             Self::Vector {
                 count,
-                blocklength,
-                stride,
+                blocklength: bl,
                 child,
-            } => span_blocks(
-                (0..*count).map(|i| (*blocklength, *stride * i as isize)),
-                child,
-                child.extent() as isize,
-            ),
-            Self::Hvector {
+                ..
+            }
+            | Self::Hvector {
                 count,
-                blocklength,
-                stride_bytes,
+                blocklength: bl,
                 child,
-            } => span_blocks_bytes(
-                (0..*count).map(|i| (*blocklength, *stride_bytes * i as isize)),
-                child,
-            ),
-            Self::Indexed { blocks, child } => {
-                span_blocks(blocks.iter().copied(), child, child.extent() as isize)
+                ..
+            } => {
+                let c = child.layout()?;
+                if *count > 0 && *bl > 0 {
+                    let last = match count - 1 {
+                        0 => Some(0),
+                        n => isize::try_from(n)
+                            .ok()
+                            .zip(self.unit(c.extent() as isize))
+                            .and_then(|(n, u)| u.checked_mul(n)),
+                    };
+                    let last = last.ok_or(OVERFLOW)?;
+                    hull(&mut h, &c, last.min(0), *bl)?;
+                    hull(&mut h, &c, last.max(0), *bl)?;
+                }
+                (times(*count, *bl).and_then(|n| times(n, c.size))?, c.align)
             }
-            Self::Hindexed { blocks, child } => span_blocks_bytes(blocks.iter().copied(), child),
+            Self::Indexed { blocks, child } | Self::Hindexed { blocks, child } => {
+                let c = child.layout()?;
+                let mut size = 0usize;
+                for &(bl, displ) in blocks.iter().filter(|(bl, _)| *bl > 0) {
+                    let start = self
+                        .unit(c.extent() as isize)
+                        .and_then(|u| u.checked_mul(displ));
+                    hull(&mut h, &c, start.ok_or(OVERFLOW)?, bl)?;
+                    size = size.checked_add(times(bl, c.size)?).ok_or(OVERFLOW)?;
+                }
+                (size, c.align)
+            }
             Self::Struct { fields } => {
-                let mut lb = isize::MAX;
-                let mut ub = isize::MIN;
+                let (mut size, mut align) = (0usize, 1usize);
                 for (bl, displ, t) in fields {
-                    if *bl == 0 {
-                        continue;
-                    }
-                    let (clb, _) = t.bounds();
-                    let ext = t.extent() as isize;
-                    lb = lb.min(displ + clb);
-                    ub = ub.max(displ + clb + ext * *bl as isize);
+                    let c = t.layout()?;
+                    hull(&mut h, &c, *displ, *bl)?;
+                    size = size.checked_add(times(*bl, c.size)?).ok_or(OVERFLOW)?;
+                    align = align.max(c.align);
                 }
-                if lb == isize::MAX {
-                    return (0, 0);
+                if let Some((lb, ub)) = &mut h {
+                    // Alignment epsilon.
+                    let span = ub.checked_sub(*lb);
+                    let padded = span.and_then(|s| (s as usize).checked_next_multiple_of(align));
+                    *ub = shift(*lb, padded.and_then(|s| isize::try_from(s).ok()))?;
                 }
-                // Alignment epsilon.
-                let align = self.alignment() as isize;
-                let span = ub - lb;
-                let padded = (span + align - 1) / align * align;
-                (lb, lb + padded)
+                (size, align)
             }
-            Self::Resized { lb, extent, .. } => (*lb, *lb + *extent as isize),
+            Self::Resized { lb, extent, child } => {
+                let c = child.layout()?;
+                let extent = isize::try_from(*extent).ok();
+                h = Some((*lb, shift(*lb, extent)?));
+                (c.size, c.align)
+            }
+        };
+        let (lb, ub) = h.unwrap_or((0, 0));
+        if isize::try_from(size).is_err() || ub.checked_sub(lb).is_none() {
+            return Err(OVERFLOW);
         }
+        Ok(Layout {
+            size,
+            lb,
+            ub,
+            align,
+        })
+    }
+
+    /// Bytes per unit of block displacement: block `i` of an `(h)vector`
+    /// starts `i` units, block `(bl, d)` of an `(h)indexed` `d` units
+    /// after the type's origin, given the child's extent `ext`.
+    fn unit(&self, ext: isize) -> Option<isize> {
+        match self {
+            Self::Vector { stride, .. } => stride.checked_mul(ext),
+            Self::Hvector { stride_bytes, .. } => Some(*stride_bytes),
+            Self::Indexed { .. } => Some(ext),
+            _ => Some(1),
+        }
+    }
+
+    /// [`Self::layout`], which must not fail.
+    fn fitted(&self) -> Layout {
+        self.layout().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Number of data bytes (`MPI_Type_size`).
+    pub fn size(&self) -> usize {
+        self.fitted().size
     }
 
     /// `MPI_Type_get_extent`'s extent: `ub - lb`.
     pub fn extent(&self) -> usize {
-        let (lb, ub) = self.bounds();
-        (ub - lb) as usize
+        self.fitted().extent()
     }
 
     /// Lower bound in bytes.
     pub fn lb(&self) -> isize {
-        self.bounds().0
+        self.fitted().lb
     }
 
-    /// Walk the type map in pack order, emitting `(byte offset, byte len)`
-    /// contiguous runs of primitives (not yet merged).
-    pub fn walk(&self, base: isize, f: &mut impl FnMut(isize, usize)) {
+    /// Walk the type map in pack order as runs `(primitive, byte
+    /// displacement, count)`, based at `base`: `count ≥ 1` primitives at
+    /// `displacement`, `displacement + size`, …. Concatenated, the runs
+    /// expand to exactly [`crate::type_map`]; `grain` decides how many
+    /// primitives one run covers, and consecutive runs may continue each
+    /// other. Every displacement is checked as it is formed
+    /// ([`DatatypeError::LayoutOverflow`]); the caller checks
+    /// [`Self::layout`] first, so that no walk starts on a type whose
+    /// size overflows.
+    pub(crate) fn walk(
+        &self,
+        base: isize,
+        grain: Grain,
+        f: &mut impl FnMut(Primitive, isize, usize),
+    ) -> DatatypeResult<()> {
         match self {
-            Self::Predefined(p) => f(base, p.size()),
-            Self::Contiguous { count, child } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    child.walk(base + ext * i as isize, f);
-                }
-            }
+            Self::Predefined(p) => emit(f, *p, base, 1),
+            Self::Contiguous { count, child } => Child::new(child, grain)?.block(base, *count, f),
             Self::Vector {
                 count,
-                blocklength,
-                stride,
+                blocklength: bl,
                 child,
-            } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    let start = base + *stride * i as isize * ext;
-                    for j in 0..*blocklength {
-                        child.walk(start + ext * j as isize, f);
-                    }
-                }
+                ..
             }
-            Self::Hvector {
+            | Self::Hvector {
                 count,
-                blocklength,
-                stride_bytes,
+                blocklength: bl,
                 child,
+                ..
             } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    let start = base + *stride_bytes * i as isize;
-                    for j in 0..*blocklength {
-                        child.walk(start + ext * j as isize, f);
+                let (c, mut at) = (Child::new(child, grain)?, base);
+                let unit = self.unit(c.ext);
+                // Empty blocks emit nothing, however many there are.
+                for i in 0..if c.empty || *bl == 0 { 0 } else { *count } {
+                    if i > 0 {
+                        at = shift(at, unit)?;
                     }
+                    c.block(at, *bl, f)?;
                 }
+                Ok(())
             }
-            Self::Indexed { blocks, child } => {
-                let ext = child.extent() as isize;
-                for (bl, displ) in blocks {
-                    let start = base + *displ * ext;
-                    for j in 0..*bl {
-                        child.walk(start + ext * j as isize, f);
-                    }
+            Self::Indexed { blocks, child } | Self::Hindexed { blocks, child } => {
+                let c = Child::new(child, grain)?;
+                for &(bl, displ) in blocks.iter().filter(|(bl, _)| *bl > 0) {
+                    let start = self.unit(c.ext).and_then(|u| u.checked_mul(displ));
+                    c.block(shift(base, start)?, bl, f)?;
                 }
-            }
-            Self::Hindexed { blocks, child } => {
-                let ext = child.extent() as isize;
-                for (bl, displ) in blocks {
-                    let start = base + *displ;
-                    for j in 0..*bl {
-                        child.walk(start + ext * j as isize, f);
-                    }
-                }
+                Ok(())
             }
             Self::Struct { fields } => {
-                for (bl, displ, t) in fields {
-                    let ext = t.extent() as isize;
-                    for j in 0..*bl {
-                        t.walk(base + displ + ext * j as isize, f);
-                    }
+                for (bl, displ, t) in fields.iter().filter(|(bl, ..)| *bl > 0) {
+                    Child::new(t, grain)?.block(shift(base, Some(*displ))?, *bl, f)?;
                 }
+                Ok(())
             }
-            Self::Resized { child, .. } => child.walk(base, f),
+            Self::Resized { child, .. } => child.walk(base, grain, f),
         }
     }
 
-    /// Walk the type map at *described-block* granularity: one emitted run
-    /// per `(primitive, blocklength)` entry of the constructors — the
-    /// resolution at which a generalized convertor (Open MPI) interprets a
-    /// committed type. Contrast with [`Self::walk`], which emits one run
-    /// per primitive.
-    pub fn walk_blocks(&self, base: isize, f: &mut impl FnMut(isize, usize)) {
-        // A leaf primitive child lets a blocklength collapse into one run.
-        fn leaf_size(t: &Datatype) -> Option<usize> {
-            match t {
-                Datatype::Predefined(p) => Some(p.size()),
-                // A resize only collapses when it is dense (lb 0, extent ==
-                // size): padding between elements spaces a blocklength run
-                // at the child extent, so it must be walked, not collapsed.
-                Datatype::Resized { child, .. } => {
-                    let sz = leaf_size(child)?;
-                    (t.lb() == 0 && t.extent() == sz).then_some(sz)
-                }
-                _ => None,
+    /// `Some((p, n))` when one element is `n ≥ 1` consecutive `p`s from
+    /// offset 0, with lower bound 0 and extent `n * p.size()`, and `grain`
+    /// lets a walk emit a block of such elements as one run: at
+    /// [`Grain::Runs`] any such type, at [`Grain::Described`] a primitive
+    /// or a dense resize of one. Reads the description, not the type map.
+    fn dense_run(&self, grain: Grain) -> Option<(Primitive, usize)> {
+        let mut run = None;
+        match (self, grain) {
+            (_, Grain::Primitive) => return None,
+            (Self::Predefined(p), _) => chain(&mut run, *p, 0, 1),
+            (Self::Resized { lb, extent, child }, _) => {
+                let (p, n) = child.dense_run(grain)?;
+                (*lb == 0 && Some(*extent) == n.checked_mul(p.size())).then_some(())?;
+                chain(&mut run, p, 0, n)
             }
-        }
-        match self {
-            Self::Predefined(p) => f(base, p.size()),
-            Self::Contiguous { count, child } => {
-                if let Some(sz) = leaf_size(child) {
-                    if *count > 0 {
-                        f(base, count * sz);
-                    }
-                    return;
-                }
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    child.walk_blocks(base + ext * i as isize, f);
-                }
+            (_, Grain::Described) => return None,
+            (Self::Contiguous { count, child }, _) => {
+                let (p, n) = child.dense_run(grain)?;
+                chain(&mut run, p, 0, n.checked_mul(*count)?)
             }
-            Self::Vector {
-                count,
-                blocklength,
-                stride,
-                child,
-            } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    let start = base + *stride * i as isize * ext;
-                    if let Some(sz) = leaf_size(child) {
-                        if *blocklength > 0 {
-                            f(start, blocklength * sz);
-                        }
-                    } else {
-                        for j in 0..*blocklength {
-                            child.walk_blocks(start + ext * j as isize, f);
-                        }
-                    }
+            (
+                Self::Vector {
+                    count,
+                    blocklength: bl,
+                    child,
+                    ..
                 }
-            }
-            Self::Hvector {
-                count,
-                blocklength,
-                stride_bytes,
-                child,
-            } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    let start = base + *stride_bytes * i as isize;
-                    if let Some(sz) = leaf_size(child) {
-                        if *blocklength > 0 {
-                            f(start, blocklength * sz);
-                        }
-                    } else {
-                        for j in 0..*blocklength {
-                            child.walk_blocks(start + ext * j as isize, f);
-                        }
-                    }
+                | Self::Hvector {
+                    count,
+                    blocklength: bl,
+                    child,
+                    ..
+                },
+                _,
+            ) => {
+                // Block i + 1 starts where block i ends: block 1 at one
+                // unit is the whole test.
+                let (p, n) = child.dense_run(grain)?;
+                let ext = isize::try_from(n.checked_mul(p.size())?).ok()?;
+                let block = n.checked_mul(*bl)?;
+                if *count > 0 {
+                    chain(&mut run, p, 0, block)?;
                 }
-            }
-            Self::Indexed { blocks, child } => {
-                let ext = child.extent() as isize;
-                for (bl, displ) in blocks {
-                    let start = base + *displ * ext;
-                    if let Some(sz) = leaf_size(child) {
-                        if *bl > 0 {
-                            f(start, bl * sz);
-                        }
-                    } else {
-                        for j in 0..*bl {
-                            child.walk_blocks(start + ext * j as isize, f);
-                        }
-                    }
+                if *count > 1 {
+                    chain(&mut run, p, self.unit(ext)?, block.checked_mul(count - 1)?)?;
                 }
+                Some(())
             }
-            Self::Hindexed { blocks, child } => {
-                let ext = child.extent() as isize;
-                for (bl, displ) in blocks {
-                    let start = base + *displ;
-                    if let Some(sz) = leaf_size(child) {
-                        if *bl > 0 {
-                            f(start, bl * sz);
-                        }
-                    } else {
-                        for j in 0..*bl {
-                            child.walk_blocks(start + ext * j as isize, f);
-                        }
-                    }
-                }
+            (Self::Indexed { blocks, child } | Self::Hindexed { blocks, child }, _) => {
+                let (p, n) = child.dense_run(grain)?;
+                let unit = self.unit(isize::try_from(n.checked_mul(p.size())?).ok()?)?;
+                blocks.iter().try_for_each(|&(bl, d)| {
+                    chain(&mut run, p, unit.checked_mul(d)?, n.checked_mul(bl)?)
+                })
             }
-            Self::Struct { fields } => {
+            (Self::Struct { fields }, _) => {
                 for (bl, displ, t) in fields {
-                    let start = base + displ;
-                    if let Some(sz) = leaf_size(t) {
-                        if *bl > 0 {
-                            f(start, bl * sz);
-                        }
-                    } else {
-                        let ext = t.extent() as isize;
-                        for j in 0..*bl {
-                            t.walk_blocks(start + ext * j as isize, f);
-                        }
+                    if *bl > 0 {
+                        let (p, n) = t.dense_run(grain)?;
+                        chain(&mut run, p, *displ, n.checked_mul(*bl)?)?;
                     }
                 }
+                // The epsilon must not pad the run.
+                let (p, n) = run?;
+                (n.checked_mul(p.size())?)
+                    .is_multiple_of(self.layout().ok()?.align)
+                    .then_some(())
             }
-            Self::Resized { child, .. } => child.walk_blocks(base, f),
-        }
+        }?;
+        run
     }
 
-    /// Commit the type: flatten, merge adjacent runs, and compile a
-    /// strided-kernel pack plan (see [`crate::Committed`] and
-    /// [`mod@crate::plan`]). This is what `MPI_Type_commit` maps to.
+    /// Commit the type: flatten it into merged blocks in one walk over
+    /// its runs, and compile a strided-kernel pack plan (see
+    /// [`crate::Committed`] and [`mod@crate::plan`]). This is what
+    /// `MPI_Type_commit` maps to.
     ///
     /// ```
     /// use mpicd_datatype::Datatype;
@@ -496,14 +445,12 @@ impl Datatype {
     /// # Ok::<(), mpicd_datatype::DatatypeError>(())
     /// ```
     pub fn commit(&self) -> DatatypeResult<crate::Committed> {
-        let _sp = mpicd_obs::span!("dt.commit", "datatype", self.size());
         crate::Committed::new(self)
     }
 
     /// Commit without block merging — the generalized-convertor view that
     /// models Open MPI's engine (see [`crate::Committed::new_convertor`]).
     pub fn commit_convertor(&self) -> DatatypeResult<crate::Committed> {
-        let _sp = mpicd_obs::span!("dt.commit_convertor", "datatype", self.size());
         crate::Committed::new_convertor(self)
     }
 
@@ -511,7 +458,6 @@ impl Datatype {
     /// interpreted engine (see [`crate::Committed::new_interpreted`]),
     /// kept for the interpreted-vs-compiled ablation and equivalence tests.
     pub fn commit_interpreted(&self) -> DatatypeResult<crate::Committed> {
-        let _sp = mpicd_obs::span!("dt.commit_interpreted", "datatype", self.size());
         crate::Committed::new_interpreted(self)
     }
 
@@ -521,52 +467,136 @@ impl Datatype {
     }
 }
 
-/// Span of element-indexed blocks (displacement unit = `unit` bytes).
-fn span_blocks(
-    blocks: impl Iterator<Item = (usize, isize)>,
-    child: &Datatype,
-    unit: isize,
-) -> (isize, isize) {
-    let ext = child.extent() as isize;
-    let (clb, _) = child.bounds();
-    let mut lb = isize::MAX;
-    let mut ub = isize::MIN;
-    for (bl, displ) in blocks {
-        if bl == 0 {
-            continue;
-        }
-        let start = displ * unit;
-        lb = lb.min(start + clb);
-        ub = ub.max(start + clb + ext * bl as isize);
-    }
-    if lb == isize::MAX {
-        (0, 0)
-    } else {
-        (lb, ub)
+/// Size, bounds and alignment of a type ([`Datatype::layout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// Data bytes (`MPI_Type_size`), at most `isize::MAX`.
+    pub size: usize,
+    /// Lower bound in bytes.
+    pub lb: isize,
+    /// Upper bound in bytes; `ub - lb`, the extent, fits `isize`.
+    pub ub: isize,
+    /// Maximum alignment of any constituent primitive (the struct epsilon).
+    pub align: usize,
+}
+
+impl Layout {
+    /// `MPI_Type_get_extent`'s extent: `ub - lb`.
+    pub fn extent(&self) -> usize {
+        (self.ub - self.lb) as usize
     }
 }
 
-/// Span of byte-indexed blocks.
-fn span_blocks_bytes(
-    blocks: impl Iterator<Item = (usize, isize)>,
-    child: &Datatype,
-) -> (isize, isize) {
-    let ext = child.extent() as isize;
-    let (clb, _) = child.bounds();
-    let mut lb = isize::MAX;
-    let mut ub = isize::MIN;
-    for (bl, displ) in blocks {
-        if bl == 0 {
-            continue;
+/// Granularity of a [`Datatype::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grain {
+    /// One run per primitive: the type map itself, the reference the
+    /// other grains are tested against ([`crate::type_map`]).
+    Primitive,
+    /// One run per described `(primitive, blocklength)` entry: what a
+    /// generalized convertor (Open MPI) interprets.
+    Described,
+    /// A block of children that are each one dense run of a primitive,
+    /// whatever describes them, is one run: a walk costs the type's runs,
+    /// not its primitives. Commit walks at this grain.
+    Runs,
+}
+
+/// The one error of layout arithmetic.
+const OVERFLOW: DatatypeError = DatatypeError::LayoutOverflow;
+
+/// `n * size`, checked.
+fn times(n: usize, size: usize) -> DatatypeResult<usize> {
+    n.checked_mul(size).ok_or(OVERFLOW)
+}
+
+/// `base + rel`, checked (`rel` is `None` when forming it overflowed).
+fn shift(base: isize, rel: Option<isize>) -> DatatypeResult<isize> {
+    rel.and_then(|r| base.checked_add(r)).ok_or(OVERFLOW)
+}
+
+/// Hand `count` `p`s at `disp` to `f`, once their end is known to fit.
+fn emit(
+    f: &mut impl FnMut(Primitive, isize, usize),
+    p: Primitive,
+    disp: isize,
+    count: usize,
+) -> DatatypeResult<()> {
+    shift(disp, isize::try_from(times(count, p.size())?).ok())?;
+    f(p, disp, count);
+    Ok(())
+}
+
+/// Widen the `[lb, ub)` hull of a constructor's blocks (`None` while
+/// empty) by `bl` elements of a child laid out as `c`, the first at `start`.
+fn hull(h: &mut Option<(isize, isize)>, c: &Layout, start: isize, bl: usize) -> DatatypeResult<()> {
+    if bl > 0 {
+        let lb = shift(start, Some(c.lb))?;
+        let span = isize::try_from(bl)
+            .ok()
+            .and_then(|n| n.checked_mul(c.extent() as isize));
+        let ub = shift(lb, span)?;
+        *h = Some(h.map_or((lb, ub), |(l, u)| (l.min(lb), u.max(ub))));
+    }
+    Ok(())
+}
+
+/// A constructor's child, with what its block loop needs hoisted out.
+struct Child<'a> {
+    t: &'a Datatype,
+    grain: Grain,
+    /// Extent in bytes.
+    ext: isize,
+    /// No data: a block emits nothing, however many elements it holds.
+    empty: bool,
+    /// See [`Datatype::dense_run`]: a block of `bl` elements is one run
+    /// of `bl * n` `p`s.
+    dense: Option<(Primitive, usize)>,
+}
+
+impl<'a> Child<'a> {
+    fn new(t: &'a Datatype, grain: Grain) -> DatatypeResult<Self> {
+        let l = t.layout()?;
+        Ok(Self {
+            t,
+            grain,
+            ext: l.extent() as isize,
+            empty: l.size == 0,
+            dense: t.dense_run(grain),
+        })
+    }
+
+    /// Walk `bl` consecutive elements, the first at `start`.
+    fn block(
+        &self,
+        start: isize,
+        bl: usize,
+        f: &mut impl FnMut(Primitive, isize, usize),
+    ) -> DatatypeResult<()> {
+        if let (Some((p, n)), false) = (self.dense, bl == 0) {
+            return emit(f, p, start, times(n, bl)?);
         }
-        lb = lb.min(displ + clb);
-        ub = ub.max(displ + clb + ext * bl as isize);
+        let mut at = start;
+        for j in 0..if self.empty { 0 } else { bl } {
+            if j > 0 {
+                at = shift(at, Some(self.ext))?;
+            }
+            self.t.walk(at, self.grain, f)?;
+        }
+        Ok(())
     }
-    if lb == isize::MAX {
-        (0, 0)
-    } else {
-        (lb, ub)
+}
+
+/// Append `n` `p`s at byte `at` to `run`, a run of a primitive from
+/// offset 0 (see [`Datatype::dense_run`]); `None` when they do not
+/// continue it.
+fn chain(run: &mut Option<(Primitive, usize)>, p: Primitive, at: isize, n: usize) -> Option<()> {
+    if n > 0 {
+        let (q, len) = run.unwrap_or((p, 0));
+        (q == p && usize::try_from(at).ok()? == len.checked_mul(p.size())?).then_some(())?;
+        *run = Some((p, len.checked_add(n)?));
     }
+    Some(())
 }
 
 /// Reject constructors whose arguments cannot describe a type.
@@ -640,9 +670,8 @@ mod tests {
     #[test]
     fn indexed_layout_with_negative_displacement() {
         let t = Datatype::indexed(vec![(1, -2), (2, 3)], int());
-        let (lb, ub) = t.bounds();
-        assert_eq!(lb, -8);
-        assert_eq!(ub, 20);
+        let l = t.layout().unwrap();
+        assert_eq!((l.lb, l.ub), (-8, 20));
         assert_eq!(t.size(), 12);
     }
 
@@ -653,43 +682,138 @@ mod tests {
         assert_eq!(t.size(), 12);
     }
 
+    /// `t`'s runs at `grain`.
+    fn runs(t: &Datatype, grain: Grain) -> Vec<(Primitive, isize, usize)> {
+        let mut out = Vec::new();
+        t.layout().unwrap();
+        t.walk(0, grain, &mut |p, disp, n| out.push((p, disp, n)))
+            .unwrap();
+        out
+    }
+
+    const I: Primitive = Primitive::Int32;
+    const D: Primitive = Primitive::Double;
+
     #[test]
     fn walk_emits_pack_order() {
+        // struct-simple: the three ints are one described entry and one
+        // run; the type map has one entry per primitive.
         let t = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]);
-        let mut runs = Vec::new();
-        t.walk(0, &mut |off, len| runs.push((off, len)));
-        assert_eq!(runs, vec![(0, 4), (4, 4), (8, 4), (16, 8)]);
+        assert_eq!(runs(&t, Grain::Runs), [(I, 0, 3), (D, 16, 1)]);
+        assert_eq!(runs(&t, Grain::Described), [(I, 0, 3), (D, 16, 1)]);
+        assert_eq!(
+            runs(&t, Grain::Primitive),
+            [(I, 0, 1), (I, 4, 1), (I, 8, 1), (D, 16, 1)]
+        );
     }
 
     #[test]
     fn hvector_strides_in_bytes() {
         let t = Datatype::hvector(2, 1, 100, int());
-        let mut runs = Vec::new();
-        t.walk(0, &mut |off, len| runs.push((off, len)));
-        assert_eq!(runs, vec![(0, 4), (100, 4)]);
+        assert_eq!(runs(&t, Grain::Runs), [(I, 0, 1), (I, 100, 1)]);
         assert_eq!(t.extent(), 104);
     }
 
     #[test]
     fn nested_vector_of_struct() {
+        // Two struct elements, stride 2 extents (48 bytes) apart: the
+        // gapped struct is walked element by element at every grain.
         let elem = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]);
         let t = Datatype::vector(2, 1, 2, elem);
-        // Two struct elements, stride 2 extents (48 bytes) apart.
-        let mut runs = Vec::new();
-        t.walk(0, &mut |off, len| runs.push((off, len)));
+        let expect = [(I, 0, 3), (D, 16, 1), (I, 48, 3), (D, 64, 1)];
+        assert_eq!(runs(&t, Grain::Runs), expect);
+        assert_eq!(runs(&t, Grain::Described), expect);
+        // A dense struct child (three ints, extent 12) is one run per
+        // block of two elements; the convertor still sees its entries.
+        let dense = Datatype::structure(vec![(2, 0, int()), (1, 8, int())]);
+        let t = Datatype::vector(2, 2, 3, dense);
+        assert_eq!(runs(&t, Grain::Runs), [(I, 0, 6), (I, 36, 6)]);
         assert_eq!(
-            runs,
-            vec![
-                (0, 4),
-                (4, 4),
-                (8, 4),
-                (16, 8),
-                (48, 4),
-                (52, 4),
-                (56, 4),
-                (64, 8)
+            runs(&t, Grain::Described),
+            [
+                (I, 0, 2),
+                (I, 8, 1),
+                (I, 12, 2),
+                (I, 20, 1),
+                (I, 36, 2),
+                (I, 44, 1),
+                (I, 48, 2),
+                (I, 56, 1)
             ]
         );
+    }
+
+    #[test]
+    fn dense_children_collapse_whatever_describes_them() {
+        // Every constructor that lays a dense child back to back is one
+        // run; a gap, a padded struct or a resize breaks it.
+        let dense = [
+            Datatype::contiguous(4, Datatype::contiguous(3, dbl())),
+            Datatype::vector(3, 2, 2, dbl()),
+            Datatype::hvector(3, 2, 16, dbl()),
+            Datatype::indexed(vec![(2, 0), (0, 9), (1, 2)], dbl()),
+            Datatype::hindexed(vec![(1, 0), (2, 8)], dbl()),
+            Datatype::resized(0, 8, dbl()),
+        ];
+        for t in &dense {
+            let n = t.size() / 8;
+            assert_eq!(t.dense_run(Grain::Runs), Some((D, n)), "{t:?}");
+            let two = Datatype::contiguous(2, t.clone());
+            assert_eq!(runs(&two, Grain::Runs), [(D, 0, 2 * n)], "{t:?}");
+        }
+        let broken = [
+            Datatype::vector(3, 2, 3, dbl()),
+            Datatype::hindexed(vec![(1, 8), (1, 0)], dbl()),
+            Datatype::structure(vec![(1, 0, dbl()), (1, 8, int())]),
+            Datatype::structure(vec![(1, 0, int()), (0, 0, dbl())]),
+            Datatype::resized(0, 16, dbl()),
+            Datatype::resized(-8, 8, dbl()),
+            Datatype::contiguous(0, dbl()),
+            Datatype::vector(0, 2, 2, dbl()),
+            Datatype::hvector(2, 0, 0, dbl()),
+        ];
+        for t in &broken {
+            assert_eq!(t.dense_run(Grain::Runs), None, "{t:?}");
+        }
+        // The convertor collapses only leaves (and dense resizes of them).
+        assert_eq!(dense[0].dense_run(Grain::Described), None);
+        assert_eq!(dense[5].dense_run(Grain::Described), Some((D, 1)));
+    }
+
+    #[test]
+    fn vector_bounds_closed_form_matches_blocks() {
+        // The closed form against the same blocks listed one by one.
+        for stride in [-7isize, -2, 0, 2, 5] {
+            for count in [0usize, 1, 2, 5] {
+                let v = Datatype::vector(count, 2, stride, dbl());
+                let listed = (0..count).map(|i| (2, stride * i as isize)).collect();
+                let ix = Datatype::indexed(listed, dbl());
+                assert_eq!(v.layout(), ix.layout(), "vector({count}, 2, {stride})");
+                let hv = Datatype::hvector(count, 2, stride * 8, dbl());
+                assert_eq!(hv.layout(), ix.layout(), "hvector({count}, 2, {stride})");
+            }
+        }
+    }
+
+    #[test]
+    fn layout_overflow_is_a_typed_error() {
+        let overflow = DatatypeError::LayoutOverflow;
+        // Size, bounds and extent that leave isize.
+        for t in [
+            Datatype::vector(2, 1, isize::MAX / 4, dbl()),
+            Datatype::hvector(3, 1, isize::MAX / 2, dbl()),
+            Datatype::contiguous(usize::MAX / 4, dbl()),
+            Datatype::resized(0, usize::MAX, dbl()),
+            Datatype::structure(vec![(1, isize::MIN, dbl()), (1, isize::MAX - 8, dbl())]),
+        ] {
+            assert_eq!(t.layout(), Err(overflow.clone()), "{t:?}");
+        }
+        // Every node fits, but the data of a resize lies past its bounds
+        // and its displacement leaves isize: the walk reports it.
+        let past = Datatype::resized(0, 8, Datatype::hindexed(vec![(1, 64)], dbl()));
+        let t = Datatype::hindexed(vec![(1, isize::MAX - 16)], past);
+        assert!(t.layout().is_ok());
+        assert_eq!(t.walk(0, Grain::Runs, &mut |_, _, _| {}), Err(overflow));
     }
 
     #[test]
@@ -697,6 +821,12 @@ mod tests {
         let t = Datatype::contiguous(0, int());
         assert_eq!(t.size(), 0);
         assert_eq!(t.extent(), 0);
+        // However many empty elements: the walk does not visit them.
+        let t = Datatype::vector(usize::MAX / 4, 2, 2, Datatype::contiguous(0, int()));
+        assert_eq!(runs(&t, Grain::Runs), []);
+        assert_eq!(t.commit().unwrap().block_count(), 0);
+        let t = Datatype::hvector(usize::MAX, 0, 8, int());
+        assert_eq!(t.commit().unwrap().block_count(), 0);
     }
 
     #[test]

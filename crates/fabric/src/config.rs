@@ -173,8 +173,7 @@ const MAX_DEPTH: usize = 1024;
 
 impl PipelineConfig {
     /// The process-wide default, from the `MPICD_PIPELINE_THREADS` and
-    /// `MPICD_PIPELINE_DEPTH` knobs (read once and cached, like
-    /// `MPICD_PLAN_CACHE_CAP`).
+    /// `MPICD_PIPELINE_DEPTH` knobs (read once and cached).
     pub fn from_env() -> Self {
         static CFG: std::sync::OnceLock<PipelineConfig> = std::sync::OnceLock::new();
         *CFG.get_or_init(|| {

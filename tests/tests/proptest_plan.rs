@@ -4,7 +4,8 @@
 //! compiled plan must be byte-identical to the interpreted merged-block
 //! engine and to the convertor baseline — for whole-stream packing, for
 //! mid-fragment suspend/resume, and for out-of-order unpacking — and
-//! recommitting an equivalent type must hit the process-wide plan cache.
+//! equivalent types built from different constructors must commit to the
+//! same plan and signature.
 
 use mpicd_datatype::{Committed, Datatype, Primitive};
 use mpicd_obs::XorShift64Star;
@@ -236,40 +237,49 @@ fn compiled_plan_suspends_and_resumes_mid_fragment() {
 }
 
 #[test]
-fn plan_cache_hits_on_repeated_equivalent_commits() {
-    // Counters are process-global and monotonic, so deltas are robust to
-    // the other tests running concurrently.
-    let snap = || mpicd_obs::global().snapshot();
-    let t = Datatype::vector(7, 3, 5, Datatype::Predefined(Primitive::Double));
-    let before = snap();
-    let first = t.commit().unwrap();
-    let after_first = snap();
-    assert!(
-        after_first.counter("plan.cache.hits") + after_first.counter("plan.cache.misses")
-            > before.counter("plan.cache.hits") + before.counter("plan.cache.misses"),
-        "commit consulted the plan registry"
-    );
-
-    // Recommit the same description, and an equivalent one built from
-    // different constructors: both must reuse the cached plan.
-    let equivalent = Datatype::hvector(7, 3, 40, Datatype::Predefined(Primitive::Double));
-    assert!(mpicd_datatype::equivalent(&t, &equivalent));
-    let before_hits = snap().counter("plan.cache.hits");
-    let second = t.commit().unwrap();
-    let third = equivalent.commit().unwrap();
-    let after_hits = snap().counter("plan.cache.hits");
-    assert!(
-        after_hits >= before_hits + 2,
-        "repeated equivalent commits hit the plan cache ({before_hits} -> {after_hits})"
-    );
-    for c in [&first, &second, &third] {
-        assert!(c.plan().is_some());
+fn equivalent_constructors_commit_identical_plans() {
+    // Each group describes one type map, extent and lower bound through
+    // different constructors: every commit of a group must give the same
+    // blocks, plan ops and signature.
+    let dbl = || Datatype::Predefined(Primitive::Double);
+    let int = || Datatype::Predefined(Primitive::Int32);
+    let groups = [
+        vec![
+            Datatype::vector(7, 3, 5, dbl()),
+            Datatype::hvector(7, 3, 40, dbl()),
+            Datatype::indexed((0..7).map(|i| (3, 5 * i)).collect(), dbl()),
+            Datatype::hvector(7, 1, 40, Datatype::contiguous(3, dbl())),
+        ],
+        vec![
+            Datatype::contiguous(12, int()),
+            Datatype::vector(3, 4, 4, int()),
+            Datatype::structure(vec![(6, 0, int()), (2, 24, Datatype::contiguous(3, int()))]),
+            Datatype::hindexed(vec![(5, 0), (0, 7), (7, 20)], int()),
+        ],
+        vec![
+            Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]),
+            Datatype::structure(vec![
+                (1, 0, Datatype::contiguous(2, int())),
+                (1, 8, int()),
+                (1, 16, dbl()),
+            ]),
+        ],
+    ];
+    for group in &groups {
+        let first = group[0].commit().unwrap();
+        for t in group {
+            assert!(mpicd_datatype::equivalent(&group[0], t), "{t:?}");
+            let c = t.commit().unwrap();
+            assert_eq!(c.blocks(), first.blocks(), "{t:?}");
+            assert_eq!(
+                c.plan().unwrap().ops(),
+                first.plan().unwrap().ops(),
+                "{t:?}"
+            );
+            assert_eq!(c.signature64(), first.signature64(), "{t:?}");
+            assert_eq!(mpicd_datatype::signature64(t), Ok(first.signature64()));
+        }
     }
-    // Same registry entry, not merely equal plans.
-    assert!(std::sync::Arc::ptr_eq(
-        second.plan().unwrap(),
-        third.plan().unwrap()
-    ));
 }
 
 #[test]
