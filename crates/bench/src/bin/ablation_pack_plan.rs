@@ -19,14 +19,58 @@
 //! The table reports pack throughput per engine plus the compiled/
 //! interpreted and compiled/convertor speedups, and a second table shows
 //! how far each plan canonicalizes the layout (merged blocks → plan ops).
-//! A third table, printed only, times each pattern's first commit per
-//! engine: the commit layer's cost. Byte-identity across all three
-//! engines is asserted on every pattern before anything is timed.
+//! Two more tables, printed only, show the commit layer's cost: each
+//! pattern's first commit time per engine, and the heap bytes each
+//! engine's committed type keeps (counted by this binary's allocator).
+//! Byte-identity across all three engines is asserted on every pattern
+//! before anything is timed.
 
 use mpicd_bench::harness::Sample;
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
 use mpicd_datatype::{Committed, Datatype};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The system allocator, counting the heap bytes live in the process.
+struct Counting;
+
+/// Heap bytes live in the process.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the counter is only
+// bookkeeping.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size.wrapping_sub(layout.size()), Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap bytes `c` held: what dropping it frees.
+fn retained(c: Committed) -> Sample {
+    let live = LIVE.load(Relaxed);
+    drop(c);
+    Sample::point(live.wrapping_sub(LIVE.load(Relaxed)) as f64, 0.0)
+}
 
 /// `f()` and its wall time in µs.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Sample) {
@@ -121,6 +165,12 @@ fn main() {
         "µs",
         vec!["commit".into(), "interpreted".into(), "convertor".into()],
     );
+    let mut heap = Table::new(
+        "Heap retained per committed type",
+        "pattern",
+        "B",
+        vec!["commit".into(), "interpreted".into(), "convertor".into()],
+    );
 
     for (name, dt, count, base) in patterns(target) {
         let (convertor, conv_us) = timed(|| dt.commit_convertor().expect("valid datatype"));
@@ -174,11 +224,20 @@ fn main() {
                 Some(Sample::point(plan.op_count() as f64, 0.0)),
             ],
         );
+        heap.push(
+            &name,
+            vec![
+                Some(retained(compiled)),
+                Some(retained(interpreted)),
+                Some(retained(convertor)),
+            ],
+        );
     }
 
     tput.print();
     shape.print();
     commit_us.print();
+    heap.print();
     emit_json("ablation_pack_plan", &tput);
     emit_json("ablation_pack_plan_shape", &shape);
 

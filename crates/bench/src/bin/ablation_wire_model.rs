@@ -43,7 +43,7 @@ fn region_overhead_ablation() {
                 let world = World::with_model(2, model);
                 let (a, b) = world.pair();
                 let mut receiver = mpicd_ddtbench::make(name, size);
-                let mut scratch = DdtScratch::new(bytes);
+                let mut scratch = DdtScratch::new(&*sender);
                 let sample = harness::bandwidth_serial(world.fabric(), cfg, bytes, || {
                     one_way(&a, &b, &*sender, &mut *receiver, &mut scratch, method);
                 });

@@ -29,7 +29,7 @@ fn main() {
             let world = World::new(2);
             let (a, b) = world.pair();
             let mut receiver = make(name, size);
-            let mut scratch = DdtScratch::new(bytes);
+            let mut scratch = DdtScratch::new(&*sender);
             // Probe support once before timing.
             if !one_way(&a, &b, &*sender, &mut *receiver, &mut scratch, method) {
                 cells.push(None);

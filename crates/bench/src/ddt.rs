@@ -4,7 +4,9 @@
 //! instance to a receiver-side instance, single-threaded over the fabric.
 
 use mpicd::{transfer, transfer_custom, transfer_typed, Communicator};
+use mpicd_datatype::Committed;
 use mpicd_ddtbench::Pattern;
+use std::sync::Arc;
 
 /// The Fig 10 method set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,22 +52,27 @@ impl DdtMethod {
 }
 
 /// Scratch buffers reused across iterations (like DDTBench's preallocated
-/// pack buffers).
+/// pack buffers), and the sender's derived datatype.
 pub struct DdtScratch {
     pack: Vec<u8>,
     rx: Vec<u8>,
     reference: Vec<u8>,
     reference_rx: Vec<u8>,
+    ty: Arc<Committed>,
 }
 
 impl DdtScratch {
-    /// Allocate for a pattern of `bytes` payload.
-    pub fn new(bytes: usize) -> Self {
+    /// Allocate for `sender`'s payload and take its committed datatype
+    /// (patterns commit it on first use), so no timed iteration pays for
+    /// the commit.
+    pub fn new(sender: &dyn Pattern) -> Self {
+        let bytes = sender.bytes();
         Self {
             pack: Vec::with_capacity(bytes),
             rx: vec![0u8; bytes],
             reference: vec![0x5Au8; bytes],
             reference_rx: vec![0u8; bytes],
+            ty: sender.committed(),
         }
     }
 }
@@ -92,12 +99,12 @@ pub fn one_way(
             receiver.unpack_manual(&scratch.rx);
         }
         DdtMethod::TypedDirect => {
-            let ty = sender.committed();
-            transfer_typed(a, b, sender.base(), receiver.base_mut(), 1, &ty, 0)
+            let ty = &scratch.ty;
+            transfer_typed(a, b, sender.base(), receiver.base_mut(), 1, ty, 0)
                 .expect("typed transfer");
         }
         DdtMethod::TypedPack => {
-            let ty = sender.committed();
+            let ty = &scratch.ty;
             let packed = ty.pack_slice(sender.base(), 1).expect("typed pack");
             transfer(a, b, &packed, &mut scratch.rx, 0).expect("typed-pack transfer");
             ty.unpack_slice(&scratch.rx, receiver.base_mut(), 1)
@@ -141,7 +148,7 @@ mod tests {
                 let mut receiver = make(name, 16 * 1024);
                 receiver.clear();
                 assert_ne!(receiver.checksum(), expect, "{name} cleared");
-                let mut scratch = DdtScratch::new(sender.bytes());
+                let mut scratch = DdtScratch::new(&*sender);
                 let ran = one_way(&a, &b, &*sender, &mut *receiver, &mut scratch, method);
                 if !ran {
                     assert!(
@@ -162,7 +169,7 @@ mod tests {
         let (a, b) = world.pair();
         let sender = make("LAMMPS", 1024);
         let mut receiver = make("LAMMPS", 1024);
-        let mut scratch = DdtScratch::new(sender.bytes());
+        let mut scratch = DdtScratch::new(&*sender);
         assert!(!one_way(
             &a,
             &b,

@@ -25,9 +25,8 @@ fn inspect_reconstructs_every_ddtbench_transfer() {
     let (a, b) = world.pair();
     for name in BENCHMARKS {
         let sender = make(name, size);
-        let bytes = sender.bytes();
         let mut receiver = make(name, size);
-        let mut scratch = DdtScratch::new(bytes);
+        let mut scratch = DdtScratch::new(&*sender);
         for method in DdtMethod::all() {
             // Unsupported method/pattern combinations probe as false and
             // move no data; everything that runs is recorded.

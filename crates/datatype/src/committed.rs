@@ -1,61 +1,56 @@
 //! Committed (flattened, optimized) datatypes.
 //!
 //! `MPI_Type_commit` gives implementations a chance to build an optimized
-//! internal description. Ours walks the type tree once, run by run (a
-//! block of a dense child is one run, whatever its primitive count), into
-//! a merged list of `(byte offset, byte length)` blocks in pack order,
-//! hashing the type's structural signature in the same walk. A
-//! packed-offset prefix table makes the pack engine *resumable*: any byte
-//! range of the packed stream can be produced independently, which is
-//! what pipelined fragment protocols need.
+//! internal description. Ours walks the type tree once, run by run, and
+//! hashes its structural signature in the same walk. `commit()` streams the
+//! runs into the plan compiler ([`mod@crate::plan`]) and keeps only its ops;
+//! the block engines (`commit_interpreted`, `commit_convertor`) keep
+//! `(offset, len)` blocks and a packed-offset prefix table. Every engine is
+//! *resumable*: any byte range of the packed stream can be produced
+//! independently, which is what pipelined fragment protocols need.
 
 // Audited unsafe: pack/unpack over caller-described memory; every unsafe block carries a SAFETY note.
 #![allow(unsafe_code)]
 
 use crate::error::{DatatypeError, DatatypeResult};
-use crate::plan::PackPlan;
+use crate::plan::{PackPlan, PlanBuilder, PlanOp};
 use crate::typ::{Datatype, Grain, Layout};
 
-/// A committed datatype: flattened block list plus derived layout facts.
+/// A committed datatype: its pack engine plus derived layout facts.
 #[derive(Debug, Clone)]
 pub struct Committed {
-    /// Merged `(offset, len)` runs, in pack (type map) order.
-    blocks: Vec<(isize, usize)>,
-    /// `prefix[i]` = packed bytes preceding block `i` within one element.
-    prefix: Vec<usize>,
-    /// Packed bytes per element (`MPI_Type_size`).
-    size: usize,
-    /// Element-to-element spacing (`MPI_Type_get_extent`).
-    extent: usize,
-    /// Lower bound.
-    lb: isize,
-    /// Greatest `offset + len` over all blocks (for bounds checking).
+    /// Size, extent and lower bound.
+    layout: Layout,
+    /// Greatest `offset + len` over all runs (for bounds checking).
     max_end: isize,
-    /// Convertor mode: per-block interpretation overhead is modeled by
-    /// routing each block through an uninlined dynamic dispatch, the way a
-    /// generalized engine walks its description stack.
-    convertor: bool,
-    /// Compiled pack plan (see [`mod@crate::plan`]); `None` on the
-    /// interpreted and convertor paths.
-    plan: Option<PackPlan>,
     /// Stable 64-bit structural signature ([`crate::equivalence::key64`] of
     /// the type's structural key), computed once at commit time because the
-    /// flattened form does not retain the type tree. Never zero.
+    /// committed form does not retain the type tree. Never zero.
     sig64: u64,
+    engine: Engine,
+}
+
+/// How a committed type packs.
+#[derive(Debug, Clone)]
+enum Engine {
+    /// `commit()`: the compiled plan and the number of merged runs it was
+    /// compiled from.
+    Plan { plan: PackPlan, runs: usize },
+    /// The block engines: `(offset, len)` blocks in pack order, `prefix[i]`
+    /// = packed bytes before block `i`, and the convertor's per-block
+    /// dispatch (a generalized engine's walk of its description stack).
+    Blocks {
+        blocks: Vec<(isize, usize)>,
+        prefix: Vec<usize>,
+        convertor: bool,
+    },
 }
 
 impl Committed {
-    /// Flatten and optimize `t`: adjacent runs are merged, then the block
-    /// list is compiled into a strided-kernel pack plan (see
-    /// [`mod@crate::plan`]).
+    /// Flatten and optimize `t`: its runs stream into the plan compiler
+    /// ([`mod@crate::plan`]), which stores only strided-kernel ops.
     pub fn new(t: &Datatype) -> DatatypeResult<Self> {
-        let layout = t.layout()?;
-        let _sp = mpicd_obs::span!("dt.commit", "datatype", layout.size);
-        let mut c = Self::build(t, &layout, Grain::Runs)?;
-        if c.size > 0 {
-            c.plan = Some(PackPlan::compile(&c.blocks, c.size, c.extent));
-        }
-        Ok(c)
+        Self::commit(t, None, "dt.commit")
     }
 
     /// Flatten and optimize `t` like [`Self::new`], but skip pack-plan
@@ -65,9 +60,7 @@ impl Committed {
     /// interpreted-vs-compiled ablation (`ablation_pack_plan`) and for
     /// byte-identity property tests.
     pub fn new_interpreted(t: &Datatype) -> DatatypeResult<Self> {
-        let layout = t.layout()?;
-        let _sp = mpicd_obs::span!("dt.commit_interpreted", "datatype", layout.size);
-        Self::build(t, &layout, Grain::Runs)
+        Self::commit(t, Some(Grain::Runs), "dt.commit_interpreted")
     }
 
     /// Flatten `t` the way a generalized convertor sees it: one block per
@@ -83,88 +76,74 @@ impl Committed {
     /// Open MPI type representation is not able to handle efficiently").
     /// Byte-for-byte output is identical to [`Self::new`].
     pub fn new_convertor(t: &Datatype) -> DatatypeResult<Self> {
-        let layout = t.layout()?;
-        let _sp = mpicd_obs::span!("dt.commit_convertor", "datatype", layout.size);
-        let mut c = Self::build(t, &layout, Grain::Described)?;
-        // Contiguity, read from the described blocks: back to back from
-        // offset 0 up to the extent.
-        let back_to_back = c.blocks.iter().try_fold(0, |end, &(off, len)| {
-            (off == end).then_some(off + len as isize)
-        });
-        if c.size == c.extent && c.lb == 0 && back_to_back.is_some() {
-            // Dense types collapse to a single memcpy in real engines too.
-            let size = c.size;
-            c.blocks.truncate(1);
-            c.prefix.truncate(1);
-            c.blocks.iter_mut().for_each(|block| block.1 = size);
-        } else {
-            c.convertor = true;
-        }
-        Ok(c)
+        Self::commit(t, Some(Grain::Described), "dt.commit_convertor")
     }
 
-    /// One walk of `t` at `grain`: the blocks (merged when memory-adjacent
-    /// at [`Grain::Runs`], one per described entry otherwise) and the
-    /// structural signature.
-    fn build(t: &Datatype, layout: &Layout, grain: Grain) -> DatatypeResult<Self> {
-        let merge = grain == Grain::Runs;
-        let mut blocks: Vec<(isize, usize)> = Vec::new();
-        let sig64 = crate::equivalence::digest(t, layout, grain, |p, off, n| {
+    /// One walk of `t`, traced as `span_name`, into the plan compiler, or
+    /// into a block list at `blocks` grain: runs merged when
+    /// memory-adjacent at [`Grain::Runs`], one block per described entry
+    /// otherwise (the convertor).
+    fn commit(
+        t: &Datatype,
+        blocks: Option<Grain>,
+        span_name: &'static str,
+    ) -> DatatypeResult<Self> {
+        let layout = t.layout()?;
+        let _sp = mpicd_obs::span!(span_name, "datatype", layout.size);
+        let (mut builder, mut list) = (PlanBuilder::default(), Vec::<(isize, usize)>::new());
+        let mut span: Option<(isize, isize)> = None;
+        let grain = blocks.unwrap_or(Grain::Runs);
+        let sig64 = crate::equivalence::digest(t, &layout, grain, |p, off, n| {
             let len = n * p.size();
-            match blocks.last_mut() {
+            let end = off + len as isize;
+            span = Some(span.map_or((off, end), |(lo, hi)| (lo.min(off), hi.max(end))));
+            match (blocks, list.last_mut()) {
+                (None, _) => builder.push(off, len),
                 // Merge runs that are adjacent in both memory and pack order.
-                Some((last_off, last_len)) if merge && *last_off + *last_len as isize == off => {
-                    *last_len += len;
-                }
-                _ => blocks.push((off, len)),
+                (Some(Grain::Runs), Some((o, l))) if *o + *l as isize == off => *l += len,
+                _ => list.push((off, len)),
             }
         })?;
-        let mut prefix = Vec::with_capacity(blocks.len());
-        let mut acc = 0usize;
-        for (_, len) in &blocks {
-            prefix.push(acc);
-            acc += len;
-        }
-        debug_assert_eq!(acc, layout.size, "flattened size matches MPI_Type_size");
-        let max_end = blocks.iter().map(|(off, len)| off + *len as isize).max();
-        let min_off = blocks.iter().map(|(off, _)| *off).min();
-        // The distance between any two blocks must fit too.
-        max_end
-            .unwrap_or(0)
-            .checked_sub(min_off.unwrap_or(0))
-            .ok_or(DatatypeError::LayoutOverflow)?;
+        // The distance between any two runs must fit too.
+        let (lo, hi) = span.unwrap_or((0, 0));
+        hi.checked_sub(lo).ok_or(DatatypeError::LayoutOverflow)?;
+        let engine = match blocks {
+            None => {
+                let (plan, runs) = builder.finish(layout.size, layout.extent());
+                Engine::Plan { plan, runs }
+            }
+            Some(grain) => Engine::blocks(list, grain == Grain::Described, &layout),
+        };
         Ok(Self {
-            blocks,
-            prefix,
-            size: acc,
-            extent: layout.extent(),
-            lb: layout.lb,
-            max_end: max_end.unwrap_or(0),
-            convertor: false,
-            plan: None,
+            layout,
+            max_end: hi,
             sig64,
+            engine,
         })
     }
 
     /// The compiled pack plan, when this commit went through the plan
     /// compiler (convertor and interpreted commits have none).
     pub fn plan(&self) -> Option<&PackPlan> {
-        self.plan.as_ref()
+        match &self.engine {
+            Engine::Plan { plan, .. } => Some(plan),
+            Engine::Blocks { .. } => None,
+        }
     }
 
     /// Packed bytes per element.
     pub fn size(&self) -> usize {
-        self.size
+        self.layout.size
     }
 
     /// Element-to-element spacing in memory.
     pub fn extent(&self) -> usize {
-        self.extent
+        self.layout.extent()
     }
 
     /// Lower bound in bytes.
     pub fn lb(&self) -> isize {
-        self.lb
+        self.layout.lb
     }
 
     /// The stable 64-bit structural signature of the committed type (see
@@ -176,14 +155,22 @@ impl Committed {
         self.sig64
     }
 
-    /// Number of merged blocks per element.
+    /// Number of blocks per element: merged runs, or the convertor's
+    /// described entries.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        match &self.engine {
+            Engine::Plan { runs, .. } => *runs,
+            Engine::Blocks { blocks, .. } => blocks.len(),
+        }
     }
 
-    /// The merged blocks per element, in pack order.
-    pub fn blocks(&self) -> &[(isize, usize)] {
-        &self.blocks
+    /// A block engine's blocks per element, in pack order; `None` for a
+    /// plan commit, which keeps only its ops.
+    pub fn blocks(&self) -> Option<&[(isize, usize)]> {
+        match &self.engine {
+            Engine::Plan { .. } => None,
+            Engine::Blocks { blocks, .. } => Some(blocks),
+        }
     }
 
     /// True when the committed type is a single dense run starting at the
@@ -191,20 +178,22 @@ impl Committed {
     /// implementation can skip packing entirely and transfer the bytes
     /// directly — the Fig 6 (`struct-simple-no-gap`) fast path.
     pub fn is_contiguous(&self) -> bool {
-        self.size == self.extent
-            && self.lb == 0
-            && (self.blocks.is_empty() || self.blocks == [(0, self.size)])
+        let at_base = match &self.engine {
+            Engine::Plan { plan, .. } => matches!(plan.ops(), [] | [PlanOp::Contig { mem: 0, .. }]),
+            Engine::Blocks { blocks, .. } => matches!(blocks[..], [] | [(0, _)]),
+        };
+        self.size() == self.extent() && self.lb() == 0 && at_base
     }
 
     /// Bytes of memory a buffer of `count` elements must provide past the
     /// base address for the safe slice API, or
     /// [`DatatypeError::CountOverflow`] when that exceeds `usize`.
     pub fn required_span(&self, count: usize) -> DatatypeResult<usize> {
-        if count == 0 || self.size == 0 {
+        if count == 0 || self.size() == 0 {
             return Ok(0);
         }
         (count - 1)
-            .checked_mul(self.extent)
+            .checked_mul(self.extent())
             .and_then(|s| s.checked_add(self.max_end.max(0) as usize))
             .ok_or(DatatypeError::CountOverflow { count })
     }
@@ -212,28 +201,28 @@ impl Committed {
     /// Packed bytes of `count` elements, or
     /// [`DatatypeError::CountOverflow`] when that exceeds `usize`.
     pub(crate) fn packed_len(&self, count: usize) -> DatatypeResult<usize> {
-        self.size
+        self.size()
             .checked_mul(count)
             .ok_or(DatatypeError::CountOverflow { count })
     }
 
-    /// Flattened `(offset, len)` list for `count` consecutive elements,
-    /// merging across element boundaries where possible. This is the
-    /// iov/memory-region view of a derived datatype (cf. the MPICH iovec
-    /// extraction extensions cited by the paper).
-    pub fn flatten_count(&self, count: usize) -> Vec<(isize, usize)> {
+    /// A block engine's `(offset, len)` list for `count` consecutive
+    /// elements, merged across element boundaries: the iov view of a derived
+    /// datatype (cf. the MPICH iovec extraction extensions cited by the
+    /// paper). `None` for a plan commit, which keeps no blocks.
+    pub fn flatten_count(&self, count: usize) -> Option<Vec<(isize, usize)>> {
+        let blocks = self.blocks()?;
         let mut out: Vec<(isize, usize)> = Vec::new();
         for elem in 0..count {
-            let shift = (elem * self.extent) as isize;
-            for (off, len) in &self.blocks {
-                let off = off + shift;
+            let shift = (elem * self.extent()) as isize;
+            for &(off, len) in blocks {
                 match out.last_mut() {
-                    Some((lo, ll)) if *lo + *ll as isize == off => *ll += len,
-                    _ => out.push((off, *len)),
+                    Some((lo, ll)) if *lo + *ll as isize == off + shift => *ll += len,
+                    _ => out.push((off + shift, len)),
                 }
             }
         }
-        out
+        Some(out)
     }
 
     // ---- resumable raw engine ---------------------------------------------
@@ -255,12 +244,8 @@ impl Committed {
         packed_off: usize,
         dst: &mut [u8],
     ) -> usize {
-        if let Some(plan) = &self.plan {
-            return plan.pack_segment(base, count, packed_off, dst);
-        }
-        self.segment_op(count, packed_off, dst.len(), |mem_off, seg_off, n| {
-            std::ptr::copy_nonoverlapping(base.offset(mem_off), dst.as_mut_ptr().add(seg_off), n);
-        })
+        let (buf, len) = (dst.as_mut_ptr(), dst.len());
+        self.run::<true>(base as *mut u8, count, packed_off, buf, len)
     }
 
     /// Consume packed bytes `[packed_off, packed_off + src.len())`,
@@ -277,54 +262,58 @@ impl Committed {
         packed_off: usize,
         src: &[u8],
     ) -> usize {
-        if let Some(plan) = &self.plan {
-            return plan.unpack_segment(base, count, packed_off, src);
-        }
-        self.segment_op(count, packed_off, src.len(), |mem_off, seg_off, n| {
-            std::ptr::copy_nonoverlapping(src.as_ptr().add(seg_off), base.offset(mem_off), n);
-        })
+        self.run::<false>(base, count, packed_off, src.as_ptr() as *mut u8, src.len())
     }
 
-    /// Shared walk for pack/unpack: maps a packed-stream range onto memory
-    /// offsets, invoking `op(memory_offset, segment_offset, len)` per run.
-    /// Uninlined per-block dispatch emulating the description-stack walk +
-    /// indirect memcpy call of a generalized convertor.
-    #[inline(never)]
-    fn convertor_step(op: &mut dyn FnMut(isize, usize, usize), mem: isize, seg: usize, n: usize) {
-        op(mem, seg, n);
-    }
-
-    fn segment_op(
+    /// The engine behind both directions; `PACK` selects which.
+    ///
+    /// # Safety
+    /// As [`Self::pack_segment`] or [`Self::unpack_segment`] over `buf_len`
+    /// bytes at `buf`, which packing only writes: they may be uninitialized.
+    unsafe fn run<const PACK: bool>(
         &self,
+        base: *mut u8,
         count: usize,
         packed_off: usize,
-        seg_len: usize,
-        mut op: impl FnMut(isize, usize, usize),
+        buf: *mut u8,
+        buf_len: usize,
     ) -> usize {
-        if self.size == 0 || count == 0 {
+        let (blocks, prefix, convertor) = match &self.engine {
+            Engine::Plan { plan, .. } => {
+                return plan.run::<PACK>(base, count, packed_off, buf, buf_len)
+            }
+            Engine::Blocks {
+                blocks,
+                prefix,
+                convertor,
+            } => (blocks, prefix, *convertor),
+        };
+        let (size, extent) = (self.size(), self.extent());
+        if size == 0 || count == 0 || packed_off >= size * count {
             return 0;
         }
-        let total = self.size * count;
-        if packed_off >= total {
-            return 0;
-        }
-        let mut elem = packed_off / self.size;
-        let mut within = packed_off % self.size;
+        let mut op = |mem: isize, seg: usize, n: usize| {
+            let (mem, seg) = (base.offset(mem), buf.add(seg));
+            let (src, dst) = if PACK { (mem, seg) } else { (seg, mem) };
+            std::ptr::copy_nonoverlapping(src, dst, n);
+        };
+        let mut elem = packed_off / size;
+        let mut within = packed_off % size;
         // Locate the entry block once; after that the walk is sequential
         // (real convertors keep a position stack for exactly this reason).
-        let mut bi = match self.prefix.binary_search(&within) {
+        let mut bi = match prefix.binary_search(&within) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         let mut done = 0usize;
-        while elem < count && done < seg_len {
-            let skip = within - self.prefix[bi];
-            let (off, len) = self.blocks[bi];
+        while elem < count && done < buf_len {
+            let skip = within - prefix[bi];
+            let (off, len) = blocks[bi];
             let avail = len - skip;
-            let n = avail.min(seg_len - done);
-            let mem_off = (elem * self.extent) as isize + off + skip as isize;
-            if self.convertor {
-                Self::convertor_step(&mut op, mem_off, done, n);
+            let n = avail.min(buf_len - done);
+            let mem_off = (elem * extent) as isize + off + skip as isize;
+            if convertor {
+                convertor_step(&mut op, mem_off, done, n);
             } else {
                 op(mem_off, done, n);
             }
@@ -333,7 +322,7 @@ impl Committed {
             if n == avail {
                 bi += 1;
             }
-            if within == self.size {
+            if within == size {
                 elem += 1;
                 within = 0;
                 bi = 0;
@@ -349,8 +338,8 @@ impl Committed {
     /// packed stream is addressable — the pack engines count bytes of it
     /// in `usize`.
     pub fn check_bounds(&self, count: usize, region_len: usize) -> DatatypeResult<()> {
-        if self.lb < 0 {
-            return Err(DatatypeError::NegativeLowerBound { lb: self.lb });
+        if self.lb() < 0 {
+            return Err(DatatypeError::NegativeLowerBound { lb: self.lb() });
         }
         self.packed_len(count)?;
         let span = self.required_span(count)?;
@@ -367,10 +356,15 @@ impl Committed {
     /// Pack `count` elements from `src` into a fresh buffer.
     pub fn pack_slice(&self, src: &[u8], count: usize) -> DatatypeResult<Vec<u8>> {
         self.check_bounds(count, src.len())?;
-        let mut out = vec![0u8; self.packed_len(count)?];
-        // SAFETY: bounds checked above.
-        let n = unsafe { self.pack_segment(src.as_ptr(), count, 0, &mut out) };
-        debug_assert_eq!(n, out.len());
+        let len = self.packed_len(count)?;
+        let mut out = Vec::with_capacity(len);
+        // SAFETY: bounds checked above; the engine writes the `len` bytes
+        // of `out`'s spare capacity without reading them.
+        let n =
+            unsafe { self.run::<true>(src.as_ptr() as *mut u8, count, 0, out.as_mut_ptr(), len) };
+        assert_eq!(n, len, "the engine packs the whole stream");
+        // SAFETY: the engine initialized all `len` bytes.
+        unsafe { out.set_len(len) };
         Ok(out)
     }
 
@@ -389,6 +383,43 @@ impl Committed {
         debug_assert_eq!(n, needed);
         Ok(())
     }
+}
+
+impl Engine {
+    /// A block engine over `blocks`. A convertor whose described blocks
+    /// run back to back from 0 to the extent collapses to one memcpy.
+    fn blocks(mut blocks: Vec<(isize, usize)>, convertor: bool, layout: &Layout) -> Self {
+        let mut end = 0;
+        let mut back_to_back = blocks
+            .iter()
+            .map(|&(off, len)| std::mem::replace(&mut end, off + len as isize) == off);
+        let dense = convertor && layout.size == layout.extent() && layout.lb == 0;
+        let dense = dense && back_to_back.all(|adjacent| adjacent);
+        if dense {
+            blocks.truncate(1);
+            blocks.iter_mut().for_each(|block| block.1 = layout.size);
+        }
+        debug_assert_eq!(blocks.iter().map(|b| b.1).sum::<usize>(), layout.size);
+        let mut packed = 0;
+        let prefix = blocks.iter().map(|&(_, len)| {
+            packed += len;
+            packed - len
+        });
+        let prefix = prefix.collect();
+        Engine::Blocks {
+            blocks,
+            prefix,
+            convertor: convertor && !dense,
+        }
+    }
+}
+
+/// The convertor's per-block step: an uninlined dynamic dispatch,
+/// emulating the description-stack walk and indirect memcpy call of a
+/// generalized convertor.
+#[inline(never)]
+fn convertor_step(op: &mut dyn FnMut(isize, usize, usize), mem: isize, seg: usize, n: usize) {
+    op(mem, seg, n);
 }
 
 #[cfg(test)]
@@ -410,10 +441,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The merged blocks of `t`, from the interpreted engine (a plan
+    /// commit keeps none).
+    fn blocks(t: &Datatype) -> Vec<(isize, usize)> {
+        t.commit_interpreted().unwrap().blocks().unwrap().to_vec()
+    }
+
     #[test]
     fn merge_adjacent_runs() {
         let c = struct_simple();
-        assert_eq!(c.blocks(), &[(0, 12), (16, 8)]);
+        let t = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]);
+        assert_eq!(blocks(&t), [(0, 12), (16, 8)]);
+        assert_eq!(c.blocks(), None, "a plan commit keeps only its ops");
+        assert_eq!(c.block_count(), 2);
         assert_eq!(c.size(), 20);
         assert_eq!(c.extent(), 24);
         assert!(!c.is_contiguous());
@@ -421,11 +461,11 @@ mod tests {
 
     #[test]
     fn no_gap_struct_is_contiguous() {
-        let c = Datatype::structure(vec![(2, 0, int()), (1, 8, dbl())])
-            .commit()
-            .unwrap();
+        let t = Datatype::structure(vec![(2, 0, int()), (1, 8, dbl())]);
+        let c = t.commit().unwrap();
         assert!(c.is_contiguous());
-        assert_eq!(c.blocks(), &[(0, 16)]);
+        assert!(t.commit_interpreted().unwrap().is_contiguous());
+        assert_eq!(blocks(&t), [(0, 16)]);
     }
 
     #[test]
@@ -535,14 +575,19 @@ mod tests {
     #[test]
     fn flatten_count_merges_across_elements() {
         // Contiguous ints: N elements flatten to one run.
-        let c = Datatype::contiguous(4, int()).commit().unwrap();
-        assert_eq!(c.flatten_count(3), vec![(0, 48)]);
+        let c = Datatype::contiguous(4, int()).commit_interpreted().unwrap();
+        assert_eq!(c.flatten_count(3).unwrap(), vec![(0, 48)]);
         // Gapped struct: element 0's trailing run (16..24) is memory-adjacent
         // to element 1's leading run (24..36), so those merge; the gaps at
         // 12..16 and 36..40 split the rest.
-        let s = struct_simple();
-        let flat = s.flatten_count(2);
-        assert_eq!(flat, vec![(0, 12), (16, 20), (40, 8)]);
+        let t = Datatype::structure(vec![(3, 0, int()), (1, 16, dbl())]);
+        let flat = t.commit_interpreted().unwrap().flatten_count(2);
+        assert_eq!(flat.unwrap(), vec![(0, 12), (16, 20), (40, 8)]);
+        assert_eq!(
+            struct_simple().flatten_count(2),
+            None,
+            "a plan keeps no blocks"
+        );
     }
 
     #[test]
@@ -581,7 +626,7 @@ mod tests {
         // 2^37 doubles: one run, so commit costs one step, not 2^37.
         let t = Datatype::contiguous(1 << 37, dbl());
         let c = t.commit().unwrap();
-        assert_eq!(c.blocks(), &[(0, 1 << 40)]);
+        assert_eq!(blocks(&t), [(0, 1 << 40)]);
         assert!(c.is_contiguous());
         let ops = c.plan().unwrap().ops();
         assert_eq!(
@@ -592,7 +637,7 @@ mod tests {
             }]
         );
         let conv = t.commit_convertor().unwrap();
-        assert_eq!(conv.blocks(), c.blocks());
+        assert_eq!(conv.blocks(), Some(&blocks(&t)[..]));
         assert_eq!(conv.signature64(), c.signature64());
     }
 
@@ -652,7 +697,11 @@ mod tests {
         assert_eq!(t.commit().unwrap().block_count(), 2);
         let c = t.commit_convertor().unwrap();
         assert_eq!(c.block_count(), 3, "3 described entries");
-        assert_eq!(c.blocks()[2], (24, 32), "the int array is ONE block");
+        assert_eq!(
+            c.blocks().unwrap()[2],
+            (24, 32),
+            "the int array is ONE block"
+        );
     }
 
     #[test]

@@ -299,8 +299,8 @@ mod tests {
     fn key64_collisions_imply_identical_maps_seeded_random() {
         // Over a seeded (deterministic, zero-dep) population of random
         // constructor trees, against the per-primitive type map:
-        // * the run walk commits to the reference's merged blocks, and to
-        //   the plan `PackPlan::compile` makes of them;
+        // * the run walk commits to the reference's merged blocks, and
+        //   `commit()` to the plan `PackPlan::compile` makes of them;
         // * the structural key is the map's maximal runs, so keys are
         //   equal exactly when maps, extents and lower bounds are;
         // * a 64-bit key collision only ever pairs types with identical
@@ -402,12 +402,15 @@ mod tests {
 
             let reference = reference_blocks(map);
             let c = t.commit().unwrap();
-            assert_eq!(c.blocks(), &reference[..], "type {i}: merged blocks");
-            let compiled = crate::PackPlan::compile(&reference, c.size(), c.extent());
+            let interpreted = t.commit_interpreted().unwrap();
             assert_eq!(
-                c.plan().map(|p| p.ops()),
-                (c.size() > 0).then(|| compiled.ops())
+                interpreted.blocks(),
+                Some(&reference[..]),
+                "type {i}: merged blocks"
             );
+            assert_eq!(c.block_count(), reference.len(), "type {i}: merged runs");
+            let compiled = crate::PackPlan::compile(&reference, c.size(), c.extent());
+            assert_eq!(c.plan().map(|p| p.ops()), Some(compiled.ops()));
 
             let k64 = sig(t);
             assert_eq!(k64, key64(k), "signature64 is key64 of the key");

@@ -10,10 +10,11 @@
 //!
 //! This module does the same at `commit()` time:
 //!
-//! 1. **Lower** the flattened block list into a short canonical list of
-//!    [`PlanOp`]s — contiguous run, 1-D constant-stride block array, fused
-//!    two-block interleave, or 2-D nest of block arrays. A million-block
-//!    NAS face collapses to one op, and an array-of-struct layout whose
+//! 1. **Lower** the type's runs, streamed in from commit's walk, into a
+//!    short canonical list of [`PlanOp`]s — contiguous run, 1-D
+//!    constant-stride block array, fused two-block interleave, or 2-D nest
+//!    of block arrays. Only the ops are stored: a million-run NAS face
+//!    commits to one op in O(1) heap, and an array-of-struct layout whose
 //!    runs alternate between two lengths fuses into one [`PlanOp::Pair`].
 //!    Elements of one or two runs, or of one block array, also get an
 //!    *element fold*: a `count`-element stream (`MPI_Send(buf, count, T)`)
@@ -34,9 +35,9 @@
 //! blocks of a segment go through the byte-accurate generic path, so a
 //! fragment boundary can fall anywhere — including mid-word.
 //!
-//! Every commit compiles its own plan: compiling costs less than the
-//! commit's walk over the type's runs, so a registry of plans keyed by
-//! type would save nothing it does not spend on its key.
+//! Every commit compiles its own plan in the pass that walks the type's
+//! runs, so a registry of plans keyed by type would save nothing it does
+//! not spend on its key.
 //!
 //! Observability: `plan.kernel.*_bytes` attribute every copied byte to
 //! the kernel that moved it (see `mpicd-obs` and `docs/PERFORMANCE.md`).
@@ -255,169 +256,13 @@ pub struct PackPlan {
 }
 
 impl PackPlan {
-    /// Compile a plan from a merged block list (see
-    /// [`crate::Committed::blocks`]): coalesce adjacent runs, recognize
-    /// 1-D strided groups, fuse alternating two-length runs, recognize
-    /// 2-D nests, and select copy kernels.
+    /// Compile a plan from a block list, through the streaming compiler
+    /// that `commit()` feeds its run walk into.
     pub fn compile(blocks: &[(isize, usize)], size: usize, extent: usize) -> Self {
         let _sp = mpicd_obs::span!("dt.plan_compile", "datatype", size);
-        // Pass 0: re-coalesce defensively (inputs from `Committed::new` are
-        // already merged; raw callers may not be).
-        let mut runs: Vec<(isize, usize)> = Vec::with_capacity(blocks.len());
-        for &(off, len) in blocks {
-            if len == 0 {
-                continue;
-            }
-            match runs.last_mut() {
-                Some((lo, ll)) if *lo + *ll as isize == off => *ll += len,
-                _ => runs.push((off, len)),
-            }
-        }
-
-        // Pass 1: group equal-length, constant-stride run sequences into
-        // `Strided` ops; everything else stays `Contig`.
-        let mut ops: Vec<PlanOp> = Vec::new();
-        let mut i = 0usize;
-        while i < runs.len() {
-            let (mem, block) = runs[i];
-            let mut n = 1usize;
-            if i + 1 < runs.len() && runs[i + 1].1 == block {
-                let stride = runs[i + 1].0 - mem;
-                while i + n < runs.len()
-                    && runs[i + n].1 == block
-                    && runs[i + n].0 - runs[i + n - 1].0 == stride
-                {
-                    n += 1;
-                }
-                if n >= 2 {
-                    ops.push(PlanOp::Strided {
-                        mem,
-                        stride,
-                        block,
-                        count: n,
-                        kernel: Kernel::for_block(block),
-                    });
-                    i += n;
-                    continue;
-                }
-            }
-            ops.push(PlanOp::Contig { mem, len: block });
-            i += n;
-        }
-
-        // Pass 1.5: fuse alternating two-length contiguous runs at a
-        // constant period into `Pair` ops — the array-of-struct layout
-        // (e.g. `{3×i32, f64}` with padding) whose unequal runs pass 1's
-        // equal-length grouping cannot touch.
-        let contig = |ops: &[PlanOp], j: usize| -> Option<(isize, usize)> {
-            match ops.get(j) {
-                Some(&PlanOp::Contig { mem, len }) => Some((mem, len)),
-                _ => None,
-            }
-        };
-        let mut fused: Vec<PlanOp> = Vec::with_capacity(ops.len());
-        let mut i = 0usize;
-        while i < ops.len() {
-            if let (Some((m0, a)), Some((m1, b)), Some((m2, a2)), Some((m3, b2))) = (
-                contig(&ops, i),
-                contig(&ops, i + 1),
-                contig(&ops, i + 2),
-                contig(&ops, i + 3),
-            ) {
-                let delta = m1 - m0;
-                let stride = m2 - m0;
-                if a2 == a && b2 == b && m3 - m2 == delta && stride != 0 {
-                    let mut pairs = 2usize;
-                    while let (Some((ma, la)), Some((mb, lb))) =
-                        (contig(&ops, i + 2 * pairs), contig(&ops, i + 2 * pairs + 1))
-                    {
-                        if la == a
-                            && lb == b
-                            && ma - m0 == stride * pairs as isize
-                            && mb - ma == delta
-                        {
-                            pairs += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    fused.push(PlanOp::Pair {
-                        mem: m0,
-                        delta,
-                        stride,
-                        block_a: a,
-                        block_b: b,
-                        count: pairs,
-                    });
-                    i += 2 * pairs;
-                    continue;
-                }
-            }
-            fused.push(ops[i].clone());
-            i += 1;
-        }
-        let ops = fused;
-
-        // Pass 2: fold repeated identical `Strided` ops at a constant row
-        // stride into `Nest2` — the doubly-nested loop of a face exchange.
-        let mut folded: Vec<PlanOp> = Vec::new();
-        let mut i = 0usize;
-        while i < ops.len() {
-            if let PlanOp::Strided {
-                mem,
-                stride,
-                block,
-                count,
-                kernel,
-            } = ops[i]
-            {
-                let same = |op: &PlanOp| {
-                    matches!(*op, PlanOp::Strided { stride: s, block: b, count: c, .. }
-                        if s == stride && b == block && c == count)
-                };
-                let mut rows = 1usize;
-                if i + 1 < ops.len() && same(&ops[i + 1]) {
-                    let row_stride = strided_mem(&ops[i + 1]) - mem;
-                    while i + rows < ops.len()
-                        && same(&ops[i + rows])
-                        && strided_mem(&ops[i + rows]) - strided_mem(&ops[i + rows - 1])
-                            == row_stride
-                    {
-                        rows += 1;
-                    }
-                    if rows >= 2 {
-                        folded.push(PlanOp::Nest2 {
-                            mem,
-                            row_stride,
-                            rows,
-                            col_stride: stride,
-                            cols: count,
-                            block,
-                            kernel,
-                        });
-                        i += rows;
-                        continue;
-                    }
-                }
-            }
-            folded.push(ops[i].clone());
-            i += 1;
-        }
-
-        let mut prefix = Vec::with_capacity(folded.len());
-        let mut acc = 0usize;
-        for op in &folded {
-            prefix.push(acc);
-            acc += op.packed_len();
-        }
-        debug_assert_eq!(acc, size, "plan covers exactly the packed size");
-        Self {
-            fold: element_fold(&folded, extent as isize),
-            ops: folded,
-            prefix,
-            size,
-            extent,
-        }
+        let mut builder = PlanBuilder::default();
+        blocks.iter().for_each(|&(off, len)| builder.push(off, len));
+        builder.finish(size, extent).0
     }
 
     /// The canonical op list for one element, in pack order.
@@ -436,48 +281,12 @@ impl PackPlan {
         self.size
     }
 
-    /// Produce packed bytes `[packed_off, packed_off + dst.len())` of the
-    /// stream for `count` elements based at `base`; returns bytes written.
+    /// Shared resumable executor; `PACK` selects the copy direction.
     ///
     /// # Safety
-    /// `base` must be valid for reads over every typemap block of all
-    /// `count` elements, and `size() * count` must not overflow `usize`.
-    pub unsafe fn pack_segment(
-        &self,
-        base: *const u8,
-        count: usize,
-        packed_off: usize,
-        dst: &mut [u8],
-    ) -> usize {
-        self.run::<true>(
-            base as *mut u8,
-            count,
-            packed_off,
-            dst.as_mut_ptr(),
-            dst.len(),
-        )
-    }
-
-    /// Consume packed bytes `[packed_off, packed_off + src.len())`,
-    /// scattering them into `count` elements based at `base`.
-    ///
-    /// # Safety
-    /// `base` must be valid for writes over every typemap block of all
-    /// `count` elements, and `size() * count` must not overflow `usize`.
-    pub unsafe fn unpack_segment(
-        &self,
-        base: *mut u8,
-        count: usize,
-        packed_off: usize,
-        src: &[u8],
-    ) -> usize {
-        self.run::<false>(base, count, packed_off, src.as_ptr() as *mut u8, src.len())
-    }
-
-    /// Shared resumable executor. `PACK` selects copy direction
-    /// (memory → buffer or buffer → memory); the buffer is never read when
-    /// packing nor written when unpacking.
-    unsafe fn run<const PACK: bool>(
+    /// As [`crate::Committed::pack_segment`] or `unpack_segment` over
+    /// `buf_len` bytes at `buf`, which packing never reads.
+    pub(crate) unsafe fn run<const PACK: bool>(
         &self,
         base: *mut u8,
         count: usize,
@@ -537,6 +346,178 @@ impl PackPlan {
     }
 }
 
+// ---- streaming compiler ----------------------------------------------------
+
+/// The streaming plan compiler: runs go in one at a time, in pack order,
+/// through four greedy stages. Stages 1-3 hold one open run, group or half
+/// pair; stages 3 and 4 rewrite the last ops in place. Only ops are stored.
+#[derive(Debug, Default)]
+pub(crate) struct PlanBuilder {
+    /// The open run (none while its length is 0).
+    open: (isize, usize),
+    /// Merged runs passed on (the interpreted engine's block count).
+    runs: usize,
+    /// The open group: first and last offsets, block (0: none), stride, blocks.
+    group: (isize, isize, usize, isize, usize),
+    /// The first half of the next pair of the `Pair` op ending `ops`.
+    half: Option<(isize, usize)>,
+    ops: Vec<PlanOp>,
+}
+
+impl PlanBuilder {
+    /// Stage 1: feed the element's next run. Memory-adjacent runs merge;
+    /// empty ones drop.
+    pub(crate) fn push(&mut self, off: isize, len: usize) {
+        let (o, l) = self.open;
+        if l > 0 && o + l as isize == off {
+            self.open.1 += len;
+        } else if len > 0 {
+            self.open = (off, len);
+            if l > 0 {
+                self.run(o, l);
+            }
+        }
+    }
+
+    /// Stage 2: a merged run joins the open group of equal-length runs at
+    /// a constant stride, or closes it.
+    fn run(&mut self, off: isize, len: usize) {
+        self.runs += 1;
+        let group @ (mem, last, block, stride, count) = self.group;
+        if block == len && (count == 1 || off - last == stride) {
+            self.group = (mem, off, block, off - last, count + 1);
+        } else {
+            self.group = (off, off, len, 0, 1);
+            self.emit(group);
+        }
+    }
+
+    /// Stage 2: pass a closed group on, as `Strided` if it repeats.
+    fn emit(&mut self, (mem, _, block, stride, count): (isize, isize, usize, isize, usize)) {
+        match (block, count) {
+            (0, _) => {}
+            (_, 1) => self.contig(mem, block),
+            _ => self.strided(mem, stride, block, count),
+        }
+    }
+
+    /// Stage 3: a `Contig` run completes the next pair of the `Pair` op
+    /// before it, or closes a window of four runs that starts one.
+    fn contig(&mut self, mem: isize, len: usize) {
+        if let Some(PlanOp::Pair {
+            mem: m0,
+            delta,
+            stride,
+            block_a,
+            block_b,
+            count,
+        }) = self.ops.last_mut()
+        {
+            match self.half {
+                None if len == *block_a && mem - *m0 == *stride * *count as isize => {
+                    return self.half = Some((mem, len));
+                }
+                Some((ma, _)) if len == *block_b && mem - ma == *delta => {
+                    *count += 1;
+                    return self.half = None;
+                }
+                _ => self.close_half(),
+            }
+        }
+        let n = self.ops.len();
+        match self.ops[n.saturating_sub(3)..] {
+            [PlanOp::Contig { mem: m0, len: a }, PlanOp::Contig { mem: m1, len: b }, PlanOp::Contig { mem: m2, len: a2 }]
+                if a2 == a && len == b && mem - m2 == m1 - m0 && m2 != m0 =>
+            {
+                self.ops.truncate(n - 3);
+                self.ops.push(PlanOp::Pair {
+                    mem: m0,
+                    delta: m1 - m0,
+                    stride: m2 - m0,
+                    block_a: a,
+                    block_b: b,
+                    count: 2,
+                });
+            }
+            _ => self.ops.push(PlanOp::Contig { mem, len }),
+        }
+    }
+
+    /// Stage 3: the pending half of a pair becomes a `Contig` op.
+    fn close_half(&mut self) {
+        if let Some((mem, len)) = self.half.take() {
+            self.ops.push(PlanOp::Contig { mem, len });
+        }
+    }
+
+    /// Stage 4: a `Strided` op becomes the next row of the `Strided` or
+    /// `Nest2` op before it when they repeat at a constant row stride.
+    fn strided(&mut self, mem: isize, stride: isize, block: usize, count: usize) {
+        self.close_half();
+        let shape = (stride, block, count);
+        match self.ops.last_mut() {
+            Some(
+                last @ &mut PlanOp::Strided {
+                    mem: m0,
+                    stride: s,
+                    block: b,
+                    count: c,
+                    ..
+                },
+            ) if (s, b, c) == shape => {
+                // Its element fold at the row stride, stretched to two rows.
+                let fold = element_fold(std::slice::from_ref(last), mem - m0);
+                *last = fold.expect("a Strided op folds").repeated(2);
+            }
+            Some(PlanOp::Nest2 {
+                mem: m0,
+                row_stride,
+                rows,
+                col_stride,
+                cols,
+                block: b,
+                ..
+            }) if (*col_stride, *b, *cols) == shape
+                && mem - *m0 == *row_stride * *rows as isize =>
+            {
+                *rows += 1;
+            }
+            _ => self.ops.push(PlanOp::Strided {
+                mem,
+                stride,
+                block,
+                count,
+                kernel: Kernel::for_block(block),
+            }),
+        }
+    }
+
+    /// Flush the open run and group: the plan of an element of `size`
+    /// packed bytes at `extent`, and the number of merged runs fed.
+    pub(crate) fn finish(mut self, size: usize, extent: usize) -> (PackPlan, usize) {
+        let (off, len) = self.open;
+        if len > 0 {
+            self.run(off, len);
+        }
+        self.emit(self.group);
+        self.close_half();
+        let prefix = (self.ops.iter())
+            .scan(0, |at, op| {
+                Some(std::mem::replace(at, *at + op.packed_len()))
+            })
+            .collect();
+        debug_assert_eq!(self.ops.iter().map(PlanOp::packed_len).sum::<usize>(), size);
+        let plan = PackPlan {
+            fold: element_fold(&self.ops, extent as isize),
+            ops: self.ops,
+            prefix,
+            size,
+            extent,
+        };
+        (plan, self.runs)
+    }
+}
+
 /// The element fold of an element whose ops are `ops`: the op that packs
 /// element `i` of a stream at `i * extent`, for a one-element stream
 /// ([`PlanOp::repeated`] sets the element count). A single run becomes a
@@ -581,14 +562,6 @@ fn element_fold(ops: &[PlanOp], extent: isize) -> Option<PlanOp> {
             kernel,
         }),
         _ => None,
-    }
-}
-
-/// `mem` of a `Strided` op (helper for the `Nest2` fold).
-fn strided_mem(op: &PlanOp) -> isize {
-    match *op {
-        PlanOp::Strided { mem, .. } => mem,
-        _ => unreachable!("caller matched Strided"),
     }
 }
 
@@ -1133,9 +1106,178 @@ mod tests {
     use crate::primitive::Primitive;
     use crate::typ::Datatype;
 
+    /// Pack through the plan's executor alone.
+    unsafe fn pack_segment(
+        p: &PackPlan,
+        base: *const u8,
+        count: usize,
+        off: usize,
+        dst: &mut [u8],
+    ) -> usize {
+        p.run::<true>(base as *mut u8, count, off, dst.as_mut_ptr(), dst.len())
+    }
+
     fn plan_of(t: &Datatype) -> PackPlan {
-        let c = crate::Committed::new(t).unwrap();
-        PackPlan::compile(c.blocks(), c.size(), c.extent())
+        let c = crate::Committed::new_interpreted(t).unwrap();
+        PackPlan::compile(c.blocks().unwrap(), c.size(), c.extent())
+    }
+
+    /// The multi-pass compiler the streaming [`PlanBuilder`] replaced:
+    /// re-coalesce, group, fuse pairs and fold nests, each pass over the
+    /// whole list. The oracle of the streaming compiler's property test.
+    fn compile_multipass(blocks: &[(isize, usize)]) -> Vec<PlanOp> {
+        // Pass 0: re-coalesce defensively (inputs from `Committed::new` are
+        // already merged; raw callers may not be).
+        let mut runs: Vec<(isize, usize)> = Vec::with_capacity(blocks.len());
+        for &(off, len) in blocks {
+            if len == 0 {
+                continue;
+            }
+            match runs.last_mut() {
+                Some((lo, ll)) if *lo + *ll as isize == off => *ll += len,
+                _ => runs.push((off, len)),
+            }
+        }
+
+        // Pass 1: group equal-length, constant-stride run sequences into
+        // `Strided` ops; everything else stays `Contig`.
+        let mut ops: Vec<PlanOp> = Vec::new();
+        let mut i = 0usize;
+        while i < runs.len() {
+            let (mem, block) = runs[i];
+            let mut n = 1usize;
+            if i + 1 < runs.len() && runs[i + 1].1 == block {
+                let stride = runs[i + 1].0 - mem;
+                while i + n < runs.len()
+                    && runs[i + n].1 == block
+                    && runs[i + n].0 - runs[i + n - 1].0 == stride
+                {
+                    n += 1;
+                }
+                if n >= 2 {
+                    ops.push(PlanOp::Strided {
+                        mem,
+                        stride,
+                        block,
+                        count: n,
+                        kernel: Kernel::for_block(block),
+                    });
+                    i += n;
+                    continue;
+                }
+            }
+            ops.push(PlanOp::Contig { mem, len: block });
+            i += n;
+        }
+
+        // Pass 1.5: fuse alternating two-length contiguous runs at a
+        // constant period into `Pair` ops — the array-of-struct layout
+        // (e.g. `{3×i32, f64}` with padding) whose unequal runs pass 1's
+        // equal-length grouping cannot touch.
+        let contig = |ops: &[PlanOp], j: usize| -> Option<(isize, usize)> {
+            match ops.get(j) {
+                Some(&PlanOp::Contig { mem, len }) => Some((mem, len)),
+                _ => None,
+            }
+        };
+        let mut fused: Vec<PlanOp> = Vec::with_capacity(ops.len());
+        let mut i = 0usize;
+        while i < ops.len() {
+            if let (Some((m0, a)), Some((m1, b)), Some((m2, a2)), Some((m3, b2))) = (
+                contig(&ops, i),
+                contig(&ops, i + 1),
+                contig(&ops, i + 2),
+                contig(&ops, i + 3),
+            ) {
+                let delta = m1 - m0;
+                let stride = m2 - m0;
+                if a2 == a && b2 == b && m3 - m2 == delta && stride != 0 {
+                    let mut pairs = 2usize;
+                    while let (Some((ma, la)), Some((mb, lb))) =
+                        (contig(&ops, i + 2 * pairs), contig(&ops, i + 2 * pairs + 1))
+                    {
+                        if la == a
+                            && lb == b
+                            && ma - m0 == stride * pairs as isize
+                            && mb - ma == delta
+                        {
+                            pairs += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    fused.push(PlanOp::Pair {
+                        mem: m0,
+                        delta,
+                        stride,
+                        block_a: a,
+                        block_b: b,
+                        count: pairs,
+                    });
+                    i += 2 * pairs;
+                    continue;
+                }
+            }
+            fused.push(ops[i].clone());
+            i += 1;
+        }
+        let ops = fused;
+
+        // Pass 2: fold repeated identical `Strided` ops at a constant row
+        // stride into `Nest2` — the doubly-nested loop of a face exchange.
+        let mut folded: Vec<PlanOp> = Vec::new();
+        let mut i = 0usize;
+        while i < ops.len() {
+            if let PlanOp::Strided {
+                mem,
+                stride,
+                block,
+                count,
+                kernel,
+            } = ops[i]
+            {
+                let same = |op: &PlanOp| {
+                    matches!(*op, PlanOp::Strided { stride: s, block: b, count: c, .. }
+                    if s == stride && b == block && c == count)
+                };
+                let mut rows = 1usize;
+                if i + 1 < ops.len() && same(&ops[i + 1]) {
+                    let row_stride = strided_mem(&ops[i + 1]) - mem;
+                    while i + rows < ops.len()
+                        && same(&ops[i + rows])
+                        && strided_mem(&ops[i + rows]) - strided_mem(&ops[i + rows - 1])
+                            == row_stride
+                    {
+                        rows += 1;
+                    }
+                    if rows >= 2 {
+                        folded.push(PlanOp::Nest2 {
+                            mem,
+                            row_stride,
+                            rows,
+                            col_stride: stride,
+                            cols: count,
+                            block,
+                            kernel,
+                        });
+                        i += rows;
+                        continue;
+                    }
+                }
+            }
+            folded.push(ops[i].clone());
+            i += 1;
+        }
+
+        folded
+    }
+
+    /// `mem` of a `Strided` op (helper for the `Nest2` fold).
+    fn strided_mem(op: &PlanOp) -> isize {
+        match *op {
+            PlanOp::Strided { mem, .. } => mem,
+            _ => unreachable!("caller matched Strided"),
+        }
     }
 
     #[test]
@@ -1255,8 +1397,8 @@ mod tests {
         for cut in 0..full.len() {
             let mut out = vec![0u8; full.len()];
             unsafe {
-                p.pack_segment(src.as_ptr(), 1, cut, &mut out[cut..]);
-                p.pack_segment(src.as_ptr(), 1, 0, &mut out[..cut]);
+                pack_segment(&p, src.as_ptr(), 1, cut, &mut out[cut..]);
+                pack_segment(&p, src.as_ptr(), 1, 0, &mut out[..cut]);
             }
             assert_eq!(out, full, "cut={cut}");
         }
@@ -1325,7 +1467,7 @@ mod tests {
         let span = c.required_span(3).unwrap();
         let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
         let mut out = vec![0u8; 3 * 32];
-        let n = unsafe { plan_of(&column).pack_segment(src.as_ptr(), 3, 0, &mut out) };
+        let n = unsafe { pack_segment(&plan_of(&column), src.as_ptr(), 3, 0, &mut out) };
         assert_eq!(n, out.len());
         assert_eq!(out, c.pack_slice(&src, 3).unwrap());
     }
@@ -1341,7 +1483,7 @@ mod tests {
         let src: Vec<u8> = (0..240).map(|i| i as u8).collect();
         let reference = c.pack_slice(&src, 10).unwrap();
         let mut out = vec![0u8; reference.len()];
-        let n = unsafe { p.pack_segment(src.as_ptr(), 10, 0, &mut out) };
+        let n = unsafe { pack_segment(&p, src.as_ptr(), 10, 0, &mut out) };
         assert_eq!(n, out.len());
         assert_eq!(out, reference);
     }
@@ -1366,10 +1508,101 @@ mod tests {
         for cut in 0..full.len() {
             let mut out = vec![0u8; full.len()];
             unsafe {
-                p.pack_segment(src.as_ptr(), count, cut, &mut out[cut..]);
-                p.pack_segment(src.as_ptr(), count, 0, &mut out[..cut]);
+                pack_segment(&p, src.as_ptr(), count, cut, &mut out[cut..]);
+                pack_segment(&p, src.as_ptr(), count, 0, &mut out[..cut]);
             }
             assert_eq!(out, full, "cut={cut}");
         }
+    }
+
+    /// A seeded raw block list built to hit every stage's edges: strided
+    /// groups, pair sequences and nests at negative, zero and positive
+    /// strides, each possibly broken by one near-miss run, plus zero-length
+    /// and memory-adjacent (unmerged) blocks.
+    fn raw_blocks(rng: &mut mpicd_obs::XorShift64Star) -> Vec<(isize, usize)> {
+        let stride = |rng: &mut mpicd_obs::XorShift64Star| rng.range(0, 9) as isize * 8 - 32;
+        let len = |rng: &mut mpicd_obs::XorShift64Star| [0, 4, 8, 8, 12, 16][rng.range(0, 6)];
+        let mut out: Vec<(isize, usize)> = Vec::new();
+        for _ in 0..rng.range(1, 6) {
+            let mem = rng.range(0, 64) as isize - 32;
+            let n = rng.range(1, 6);
+            let start = out.len();
+            match rng.range(0, 5) {
+                0 => {
+                    let (s, b) = (stride(rng), len(rng));
+                    out.extend((0..n as isize).map(|i| (mem + i * s, b)));
+                }
+                1 => {
+                    let (delta, s, a, b) = (stride(rng), stride(rng), len(rng), len(rng));
+                    for i in 0..n as isize {
+                        out.extend([(mem + i * s, a), (mem + i * s + delta, b)]);
+                    }
+                }
+                2 => {
+                    let (rs, cs, b, cols) =
+                        (stride(rng) * 4, stride(rng), len(rng), rng.range(1, 4));
+                    for r in 0..n as isize {
+                        out.extend((0..cols as isize).map(|c| (mem + r * rs + c * cs, b)));
+                    }
+                }
+                3 => {
+                    // Runs that touch the run before them.
+                    let mut at = mem;
+                    for _ in 0..n {
+                        let b = len(rng);
+                        out.push((at, b));
+                        at += b as isize + 8 * rng.range(0, 2) as isize;
+                    }
+                }
+                _ => out.extend((0..n).map(|_| (rng.range(0, 128) as isize - 64, len(rng)))),
+            }
+            if rng.chance(1, 3) {
+                // A near miss: one run of the segment shifted or resized.
+                let i = rng.range(start, out.len());
+                match rng.range(0, 3) {
+                    0 => out[i].0 += 1,
+                    1 => out[i].1 += 4,
+                    _ => out[i].1 = 0,
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streaming_compiler_equals_multipass_oracle() {
+        let mut rng = mpicd_obs::XorShift64Star::new(0x5EED_0025);
+        let mut shapes = [0usize; 4];
+        for case in 0..20_000 {
+            let blocks = raw_blocks(&mut rng);
+            let size = blocks.iter().map(|b| b.1).sum();
+            let extent = rng.range(0, 256);
+            let mut builder = PlanBuilder::default();
+            blocks.iter().for_each(|&(off, len)| builder.push(off, len));
+            let (plan, runs) = builder.finish(size, extent);
+            let want = compile_multipass(&blocks);
+            assert_eq!(plan.ops(), &want[..], "case {case}: {blocks:?}");
+            assert_eq!(plan.fold, element_fold(&want, extent as isize));
+            let mut merged: Vec<(isize, usize)> = Vec::new();
+            for &(off, len) in blocks.iter().filter(|b| b.1 > 0) {
+                match merged.last_mut() {
+                    Some((o, l)) if *o + *l as isize == off => *l += len,
+                    _ => merged.push((off, len)),
+                }
+            }
+            assert_eq!(runs, merged.len(), "case {case}: merged runs");
+            for op in &want {
+                shapes[match op {
+                    PlanOp::Contig { .. } => 0,
+                    PlanOp::Strided { .. } => 1,
+                    PlanOp::Pair { .. } => 2,
+                    PlanOp::Nest2 { .. } => 3,
+                }] += 1;
+            }
+        }
+        assert!(
+            shapes.iter().all(|&n| n > 1000),
+            "every op shape is exercised: {shapes:?}"
+        );
     }
 }

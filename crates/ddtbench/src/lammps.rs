@@ -11,7 +11,7 @@ use crate::custom::{RunsPack, RunsUnpack};
 use crate::pattern::{fill_slab, Pattern, PatternInfo};
 use mpicd::datatype::{CustomPack, CustomUnpack};
 use mpicd_datatype::{Committed, Datatype, Primitive};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of per-atom arrays gathered (x, y, z, vx, vy, vz).
 pub const ARRAYS: usize = 6;
@@ -28,7 +28,8 @@ pub struct Lammps {
     /// (atom-major: atom 0's six values, then atom 1's, …).
     offsets: Vec<isize>,
     atoms: usize,
-    committed: Arc<Committed>,
+    /// The convertor view, committed on first use.
+    committed: OnceLock<Arc<Committed>>,
 }
 
 impl Lammps {
@@ -48,18 +49,11 @@ impl Lammps {
             }
         }
 
-        // hindexed over MPI_DOUBLE with one block per gathered value — what
-        // the application would build with MPI_Type_create_hindexed.
-        let blocks: Vec<(usize, isize)> = offsets.iter().map(|o| (1usize, *o)).collect();
-        let dt = Datatype::hindexed(blocks, Datatype::Predefined(Primitive::Double));
-        let committed = Arc::new(dt.commit_convertor().expect("valid hindexed type"));
-        debug_assert_eq!(committed.size(), atoms * BYTES_PER_ATOM);
-
         Self {
             slab,
             offsets,
             atoms,
-            committed,
+            committed: OnceLock::new(),
         }
     }
 
@@ -101,10 +95,19 @@ impl Pattern for Lammps {
     }
 
     fn committed(&self) -> Arc<Committed> {
-        Arc::clone(&self.committed)
+        let view = self.committed.get_or_init(|| {
+            Arc::new(
+                self.datatype()
+                    .commit_convertor()
+                    .expect("valid hindexed type"),
+            )
+        });
+        Arc::clone(view)
     }
 
     fn datatype(&self) -> Datatype {
+        // hindexed over MPI_DOUBLE with one block per gathered value — what
+        // the application would build with MPI_Type_create_hindexed.
         let blocks: Vec<(usize, isize)> = self.offsets.iter().map(|o| (1usize, *o)).collect();
         Datatype::hindexed(blocks, Datatype::Predefined(Primitive::Double))
     }
@@ -144,6 +147,7 @@ mod tests {
         let p = Lammps::new(48 * 100);
         assert_eq!(p.atoms(), 100);
         assert_eq!(p.bytes(), 4800);
+        assert_eq!(p.datatype().size(), 4800);
         assert!(Lammps::new(1).atoms() == 1, "minimum one atom");
     }
 

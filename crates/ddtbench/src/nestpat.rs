@@ -11,7 +11,7 @@ use crate::pattern::{fill_slab, Pattern, PatternInfo};
 use mpicd::datatype::{CustomPack, CustomUnpack, RecvRegion, SendRegion};
 use mpicd::LoopNest;
 use mpicd_datatype::{Committed, Datatype, Primitive};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A DDTBench pattern whose access shape is a rectangular loop nest.
 pub struct NestPattern {
@@ -19,7 +19,8 @@ pub struct NestPattern {
     slab: Vec<u8>,
     nest: LoopNest,
     datatype: Datatype,
-    committed: Arc<Committed>,
+    /// The convertor view, committed on first use.
+    committed: OnceLock<Arc<Committed>>,
 }
 
 impl NestPattern {
@@ -31,10 +32,8 @@ impl NestPattern {
         assert!(min >= 0, "nest offsets must be non-negative");
         let mut slab = vec![0u8; max as usize];
         fill_slab(&mut slab, seed);
-        // Open MPI-style convertor view: the baseline the paper measures.
-        let committed = Arc::new(datatype.commit_convertor().expect("valid datatype"));
         assert_eq!(
-            committed.size(),
+            datatype.size(),
             nest.packed_size(),
             "{}: datatype and nest disagree on payload size",
             info.name
@@ -44,7 +43,7 @@ impl NestPattern {
             slab,
             nest,
             datatype,
-            committed,
+            committed: OnceLock::new(),
         }
     }
 
@@ -138,7 +137,11 @@ impl Pattern for NestPattern {
     }
 
     fn committed(&self) -> Arc<Committed> {
-        Arc::clone(&self.committed)
+        // Open MPI-style convertor view: the baseline the paper measures.
+        let view = self
+            .committed
+            .get_or_init(|| Arc::new(self.datatype.commit_convertor().expect("valid datatype")));
+        Arc::clone(view)
     }
 
     fn datatype(&self) -> Datatype {

@@ -46,6 +46,8 @@ fn every_ddtbench_pattern_roundtrips_every_method_single_threaded() {
     for name in BENCHMARKS {
         let sender = make(name, 8 * 1024);
         let expect = sender.checksum();
+        // The pattern commits its datatype view on first use.
+        let ty = sender.committed();
 
         // Custom pack path.
         {
@@ -66,7 +68,6 @@ fn every_ddtbench_pattern_roundtrips_every_method_single_threaded() {
             let (a, b) = world.pair();
             let mut receiver = make(name, 8 * 1024);
             receiver.clear();
-            let ty = sender.committed();
             mpicd::transfer_typed(&a, &b, sender.base(), receiver.base_mut(), 1, &ty, 0).unwrap();
             assert_eq!(receiver.checksum(), expect, "{name} typed");
         }

@@ -173,8 +173,8 @@ fn flatten_count_covers_exactly_size_bytes() {
     for _ in 0..64 {
         let t = datatype(&mut rng, 2);
         let count = rng.range(1, 4);
-        let c = t.commit().unwrap();
-        let total: usize = c.flatten_count(count).iter().map(|(_, l)| l).sum();
+        let c = t.commit_interpreted().unwrap();
+        let total: usize = c.flatten_count(count).unwrap().iter().map(|(_, l)| l).sum();
         assert_eq!(total, c.size() * count, "{t:?}");
     }
 }

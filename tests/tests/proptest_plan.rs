@@ -153,6 +153,7 @@ fn compiled_plan_matches_interpreted_and_convertor() {
         let convertor = t.commit_convertor().unwrap();
         assert!(compiled.plan().is_some() || compiled.size() == 0, "{name}");
         assert!(interpreted.plan().is_none() && convertor.plan().is_none());
+        assert_eq!(compiled.block_count(), interpreted.block_count(), "{name}");
         if compiled.size() == 0 {
             continue;
         }
@@ -267,10 +268,13 @@ fn equivalent_constructors_commit_identical_plans() {
     ];
     for group in &groups {
         let first = group[0].commit().unwrap();
+        let first_blocks = group[0].commit_interpreted().unwrap();
         for t in group {
             assert!(mpicd_datatype::equivalent(&group[0], t), "{t:?}");
             let c = t.commit().unwrap();
-            assert_eq!(c.blocks(), first.blocks(), "{t:?}");
+            let blocks = t.commit_interpreted().unwrap();
+            assert_eq!(blocks.blocks(), first_blocks.blocks(), "{t:?}");
+            assert!(blocks.blocks().is_some(), "{t:?}");
             assert_eq!(
                 c.plan().unwrap().ops(),
                 first.plan().unwrap().ops(),
