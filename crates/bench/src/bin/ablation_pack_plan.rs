@@ -20,12 +20,13 @@
 //! interpreted and compiled/convertor speedups, and a second table shows
 //! how far each plan canonicalizes the layout (merged blocks → plan ops).
 //! Two more tables, printed only, show the commit layer's cost: each
-//! pattern's first commit time per engine, and the heap bytes each
-//! engine's committed type keeps (counted by this binary's allocator).
+//! pattern's commit time per engine (median and interquartile range of
+//! fresh commits), and the heap bytes each engine's committed type keeps
+//! (counted by this binary's allocator).
 //! Byte-identity across all three engines is asserted on every pattern
 //! before anything is timed.
 
-use mpicd_bench::harness::Sample;
+use mpicd_bench::harness::{percentile, Sample};
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
 use mpicd_datatype::{Committed, Datatype};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,11 +73,35 @@ fn retained(c: Committed) -> Sample {
     Sample::point(live.wrapping_sub(LIVE.load(Relaxed)) as f64, 0.0)
 }
 
-/// `f()` and its wall time in µs.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, Sample) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, Sample::point(t0.elapsed().as_secs_f64() * 1e6, 0.0))
+/// Fresh commits per engine and pattern in the commit-time table.
+const COMMITS: usize = 9;
+
+/// Commit time in µs per engine (compiled, interpreted, convertor) as the
+/// median ±IQR of `COMMITS` fresh commits of `dt`, then the ratio of the
+/// compiled and interpreted medians. The engines take turns, so one stall
+/// of the machine cannot decide a cell.
+fn commit_times(dt: &Datatype) -> Vec<Option<Sample>> {
+    let engines = [
+        Datatype::commit,
+        Datatype::commit_interpreted,
+        Datatype::commit_convertor,
+    ];
+    let mut us = [(); 3].map(|_| Vec::with_capacity(COMMITS));
+    for _ in 0..COMMITS {
+        for (times, commit) in us.iter_mut().zip(engines) {
+            let t0 = Instant::now();
+            let committed = commit(dt).expect("valid datatype");
+            times.push(t0.elapsed().as_secs_f64() * 1e6);
+            drop(committed);
+        }
+    }
+    let [comp, interp, conv] = us.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        let q = |p| percentile(&v, p);
+        Sample::point(q(50.0), q(75.0) - q(25.0))
+    });
+    let ratio = Sample::point(comp.mean / interp.mean, 0.0);
+    [comp, interp, conv, ratio].map(Some).to_vec()
 }
 
 /// Fragment size of the timed pack loop — the fabric's generic-payload
@@ -160,10 +185,12 @@ fn main() {
         vec!["merged blocks".into(), "plan ops".into()],
     );
     let mut commit_us = Table::new(
-        "Cold commit time (one commit per engine)",
+        &format!("Commit time (median ±IQR of {COMMITS} fresh commits per engine)"),
         "pattern",
         "µs",
-        vec!["commit".into(), "interpreted".into(), "convertor".into()],
+        ["commit", "interpreted", "convertor", "× vs interp"]
+            .map(String::from)
+            .to_vec(),
     );
     let mut heap = Table::new(
         "Heap retained per committed type",
@@ -173,10 +200,10 @@ fn main() {
     );
 
     for (name, dt, count, base) in patterns(target) {
-        let (convertor, conv_us) = timed(|| dt.commit_convertor().expect("valid datatype"));
-        let (interpreted, interp_us) = timed(|| dt.commit_interpreted().expect("valid datatype"));
-        let (compiled, comp_us) = timed(|| dt.commit().expect("valid datatype"));
-        commit_us.push(&name, vec![Some(comp_us), Some(interp_us), Some(conv_us)]);
+        commit_us.push(&name, commit_times(&dt));
+        let convertor = dt.commit_convertor().expect("valid datatype");
+        let interpreted = dt.commit_interpreted().expect("valid datatype");
+        let compiled = dt.commit().expect("valid datatype");
         let base = &base[..];
         assert!(compiled.required_span(count).expect("span fits") <= base.len());
 

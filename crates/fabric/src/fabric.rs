@@ -30,7 +30,7 @@ use crate::request::{ReqState, Request};
 use crate::stats::{gauge_shift, FabricMetrics, FabricStats, StatsView};
 use crate::transfer::{Stream, Walk};
 use mpicd_obs::flight::{self, EventKind, FlightEvent, Method, TransferRecord};
-use mpicd_obs::sync::{Condvar, Mutex};
+use mpicd_obs::sync::{Condvar, Mutex, MutexGuard};
 use mpicd_obs::telemetry;
 use std::sync::{Arc, OnceLock};
 
@@ -77,6 +77,15 @@ struct PostedRecv {
 /// in the unexpected queue; the engine tombstones it when scanned past.
 fn send_is_dead(p: &PendingSend) -> bool {
     matches!(&p.kind, PendKind::Deferred { req, .. } if req.is_done())
+}
+
+/// Fail a request that no transfer will complete, logging the error under
+/// the transfer's flight id if the request was still pending.
+fn fail_pending(req: &ReqState, fid: u64, err: FabricError) {
+    if !req.is_done() && fid != 0 {
+        flight::record(FlightEvent::new(EventKind::Error, fid).code(err.flight_code()));
+    }
+    req.complete(Err(err));
 }
 
 /// A posted receive whose request has completed (cancelled) must never
@@ -247,25 +256,13 @@ impl Drop for Inner {
         for q in &state.unexpected {
             for p in q.iter_live() {
                 if let PendKind::Deferred { req, .. } = &p.kind {
-                    if !req.is_done() && p.fid != 0 {
-                        flight::record(
-                            FlightEvent::new(EventKind::Error, p.fid)
-                                .code(FabricError::ShutDown.flight_code()),
-                        );
-                    }
-                    req.complete(Err(FabricError::ShutDown));
+                    fail_pending(req, p.fid, FabricError::ShutDown);
                 }
             }
         }
         for q in &state.posted {
             for r in q.iter_live() {
-                if !r.req.is_done() && r.fid != 0 {
-                    flight::record(
-                        FlightEvent::new(EventKind::Error, r.fid)
-                            .code(FabricError::ShutDown.flight_code()),
-                    );
-                }
-                r.req.complete(Err(FabricError::ShutDown));
+                fail_pending(&r.req, r.fid, FabricError::ShutDown);
             }
         }
     }
@@ -418,23 +415,10 @@ impl Endpoint {
                 sig,
                 recv.sig,
             );
+            drop(state);
             recv.req.complete(outcome.clone());
-            return Ok(match outcome {
-                Ok(env) => Request::ready(env).with_flight(fid),
-                // The sender's data went out even if the receiver
-                // truncated or rejected the type — same contract as the
-                // unexpected-path match sites, so which side arrived first
-                // stays unobservable.
-                Err(FabricError::Truncated { .. } | FabricError::TypeMismatch { .. }) => {
-                    Request::ready(Envelope {
-                        source: self.rank,
-                        tag,
-                        bytes: total,
-                    })
-                    .with_flight(fid)
-                }
-                Err(e) => Request::done(Err(e)).with_flight(fid),
-            });
+            let sent = send_outcome(&outcome, self.rank, tag, total);
+            return Ok(Request::done(sent).with_flight(fid));
         }
 
         // No receive yet: eager-copy small contiguous payloads, defer the rest.
@@ -473,6 +457,7 @@ impl Endpoint {
                     .note_queue_shift(qb, state.unexpected[dest].counts(), true);
                 self.inner.stats.record_unexpected();
                 self.inner.metrics.unexpected.inc();
+                drop(state);
                 self.inner.arrivals.notify_all();
                 Ok(Request::ready(Envelope {
                     source: self.rank,
@@ -504,6 +489,7 @@ impl Endpoint {
                     .note_queue_shift(qb, state.unexpected[dest].counts(), true);
                 self.inner.stats.record_unexpected();
                 self.inner.metrics.unexpected.inc();
+                drop(state);
                 self.inner.arrivals.notify_all();
                 Ok(Request::new(req).with_flight(fid))
             }
@@ -561,38 +547,7 @@ impl Endpoint {
         self.inner.note_drained(drained);
         if let Some((pending, wildcard)) = hit {
             self.inner.note_match(wildcard);
-            let (send_side, send_req) = match pending.kind {
-                PendKind::Eager { data } => (SendSide::Bounce { data }, None),
-                PendKind::Deferred { desc, req } => (SendSide::Direct(desc), Some(req)),
-            };
-            let outcome = self.inner.run_matched_transfer(
-                pending.source,
-                self.rank,
-                pending.tag,
-                send_side,
-                desc,
-                &mut state,
-                posts(pending.fid, pending.post_ns, rfid, rpost_ns),
-                pending.sig,
-                sig,
-            );
-            if let Some(req) = send_req {
-                req.complete(match &outcome {
-                    // The sender's data went out even if the receiver
-                    // truncated or rejected the type; only callback
-                    // failures abort the send too.
-                    Ok(env) => Ok(*env),
-                    Err(FabricError::Truncated { .. } | FabricError::TypeMismatch { .. }) => {
-                        Ok(Envelope {
-                            source: pending.source,
-                            tag: pending.tag,
-                            bytes: pending.total,
-                        })
-                    }
-                    Err(e) => Err(e.clone()),
-                });
-            }
-            return Ok(Request::done(outcome).with_flight(rfid));
+            return Ok(self.receive_pending(state, pending, desc, sig, rfid, rpost_ns));
         }
 
         let req = ReqState::new();
@@ -755,8 +710,22 @@ impl Endpoint {
         } else {
             0
         };
-        let mut state = self.inner.state.lock();
-        let pending = msg.take();
+        let state = self.inner.state.lock();
+        Ok(self.receive_pending(state, msg.take(), desc, sig, rfid, rpost_ns))
+    }
+
+    /// Receive `pending`, a send taken off the unexpected queue, into
+    /// `desc` under the match lock; release the lock, then complete the
+    /// sender's request if it waits on one. Returns the receive's request.
+    fn receive_pending(
+        &self,
+        mut state: MutexGuard<'_, MatchState>,
+        pending: PendingSend,
+        desc: RecvDesc,
+        sig: u64,
+        rfid: u64,
+        rpost_ns: u64,
+    ) -> Request {
         let (send_side, send_req) = match pending.kind {
             PendKind::Eager { data } => (SendSide::Bounce { data }, None),
             PendKind::Deferred { desc, req } => (SendSide::Direct(desc), Some(req)),
@@ -772,20 +741,16 @@ impl Endpoint {
             pending.sig,
             sig,
         );
+        drop(state);
         if let Some(req) = send_req {
-            req.complete(match &outcome {
-                Ok(env) => Ok(*env),
-                Err(FabricError::Truncated { .. } | FabricError::TypeMismatch { .. }) => {
-                    Ok(Envelope {
-                        source: pending.source,
-                        tag: pending.tag,
-                        bytes: pending.total,
-                    })
-                }
-                Err(e) => Err(e.clone()),
-            });
+            req.complete(send_outcome(
+                &outcome,
+                pending.source,
+                pending.tag,
+                pending.total,
+            ));
         }
-        Ok(Request::done(outcome).with_flight(rfid))
+        Request::done(outcome).with_flight(rfid)
     }
 
     /// Blocking convenience send of a byte slice.
@@ -831,13 +796,7 @@ impl Drop for Message {
             ..
         }) = &self.pending
         {
-            if !req.is_done() && *fid != 0 {
-                flight::record(
-                    FlightEvent::new(EventKind::Error, *fid)
-                        .code(FabricError::Cancelled.flight_code()),
-                );
-            }
-            req.complete(Err(FabricError::Cancelled));
+            fail_pending(req, *fid, FabricError::Cancelled);
         }
     }
 }
@@ -848,6 +807,26 @@ impl std::fmt::Debug for Message {
             Some(p) => write!(f, "Message(from {} tag {} {} B)", p.source, p.tag, p.total),
             None => write!(f, "Message(consumed)"),
         }
+    }
+}
+
+/// The sender's outcome of a matched transfer whose receive ended in
+/// `outcome`. The sender's `total` bytes went out even if the receiver
+/// truncated or rejected the type, so which side arrived first stays
+/// unobservable; only callback failures abort the send too.
+fn send_outcome(
+    outcome: &FabricResult<Envelope>,
+    source: usize,
+    tag: Tag,
+    total: usize,
+) -> FabricResult<Envelope> {
+    match outcome {
+        Err(FabricError::Truncated { .. } | FabricError::TypeMismatch { .. }) => Ok(Envelope {
+            source,
+            tag,
+            bytes: total,
+        }),
+        other => other.clone(),
     }
 }
 
@@ -1902,11 +1881,11 @@ mod tests {
     }
 }
 
-/// Model-checked arrival wakeups. Run with
+/// Model-checked arrival and completion wakeups. Run with
 /// `RUSTFLAGS="--cfg mpicd_check" cargo test -p mpicd-fabric`; the match
-/// state lock and the `arrivals` condvar then resolve to the instrumented
-/// primitives, and the checker explores a blocking probe racing the send
-/// it waits for.
+/// state lock, the `arrivals` condvar and the requests' slot locks and
+/// condvars then resolve to the instrumented primitives, and the checker
+/// explores a blocked probe or `wait` racing the post that releases it.
 #[cfg(all(test, mpicd_check))]
 mod model_tests {
     use super::*;
@@ -1934,6 +1913,89 @@ mod model_tests {
             let (env, menv) = prober.join();
             assert_eq!((env.source, env.tag, env.bytes), (0, 5, 3));
             assert_eq!(env, menv, "mprobe takes the message probe saw");
+        });
+    }
+
+    /// Two ranks whose 16 B contiguous messages go by rendezvous: a send
+    /// posted before its receive is deferred, and its request completes
+    /// only when a receive matches it. Every transfer runs inline.
+    fn rendezvous_fabric() -> (Endpoint, Endpoint) {
+        let model = WireModel {
+            rndv_threshold: 8,
+            ..WireModel::default()
+        };
+        let fabric = Fabric::with_model_and_pipeline(2, model, PipelineConfig::with_threads(1));
+        (fabric.endpoint(0).unwrap(), fabric.endpoint(1).unwrap())
+    }
+
+    const SENT: Envelope = Envelope {
+        source: 0,
+        tag: 5,
+        bytes: 16,
+    };
+
+    /// A receiver parked in `wait` on a posted receive, racing the
+    /// `post_send` that matches it: the send completes the receive after
+    /// releasing the match lock, and in every interleaving the waiter
+    /// wakes with the sender's envelope and bytes.
+    #[test]
+    fn receiver_waiting_on_a_posted_receive_wakes_when_the_send_matches() {
+        drop(Fabric::new(2));
+        model(|| {
+            let (tx, rx) = rendezvous_fabric();
+            let data = [7u8; 16];
+            let mut buf = [0u8; 16];
+            // SAFETY: `buf` outlives the receive, which the waiter joined
+            // below waits for.
+            let recv =
+                unsafe { rx.post_recv(RecvDesc::Contig(IovEntryMut::from_slice(&mut buf)), 0, 5) }
+                    .unwrap();
+            let waiter = mthread::spawn(move || recv.wait());
+            // SAFETY: `data` outlives the send, which matches the posted
+            // receive and so completes before returning.
+            let send = unsafe { tx.post_send(SendDesc::Contig(IovEntry::from_slice(&data)), 1, 5) }
+                .unwrap();
+            assert_eq!(waiter.join(), Ok(SENT));
+            assert_eq!(send.wait(), Ok(SENT));
+            assert_eq!(buf, data);
+        });
+    }
+
+    /// A sender parked in `wait` on a deferred send, racing the receive
+    /// that `take` posts: in every interleaving the sender wakes with its
+    /// own envelope and the receiver holds the bytes.
+    fn sender_waiting_on_a_deferred_send_wakes(take: fn(&Endpoint, &mut [u8]) -> Envelope) {
+        drop(Fabric::new(2));
+        model(move || {
+            let (tx, rx) = rendezvous_fabric();
+            let data = [9u8; 16];
+            // SAFETY: `data` outlives the send, which the waiter joined
+            // below waits for.
+            let send = unsafe { tx.post_send(SendDesc::Contig(IovEntry::from_slice(&data)), 1, 5) }
+                .unwrap();
+            assert!(!send.is_done(), "a rendezvous send waits for its receive");
+            let waiter = mthread::spawn(move || send.wait());
+            let mut buf = [0u8; 16];
+            assert_eq!(take(&rx, &mut buf), SENT);
+            assert_eq!(waiter.join(), Ok(SENT));
+            assert_eq!(buf, data);
+        });
+    }
+
+    #[test]
+    fn sender_waiting_on_a_deferred_send_wakes_when_post_recv_matches() {
+        sender_waiting_on_a_deferred_send_wakes(|rx, buf| rx.recv_bytes(buf, 0, 5).unwrap());
+    }
+
+    #[test]
+    fn sender_waiting_on_a_deferred_send_wakes_when_mrecv_takes_it() {
+        sender_waiting_on_a_deferred_send_wakes(|rx, buf| {
+            let (env, msg) = rx.mprobe(0, 5);
+            // SAFETY: `buf` outlives the receive, waited for here.
+            let recv =
+                unsafe { rx.post_mrecv(RecvDesc::Contig(IovEntryMut::from_slice(buf)), msg) };
+            assert_eq!(recv.unwrap().wait(), Ok(env));
+            env
         });
     }
 }

@@ -277,7 +277,9 @@ fn record_error(slot: &Mutex<Option<(usize, FabricError)>>, pos: usize, e: Fabri
 
 /// Retire one job: decrement the remaining count under its mutex and
 /// notify the posting thread on the last one. The decrement must be the
-/// final touch of job state (see [`JobRef`]).
+/// final touch of job state (see [`JobRef`]), so the wake stays under the
+/// lock: once the guard drops, the posting thread may see zero, return
+/// and drop the `Condvar` this would notify.
 fn complete_job(remaining: &Mutex<usize>, done: &Condvar) {
     let mut g = remaining.lock();
     *g -= 1;

@@ -26,12 +26,16 @@ impl ReqState {
     }
 
     /// Mark complete (idempotent: first outcome wins) and wake waiters.
+    /// The wake comes after the slot lock is released, so a woken waiter
+    /// does not block at once on the lock its waker still holds.
     pub(crate) fn complete(&self, outcome: FabricResult<Envelope>) {
         let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.cond.notify_all();
+        if slot.is_some() {
+            return;
         }
+        *slot = Some(outcome);
+        drop(slot);
+        self.cond.notify_all();
     }
 
     pub(crate) fn is_done(&self) -> bool {
