@@ -31,7 +31,8 @@
 use mpicd_bench::harness::Sample;
 use mpicd_bench::{emit_json, obs_finish, quick_mode, Table};
 use mpicd_fabric::{
-    Endpoint, Fabric, MatchConfig, PipelineConfig, Tag, WireModel, ANY_SOURCE, ANY_TAG,
+    Endpoint, Fabric, FabricConfig, MatchConfig, PipelineConfig, Tag, WireModel, ANY_SOURCE,
+    ANY_TAG,
 };
 use std::time::Instant;
 
@@ -79,9 +80,12 @@ const BATCH: usize = 64;
 fn msgrate(mix: Mix, depth: usize, cfg: MatchConfig, runs: usize) -> Sample {
     let fabric = Fabric::with_config(
         2,
-        WireModel::zero_cost(),
-        PipelineConfig::with_threads(1),
-        cfg,
+        FabricConfig {
+            model: WireModel::zero_cost(),
+            pipeline: PipelineConfig::with_threads(1),
+            matching: cfg,
+            ..FabricConfig::default()
+        },
     );
     let tx = fabric.endpoint(0).expect("endpoint 0");
     let rx = fabric.endpoint(1).expect("endpoint 1");

@@ -20,7 +20,7 @@
 //! serial cells must have none, and in full mode the pool must take the
 //! fine-grained rows, whose pack cost per byte is what it parallelizes.
 
-use mpicd::fabric::{PipelineConfig, WireModel};
+use mpicd::fabric::{FabricConfig, PipelineConfig, WireModel};
 use mpicd::{transfer_custom, World};
 use mpicd_bench::harness::Sample;
 use mpicd_bench::report::size_label;
@@ -102,7 +102,14 @@ fn main() {
             };
             let mut cells: Vec<Option<Sample>> = Vec::new();
             for (label, cfg) in configs {
-                let world = World::with_model_and_pipeline(2, model, cfg);
+                let world = World::with_config(
+                    2,
+                    FabricConfig {
+                        model,
+                        pipeline: cfg,
+                        ..FabricConfig::default()
+                    },
+                );
                 let mut receiver = mpicd_ddtbench::make(name, target);
 
                 // Byte identity before timing: the cell's engine must

@@ -8,7 +8,7 @@
 //! 3. **fragment size** — granularity of the pack callbacks (partial-pack
 //!    pressure vs. per-fragment overhead).
 
-use mpicd::fabric::WireModel;
+use mpicd::fabric::{FabricConfig, WireModel};
 use mpicd::types::StructSimple;
 use mpicd::World;
 use mpicd_bench::ddt::{one_way, DdtMethod, DdtScratch};
@@ -40,7 +40,13 @@ fn region_overhead_ablation() {
             let bytes = sender.bytes();
             let cfg = Config::auto(bytes);
             for method in [DdtMethod::CustomPack, DdtMethod::CustomRegion] {
-                let world = World::with_model(2, model);
+                let world = World::with_config(
+                    2,
+                    FabricConfig {
+                        model,
+                        ..FabricConfig::default()
+                    },
+                );
                 let (a, b) = world.pair();
                 let mut receiver = mpicd_ddtbench::make(name, size);
                 let mut scratch = DdtScratch::new(&*sender);
@@ -80,7 +86,13 @@ fn rndv_threshold_ablation() {
                 rndv_threshold: thr,
                 ..WireModel::default()
             };
-            let world = World::with_model(2, model);
+            let world = World::with_config(
+                2,
+                FabricConfig {
+                    model,
+                    ..FabricConfig::default()
+                },
+            );
             let (a, b) = world.pair();
             let mut rx = vec![StructSimple::default(); count];
             cells.push(Some(harness::bandwidth(world.fabric(), cfg, size, || {
@@ -118,7 +130,13 @@ fn frag_size_ablation() {
             frag_size: frag,
             ..WireModel::default()
         };
-        let world = World::with_model(2, model);
+        let world = World::with_config(
+            2,
+            FabricConfig {
+                model,
+                ..FabricConfig::default()
+            },
+        );
         let (a, b) = world.pair();
         let mut rx = vec![StructSimple::default(); count];
         let sample = harness::bandwidth(world.fabric(), cfg, size, || {

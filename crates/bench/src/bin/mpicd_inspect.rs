@@ -23,8 +23,8 @@
 //! * **health**: reads the periodic health-snapshot stream written under
 //!   `MPICD_HEALTH_MS` (counter rates, gauge levels/high-waters, sketch
 //!   summaries over the run) and, with `--flight`, joins it with a
-//!   sampled flight dump so live health and sampled timelines land in
-//!   one report.
+//!   flight dump so live health and transfer timelines land in one
+//!   report.
 //! * `--json` switches any mode to a single machine-readable JSON
 //!   object on stdout.
 //!
@@ -138,8 +138,8 @@ fn main() -> ExitCode {
     exit_for(&analysis)
 }
 
-/// `mpicd-inspect health`: the snapshot stream, joined with sampled
-/// flight dumps when given.
+/// `mpicd-inspect health`: the snapshot stream, joined with flight dumps
+/// when given.
 fn run_health(paths: &[PathBuf], flight_paths: &[PathBuf], json: bool) -> ExitCode {
     if paths.len() != 1 {
         return usage_error("health mode takes exactly one snapshot stream");

@@ -38,7 +38,7 @@
 //! ([`mpicd::collective_tag_name`]): each group gets its own sub-DAG and
 //! critical path, exposing the spine of the bcast tree or the reduce fan-in.
 
-use crate::flight::{Analysis, Timeline, MERGE_ID_SHIFT};
+use crate::flight::{fmt_ns, Analysis, Timeline, MERGE_ID_SHIFT};
 use mpicd_obs::export::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -521,16 +521,6 @@ pub fn critical_path(a: &Analysis) -> CriticalReport {
         components,
         cross_rank_steps,
         collectives,
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 10_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 10_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 

@@ -1,6 +1,7 @@
 //! Offline analysis of flight-recorder dumps (the `mpicd-inspect` binary).
 //!
-//! Parses the JSONL dump written by [`mpicd_obs::flight::dump_jsonl`]:
+//! Parses the JSONL dump written by
+//! [`mpicd_obs::flight::Recorder::dump_jsonl`]:
 //! one `transfer` line per matched transfer (its whole record), plus the
 //! post and error lines that show unmatched or failed posts. Each record
 //! becomes one [`Timeline`], attributed to phases — wait-for-match, pack,
@@ -24,7 +25,7 @@ use std::path::Path;
 
 /// The dump format this reader accepts (the `version` of the
 /// `flight_meta` line).
-pub const DUMP_VERSION: u64 = 3;
+pub const DUMP_VERSION: u64 = 4;
 
 // ---- parsing ----------------------------------------------------------------
 
@@ -488,8 +489,9 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Human-friendly nanosecond label.
-fn fmt_ns(ns: u64) -> String {
+/// Human-friendly nanosecond label (`850ns`, `25.0us`, `18.4ms`), shared
+/// by every `mpicd-inspect` report.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 10_000_000 {
         format!("{:.1}ms", ns as f64 / 1e6)
     } else if ns >= 10_000 {
@@ -806,7 +808,7 @@ pub(crate) mod tests {
     fn meta(version: u64, events: u64) -> String {
         format!(
             "{{\"kind\":\"flight_meta\",\"version\":{version},\"events\":{events},\
-             \"overflowed\":0,\"trace_dropped\":0,\"sample\":1}}"
+             \"overflowed\":0,\"trace_dropped\":0}}"
         )
     }
 
@@ -814,7 +816,7 @@ pub(crate) mod tests {
     /// 50 ns packing and 80 ns unpacking, end at 1000.
     fn healthy() -> String {
         [
-            meta(3, 3),
+            meta(4, 3),
             event("post_recv", 2, 100, 0),
             event("post_send", 1, 200, 0),
             Rec {
@@ -886,6 +888,11 @@ pub(crate) mod tests {
         assert_eq!(d.bad_lines.len(), 6, "{:?}", d.bad_lines);
         assert!(d.bad_lines[0].starts_with("line 1: dump version 2"));
         assert!(d.bad_lines[1].starts_with("line 2: \"match\" lines are from"));
+        // A v3 header (it carried the retired sampling rate) is rejected
+        // the same way.
+        let d = parse_dump(&meta(3, 0)).unwrap();
+        assert_eq!(d.bad_lines.len(), 1, "{:?}", d.bad_lines);
+        assert!(d.bad_lines[0].starts_with("line 1: dump version 3"));
         // Two records naming one receive post.
         let text = [
             Rec::new(1, 9, [1, 1, 2, 3]).line(),
@@ -900,7 +907,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ordering_violations_are_malformed() {
-        let dump = |line: String| parse_dump(&format!("{}\n{line}", meta(3, 1))).unwrap();
+        let dump = |line: String| parse_dump(&format!("{}\n{line}", meta(4, 1))).unwrap();
         for t in [[50, 10, 20, 30], [10, 50, 20, 30], [10, 10, 40, 30]] {
             let d = dump(Rec::new(1, 2, t).line());
             assert!(d.transfers.is_empty(), "{t:?}");
@@ -961,7 +968,7 @@ pub(crate) mod tests {
 
     #[test]
     fn report_lists_slowest_and_stragglers() {
-        let mut lines = vec![meta(3, 10)];
+        let mut lines = vec![meta(4, 10)];
         // Ten eager-sized transfers; the slow one carries the gate's flag.
         for i in 0..10u64 {
             let base = i * 1000;

@@ -5,9 +5,9 @@
 //! sketch summary of the metrics registry, stamped with the capture time.
 //! This module reads that stream back, summarizes how each instrument
 //! moved over the run (each counter's rate between the first and last
-//! snapshot), and (optionally) joins the view with a sampled flight dump
-//! so one report answers both "was the process healthy while it ran?" and
-//! "what did the sampled transfers actually look like?".
+//! snapshot), and (optionally) joins the view with a flight dump so one
+//! report answers both "was the process healthy while it ran?" and "what
+//! did the transfers actually look like?".
 
 use crate::flight::Analysis;
 use crate::regress::{parse_json, Json};
@@ -122,8 +122,8 @@ pub fn read_health(path: &Path) -> Result<HealthLog, String> {
 
 /// Human report: per-counter first/last/rate, per-gauge first/last/
 /// high-water, per-sketch end-of-run summaries, and (when given) the
-/// joined flight analysis so sampled timeline health sits next to the
-/// live gauges.
+/// joined flight analysis so timeline health sits next to the live
+/// gauges.
 pub fn render_health(log: &HealthLog, flight: Option<&Analysis>, source: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "health snapshots — {source}");
@@ -172,7 +172,7 @@ pub fn render_health(log: &HealthLog, flight: Option<&Analysis>, source: &str) -
     if let Some(a) = flight {
         let _ = writeln!(
             out,
-            "sampled flight: {} completed, {} errored, {} pending, malformed timelines: {}",
+            "flight: {} completed, {} errored, {} pending, malformed timelines: {}",
             a.completed.len(),
             a.errored.len(),
             a.pending_sends + a.pending_recvs,

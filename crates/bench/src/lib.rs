@@ -24,10 +24,6 @@
 //!   (`mpicd-inspect critical-path`).
 //! * [`regress`] — `BENCH_*.json` parsing and the p50/p99 regression
 //!   comparator behind the `bench_compare` CI gate.
-//! * [`soak`] — the record-stream soak harness behind `mpicd-soak`:
-//!   client ranks streaming `Register` batches to aggregators under live
-//!   telemetry, with the freelist zero-growth and sampled-flight
-//!   well-formedness verdicts CI gates on.
 //! * [`healthview`] — health-snapshot stream (`MPICD_HEALTH_MS`) parsing
 //!   and rendering behind `mpicd-inspect health`.
 //!
@@ -46,7 +42,6 @@ pub mod phase;
 pub mod pickle_run;
 pub mod regress;
 pub mod report;
-pub mod soak;
 
 pub use harness::{Config, Sample};
 pub use phase::{PhaseProbe, PhaseTable, Phases};

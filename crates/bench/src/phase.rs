@@ -132,7 +132,7 @@ impl PhaseTable {
         let mut out = String::new();
         out.push_str(&format!("# {} (per message)\n", self.title));
         if !(mpicd_obs::enabled()
-            || mpicd_obs::flight::enabled()
+            || mpicd_obs::Obs::process().flight().enabled()
             || mpicd_obs::telemetry::enabled())
         {
             out.push_str(

@@ -66,35 +66,14 @@ impl Table {
         out
     }
 
-    /// Render as CSV (machine-readable companion).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.xlabel.to_string());
-        for c in &self.columns {
-            out.push_str(&format!(",{c}_mean,{c}_std"));
-        }
-        out.push('\n');
-        for (x, cells) in &self.rows {
-            out.push_str(x);
-            for cell in cells {
-                match cell {
-                    Some(s) => out.push_str(&format!(",{},{}", s.mean, s.std)),
-                    None => out.push_str(",,"),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Print both renderings to stdout.
+    /// Print the rendering to stdout.
     pub fn print(&self) {
         println!("{}", self.render());
-        println!("--- csv ---\n{}", self.render_csv());
     }
 
     /// Render as a JSON document (hand-rolled — the workspace has no JSON
-    /// dependency) so CI can publish results as artifacts.
+    /// dependency): the one machine-readable form, the `BENCH_*.json`
+    /// files CI publishes and gates on.
     pub fn render_json(&self) -> String {
         fn num(v: f64) -> String {
             if v.is_finite() {
@@ -166,9 +145,6 @@ mod tests {
         assert!(s.contains("Fig X"));
         assert!(s.contains("1.50"));
         assert!(s.contains('-'));
-        let csv = t.render_csv();
-        assert!(csv.contains("a_mean"));
-        assert!(csv.lines().count() == 2);
     }
 
     #[test]

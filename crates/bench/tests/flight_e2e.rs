@@ -12,16 +12,23 @@ use mpicd::World;
 use mpicd_bench::ddt::{one_way, DdtMethod, DdtScratch};
 use mpicd_bench::flight::{analyze, read_dump};
 use mpicd_ddtbench::{make, BENCHMARKS};
-use mpicd_fabric::{PipelineConfig, WireModel};
-use mpicd_obs::flight;
+use mpicd_fabric::{FabricConfig, PipelineConfig};
+use mpicd_obs::Obs;
 
 #[test]
 fn inspect_reconstructs_every_ddtbench_transfer() {
-    flight::set_enabled(true);
+    let obs = Obs::isolated();
+    obs.flight().set_enabled(true);
     let size = 32 * 1024;
 
-    let world =
-        World::with_model_and_pipeline(2, WireModel::default(), PipelineConfig::with_threads(1));
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            pipeline: PipelineConfig::with_threads(1),
+            obs: obs.clone(),
+            ..FabricConfig::default()
+        },
+    );
     let (a, b) = world.pair();
     for name in BENCHMARKS {
         let sender = make(name, size);
@@ -33,10 +40,10 @@ fn inspect_reconstructs_every_ddtbench_transfer() {
             one_way(&a, &b, &*sender, &mut *receiver, &mut scratch, method);
         }
     }
-    flight::set_enabled(false);
+    obs.flight().set_enabled(false);
 
     let path = std::env::temp_dir().join(format!("mpicd-flight-e2e-{}.jsonl", std::process::id()));
-    let n = flight::dump_jsonl(&path).unwrap();
+    let n = obs.flight().dump_jsonl(&path).unwrap();
     assert!(n > 0, "the run recorded events");
     let dump = read_dump(&path).unwrap();
     let _ = std::fs::remove_file(&path);

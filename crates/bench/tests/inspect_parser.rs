@@ -47,13 +47,13 @@ fn transfer(id: u64, recv_id: u64, t0: u64, src: i64, dst: i64) -> Vec<String> {
 fn meta_line(version: u64, events: u64) -> String {
     format!(
         "{{\"kind\":\"flight_meta\",\"version\":{version},\"events\":{events},\
-         \"overflowed\":0,\"trace_dropped\":0,\"sample\":1}}"
+         \"overflowed\":0,\"trace_dropped\":0}}"
     )
 }
 
 /// A clean single-process dump with `n` transfers.
 fn clean_dump(n: u64) -> String {
-    let mut lines = vec![meta_line(3, n * 3)];
+    let mut lines = vec![meta_line(4, n * 3)];
     for i in 0..n {
         lines.extend(transfer(2 * i + 1, 2 * i + 2, 100 * (i + 1), 0, 1));
     }
@@ -177,7 +177,18 @@ fn older_formats_and_broken_records_exit_two() {
                 .chain(clean.lines().skip(1).map(String::from))
                 .collect::<Vec<_>>()
                 .join("\n"),
-            "line 1: dump version 2; this reader reads version 3",
+            "line 1: dump version 2; this reader reads version 4",
+        ),
+        // A v3 dump: its header carried the retired sampling rate.
+        (
+            ["{\"kind\":\"flight_meta\",\"version\":3,\"events\":3,\
+              \"overflowed\":0,\"trace_dropped\":0,\"sample\":1}"
+                .to_string()]
+            .into_iter()
+            .chain(clean.lines().skip(1).map(String::from))
+            .collect::<Vec<_>>()
+            .join("\n"),
+            "line 1: dump version 3; this reader reads version 4",
         ),
         // Every kind only version 1/2 dumps wrote.
         (

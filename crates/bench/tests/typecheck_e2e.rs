@@ -8,7 +8,7 @@
 //! pack-engine byte-identity property for `derive_datatype!` types.
 
 use mpicd::derive::slice_pack;
-use mpicd::fabric::{FabricError, MatchConfig, PipelineConfig, TypecheckMode, WireModel};
+use mpicd::fabric::{FabricConfig, FabricError, MatchConfig, PipelineConfig, TypecheckMode};
 use mpicd::{transfer_typed, Communicator, StaticDatatype, World};
 use mpicd_datatype::engine::{DatatypePacker, DatatypeUnpacker};
 use mpicd_datatype::Committed;
@@ -23,9 +23,11 @@ use std::sync::Arc;
 fn world(mode: TypecheckMode) -> World {
     World::with_config(
         2,
-        WireModel::default(),
-        PipelineConfig::with_threads(1),
-        MatchConfig::default().with_typecheck(mode),
+        FabricConfig {
+            pipeline: PipelineConfig::with_threads(1),
+            matching: MatchConfig::default().with_typecheck(mode),
+            ..FabricConfig::default()
+        },
     )
 }
 

@@ -14,7 +14,7 @@
 //! without sharing state.
 
 use mpicd::datatype::{CustomPack, RandomAccessPacker, SendRegion};
-use mpicd::fabric::{FabricError, PipelineConfig, WireModel};
+use mpicd::fabric::{FabricConfig, FabricError, PipelineConfig, WireModel};
 use mpicd::{Error, Result, World};
 use mpicd_capi::adapter::{CCustomPack, CCustomUnpack};
 use mpicd_capi::*;
@@ -128,7 +128,14 @@ fn exchange(lie: Lie, pipeline: PipelineConfig) -> (Result<()>, Result<()>, u64)
         frag_size: FRAG,
         ..WireModel::default()
     };
-    let world = World::with_model_and_pipeline(2, model, pipeline);
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            model,
+            pipeline,
+            ..FabricConfig::default()
+        },
+    );
     let (c0, c1) = world.pair();
     let mut buf = vec![0u8; TOTAL];
     let (sent, received) = std::thread::scope(|s| {
@@ -281,7 +288,13 @@ fn huge_region_callbacks(lie: &Lie) -> CustomCallbacks {
 /// without waiting, so an accepted post fails the test instead of
 /// blocking it.
 fn rejected_regions(cb: fn(&Lie) -> CustomCallbacks, pipeline: PipelineConfig, send: bool) {
-    let world = World::with_model_and_pipeline(2, WireModel::default(), pipeline);
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            pipeline,
+            ..FabricConfig::default()
+        },
+    );
     let (c0, c1) = world.pair();
     let lie = Lie::Negative;
     let cb = cb(&lie);

@@ -23,8 +23,8 @@ use crate::error::{Error, Result};
 use mpicd_datatype::engine::{DatatypePacker, DatatypeUnpacker};
 use mpicd_datatype::Committed;
 use mpicd_fabric::{
-    Endpoint, Fabric, FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, RecvDesc, Request,
-    SendDesc, Tag, WireModel,
+    Endpoint, Fabric, FabricConfig, FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut,
+    RecvDesc, Request, SendDesc, Tag,
 };
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -59,12 +59,12 @@ const BARRIER_TAG: Tag = i32::MAX - 7;
 /// failures from receiver-side deserialization failures.
 const FLIGHT_FINISH_FAILED: u64 = 100;
 
-/// Record a flight `Error` event against `req`'s transfer id (no-op when
-/// the recorder was off at post time).
-fn flight_finish_error(req: &Request) {
+/// Record a flight `Error` event against `req`'s transfer id in `ep`'s
+/// recorder (no-op when the recorder was off at post time).
+fn flight_finish_error(ep: &Endpoint, req: &Request) {
     let fid = req.flight_id();
     if fid != 0 {
-        mpicd_obs::flight::record(
+        ep.obs().flight().record(
             mpicd_obs::flight::FlightEvent::new(mpicd_obs::flight::EventKind::Error, fid)
                 .code(FLIGHT_FINISH_FAILED),
         );
@@ -77,46 +77,23 @@ pub struct World {
 }
 
 impl World {
-    /// A world of `size` ranks with the default wire model.
+    /// A world of `size` ranks with the default wire model, the
+    /// environment knobs and the process default observability handle.
     pub fn new(size: usize) -> Self {
         Self {
             fabric: Fabric::new(size),
         }
     }
 
-    /// A world with an explicit wire model (latency, bandwidth, thresholds).
-    pub fn with_model(size: usize, model: WireModel) -> Self {
+    /// A world from an explicit fabric configuration: wire model,
+    /// fragment engine, matching (buckets and typecheck mode) and
+    /// observability handle. Tests pin the typecheck mode through this so
+    /// parallel test binaries never race on the process environment, and
+    /// pass [`mpicd_obs::Obs::isolated`] to keep their counters and flight
+    /// records to themselves.
+    pub fn with_config(size: usize, cfg: FabricConfig) -> Self {
         Self {
-            fabric: Fabric::with_model(size, model),
-        }
-    }
-
-    /// A world with an explicit wire model *and* fragment-engine
-    /// configuration, overriding the `MPICD_PIPELINE_THREADS` and
-    /// `MPICD_PIPELINE_DEPTH` knobs (used by the ablation harness to sweep
-    /// thread counts).
-    pub fn with_model_and_pipeline(
-        size: usize,
-        model: WireModel,
-        pipeline: mpicd_fabric::PipelineConfig,
-    ) -> Self {
-        Self {
-            fabric: Fabric::with_model_and_pipeline(size, model, pipeline),
-        }
-    }
-
-    /// The fully-explicit constructor: wire model, pipeline, and matching
-    /// configuration (match buckets + `MPICD_TYPECHECK` mode), ignoring the
-    /// environment. Tests pin the typecheck mode through this so parallel
-    /// test binaries never race on the process environment.
-    pub fn with_config(
-        size: usize,
-        model: WireModel,
-        pipeline: mpicd_fabric::PipelineConfig,
-        matching: mpicd_fabric::MatchConfig,
-    ) -> Self {
-        Self {
-            fabric: Fabric::with_config(size, model, pipeline, matching),
+            fabric: Fabric::with_config(size, cfg),
         }
     }
 
@@ -125,7 +102,7 @@ impl World {
         self.fabric.size()
     }
 
-    /// The underlying fabric (wire ledger, traffic statistics).
+    /// The underlying fabric (wire ledger, traffic statistics, obs handle).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -219,7 +196,7 @@ impl Communicator {
                 let req = unsafe { self.post_custom_recv(&mut *ctx, source, tag)? };
                 let env = req.wait()?;
                 if let Err(e) = ctx.finish() {
-                    flight_finish_error(&req);
+                    flight_finish_error(&self.ep, &req);
                     return Err(e);
                 }
                 Ok(env.into())
@@ -256,7 +233,7 @@ impl Communicator {
         let req = unsafe { self.post_custom_recv(ctx, source, tag)? };
         let env = req.wait()?;
         if let Err(e) = ctx.finish() {
-            flight_finish_error(&req);
+            flight_finish_error(&self.ep, &req);
             return Err(e);
         }
         Ok(env.into())
@@ -417,7 +394,7 @@ impl Communicator {
             unsafe { b.set_len(len) };
         }
         if let Err(e) = ctx.finish() {
-            flight_finish_error(&req);
+            flight_finish_error(&self.ep, &req);
             return Err(e);
         }
         Ok((bufs, env.into()))
@@ -463,7 +440,7 @@ impl Communicator {
                 let sreq = self.post_any_send(sbuf, dest, stag)?;
                 let env = rreq.wait()?;
                 if let Err(e) = ctx.finish() {
-                    flight_finish_error(&rreq);
+                    flight_finish_error(&self.ep, &rreq);
                     // Drain the send so the borrow is not left lent out.
                     let _ = sreq.wait();
                     return Err(e);
@@ -992,7 +969,7 @@ impl<'env> Scope<'env, '_> {
                 Ok(_) => {
                     if let Some(ctx) = op.recv_ctx.as_mut() {
                         if let Err(e) = ctx.finish() {
-                            flight_finish_error(&op.request);
+                            flight_finish_error(&self.comm.ep, &op.request);
                             first_err.get_or_insert(e);
                         }
                     }
@@ -1236,16 +1213,18 @@ mod tests {
     }
 
     fn world_with_threads(threads: usize) -> World {
-        World::with_model_and_pipeline(
+        World::with_config(
             2,
-            WireModel::default(),
-            mpicd_fabric::PipelineConfig::with_threads(threads),
+            FabricConfig {
+                pipeline: mpicd_fabric::PipelineConfig::with_threads(threads),
+                ..FabricConfig::default()
+            },
         )
     }
 
     #[test]
     fn pack_callbacks_see_zeroed_fresh_destinations() {
-        let len = 5 * WireModel::default().frag_size + 123;
+        let len = 5 * mpicd_fabric::WireModel::default().frag_size + 123;
         let want: Vec<u8> = (0..len).map(|i| i as u8).collect();
         for threads in [1, 2] {
             let world = world_with_threads(threads);

@@ -631,10 +631,12 @@ mod tests {
         // acceptance-criteria shape: enforce rejects before unpacking.
         let world = crate::communicator::World::with_config(
             2,
-            crate::fabric::WireModel::default(),
-            crate::fabric::PipelineConfig::with_threads(1),
-            crate::fabric::MatchConfig::default()
-                .with_typecheck(crate::fabric::TypecheckMode::Enforce),
+            crate::fabric::FabricConfig {
+                pipeline: crate::fabric::PipelineConfig::with_threads(1),
+                matching: crate::fabric::MatchConfig::default()
+                    .with_typecheck(crate::fabric::TypecheckMode::Enforce),
+                ..crate::fabric::FabricConfig::default()
+            },
         );
         let (a, b) = world.pair();
         let send = Cell { rho: 1.0, mat: 1 };

@@ -310,6 +310,38 @@ impl MatchConfig {
     }
 }
 
+/// Everything a [`Fabric`](crate::Fabric) is built from: the wire model,
+/// the fragment engine, the matching engine and the observability handle.
+/// [`FabricConfig::default`] is what [`Fabric::new`](crate::Fabric::new)
+/// uses: the default wire model, the environment knobs of
+/// [`PipelineConfig::from_env`] and [`MatchConfig::from_env`], and the
+/// process default [`Obs`](mpicd_obs::Obs). Override fields with struct
+/// update syntax: `FabricConfig { model, ..FabricConfig::default() }`.
+#[derive(Debug, Clone)]
+pub struct FabricConfig {
+    /// The modeled wire.
+    pub model: WireModel,
+    /// Fragment-engine threads and scratch depth.
+    pub pipeline: PipelineConfig,
+    /// Match buckets and signature enforcement.
+    pub matching: MatchConfig,
+    /// Where the fabric's `fabric.*` instruments and flight records go.
+    /// [`Obs::isolated`](mpicd_obs::Obs::isolated) keeps them apart from
+    /// every other fabric's.
+    pub obs: mpicd_obs::Obs,
+}
+
+impl Default for FabricConfig {
+    fn default() -> Self {
+        Self {
+            model: WireModel::default(),
+            pipeline: PipelineConfig::from_env(),
+            matching: MatchConfig::from_env(),
+            obs: mpicd_obs::Obs::process().clone(),
+        }
+    }
+}
+
 /// Bound on the eager bounce-buffer freelist (buffer count). A burst of
 /// eager sends would otherwise retain peak memory forever. Knob:
 /// `MPICD_BOUNCE_POOL_CAP` (read once per process; default 64, `0` disables

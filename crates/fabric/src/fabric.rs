@@ -21,7 +21,7 @@
 #![allow(unsafe_code)]
 
 use crate::clock::WireLedger;
-use crate::config::{bounce_pool_cap, MatchConfig, PipelineConfig, TypecheckMode, WireModel};
+use crate::config::{bounce_pool_cap, FabricConfig, PipelineConfig, TypecheckMode, WireModel};
 use crate::error::{FabricError, FabricResult};
 use crate::matching::{Envelope, RecvQueue, Selector, SendQueue, Tag};
 use crate::payload::{FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, RecvDesc, SendDesc};
@@ -29,9 +29,9 @@ use crate::pipeline::Engine;
 use crate::request::{ReqState, Request};
 use crate::stats::{gauge_shift, FabricMetrics, FabricStats, StatsView};
 use crate::transfer::{Stream, Walk};
-use mpicd_obs::flight::{self, EventKind, FlightEvent, Method, TransferRecord};
+use mpicd_obs::flight::{EventKind, FlightEvent, Method, Recorder, TransferRecord};
 use mpicd_obs::sync::{Condvar, Mutex, MutexGuard};
-use mpicd_obs::telemetry;
+use mpicd_obs::{telemetry, Obs};
 use std::sync::{Arc, OnceLock};
 
 /// A pending (unmatched) send sitting in the unexpected queue.
@@ -81,9 +81,9 @@ fn send_is_dead(p: &PendingSend) -> bool {
 
 /// Fail a request that no transfer will complete, logging the error under
 /// the transfer's flight id if the request was still pending.
-fn fail_pending(req: &ReqState, fid: u64, err: FabricError) {
+fn fail_pending(flight: &Recorder, req: &ReqState, fid: u64, err: FabricError) {
     if !req.is_done() && fid != 0 {
-        flight::record(FlightEvent::new(EventKind::Error, fid).code(err.flight_code()));
+        flight.record(FlightEvent::new(EventKind::Error, fid).code(err.flight_code()));
     }
     req.complete(Err(err));
 }
@@ -114,8 +114,11 @@ struct Inner {
     size: usize,
     ledger: WireLedger,
     stats: FabricStats,
-    /// Mirror of the traffic counters into the process-global obs registry,
-    /// plus the span-fed phase-time counters.
+    /// The fabric's observability handle: its registry holds `metrics`,
+    /// its recorder the fabric's flight records.
+    obs: Obs,
+    /// Mirror of the traffic counters into the obs registry, plus the
+    /// span-fed phase-time counters.
     metrics: FabricMetrics,
     state: Mutex<MatchState>,
     arrivals: Condvar,
@@ -123,7 +126,7 @@ struct Inner {
     /// unless the fabric was built with an explicit [`MatchConfig`]).
     typecheck: TypecheckMode,
     /// The fragment engine: its thread count (env knobs unless the fabric
-    /// was built with [`Fabric::with_model_and_pipeline`]) and the worker
+    /// was built with an explicit [`FabricConfig::pipeline`]) and the worker
     /// pool, spawned on the first transfer handed to it and joined when the
     /// fabric drops.
     engine: Engine,
@@ -139,49 +142,36 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A world of `size` ranks with the default (100 Gbps IB-like) wire model.
+    /// A world of `size` ranks from [`FabricConfig::default`]: the
+    /// default (100 Gbps IB-like) wire model, the environment knobs and the
+    /// process default observability handle.
     pub fn new(size: usize) -> Self {
-        Self::with_model(size, WireModel::default())
+        Self::with_config(size, FabricConfig::default())
     }
 
-    /// A world of `size` ranks with an explicit wire model. The fragment
-    /// engine follows the `MPICD_PIPELINE_THREADS` and
-    /// `MPICD_PIPELINE_DEPTH` knobs.
-    pub fn with_model(size: usize, model: WireModel) -> Self {
-        Self::with_model_and_pipeline(size, model, PipelineConfig::from_env())
-    }
-
-    /// A world of `size` ranks with an explicit wire model *and* an
-    /// explicit pipeline configuration, ignoring the environment knobs.
-    /// Benchmarks and tests use this to sweep thread counts;
-    /// `PipelineConfig::with_threads(1)` runs every transfer inline on the
-    /// posting thread.
-    /// The matching engine follows `MPICD_MATCH_BUCKETS`.
-    pub fn with_model_and_pipeline(
-        size: usize,
-        model: WireModel,
-        pipeline: PipelineConfig,
-    ) -> Self {
-        Self::with_config(size, model, pipeline, MatchConfig::from_env())
-    }
-
-    /// The fully-explicit constructor: wire model, pipeline, *and* matching
-    /// engine configuration. [`MatchConfig::linear`] reproduces the old
-    /// single-queue linear-scan matcher (the `ablation_msgrate` baseline).
-    pub fn with_config(
-        size: usize,
-        model: WireModel,
-        pipeline: PipelineConfig,
-        matching: MatchConfig,
-    ) -> Self {
+    /// A world of `size` ranks from an explicit configuration. Benchmarks
+    /// and tests sweep the wire model, thread counts
+    /// (`PipelineConfig::with_threads(1)` runs every transfer inline) and
+    /// matching engines ([`crate::MatchConfig::linear`] is the
+    /// `ablation_msgrate` baseline) through it, and pass
+    /// [`Obs::isolated`] to keep the fabric's counters and flight records
+    /// apart from every other fabric's.
+    pub fn with_config(size: usize, cfg: FabricConfig) -> Self {
         assert!(size > 0, "fabric needs at least one rank");
+        let FabricConfig {
+            model,
+            pipeline,
+            matching,
+            obs,
+        } = cfg;
         Self {
             inner: Arc::new(Inner {
                 model,
                 size,
                 ledger: WireLedger::new(),
                 stats: FabricStats::default(),
-                metrics: FabricMetrics::new(mpicd_obs::global()),
+                metrics: FabricMetrics::new(obs.registry()),
+                obs,
                 state: Mutex::new(MatchState {
                     unexpected: (0..size)
                         .map(|_| SendQueue::new(matching.buckets))
@@ -222,6 +212,12 @@ impl Fabric {
         &self.inner.ledger
     }
 
+    /// The observability handle: the registry holding this fabric's
+    /// `fabric.*` instruments and the recorder holding its flight records.
+    pub fn obs(&self) -> &Obs {
+        &self.inner.obs
+    }
+
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> StatsView {
         self.inner.stats.view()
@@ -252,17 +248,18 @@ impl Fabric {
 impl Drop for Inner {
     fn drop(&mut self) {
         // Fail any requests still pending so waiters on other threads wake.
+        let flight = self.obs.flight();
         let state = self.state.get_mut();
         for q in &state.unexpected {
             for p in q.iter_live() {
                 if let PendKind::Deferred { req, .. } = &p.kind {
-                    fail_pending(req, p.fid, FabricError::ShutDown);
+                    fail_pending(flight, req, p.fid, FabricError::ShutDown);
                 }
             }
         }
         for q in &state.posted {
             for r in q.iter_live() {
-                fail_pending(&r.req, r.fid, FabricError::ShutDown);
+                fail_pending(flight, &r.req, r.fid, FabricError::ShutDown);
             }
         }
     }
@@ -289,6 +286,11 @@ impl Endpoint {
     /// The fabric's modeled wire-time ledger.
     pub fn ledger(&self) -> &WireLedger {
         &self.inner.ledger
+    }
+
+    /// The fabric's observability handle (see [`Fabric::obs`]).
+    pub fn obs(&self) -> &Obs {
+        &self.inner.obs
     }
 
     /// Snapshot of the fabric's traffic counters.
@@ -374,14 +376,15 @@ impl Endpoint {
         // Flight: allocate the send-side transfer id (the id the transfer's
         // record is keyed by) and log the post; its stamp rides with the
         // send into the record.
-        let fid = flight::next_id();
+        let flight = self.inner.obs.flight();
+        let fid = flight.next_id();
         let post_ns = if fid != 0 {
             let method = match &desc {
                 SendDesc::Contig(_) if self.inner.model.is_rendezvous(total) => Method::Rendezvous,
                 SendDesc::Contig(_) => Method::Eager,
                 _ => Method::Pipelined,
             };
-            flight::record(
+            flight.record(
                 FlightEvent::new(EventKind::PostSend, fid)
                     .ranks(self.rank as i32, dest as i32)
                     .tag(tag)
@@ -524,9 +527,10 @@ impl Endpoint {
         let sel = Selector::new(source, tag);
         // Flight: the receive post gets its own id; the transfer's record
         // carries it as `recv_id`, joining the two.
-        let rfid = flight::next_id();
+        let flight = self.inner.obs.flight();
+        let rfid = flight.next_id();
         let rpost_ns = if rfid != 0 {
-            flight::record(
+            flight.record(
                 FlightEvent::new(EventKind::PostRecv, rfid)
                     .ranks(source, self.rank as i32)
                     .tag(tag)
@@ -637,6 +641,7 @@ impl Endpoint {
             env,
             Message {
                 pending: Some(pending),
+                obs: self.inner.obs.clone(),
             },
         ))
     }
@@ -665,6 +670,7 @@ impl Endpoint {
                     env,
                     Message {
                         pending: Some(pending),
+                        obs: self.inner.obs.clone(),
                     },
                 );
             }
@@ -696,9 +702,10 @@ impl Endpoint {
     ) -> FabricResult<Request> {
         // Flight: the matched receive is posted here, so the PostRecv event
         // is logged here (the probe that detached the message has no buffer).
-        let rfid = flight::next_id();
+        let flight = self.inner.obs.flight();
+        let rfid = flight.next_id();
         let rpost_ns = if rfid != 0 {
-            flight::record(
+            flight.record(
                 FlightEvent::new(EventKind::PostRecv, rfid)
                     .ranks(
                         msg.pending.as_ref().map_or(-1, |p| p.source as i32),
@@ -775,6 +782,8 @@ impl Endpoint {
 /// receiving fails the sender's request (the message is gone).
 pub struct Message {
     pending: Option<PendingSend>,
+    /// The fabric's handle, for the error record of a dropped message.
+    obs: Obs,
 }
 
 impl Message {
@@ -796,7 +805,7 @@ impl Drop for Message {
             ..
         }) = &self.pending
         {
-            fail_pending(req, *fid, FabricError::Cancelled);
+            fail_pending(self.obs.flight(), req, *fid, FabricError::Cancelled);
         }
     }
 }
@@ -926,8 +935,9 @@ impl Inner {
         rec.regions = send_regions.max(recv.region_count()) as u64;
         // The record's stamps are read by the trace, the flight ring and
         // telemetry; with all three off the transfer reads no clock.
-        let stamped =
-            mpicd_obs::enabled() || (rec.id != 0 && flight::enabled()) || telemetry::enabled();
+        let stamped = mpicd_obs::enabled()
+            || (rec.id != 0 && self.obs.flight().enabled())
+            || telemetry::enabled();
         let now = || if stamped { mpicd_obs::now_ns() } else { 0 };
         rec.match_ns = now();
         let fresh = matches!(recv, RecvDesc::Fresh(_));
@@ -1074,7 +1084,7 @@ impl Inner {
         }
         // Unrecorded transfers (id 0) skip the call, as the posts do.
         if rec.id != 0 {
-            flight::record_transfer(rec);
+            self.obs.flight().record_transfer(rec);
         }
     }
 }
@@ -1624,9 +1634,11 @@ mod tests {
         // default engine — it is the ablation baseline.
         let fabric = Fabric::with_config(
             2,
-            WireModel::default(),
-            PipelineConfig::with_threads(1),
-            MatchConfig::linear(),
+            FabricConfig {
+                pipeline: PipelineConfig::with_threads(1),
+                matching: crate::MatchConfig::linear(),
+                ..FabricConfig::default()
+            },
         );
         let a = fabric.endpoint(0).unwrap();
         let b = fabric.endpoint(1).unwrap();
@@ -1664,9 +1676,11 @@ mod tests {
     fn typecheck_fabric(mode: TypecheckMode) -> Fabric {
         Fabric::with_config(
             2,
-            WireModel::default(),
-            PipelineConfig::with_threads(1),
-            MatchConfig::default().with_typecheck(mode),
+            FabricConfig {
+                pipeline: PipelineConfig::with_threads(1),
+                matching: crate::MatchConfig::default().with_typecheck(mode),
+                ..FabricConfig::default()
+            },
         )
     }
 
@@ -1774,9 +1788,11 @@ mod tests {
         // Warn is the static default MatchConfig.
         let fabric = Fabric::with_config(
             2,
-            WireModel::default(),
-            PipelineConfig::with_threads(1),
-            MatchConfig::default(),
+            FabricConfig {
+                pipeline: PipelineConfig::with_threads(1),
+                matching: crate::MatchConfig::default(),
+                ..FabricConfig::default()
+            },
         );
         let a = fabric.endpoint(0).unwrap();
         let b = fabric.endpoint(1).unwrap();
@@ -1924,7 +1940,14 @@ mod model_tests {
             rndv_threshold: 8,
             ..WireModel::default()
         };
-        let fabric = Fabric::with_model_and_pipeline(2, model, PipelineConfig::with_threads(1));
+        let fabric = Fabric::with_config(
+            2,
+            FabricConfig {
+                model,
+                pipeline: PipelineConfig::with_threads(1),
+                ..FabricConfig::default()
+            },
+        );
         (fabric.endpoint(0).unwrap(), fabric.endpoint(1).unwrap())
     }
 

@@ -48,7 +48,7 @@ pub mod stats;
 mod transfer;
 
 pub use clock::WireLedger;
-pub use config::{MatchConfig, PipelineConfig, TypecheckMode, WireModel};
+pub use config::{FabricConfig, MatchConfig, PipelineConfig, TypecheckMode, WireModel};
 pub use error::{FabricError, FabricResult};
 pub use fabric::{Endpoint, Fabric, Message};
 pub use matching::{Tag, ANY_SOURCE, ANY_TAG};

@@ -6,10 +6,10 @@
 //! eager messages pay a bounce-buffer copy that rendezvous avoids.
 //!
 //! [`FabricStats`] keeps the per-fabric counters the public API exposes;
-//! the crate-private `FabricMetrics` mirrors the same traffic into an
-//! `mpicd-obs` registry (plus callback-time counters) so the
-//! benchmark harness can read the process-global registry without holding
-//! a fabric handle.
+//! the crate-private `FabricMetrics` mirrors the same traffic into the
+//! fabric's `mpicd-obs` registry (plus callback-time counters), so the
+//! benchmark harness can read the process default's registry without
+//! holding a fabric handle.
 
 use mpicd_obs::telemetry::{quantile_from_counts, sketch_bucket, SKETCH_BUCKETS};
 use mpicd_obs::{Counter, Gauge, Registry, Sketch};
@@ -247,8 +247,9 @@ impl StatsView {
 }
 
 /// Handles into an `mpicd-obs` registry for everything the fabric reports.
-/// Created once per [`Fabric`](crate::Fabric) from the process-global
-/// registry, so all fabrics share the same entries (get-or-create by name).
+/// Created once per [`Fabric`](crate::Fabric) from its handle's registry,
+/// so fabrics on one handle share the same entries (get-or-create by name)
+/// and fabrics on separate handles never blend.
 ///
 /// The callback-time counters are fed from each transfer's record and
 /// advance only while transfers are stamped (tracing, flight or telemetry

@@ -3,8 +3,8 @@
 //! the transport level.
 
 use mpicd_fabric::{
-    Fabric, FragmentUnpacker, IovEntry, IovEntryMut, RecvDesc, SendDesc, WireModel, ANY_SOURCE,
-    ANY_TAG,
+    Fabric, FabricConfig, FragmentUnpacker, IovEntry, IovEntryMut, RecvDesc, SendDesc, WireModel,
+    ANY_SOURCE, ANY_TAG,
 };
 
 /// Collects the packed stream into shared storage (offset addressed).
@@ -48,11 +48,14 @@ fn send_recv_kind_matrix() {
 
     for send_kind in 0..3 {
         for recv_kind in 0..3 {
-            let fabric = Fabric::with_model(
+            let fabric = Fabric::with_config(
                 2,
-                WireModel {
-                    frag_size: 1024,
-                    ..WireModel::default()
+                FabricConfig {
+                    model: WireModel {
+                        frag_size: 1024,
+                        ..WireModel::default()
+                    },
+                    ..FabricConfig::default()
                 },
             );
             let a = fabric.endpoint(0).unwrap();

@@ -6,7 +6,7 @@
 //! sets the environment before the first recorder call.
 
 use mpicd_fabric::{Fabric, FabricError, IovEntryMut, RecvDesc, SendDesc};
-use mpicd_obs::flight;
+use mpicd_obs::Obs;
 
 #[test]
 fn failing_callback_leaves_one_error_record_and_dumps() {
@@ -14,9 +14,12 @@ fn failing_callback_leaves_one_error_record_and_dumps() {
         std::env::temp_dir().join(format!("mpicd-flight-error-{}.jsonl", std::process::id()));
     std::env::set_var("MPICD_FLIGHT", "1");
     std::env::set_var("MPICD_FLIGHT_PATH", &path);
-    assert!(flight::enabled(), "armed from the environment");
-
     let fabric = Fabric::new(2);
+    assert!(
+        fabric.obs().flight().enabled(),
+        "the process default is armed from the environment"
+    );
+    assert!(std::ptr::eq(fabric.obs().flight(), Obs::process().flight()));
     let (a, b) = (fabric.endpoint(0).unwrap(), fabric.endpoint(1).unwrap());
     let mut out = vec![0u8; 64];
     // SAFETY: `out` outlives the waits below.
@@ -40,7 +43,10 @@ fn failing_callback_leaves_one_error_record_and_dumps() {
     assert_eq!(recv.wait(), Err(FabricError::PackFailed(42)));
     assert_eq!(send.wait(), Err(FabricError::PackFailed(42)));
 
-    let records: Vec<_> = flight::transfers()
+    let records: Vec<_> = fabric
+        .obs()
+        .flight()
+        .transfers()
         .into_iter()
         .filter(|r| r.id == send.flight_id())
         .collect();

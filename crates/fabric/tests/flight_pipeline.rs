@@ -4,14 +4,15 @@
 //! callbacks the packer and unpacker saw, and whose callback time fits
 //! its lanes — at 1, 2 and 4 pipeline threads.
 //!
-//! The recorder state is process-global, so this is one sequential test;
-//! every assertion filters by the ids of the requests it posted.
+//! The fabrics share one isolated recorder, so every entry in it belongs
+//! to a request this test posted.
 
 use mpicd_fabric::{
-    Fabric, FragmentPacker, FragmentUnpacker, PipelineConfig, RandomAccessPacker,
+    Fabric, FabricConfig, FragmentPacker, FragmentUnpacker, PipelineConfig, RandomAccessPacker,
     RandomAccessUnpacker, RecvDesc, SendDesc, WireModel,
 };
-use mpicd_obs::flight::{self, EventKind, Method};
+use mpicd_obs::flight::{EventKind, Method};
+use mpicd_obs::Obs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -135,15 +136,21 @@ fn roundtrip(fabric: &Fabric, tag: i32, seed: u64, len: usize) -> Posted {
 
 #[test]
 fn pipeline_event_sequences_are_well_formed() {
-    flight::set_enabled(true);
+    let obs = Obs::isolated();
+    let flight = obs.flight();
+    flight.set_enabled(true);
     let len = 64 * 1024; // 16 fragments at the 4 KiB model fragment size
     let mut all_ids = Vec::new();
 
     for threads in [1usize, 2, 4] {
-        let fabric = Fabric::with_model_and_pipeline(
+        let fabric = Fabric::with_config(
             2,
-            small_frag_model(),
-            PipelineConfig::with_threads(threads),
+            FabricConfig {
+                model: small_frag_model(),
+                pipeline: PipelineConfig::with_threads(threads),
+                obs: obs.clone(),
+                ..FabricConfig::default()
+            },
         );
         let mut posted = Vec::new();
         for (i, seed) in (0..4u64).enumerate() {
@@ -162,8 +169,8 @@ fn pipeline_event_sequences_are_well_formed() {
             "{threads} threads: pipelined"
         );
 
-        let events = flight::events();
-        let records = flight::transfers();
+        let events = flight.events();
+        let records = flight.transfers();
         for p in &posted {
             let (sfid, rfid) = (p.send_id, p.recv_id);
             assert!(sfid != 0 && rfid != 0, "recorder was on at post time");
@@ -203,14 +210,14 @@ fn pipeline_event_sequences_are_well_formed() {
         all_ids.extend(posted.iter().flat_map(|p| [p.send_id, p.recv_id]));
     }
 
-    // No orphan ids: this is the only test in the binary, so every entry
-    // in the ring must belong to a request posted above.
-    for id in flight::events()
+    // No orphan ids: the recorder is this test's own, so every entry in
+    // the ring must belong to a request posted above.
+    for id in flight
+        .events()
         .iter()
         .map(|e| e.id)
-        .chain(flight::transfers().iter().map(|r| r.id))
+        .chain(flight.transfers().iter().map(|r| r.id))
     {
         assert!(all_ids.contains(&id), "orphan id {id}");
     }
-    flight::set_enabled(false);
 }

@@ -3,7 +3,7 @@
 //! inline path, and a one-thread configuration never touches the pool.
 
 use mpicd_fabric::{
-    Fabric, FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, PipelineConfig,
+    Fabric, FabricConfig, FragmentPacker, FragmentUnpacker, IovEntry, IovEntryMut, PipelineConfig,
     RandomAccessPacker, RandomAccessUnpacker, RecvDesc, SendDesc, WireModel,
 };
 
@@ -98,8 +98,14 @@ fn roundtrip(fabric: &Fabric, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn eligible_transfer_is_pipelined_and_correct() {
     let payload: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
-    let fabric =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(2));
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(2),
+            ..FabricConfig::default()
+        },
+    );
     let out = roundtrip(&fabric, &payload);
     assert_eq!(out, payload);
     assert_eq!(fabric.stats().pipelined, 1, "transfer used the pipeline");
@@ -109,16 +115,28 @@ fn eligible_transfer_is_pipelined_and_correct() {
 #[test]
 fn serial_config_never_pipelines_and_matches() {
     let payload: Vec<u8> = (0..64 * 1024).map(|i| (i % 241) as u8).collect();
-    let serial =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(1));
+    let serial = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(1),
+            ..FabricConfig::default()
+        },
+    );
     let out = roundtrip(&serial, &payload);
     assert_eq!(out, payload, "the inline path moves identical bytes");
     assert_eq!(serial.stats().pipelined, 0);
 
     // Same transfer, parallel config: identical bytes and traffic stats
     // except the `pipelined` counter.
-    let par =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(4));
+    let par = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(4),
+            ..FabricConfig::default()
+        },
+    );
     let out2 = roundtrip(&par, &payload);
     assert_eq!(out2, out);
     let (s, p) = (serial.stats(), par.stats());
@@ -132,8 +150,14 @@ fn serial_config_never_pipelines_and_matches() {
 #[test]
 fn inorder_sender_stays_serial() {
     let payload: Vec<u8> = (0..32 * 1024).map(|i| (i % 239) as u8).collect();
-    let fabric =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(4));
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(4),
+            ..FabricConfig::default()
+        },
+    );
     let a = fabric.endpoint(0).unwrap();
     let b = fabric.endpoint(1).unwrap();
     let mut out = vec![0u8; payload.len()];
@@ -177,8 +201,14 @@ fn inorder_sender_stays_serial() {
 fn streaming_callbacks_stay_serial() {
     // A plain closure packer exposes no random-access view.
     let payload: Vec<u8> = (0..32 * 1024).map(|i| (i % 233) as u8).collect();
-    let fabric =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(4));
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(4),
+            ..FabricConfig::default()
+        },
+    );
     let a = fabric.endpoint(0).unwrap();
     let b = fabric.endpoint(1).unwrap();
     let mut out = vec![0u8; payload.len()];
@@ -220,8 +250,14 @@ fn large_contig_rendezvous_is_pipelined() {
     // Pure memory→memory is eligible too; at 4 MiB its modeled copy time
     // is worth far more than the jobs the pool needs.
     let payload: Vec<u8> = (0..4 << 20).map(|i| (i % 255) as u8).collect();
-    let fabric =
-        Fabric::with_model_and_pipeline(2, small_frag_model(), PipelineConfig::with_threads(2));
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            model: small_frag_model(),
+            pipeline: PipelineConfig::with_threads(2),
+            ..FabricConfig::default()
+        },
+    );
     let a = fabric.endpoint(0).unwrap();
     let b = fabric.endpoint(1).unwrap();
     let mut out = vec![0u8; payload.len()];
@@ -271,10 +307,13 @@ fn fresh_destinations_are_zeroed_before_a_packer_sees_them() {
     // never hand it to a pack callback, inline or from the pool.
     let payload: Vec<u8> = (0..24 * 1024).map(|i| (i % 239) as u8).collect();
     for threads in [1, 2] {
-        let fabric = Fabric::with_model_and_pipeline(
+        let fabric = Fabric::with_config(
             2,
-            small_frag_model(),
-            PipelineConfig::with_threads(threads),
+            FabricConfig {
+                model: small_frag_model(),
+                pipeline: PipelineConfig::with_threads(threads),
+                ..FabricConfig::default()
+            },
         );
         let a = fabric.endpoint(0).unwrap();
         let b = fabric.endpoint(1).unwrap();

@@ -5,7 +5,7 @@
 //! `PipelineConfig::from_env` reads the process environment once, so this
 //! is the only test in its binary and sets the knobs before the first read.
 
-use mpicd_fabric::{Fabric, PipelineConfig, WireModel};
+use mpicd_fabric::{Fabric, FabricConfig, PipelineConfig};
 
 #[test]
 fn out_of_range_and_garbage_knobs_are_bounded() {
@@ -14,6 +14,11 @@ fn out_of_range_and_garbage_knobs_are_bounded() {
     let cfg = PipelineConfig::from_env();
     assert_eq!(cfg.threads, 64, "threads clamped to the ceiling");
     assert_eq!(cfg.depth, 128, "garbage depth falls back to 2 × threads");
-    let fabric = Fabric::with_model(2, WireModel::default());
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            ..FabricConfig::default()
+        },
+    );
     assert_eq!(fabric.pipeline_config(), cfg);
 }

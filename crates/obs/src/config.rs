@@ -7,10 +7,9 @@
 //! | `MPICD_TRACE` | enable span tracing (`1`/`true`/`on`) | off |
 //! | `MPICD_TRACE_FILE` | Chrome trace output path | `mpicd-trace.json` |
 //! | `MPICD_TRACE_CAP` | per-thread ring-buffer capacity (events) | `65536` |
-//! | `MPICD_FLIGHT` | enable the per-transfer flight recorder, with dump-on-error and a panic-hook dump | off |
+//! | `MPICD_FLIGHT` | enable the process default's flight recorder (every transfer), with dump-on-error and a panic-hook dump | off |
 //! | `MPICD_FLIGHT_PATH` | flight-recorder JSONL dump path | `mpicd-flight.jsonl` |
-//! | `MPICD_FLIGHT_CAP` | flight ring capacity (entries, process-global) | `65536` |
-//! | `MPICD_FLIGHT_SAMPLE` | give every Nth post an id: a sampled send keeps its post and its whole record (1 = all) | `1` |
+//! | `MPICD_FLIGHT_CAP` | flight ring capacity (entries per recorder, allocated at its first entry) | `65536` |
 //! | `MPICD_HEALTH_MS` | when set, write periodic health snapshots every N ms (invalid values use 1000) | off |
 //! | `MPICD_HEALTH_PATH` | health-snapshot JSONL path | `mpicd-health.jsonl` |
 //! | `MPICD_METRICS_JSON` | write the metrics snapshot as JSON at flush (a path, or `1` for `mpicd-metrics.json`) | off |
@@ -24,7 +23,7 @@
 //!
 //! Programmatic control overrides the environment:
 //! [`ObsConfig::install`] (builder) or [`crate::set_enabled`] /
-//! [`crate::flight::set_enabled`] (toggles only).
+//! [`crate::flight::Recorder::set_enabled`] (toggles only).
 
 use crate::sync::Mutex;
 use std::path::PathBuf;
@@ -33,7 +32,7 @@ use std::sync::OnceLock;
 /// Default per-thread ring-buffer capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// Default flight-recorder ring capacity (entries, whole process).
+/// Default flight-recorder ring capacity (entries per recorder).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 
 /// Upper bound accepted for ring capacities (`MPICD_TRACE_CAP` /
@@ -41,13 +40,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 /// per event, so anything larger is a typo, not a tuning choice; larger
 /// requests are clamped here with a warning.
 pub const MAX_CAPACITY: usize = 1 << 26;
-
-/// Default flight-recorder sampling rate: every transfer is recorded.
-pub const DEFAULT_FLIGHT_SAMPLE: u64 = 1;
-
-/// Upper bound accepted for `MPICD_FLIGHT_SAMPLE` (one in a billion —
-/// anything sparser is a typo, not a tuning choice).
-pub const MAX_FLIGHT_SAMPLE: u64 = 1_000_000_000;
 
 /// Default health-snapshot cadence (ms) when `MPICD_HEALTH_MS` is set but
 /// unparseable or 0.
@@ -139,18 +131,14 @@ pub struct ObsConfig {
     /// Per-thread ring-buffer capacity in events (power of two is not
     /// required). Applies to ring buffers created after installation.
     pub ring_capacity: usize,
-    /// Whether the per-transfer flight recorder is enabled.
+    /// Whether the process default's flight recorder is enabled.
     pub flight: bool,
     /// Flight-recorder JSONL dump path used by [`crate::flush`], the
     /// dump-on-error path and the panic hook.
     pub flight_file: Option<PathBuf>,
-    /// Flight ring capacity in events (one ring for the whole process).
-    /// Applies only before the first flight event is recorded.
+    /// Flight ring capacity in events, per recorder. A recorder reads it
+    /// when it allocates its ring, at its first recorded entry.
     pub flight_capacity: usize,
-    /// Flight-recorder sampling rate: record every Nth transfer
-    /// end-to-end (1 = record all). Sampled transfers keep their whole
-    /// timeline; unsampled transfers are wholly absent from the ring.
-    pub flight_sample: u64,
     /// Health-snapshot cadence in milliseconds; 0 disables the
     /// background health thread (the default).
     pub health_ms: u64,
@@ -176,7 +164,6 @@ impl Default for ObsConfig {
             flight: false,
             flight_file: None,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-            flight_sample: DEFAULT_FLIGHT_SAMPLE,
             health_ms: 0,
             health_file: None,
             metrics_file: None,
@@ -208,11 +195,6 @@ impl ObsConfig {
             DEFAULT_FLIGHT_CAPACITY as u64,
             MAX_CAPACITY as u64,
         ) as usize;
-        let flight_sample = env_bounded(
-            "MPICD_FLIGHT_SAMPLE",
-            DEFAULT_FLIGHT_SAMPLE,
-            MAX_FLIGHT_SAMPLE,
-        );
         // MPICD_HEALTH_MS arms the health thread by being set at all;
         // 0/garbage degrade to the documented default cadence rather than
         // silently disabling the snapshots the operator asked for.
@@ -247,7 +229,6 @@ impl ObsConfig {
             flight,
             flight_file,
             flight_capacity,
-            flight_sample,
             health_ms,
             health_file,
             metrics_file,
@@ -289,13 +270,6 @@ impl ObsConfig {
     /// Builder: flight ring capacity.
     pub fn flight_capacity(mut self, cap: usize) -> Self {
         self.flight_capacity = cap.max(1);
-        self
-    }
-
-    /// Builder: flight-recorder sampling rate (record every `n`th
-    /// transfer; 1 = all).
-    pub fn flight_sample(mut self, n: u64) -> Self {
-        self.flight_sample = n.max(1);
         self
     }
 
@@ -359,11 +333,11 @@ impl ObsConfig {
     }
 
     /// Install as the process-wide configuration (overrides the
-    /// environment) and apply the enable flags.
+    /// environment) and apply the enable flags (the flight flag to the
+    /// process default's recorder).
     pub fn install(self) {
         crate::trace::set_enabled(self.enabled);
-        crate::flight::set_enabled(self.flight);
-        crate::flight::set_sample(self.flight_sample);
+        crate::Obs::process().flight().set_enabled(self.flight);
         crate::telemetry::set_enabled(self.telemetry);
         let health_ms = self.health_ms;
         *store().lock() = self;
@@ -399,7 +373,6 @@ mod tests {
         assert!(c.metrics_file.is_none());
         assert!(!c.telemetry);
         assert_eq!(c.telemetry_path(), PathBuf::from("mpicd-telemetry.prom"));
-        assert_eq!(c.flight_sample, DEFAULT_FLIGHT_SAMPLE);
         assert_eq!(c.health_ms, 0, "health thread is off by default");
         assert_eq!(c.health_path(), PathBuf::from("mpicd-health.jsonl"));
     }
@@ -416,7 +389,6 @@ mod tests {
             .metrics_file("/tmp/m.json")
             .telemetry(true)
             .telemetry_file("/tmp/tele.prom")
-            .flight_sample(16)
             .health_ms(500)
             .health_file("/tmp/h.jsonl");
         assert!(c.enabled);
@@ -428,7 +400,6 @@ mod tests {
         assert_eq!(c.metrics_file, Some(PathBuf::from("/tmp/m.json")));
         assert!(c.telemetry);
         assert_eq!(c.telemetry_path(), PathBuf::from("/tmp/tele.prom"));
-        assert_eq!(c.flight_sample, 16);
         assert_eq!(c.health_ms, 500);
         assert_eq!(c.health_path(), PathBuf::from("/tmp/h.jsonl"));
     }

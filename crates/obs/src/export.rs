@@ -122,14 +122,10 @@ pub fn summary_of(reg: &Registry) -> String {
     if dropped > 0 {
         let _ = writeln!(out, "(trace ring buffers overwrote {dropped} events)");
     }
-    let lost = crate::flight::overflowed();
-    if lost > 0 {
-        let _ = writeln!(out, "(flight ring overwrote {lost} events)");
-    }
     out
 }
 
-/// Summary of the process-global registry.
+/// Summary of the process default's registry ([`metrics::global`]).
 pub fn summary() -> String {
     summary_of(metrics::global())
 }

@@ -2,25 +2,27 @@
 //! transfer records.
 //!
 //! The span tracer answers "where did this *process* spend time"; the
-//! flight recorder answers "what happened to this *transfer*". Every
-//! send/recv posted through the fabric gets a process-unique id and one
-//! post event; every matched transfer leaves exactly one
+//! flight recorder answers "what happened to this *transfer*". Each
+//! [`crate::Obs`] handle owns one [`Recorder`], so a world's records stay
+//! its own. Every send/recv posted through the fabric gets an id unique
+//! within its recorder and one post event; every matched transfer leaves exactly one
 //! [`TransferRecord`] (ids, ranks, tag, bytes, method, post/match/end
 //! stamps, callback sums, modeled wire time, error code, straggler
 //! verdict) — the same record every other fabric sink is written from.
 //! Posts that never match stay visible as bare post events (a hang), and
 //! unmatched posts that fail leave an [`EventKind::Error`] event. A crashed
 //! or slow run leaves a black box behind: the ring can be dumped as JSON
-//! lines ([`dump_jsonl`]) and read by the `mpicd-inspect` analyzer, which
+//! lines ([`Recorder::dump_jsonl`]) and read by the `mpicd-inspect` analyzer, which
 //! turns each record into a timeline attributed to wait-for-match / pack /
 //! wire / unpack.
 //!
 //! **Cost model.** Disabled (the default), every entry point is one
 //! relaxed atomic load — the same discipline as [`crate::span!`]; no
-//! clock read, no allocation, no id allocation ([`next_id`] returns 0 and
+//! clock read, no allocation, no id allocation ([`Recorder::next_id`] returns 0 and
 //! every recording call short-circuits on id 0). Enabled, recording an
 //! entry is at most a clock read plus a handful of atomic stores into a
-//! pre-allocated slot — no locks, no allocation, wait-free for writers.
+//! slot — no locks, wait-free for writers. The ring itself is allocated
+//! at the first recorded entry, so a recorder left off never holds one.
 //!
 //! **Ring protocol.** Each slot holds a sequence word and the event
 //! payload as plain atomics. A writer claims a global ticket
@@ -34,8 +36,8 @@
 //! ABA is impossible) and discard in-flight slots. The whole ring is
 //! safe-code atomics — no `unsafe`, no locks, torn events are impossible.
 //!
-//! Enabling via the `MPICD_FLIGHT` environment variable (as opposed to
-//! [`set_enabled`]) additionally arms *black-box* behaviour: recording an
+//! Enabling the process default via the `MPICD_FLIGHT` environment
+//! variable (as opposed to [`Recorder::set_enabled`]) additionally arms *black-box* behaviour: recording an
 //! [`EventKind::Error`] event or a failed [`TransferRecord`] dumps the ring
 //! to the configured path, and a panic-hook dump is installed so aborts
 //! leave a readable trace.
@@ -43,80 +45,11 @@
 use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use crate::time::now_ns;
 use std::path::{Path, PathBuf};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 
 /// Payload words per ring slot (one encoded entry; a [`TransferRecord`]
 /// fills them all).
 const WORDS: usize = 18;
-
-// ---- enable flag ------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-/// Dump-on-error / panic-hook behaviour; armed only by `MPICD_FLIGHT`
-/// (environment) so programmatic test toggles never write files.
-static AUTODUMP: AtomicBool = AtomicBool::new(false);
-/// Sampling rate: [`next_id`] hands out a real id to every `SAMPLE`th
-/// transfer and 0 to the rest (1 = record everything).
-static SAMPLE: AtomicU64 = AtomicU64::new(1);
-/// Transfers seen since the recorder was enabled; drives the every-Nth
-/// sampling decision.
-static SAMPLE_TICK: AtomicU64 = AtomicU64::new(0);
-
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let cfg = crate::config::current();
-        SAMPLE.store(cfg.flight_sample.max(1), Ordering::Relaxed);
-        if cfg.flight {
-            ENABLED.store(true, Ordering::Relaxed);
-            AUTODUMP.store(true, Ordering::Relaxed);
-            install_panic_hook();
-        }
-    });
-}
-
-/// Whether the flight recorder is currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable the flight recorder at runtime (overrides
-/// `MPICD_FLIGHT`). Unlike the environment knob this does *not* arm the
-/// dump-on-error and panic-hook behaviour.
-pub fn set_enabled(on: bool) {
-    ENV_INIT.call_once(|| {});
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Set the sampling rate at runtime (overrides `MPICD_FLIGHT_SAMPLE`):
-/// record every `n`th transfer end-to-end, 1 records everything. Sampling
-/// happens at id-allocation time, so a sampled transfer keeps its *whole*
-/// timeline and an unsampled one is wholly absent — never partial.
-pub fn set_sample(n: u64) {
-    ENV_INIT.call_once(|| {});
-    SAMPLE.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current sampling rate (`n` as in "record every `n`th transfer").
-pub fn sample() -> u64 {
-    init_from_env();
-    SAMPLE.load(Ordering::Relaxed)
-}
-
-fn install_panic_hook() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if let Some((path, n)) = dump_to_configured() {
-            eprintln!(
-                "[mpicd-obs] panic: dumped {n} flight events to {}",
-                path.display()
-            );
-        }
-        prev(info);
-    }));
-}
 
 // ---- event model ------------------------------------------------------------
 
@@ -202,7 +135,8 @@ impl Method {
 pub struct FlightEvent {
     /// Post or error.
     pub kind: EventKind,
-    /// Process-unique id (from [`next_id`]); never 0 in the ring.
+    /// Id from [`Recorder::next_id`], unique within the recorder; never 0
+    /// in the ring.
     pub id: u64,
     /// Event timestamp, ns since the process trace epoch ([`now_ns`]).
     pub t_ns: u64,
@@ -222,7 +156,7 @@ pub struct FlightEvent {
 
 impl FlightEvent {
     /// A zeroed event of `kind` for id `id`; chain the builder setters,
-    /// then [`record`] it. `t_ns == 0` means "stamp at record".
+    /// then [`Recorder::record`] it. `t_ns == 0` means "stamp at record".
     pub fn new(kind: EventKind, id: u64) -> Self {
         Self {
             kind,
@@ -605,188 +539,219 @@ impl Ring {
     }
 }
 
-static RING: OnceLock<Ring> = OnceLock::new();
+// ---- the recorder -------------------------------------------------------------
 
-fn ring() -> &'static Ring {
-    RING.get_or_init(|| Ring::new(crate::config::current().flight_capacity))
+/// One flight recorder: the enable flag, the dump-on-error arm, the id
+/// counter and the ring. Each [`crate::Obs`] owns one, so two worlds
+/// never share ids or records. The ring is allocated at the first entry
+/// recorded, so a recorder that is never switched on costs no memory.
+pub struct Recorder {
+    enabled: AtomicBool,
+    /// Dump-on-error behaviour; armed only by `MPICD_FLIGHT` on the
+    /// process default, so programmatic toggles never write files.
+    autodump: AtomicBool,
+    /// Last id handed out; ids start at 1.
+    last_id: AtomicU64,
+    ring: OnceLock<Ring>,
 }
 
-// ---- recording API ----------------------------------------------------------
-
-/// Allocate a process-unique transfer id, or 0 when the recorder is
-/// disabled (id 0 short-circuits every later recording call, keeping the
-/// disabled hot path at one relaxed atomic load per call site).
-///
-/// With sampling enabled (`MPICD_FLIGHT_SAMPLE=N` / [`set_sample`]),
-/// every `N`th post gets a real id and the rest get 0 — so a sampled
-/// transfer keeps its post and its record while an unsampled one stays
-/// wholly absent, and the recorder can stay on under soak-level traffic.
-/// The disabled path is untouched: still the single relaxed load.
-pub fn next_id() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    let n = SAMPLE.load(Ordering::Relaxed);
-    if n > 1
-        && !SAMPLE_TICK
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(n)
-    {
-        return 0;
-    }
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Record a post or error event and return its timestamp (0 when nothing
-/// was recorded: recorder disabled or `ev.id == 0`). A zero `t_ns` is
-/// stamped with [`now_ns`] at record time. Recording an
-/// [`EventKind::Error`] event while the recorder was armed by
-/// `MPICD_FLIGHT` dumps the ring (the black-box behaviour).
-pub fn record(mut ev: FlightEvent) -> u64 {
-    debug_assert_ne!(ev.kind, EventKind::Transfer, "use record_transfer");
-    if ev.id == 0 || !enabled() {
-        return 0;
-    }
-    if ev.t_ns == 0 {
-        ev.t_ns = now_ns();
-    }
-    ring().push(Entry::Event(ev).encode());
-    if ev.kind == EventKind::Error {
-        autodump(ev.id, ev.code);
-    }
-    ev.t_ns
-}
-
-/// Record a transfer's record. No-op when disabled or `rec.id == 0`. A
-/// record with an error code dumps the ring when armed, as an
-/// [`EventKind::Error`] event does.
-pub fn record_transfer(rec: &TransferRecord) {
-    if rec.id == 0 || !enabled() {
-        return;
-    }
-    ring().push(Entry::Transfer(*rec).encode());
-    if rec.error != 0 {
-        autodump(rec.id, rec.error);
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder")
+            .field("enabled", &self.enabled())
+            .finish_non_exhaustive()
     }
 }
 
-/// The black box: dump the ring when `MPICD_FLIGHT` armed it.
-fn autodump(id: u64, code: u64) {
-    if !AUTODUMP.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some((path, n)) = dump_to_configured() {
-        eprintln!(
-            "[mpicd-obs] transfer {id} failed (code {code}): dumped {n} flight events to {}",
-            path.display()
-        );
+impl Default for Recorder {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-// ---- reading & dumping ------------------------------------------------------
+impl Recorder {
+    /// A recorder that is off and holds no ring.
+    pub fn new() -> Self {
+        Self {
+            enabled: AtomicBool::new(false),
+            autodump: AtomicBool::new(false),
+            last_id: AtomicU64::new(0),
+            ring: OnceLock::new(),
+        }
+    }
 
-/// Current ring position; pass to [`events_since`] / [`transfers_since`]
-/// to scope a window.
-pub fn mark() -> u64 {
-    match RING.get() {
-        Some(r) => r.head.load(Ordering::Acquire),
-        None => 0,
+    /// Switch on and arm the black box: recording an error dumps the
+    /// ring, and so does a panic (for the process default, whose dump
+    /// the panic hook writes).
+    pub(crate) fn arm(&self) {
+        self.enabled.store(true, Ordering::Relaxed);
+        self.autodump.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the recorder is on.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Switch the recorder on or off. Unlike `MPICD_FLIGHT` this does
+    /// *not* arm the dump-on-error behaviour.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Allocate a transfer id, unique within this recorder, or 0 when it
+    /// is off (id 0 short-circuits every later recording call, keeping
+    /// the disabled hot path at one relaxed atomic load per call site).
+    pub fn next_id(&self) -> u64 {
+        if !self.enabled() {
+            return 0;
+        }
+        self.last_id.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn ring(&self) -> &Ring {
+        self.ring
+            .get_or_init(|| Ring::new(crate::config::current().flight_capacity))
+    }
+
+    /// Record a post or error event and return its timestamp (0 when
+    /// nothing was recorded: recorder off or `ev.id == 0`). A zero `t_ns`
+    /// is stamped with [`now_ns`] at record time. Recording an
+    /// [`EventKind::Error`] event while armed dumps the ring.
+    pub fn record(&self, mut ev: FlightEvent) -> u64 {
+        debug_assert_ne!(ev.kind, EventKind::Transfer, "use record_transfer");
+        if ev.id == 0 || !self.enabled() {
+            return 0;
+        }
+        if ev.t_ns == 0 {
+            ev.t_ns = now_ns();
+        }
+        self.ring().push(Entry::Event(ev).encode());
+        if ev.kind == EventKind::Error {
+            self.autodump(ev.id, ev.code);
+        }
+        ev.t_ns
+    }
+
+    /// Record a transfer's record. No-op when off or `rec.id == 0`. A
+    /// record with an error code dumps the ring when armed, as an
+    /// [`EventKind::Error`] event does.
+    pub fn record_transfer(&self, rec: &TransferRecord) {
+        if rec.id == 0 || !self.enabled() {
+            return;
+        }
+        self.ring().push(Entry::Transfer(*rec).encode());
+        if rec.error != 0 {
+            self.autodump(rec.id, rec.error);
+        }
+    }
+
+    /// The black box: dump the ring when `MPICD_FLIGHT` armed it.
+    fn autodump(&self, id: u64, code: u64) {
+        if !self.autodump.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Some((path, n)) = self.dump_to_configured() {
+            eprintln!(
+                "[mpicd-obs] transfer {id} failed (code {code}): dumped {n} flight events to {}",
+                path.display()
+            );
+        }
+    }
+
+    fn entries(&self) -> Vec<Entry> {
+        self.ring
+            .get()
+            .map_or_else(Vec::new, |r| r.snapshot_since(0))
+    }
+
+    /// Post and error events currently in the ring, oldest first.
+    pub fn events(&self) -> Vec<FlightEvent> {
+        self.entries()
+            .into_iter()
+            .filter_map(|e| match e {
+                Entry::Event(e) => Some(e),
+                Entry::Transfer(_) => None,
+            })
+            .collect()
+    }
+
+    /// Transfer records currently in the ring, oldest first.
+    pub fn transfers(&self) -> Vec<TransferRecord> {
+        self.entries()
+            .into_iter()
+            .filter_map(|e| match e {
+                Entry::Transfer(r) => Some(r),
+                Entry::Event(_) => None,
+            })
+            .collect()
+    }
+
+    /// Total entries lost so far: overwritten by the bounded ring, plus
+    /// the (vanishingly rare) contention drops. Written into the dump's
+    /// meta line and warned about by [`crate::flush`], so a truncated
+    /// recording is never silently read as complete.
+    pub fn overflowed(&self) -> u64 {
+        self.ring.get().map_or(0, Ring::lost)
+    }
+
+    /// Write the ring to `path` as JSON lines: one `flight_meta` header
+    /// line (format version 4, line count, overflow count, trace-ring
+    /// drops), then one line per post, error or transfer in time order
+    /// (a transfer sorts by its end stamp). The file is replaced
+    /// atomically (staged as `<path>.tmp`, then renamed), so a reader
+    /// racing the dump sees a previous complete dump or this one — never
+    /// a torn file. Returns the number of entries written.
+    pub fn dump_jsonl(&self, path: &Path) -> std::io::Result<usize> {
+        let mut entries = self.entries();
+        entries.sort_by_key(Entry::t_ns);
+        let mut out = String::with_capacity(128 + entries.len() * 256);
+        out.push_str(&format!(
+            "{{\"kind\":\"flight_meta\",\"version\":4,\"events\":{},\"overflowed\":{},\"trace_dropped\":{}}}\n",
+            entries.len(),
+            self.overflowed(),
+            crate::trace::dropped_events(),
+        ));
+        for e in entries.iter().copied() {
+            out.push_str(&e.to_json());
+            out.push('\n');
+        }
+        crate::fsio::write_atomic(path, out.as_bytes())?;
+        Ok(entries.len())
+    }
+
+    /// Dump to the configured path (`MPICD_FLIGHT_PATH` or the default).
+    /// Returns the path and event count on success; errors are swallowed
+    /// (this runs from panic hooks and error paths).
+    pub fn dump_to_configured(&self) -> Option<(PathBuf, usize)> {
+        let path = crate::config::current().flight_path();
+        self.dump_jsonl(&path).ok().map(|n| (path, n))
     }
 }
 
-fn entries_since(mark: u64) -> Vec<Entry> {
-    match RING.get() {
-        Some(r) => r.snapshot_since(mark),
-        None => Vec::new(),
-    }
-}
-
-/// Post and error events currently in the ring, oldest first.
-pub fn events() -> Vec<FlightEvent> {
-    events_since(0)
-}
-
-/// Post and error events recorded at or after `mark` (from [`mark`]).
-pub fn events_since(mark: u64) -> Vec<FlightEvent> {
-    entries_since(mark)
-        .into_iter()
-        .filter_map(|e| match e {
-            Entry::Event(e) => Some(e),
-            Entry::Transfer(_) => None,
-        })
-        .collect()
-}
-
-/// Transfer records currently in the ring, oldest first.
-pub fn transfers() -> Vec<TransferRecord> {
-    transfers_since(0)
-}
-
-/// Transfer records written at or after `mark` (from [`mark`]).
-pub fn transfers_since(mark: u64) -> Vec<TransferRecord> {
-    entries_since(mark)
-        .into_iter()
-        .filter_map(|e| match e {
-            Entry::Transfer(r) => Some(r),
-            Entry::Event(_) => None,
-        })
-        .collect()
-}
-
-/// Total entries lost so far: overwritten by the bounded ring, plus the
-/// (vanishingly rare) contention drops. Surfaced by
-/// [`crate::export::summary_of`] and the dump's meta line so a truncated
-/// recording is never silently read as complete.
-pub fn overflowed() -> u64 {
-    match RING.get() {
-        Some(r) => r.lost(),
-        None => 0,
-    }
-}
-
-/// Write the ring to `path` as JSON lines: one `flight_meta` header line
-/// (format version 3, line count, overflow count, trace-ring drops,
-/// sampling rate), then one line per post, error or transfer in time
-/// order (a transfer sorts by its end stamp). The file is replaced
-/// atomically (staged as `<path>.tmp`, then renamed), so a reader racing
-/// the dump sees a previous complete dump or this one — never a torn
-/// file. Returns the number of entries written.
-pub fn dump_jsonl(path: &Path) -> std::io::Result<usize> {
-    let mut entries = entries_since(0);
-    entries.sort_by_key(Entry::t_ns);
-    let mut out = String::with_capacity(128 + entries.len() * 256);
-    out.push_str(&format!(
-        "{{\"kind\":\"flight_meta\",\"version\":3,\"events\":{},\"overflowed\":{},\"trace_dropped\":{},\"sample\":{}}}\n",
-        entries.len(),
-        overflowed(),
-        crate::trace::dropped_events(),
-        SAMPLE.load(Ordering::Relaxed),
-    ));
-    for e in entries.iter().copied() {
-        out.push_str(&e.to_json());
-        out.push('\n');
-    }
-    crate::fsio::write_atomic(path, out.as_bytes())?;
-    Ok(entries.len())
-}
-
-/// Dump to the configured path (`MPICD_FLIGHT_PATH` or the default).
-/// Returns the path and event count on success; errors are swallowed
-/// (this runs from panic hooks and error paths).
-pub fn dump_to_configured() -> Option<(PathBuf, usize)> {
-    let path = crate::config::current().flight_path();
-    dump_jsonl(&path).ok().map(|n| (path, n))
+/// Dump the process default's ring from the panic hook, so aborts leave
+/// a readable trace. Installed once, when `MPICD_FLIGHT` arms it.
+pub(crate) fn install_panic_hook() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if let Some((path, n)) = crate::Obs::process().flight().dump_to_configured() {
+            eprintln!(
+                "[mpicd-obs] panic: dumped {n} flight events to {}",
+                path.display()
+            );
+        }
+        prev(info);
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The enable flag and global ring are process-wide; unit tests here
-    // exercise only local `Ring` instances and pure encode/decode, which
-    // are safe under parallel test threads. Enabled end-to-end behaviour
-    // lives in the crate's integration tests (own processes).
+    // Unit tests here exercise local `Ring` instances and pure
+    // encode/decode; recorder behaviour lives in the crate's integration
+    // tests.
 
     fn ev(kind: EventKind, id: u64) -> Entry {
         Entry::Event(

@@ -1,6 +1,6 @@
 //! Periodic background health snapshots.
 //!
-//! [`crate::flush`] is an *exit-time* flush: a soak run that streams
+//! [`crate::flush`] is an *exit-time* flush: a long run that streams
 //! transfers for minutes produces no observable telemetry until the
 //! process ends. Setting `MPICD_HEALTH_MS=N` (or installing a config
 //! with [`crate::ObsConfig::health_ms`]) starts one detached background
@@ -18,7 +18,7 @@
 //! reader never observes a torn write. The snapshot log is bounded
 //! ([`MAX_SNAPSHOTS`]); once full, the oldest lines are dropped — the
 //! file is a sliding window, like the flight ring. `mpicd-inspect
-//! health` reads the file back and joins it with sampled flight dumps.
+//! health` reads the file back and joins it with a flight dump.
 
 use crate::sync::Mutex;
 use std::path::PathBuf;
@@ -54,7 +54,7 @@ pub fn running() -> bool {
 /// Take one health snapshot now: append a snapshot line and atomically
 /// rewrite the health JSONL file and the telemetry exposition. This is
 /// what the background thread does each tick; call it directly to force
-/// a final snapshot (e.g. at the end of a soak's steady-state window).
+/// a final snapshot (e.g. at the end of a steady-state window).
 pub fn tick() {
     let cfg = crate::config::current();
     let line = crate::telemetry::render_json(crate::metrics::global());

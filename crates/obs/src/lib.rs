@@ -13,13 +13,18 @@
 //!   Unless tracing is enabled (`MPICD_TRACE=1` or
 //!   [`config::ObsConfig::install`]), a span is a single relaxed atomic
 //!   load — no clock read, no allocation.
+//! * [`Obs`] — one observability handle: a [`Registry`] and a
+//!   [`flight::Recorder`]. Every fabric owns one. Worlds built without an
+//!   explicit handle share the process default ([`Obs::process`]), whose
+//!   registry is [`global`]; tests build isolated handles
+//!   ([`Obs::isolated`]) so two worlds never blend counters or records.
 //! * [`flight`] — the per-transfer flight recorder: a lock-free bounded
 //!   ring of post events and one [`flight::TransferRecord`] per matched
-//!   transfer, each tagged with a process-unique id. Off by default at
-//!   the same one-relaxed-load cost discipline; enabled with
-//!   `MPICD_FLIGHT=1`, which also arms dump-on-error and a panic-hook
-//!   dump. Dumps are JSON lines readable by the `mpicd-inspect` analyzer
-//!   (in `crates/bench`).
+//!   transfer, each tagged with an id unique within its recorder. Off by
+//!   default at the same one-relaxed-load cost discipline; the process
+//!   default is enabled with `MPICD_FLIGHT=1`, which also arms
+//!   dump-on-error and a panic-hook dump. Dumps are JSON lines readable
+//!   by the `mpicd-inspect` analyzer (in `crates/bench`).
 //! * [`metrics`] — the one registry: named [`Counter`]s (always on),
 //!   [`Gauge`]s (level plus high-water mark) and [`Sketch`]es (the one
 //!   histogram type: log-linear, answering p50/p99). Counters are plain
@@ -78,12 +83,61 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
+use std::sync::{Arc, OnceLock};
+
 pub use config::ObsConfig;
 pub use metrics::{global, Counter, Registry, Snapshot};
 pub use rng::XorShift64Star;
 pub use telemetry::{Gauge, Sketch};
 pub use time::now_ns;
 pub use trace::{enabled, set_enabled, SpanGuard};
+
+/// One observability handle: a metrics [`Registry`] and a flight
+/// [`flight::Recorder`]. Cloning is cheap (a shared handle).
+#[derive(Clone, Debug)]
+pub struct Obs(Arc<Parts>);
+
+#[derive(Debug)]
+struct Parts {
+    registry: Registry,
+    flight: flight::Recorder,
+}
+
+impl Obs {
+    /// A handle of its own: an empty registry and a recorder that is off.
+    pub fn isolated() -> Self {
+        Self(Arc::new(Parts {
+            registry: Registry::new(),
+            flight: flight::Recorder::new(),
+        }))
+    }
+
+    /// The process default, shared by every world built without an
+    /// explicit handle. Its registry is [`global`], which the exit-time
+    /// [`flush`], the health thread and the benchmarks read; its recorder
+    /// is armed by `MPICD_FLIGHT`.
+    pub fn process() -> &'static Obs {
+        static PROCESS: OnceLock<Obs> = OnceLock::new();
+        PROCESS.get_or_init(|| {
+            let obs = Obs::isolated();
+            if config::current().flight {
+                obs.flight().arm();
+                flight::install_panic_hook();
+            }
+            obs
+        })
+    }
+
+    /// The metrics registry.
+    pub fn registry(&self) -> &Registry {
+        &self.0.registry
+    }
+
+    /// The flight recorder.
+    pub fn flight(&self) -> &flight::Recorder {
+        &self.0.flight
+    }
+}
 
 /// Record a span over the enclosing scope.
 ///
@@ -112,9 +166,10 @@ macro_rules! span {
 /// * when a metrics JSON path is configured (`MPICD_METRICS_JSON`), write
 ///   the metrics JSON there — counters are always on, so this works even
 ///   with tracing disabled;
-/// * when the flight recorder is enabled (`MPICD_FLIGHT=1` or
-///   [`flight::set_enabled`]), dump the flight ring as JSON lines (path
-///   from [`ObsConfig`], default `mpicd-flight.jsonl`);
+/// * when the process default's flight recorder is enabled
+///   (`MPICD_FLIGHT=1` or [`flight::Recorder::set_enabled`]), dump its
+///   ring as JSON lines (path from [`ObsConfig`], default
+///   `mpicd-flight.jsonl`);
 /// * when telemetry is enabled (`MPICD_TELEMETRY=1` or
 ///   [`telemetry::set_enabled`]), write the Prometheus-style exposition
 ///   (default `mpicd-telemetry.prom`);
@@ -147,13 +202,14 @@ pub fn flush() -> Option<std::path::PathBuf> {
             Err(e) => eprintln!("[mpicd-obs] failed to write {}: {e}", tpath.display()),
         }
     }
-    if flight::enabled() {
+    let flight = Obs::process().flight();
+    if flight.enabled() {
         let fpath = cfg.flight_path();
-        match flight::dump_jsonl(&fpath) {
+        match flight.dump_jsonl(&fpath) {
             Ok(n) => eprintln!("[mpicd-obs] wrote {n} flight events to {}", fpath.display()),
             Err(e) => eprintln!("[mpicd-obs] failed to write {}: {e}", fpath.display()),
         }
-        let lost = flight::overflowed();
+        let lost = flight.overflowed();
         if lost > 0 {
             eprintln!(
                 "[mpicd-obs] WARNING: flight ring overwrote {lost} entries; \

@@ -23,7 +23,7 @@ use crate::sync::Mutex;
 use crate::telemetry::{Gauge, Sketch};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -82,7 +82,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// New empty registry (the process-global one is [`global`]).
+    /// New empty registry (the process default's is [`global`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -130,10 +130,11 @@ impl Registry {
     }
 }
 
-/// The process-global registry used by all mpicd crates.
+/// The process default's registry ([`crate::Obs::process`]): the plan,
+/// cursor and collective counters, and the `fabric.*` instruments of
+/// every world built without its own handle.
 pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    crate::Obs::process().registry()
 }
 
 /// The counter values of a [`Registry`] at one point in time.

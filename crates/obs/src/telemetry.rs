@@ -370,13 +370,13 @@ pub fn render_json(reg: &Registry) -> String {
     })
 }
 
-/// Write [`render_prometheus`] of the process-global registry to `path`
+/// Write [`render_prometheus`] of the process default's registry to `path`
 /// atomically, so a concurrent scraper never sees a torn exposition.
 pub fn write_prometheus(path: &Path) -> std::io::Result<()> {
     crate::fsio::write_atomic(path, render_prometheus(metrics::global()).as_bytes())
 }
 
-/// Write [`render_json`] of the process-global registry to `path` (the
+/// Write [`render_json`] of the process default's registry to `path` (the
 /// `MPICD_METRICS_JSON` file), replacing it atomically.
 pub fn write_json(path: &Path) -> std::io::Result<()> {
     let json = render_json(metrics::global()) + "\n";

@@ -2,7 +2,7 @@
 //! may enable tracing or the flight recorder) so the default-off state is
 //! actually observable.
 
-use mpicd_obs::{flight, telemetry, trace};
+use mpicd_obs::{flight, telemetry, trace, Obs};
 
 #[test]
 fn disabled_spans_record_nothing() {
@@ -44,19 +44,20 @@ fn disabled_flush_is_noop() {
 
 #[test]
 fn disabled_flight_recorder_records_nothing() {
-    assert!(!flight::enabled(), "flight recorder must default to off");
-    assert_eq!(flight::next_id(), 0, "disabled ids are 0");
+    let rec = Obs::process().flight();
+    assert!(!rec.enabled(), "flight recorder must default to off");
+    assert_eq!(rec.next_id(), 0, "disabled ids are 0");
 
-    let stamp = flight::record(flight::FlightEvent::new(flight::EventKind::PostSend, 7).bytes(64));
+    let stamp = rec.record(flight::FlightEvent::new(flight::EventKind::PostSend, 7).bytes(64));
     assert_eq!(stamp, 0, "clock never read when disabled");
-    flight::record_transfer(&flight::TransferRecord {
+    rec.record_transfer(&flight::TransferRecord {
         id: 7,
         ..Default::default()
     });
 
-    assert!(flight::events().is_empty(), "no events when disabled");
-    assert!(flight::transfers().is_empty(), "no records when disabled");
-    assert_eq!(flight::overflowed(), 0);
+    assert!(rec.events().is_empty(), "no events when disabled");
+    assert!(rec.transfers().is_empty(), "no records when disabled");
+    assert_eq!(rec.overflowed(), 0);
 }
 
 #[test]

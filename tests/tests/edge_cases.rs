@@ -139,10 +139,16 @@ fn ethernet_preset_flips_region_verdict() {
     // On commodity ethernet (expensive per-descriptor gather), region
     // transfer loses to packing even for MILC's few/large regions — the
     // ablation claim as a test, using the wire presets.
-    use mpicd::fabric::WireModel;
+    use mpicd::fabric::{FabricConfig, WireModel};
     let size = 64 * 1024;
     let wire_ns = |model: WireModel, regions: usize| {
-        let world = mpicd::World::with_model(2, model);
+        let world = mpicd::World::with_config(
+            2,
+            FabricConfig {
+                model,
+                ..FabricConfig::default()
+            },
+        );
         let (a, b) = world.pair();
         let sender = mpicd_ddtbench::make("MILC", size);
         let mut receiver = mpicd_ddtbench::make("MILC", size);

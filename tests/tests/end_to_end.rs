@@ -133,3 +133,50 @@ fn derived_and_custom_produce_identical_wire_bytes() {
     let packed_manual = mpicd::types::pack_struct_simple(&send);
     assert_eq!(packed_typed, packed_manual);
 }
+
+/// Two worlds in one process, each on an isolated observability handle:
+/// their `fabric.*` counters and flight records never blend, whatever
+/// the process default (which the other tests here share) is doing.
+#[test]
+fn two_worlds_keep_separate_counters_and_flight_records() {
+    let world_on = |obs: &mpicd_obs::Obs| {
+        obs.flight().set_enabled(true);
+        World::with_config(
+            2,
+            mpicd::fabric::FabricConfig {
+                obs: obs.clone(),
+                ..Default::default()
+            },
+        )
+    };
+    let (obs_a, obs_b) = (mpicd_obs::Obs::isolated(), mpicd_obs::Obs::isolated());
+    let (world_a, world_b) = (world_on(&obs_a), world_on(&obs_b));
+    let structs: Vec<StructSimple> = (0..64).map(StructSimple::generate).collect();
+    std::thread::scope(|s| {
+        for (world, n) in [(&world_a, 3usize), (&world_b, 5)] {
+            let structs = &structs;
+            s.spawn(move || {
+                let (c0, c1) = world.pair();
+                for tag in 0..n as i32 {
+                    let mut rx = vec![StructSimple::default(); structs.len()];
+                    mpicd::transfer(&c0, &c1, &structs[..], &mut rx[..], tag).unwrap();
+                    assert_eq!(&rx, structs);
+                }
+            });
+        }
+    });
+
+    for (obs, world, n) in [(&obs_a, &world_a, 3u64), (&obs_b, &world_b, 5)] {
+        assert_eq!(obs.registry().counter("fabric.messages").get(), n);
+        assert_eq!(world.fabric().stats().messages, n);
+        let records = obs.flight().transfers();
+        assert_eq!(records.len() as u64, n, "one record per transfer");
+        let posts = obs.flight().events();
+        assert_eq!(posts.len() as u64, 2 * n, "one post per side");
+        for r in &records {
+            assert!(r.recv_id != 0, "the record joins its receive post");
+            assert!(posts.iter().any(|e| e.id == r.id));
+            assert!(posts.iter().any(|e| e.id == r.recv_id));
+        }
+    }
+}

@@ -5,7 +5,7 @@
 //! check they surface as errors — with no hangs, panics, or leaks.
 
 use mpicd::datatype::{CustomPack, CustomUnpack, RecvRegion, SendRegion};
-use mpicd::fabric::{FabricError, WireModel};
+use mpicd::fabric::{FabricConfig, FabricError, WireModel};
 use mpicd::{Error, Result, World};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -70,7 +70,13 @@ fn pack_failure_mid_stream_fails_both_sides() {
         frag_size: 64,
         ..WireModel::default()
     };
-    let world = World::with_model(2, model);
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            model,
+            ..FabricConfig::default()
+        },
+    );
     let (a, b) = world.pair();
 
     let sctx = Box::new(FailingPack {

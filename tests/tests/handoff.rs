@@ -14,7 +14,7 @@
 
 #![cfg(target_os = "linux")]
 
-use mpicd_fabric::{Endpoint, Fabric, PipelineConfig, WireModel};
+use mpicd_fabric::{Endpoint, Fabric, FabricConfig, PipelineConfig};
 
 const ROUND_TRIPS: usize = 2_000;
 const WARMUP: usize = 100;
@@ -97,8 +97,13 @@ fn ping_pong(ep: &Endpoint, bytes: usize) -> u64 {
 
 /// Switches per round trip of two rank threads pinned to `cpu`.
 fn switches_per_round_trip(cpu: usize, bytes: usize) -> f64 {
-    let fabric =
-        Fabric::with_model_and_pipeline(2, WireModel::default(), PipelineConfig::with_threads(1));
+    let fabric = Fabric::with_config(
+        2,
+        FabricConfig {
+            pipeline: PipelineConfig::with_threads(1),
+            ..FabricConfig::default()
+        },
+    );
     let ranks: Vec<_> = fabric
         .endpoints()
         .into_iter()

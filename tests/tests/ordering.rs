@@ -8,7 +8,7 @@
 //!   on the fragment engine's worker pool.
 
 use mpicd::datatype::{CustomPack, CustomUnpack, RandomAccessPacker, RandomAccessUnpacker};
-use mpicd::fabric::{PipelineConfig, WireModel};
+use mpicd::fabric::{FabricConfig, PipelineConfig, WireModel};
 use mpicd::{Result, World};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -90,7 +90,13 @@ fn fragmented_model(ooo_wire: bool) -> WireModel {
 
 fn run_fragmented(inorder: bool, ooo_wire: bool) -> Vec<usize> {
     let model = fragmented_model(ooo_wire);
-    let world = World::with_model(2, model);
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            model,
+            ..FabricConfig::default()
+        },
+    );
     let (a, b) = world.pair();
     let sctx = Box::new(StreamPack {
         data: (0..2048u32).map(|i| i as u8).collect(),
@@ -192,8 +198,14 @@ impl RandomAccessUnpacker for RandomRecorder {
 /// schedule, and the unpacker never sees a monotonic sequence.
 #[test]
 fn ooo_wire_reorders_pooled_fragments() {
-    let world =
-        World::with_model_and_pipeline(2, fragmented_model(true), PipelineConfig::with_threads(2));
+    let world = World::with_config(
+        2,
+        FabricConfig {
+            model: fragmented_model(true),
+            pipeline: PipelineConfig::with_threads(2),
+            ..FabricConfig::default()
+        },
+    );
     let (a, b) = world.pair();
     let sctx = Box::new(RandomPack((0..2048u32).map(|i| i as u8).collect()));
     let mut rctx = RandomRecorder {

@@ -4,7 +4,7 @@
 //! must follow the threshold; arbitrary fragment sizes must not change
 //! results. Deterministic per seed, so every failure is reproducible.
 
-use mpicd_fabric::{Fabric, IovEntry, IovEntryMut, RecvDesc, SendDesc, WireModel};
+use mpicd_fabric::{Fabric, FabricConfig, IovEntry, IovEntryMut, RecvDesc, SendDesc, WireModel};
 use mpicd_obs::XorShift64Star;
 
 /// Split `total` bytes into a pseudo-random list of chunk lengths.
@@ -30,7 +30,13 @@ fn iov_to_iov_streams_bytes() {
             frag_size: frag,
             ..WireModel::zero_cost()
         };
-        let fabric = Fabric::with_model(2, model);
+        let fabric = Fabric::with_config(
+            2,
+            FabricConfig {
+                model,
+                ..FabricConfig::default()
+            },
+        );
         let a = fabric.endpoint(0).unwrap();
         let b = fabric.endpoint(1).unwrap();
 
@@ -110,7 +116,13 @@ fn generic_pack_survives_any_fragmentation() {
             frag_size: frag,
             ..WireModel::zero_cost()
         };
-        let fabric = Fabric::with_model(2, model);
+        let fabric = Fabric::with_config(
+            2,
+            FabricConfig {
+                model,
+                ..FabricConfig::default()
+            },
+        );
         let a = fabric.endpoint(0).unwrap();
         let b = fabric.endpoint(1).unwrap();
 
